@@ -38,10 +38,6 @@ def induction_closed_form(k: int, l: int) -> int:
     return 2**l * (2 * k - 1) + (2**l - 1) * (k - 2)
 
 
-def _closed_form(k: int, l: int) -> int:
-    return 2**l * (2 * k - 1) + (2**l - 1) * (k - 2)
-
-
 def induction_sequence(k: int) -> list[int]:
     """G_0..G_k with G_0 = 2k-1 and G_{l+1} = 2 G_l + (k - 2).
 
@@ -60,9 +56,9 @@ def thresholds(k: int) -> ThresholdTable:
         raise ValueError("k must be at least 2")
     return ThresholdTable(
         k=k,
-        g_gonality=_closed_form(k, k - 2),
-        g_orbit_all=_closed_form(k, k),
-        g_orbit_weierstrass=_closed_form(k, k - 2),
+        g_gonality=induction_closed_form(k, k - 2),
+        g_orbit_all=induction_closed_form(k, k),
+        g_orbit_weierstrass=induction_closed_form(k, k - 2),
         g_orbit_countable=2 * k - 1,
         induction_G=tuple(induction_sequence(k)),
     )
@@ -103,7 +99,7 @@ def max_proven_gonality(g: int) -> int:
         raise ValueError("g must be positive")
     best = 1
     k = 2
-    while _closed_form(k, k - 2) <= g:
+    while induction_closed_form(k, k - 2) <= g:
         best = k
         k += 1
     return best

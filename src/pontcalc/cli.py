@@ -318,9 +318,7 @@ def _cmd_mu_rank(args):
 
 
 def _cmd_search(args):
-    result = search_max_total_dimension(
-        args.k, args.n, budget=args.budget, seed=args.seed, workers=args.workers
-    )
+    result = search_max_total_dimension(args.k, args.n, budget=args.budget, seed=args.seed)
     witness = {
         "best_sum": result.best_sum,
         "bound": result.bound,
@@ -451,7 +449,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--artifact", default=None, help="counterexample artifact path")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_search)

@@ -71,6 +71,8 @@ def kernel_table(kmax: int, dmax: int | None = None) -> list[KernelValue]:
     """All kernel values for 1 <= k <= kmax, 0 <= d <= dmax (default kmax)."""
     if dmax is None:
         dmax = kmax
+    if kmax < 1 or dmax < 0:
+        raise ValueError("need kmax >= 1 and dmax >= 0")
     return [
         KernelValue(k, d, binomial_kernel(k, d))
         for k in range(1, kmax + 1)

@@ -2,79 +2,101 @@
 
 Small, dependency-free routines used by the certificate engine and the
 tangent-space checkers: reduced row echelon form, rank, nullspace, linear
-solves and determinants, all with Fraction (or plain int) arithmetic.
-Integer inputs take a fraction-free (Bareiss) elimination path; the solver
-orders columns sparsest-first, which keeps certificate multipliers small.
+solves and determinants.  All of them run one fraction-free (Bareiss)
+elimination over integer rows, ``_eliminate``.  Rational input (ints or
+Fractions) is made integral at the boundary by clearing denominators per
+row, or per column in ``solve_columns``; scaling a row or a column by a
+nonzero constant leaves the rank, the pivot columns and the row space
+unchanged.  Bareiss quotients are exact for any integer input, with any
+row swaps and skipped columns (Bareiss 1968, Math. Comp. 22), so no
+Fraction arithmetic happens inside the elimination.  Fractions appear only
+in the outputs: RREF rows, nullspace vectors, determinants and solutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
-def _to_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def clear_denominators(vec) -> tuple[int, list[int]]:
+    """(d, d * vec) with d the least common multiple of the denominators of
+    the int or Fraction entries, so that d * vec is a list of ints.  A list
+    of ints is returned itself, uncopied, with d = 1."""
+    if type(vec) is list and all(type(x) is int for x in vec):
+        return 1, vec
+    d = lcm(*[x.denominator for x in vec])
+    return d, [x.numerator * (d // x.denominator) for x in vec]
+
+
+def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[list[int], int]:
+    """Fraction-free elimination of the integer rows ``m`` over their first
+    ``ncols`` columns; further columns (a right-hand side) are carried along.
+
+    Returns (pivot columns, sign of the row permutation).  Afterwards row i
+    of ``m`` has its pivot at column pivots[i], and rows past the pivot rows
+    are zero in the first ``ncols`` columns.  Every entry is a minor of the
+    input, so each ``// prev`` divides exactly; for a square matrix of full
+    rank the last pivot is the determinant of the row-permuted input.  With
+    ``reduce`` the rows above each pivot are eliminated as well (fraction-
+    free Gauss-Jordan): every pivot row ends as d times its RREF row, with
+    d the last pivot.
+
+    ``m`` is reordered and its rows are replaced, never modified in place,
+    so it may share row lists with the caller's input.
+    """
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        piv = m[r][c]
+        # below the pivot rows, columns before c are already zero
+        start = 0 if reduce else c
+        pivot_tail = m[r][start:]
+        for i in range(0 if reduce else r + 1, len(m)):
+            if i != r:
+                row = m[i]
+                f = row[c]
+                m[i] = row[:start] + [(a * piv - f * b) // prev for a, b in zip(row[start:], pivot_tail)]
+        prev = piv
+        pivots.append(c)
+    return pivots, sign
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    return [clear_denominators(row)[1] for row in rows]
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = _to_fractions(rows)
+    m = _integer_rows(rows)
     if not m:
         return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    pivots, _ = _eliminate(m, len(m[0]), reduce=True)
+    if not pivots:
+        return [], []
+    d = m[len(pivots) - 1][pivots[-1]]
+    return [[Fraction(x, d) for x in row] for row in m[: len(pivots)]], pivots
 
 
 def int_rank(rows) -> int:
     """Rank of an integer matrix by fraction-free elimination."""
     m = [list(row) for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(c, ncols):
-                row_i[j] = (row_i[j] * piv - mic * row_r[j]) // prev
-        prev = piv
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return len(_eliminate(m, len(m[0]))[0]) if m else 0
 
 
 def exact_rank(rows) -> int:
-    rows = list(rows)
-    if not rows:
-        return 0
-    if all(isinstance(x, int) for row in rows for x in row):
-        return int_rank(rows)
-    return len(rref(rows)[0])
+    """Rank of a matrix of ints and Fractions."""
+    m = _integer_rows(rows)
+    return len(_eliminate(m, len(m[0]))[0]) if m else 0
 
 
 def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
@@ -102,123 +124,47 @@ def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
 
 
 def det(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination."""
-    m = _to_fractions(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant: the last Bareiss pivot of the integral rows."""
+    rows = list(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        result *= piv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    scale, m = 1, []
+    for row in rows:
+        d, ints = clear_denominators(row)
+        scale *= d
+        m.append(ints)
+    pivots, sign = _eliminate(m, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[-1][-1] if n else 1, scale)
 
 
-def solve_columns(columns, target, ncols_hint=None):
+def solve_columns(columns, target):
     """Exact solution x of  sum_j x_j * columns[j] == target, or None.
 
     ``columns`` is a list of column vectors (lists, all the same length).
-    Columns are eliminated sparsest-first.  Integer inputs stay integer
-    through a Bareiss forward pass; back substitution is rational.  Free
-    coefficients are set to zero.
+    Columns are eliminated sparsest-first, which keeps certificate
+    multipliers small, and free coefficients are set to zero.  Each column
+    (and the target) is scaled to integers by the lcm of its denominators;
+    the solution y of the scaled system gives x_j = y_j * d_j / d_target.
     """
     ncols = len(columns)
     if ncols == 0:
         return [] if all(x == 0 for x in target) else None
-    nrows = len(target)
-    all_int = all(isinstance(x, int) for col in columns for x in col) and all(
-        isinstance(x, int) for x in target
-    )
-
-    order = sorted(range(ncols), key=lambda j: (sum(1 for x in columns[j] if x != 0), j))
-    if all_int:
-        m = [[columns[j][i] for j in order] + [target[i]] for i in range(nrows)]
-        try:
-            sol_perm = _solve_int_augmented(m, ncols)
-        except ArithmeticError:
-            m = [
-                [Fraction(columns[j][i]) for j in order] + [Fraction(target[i])]
-                for i in range(nrows)
-            ]
-            sol_perm = _solve_frac_augmented(m, ncols)
-    else:
-        m = [
-            [Fraction(columns[j][i]) for j in order] + [Fraction(target[i])]
-            for i in range(nrows)
-        ]
-        sol_perm = _solve_frac_augmented(m, ncols)
-    if sol_perm is None:
+    order = sorted(range(ncols), key=lambda j: (len(columns[j]) - columns[j].count(0), j))
+    scales, int_cols = zip(*[clear_denominators(columns[j]) for j in order])
+    t_scale, t = clear_denominators(target)
+    m = [list(row) for row in zip(*int_cols, t)]
+    pivots, _ = _eliminate(m, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
         return None
+    y = _back_substitute(m, pivots, ncols)
     sol = [Fraction(0)] * ncols
     for pos, j in enumerate(order):
-        sol[j] = sol_perm[pos]
+        if y[pos]:
+            sol[j] = y[pos] * scales[pos] / t_scale
     return sol
-
-
-def _solve_int_augmented(m, ncols):
-    nrows = len(m)
-    prev = 1
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(c, ncols + 1):
-                num = row_i[j] * piv - mic * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row_i[j] = q
-        prev = piv
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    return _back_substitute(m, piv_cols, ncols)
-
-
-def _solve_frac_augmented(m, ncols):
-    nrows = len(m)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    return _back_substitute(m, piv_cols, ncols)
 
 
 def _back_substitute(m, piv_cols, ncols):
@@ -228,7 +174,7 @@ def _back_substitute(m, piv_cols, ncols):
         s = Fraction(m[ri][ncols])
         for j in range(c + 1, ncols):
             if x[j]:
-                s -= Fraction(m[ri][j]) * x[j]
+                s -= m[ri][j] * x[j]
         x[c] = s / m[ri][c]
     return x
 

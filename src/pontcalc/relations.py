@@ -561,6 +561,8 @@ def verify_relation(
         j_max = default_j_max(k, g)
     if cap is None:
         cap = default_cap(k, g)
+    if j_max < 1 or cap < 1:
+        raise ValueError("j_max and cap must be at least 1")
     if method not in ("auto", "newton", "window"):
         raise ValueError(f"unknown method {method!r}")
 

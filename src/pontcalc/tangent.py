@@ -27,11 +27,12 @@ All verdicts are exact; randomness only chooses where to look.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import det, exact_rank, int_rank, nullspace, rref
+from .linalg import clear_denominators, det, exact_rank, int_rank, nullspace, rref
 
 
 class DimensionMismatch(Exception):
@@ -192,24 +193,37 @@ def check_condition_doublestar(spaces):
     for sp in spaces:
         if sp.ambient_dim != k:
             raise DimensionMismatch("all component subspaces must share the ambient Q^k")
-    active = [(idx, sp) for idx, sp in enumerate(spaces) if sp.dim > 0]
-    for size in range(1, len(active) + 1):
+    found = _doublestar_violation([sp.basis for sp in spaces])
+    if found is None:
+        return True
+    components, basis_rows, value = found
+    return DoubleStarViolation(components, basis_rows, Fraction(value))
+
+
+def _doublestar_violation(bases):
+    """The first failure of (**) on raw basis rows, or None.
+
+    ``bases`` holds each component's basis rows (ints or Fractions, all of
+    one length).  Choices are walked by subset size, then by subset, then
+    by rows, and the first with a nonzero product sum is returned as
+    (component indices, row indices, value).  Row indices are recovered
+    only then, by equality: rows of one basis are distinct.
+    """
+    active = [(idx, rows) for idx, rows in enumerate(bases) if rows]
+    for idx, rows in active:
+        for r, row in enumerate(rows):
+            total = sum(row)
+            if total:
+                return (idx,), (r,), total
+    for size in range(2, len(active) + 1):
         for chosen in itertools.combinations(active, size):
-            row_ranges = [range(sp.dim) for _, sp in chosen]
-            for rows in itertools.product(*row_ranges):
-                total = Fraction(0)
-                for j in range(k):
-                    prod = Fraction(1)
-                    for (_, sp), r in zip(chosen, rows):
-                        prod *= sp.basis[r][j]
-                    total += prod
-                if total != 0:
-                    return DoubleStarViolation(
-                        components=tuple(idx for idx, _ in chosen),
-                        basis_rows=rows,
-                        value=total,
-                    )
-    return True
+            for pick in itertools.product(*[rows for _, rows in chosen]):
+                total = sum(map(math.prod, zip(*pick)))
+                if total:
+                    components = tuple(idx for idx, _ in chosen)
+                    row_indices = tuple(rows.index(vec) for (_, rows), vec in zip(chosen, pick))
+                    return components, row_indices, total
+    return None
 
 
 def split_subspace(spaces) -> Subspace:
@@ -300,12 +314,14 @@ def mu_generic_rank(A: Subspace, B: Subspace, seed: int, samples: int = 4) -> in
     The generic value is dim A + dim B; a random point may miss the
     generic locus, which is why the max over several samples is reported.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     _check_pair_preconditions(A, B)
     k = A.ambient_dim
     rng = random.Random(seed)
     e = [Fraction(1)] * k
     best = 0
-    for _ in range(max(1, samples)):
+    for _ in range(samples):
         a = list(e)
         for row in A.basis:
             c = rng.randint(-5, 5)
@@ -353,22 +369,6 @@ def _random_subspace_in_sum_zero(k: int, dim: int, rng: random.Random) -> Subspa
     raise RuntimeError("failed to sample an independent basis")
 
 
-def _integer_rows(fraction_rows) -> list[list[int]]:
-    out = []
-    for row in fraction_rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def random_admissible_pair(
     k: int, seed_or_rng, dim_a: int | None = None, dim_b: int | None = None
 ) -> tuple[Subspace, Subspace]:
@@ -385,7 +385,7 @@ def random_admissible_pair(
         dim_a = rng.randint(1, min(3, k - 1))
     A = _random_subspace_in_sum_zero(k, dim_a, rng)
     constraint = [[1] * k] + [list(r) for r in A.basis]
-    comp_rows = _integer_rows(nullspace(constraint, k))
+    comp_rows = [clear_denominators(row)[1] for row in nullspace(constraint, k)]
     comp_dim = len(comp_rows)
     if dim_b is None:
         dim_b = rng.randint(0, min(3, comp_dim))
@@ -424,29 +424,6 @@ class SearchResult:
         return self.best_sum <= self.bound
 
 
-def _doublestar_holds_int(bases: list[list[list[int]]], k: int) -> bool:
-    """Fast exact (**) check on integer bases, with early exit."""
-    active = [b for b in bases if b]
-    for rows in active:
-        for row in rows:
-            if sum(row) != 0:
-                return False
-    for size in range(2, len(active) + 1):
-        for chosen in itertools.combinations(active, size):
-            for pick in itertools.product(*chosen):
-                total = 0
-                for j in range(k):
-                    prod = 1
-                    for vec in pick:
-                        prod *= vec[j]
-                        if prod == 0:
-                            break
-                    total += prod
-                if total != 0:
-                    return False
-    return True
-
-
 def _config_sum(bases: list[list[list[int]]]) -> int:
     """True total dimension (ranks, not row counts)."""
     return sum(int_rank([list(r) for r in rows]) for rows in bases if rows)
@@ -456,14 +433,14 @@ def _structured_candidates(k: int, n: int):
     """Deterministic seeds: the kernel-of-sum witness, orthogonal splits of
     the sum-zero hyperplane, and a small finite-field sweep over F_3 lifted
     back to Q (every candidate is re-verified exactly by the caller)."""
-    e_perp = [list(r) for r in _integer_rows([[Fraction(x) for x in row] for row in kernel_of_sum_subspace(k).basis])]
+    e_perp = [clear_denominators(row)[1] for row in kernel_of_sum_subspace(k).basis]
     config = [e_perp] + [[] for _ in range(n - 1)]
     yield config
     if n >= 2:
         for d1 in range(1, k - 1):
             first = e_perp[:d1]
             constraint = [[1] * k] + [list(r) for r in first]
-            rest = _integer_rows(nullspace(constraint, k))
+            rest = [clear_denominators(row)[1] for row in nullspace(constraint, k)]
             config = [first, rest] + [[] for _ in range(n - 2)]
             yield config
     if n >= 2 and k <= 6:
@@ -495,27 +472,23 @@ def _random_candidate(k: int, n: int, rng: random.Random) -> list[list[list[int]
     return bases
 
 
-def search_max_total_dimension(
-    k: int,
-    n: int,
-    budget: int,
-    seed: int,
-    workers: int = 1,
-) -> SearchResult:
+def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> SearchResult:
     """Budgeted search for (**) configurations maximizing total dimension.
 
-    Structured seeds run first in a shared deterministic phase (so the
-    best total is independent of the worker count); the remaining budget
-    is split across per-worker random streams.  The theoretical bound is
-    k - 1; a configuration exceeding it is recorded as a counterexample,
-    which callers must treat as a build-failing finding.
+    The deterministic structured seeds run first, then random candidates
+    from one stream seeded by ``seed``, until ``budget`` candidates have
+    been evaluated.  Each candidate is screened by the exact (**) walk on
+    its integer rows; one that would raise the best total is re-verified
+    over Q on its spanned subspaces before it is accepted.  The theoretical
+    bound is k - 1; a configuration exceeding it is recorded as a
+    counterexample, which callers must treat as a build-failing finding.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     bound = k - 1
     best_sum = -1
     best_config: list[list[list[int]]] = []
@@ -524,7 +497,7 @@ def search_max_total_dimension(
 
     def consider(bases: list[list[list[int]]]):
         nonlocal best_sum, best_config, counterexample
-        if not _doublestar_holds_int(bases, k):
+        if _doublestar_violation(bases) is not None:
             return
         total = _config_sum(bases)
         if total > best_sum:
@@ -543,15 +516,10 @@ def search_max_total_dimension(
         evaluations += 1
         consider(config)
 
-    remaining = max(0, budget - evaluations)
-    shares = [remaining // workers] * workers
-    for w in range(remaining % workers):
-        shares[w] += 1
-    for w, share in enumerate(shares):
-        rng = random.Random(seed * 1_000_003 + w)
-        for _ in range(share):
-            evaluations += 1
-            consider(_random_candidate(k, n, rng))
+    rng = random.Random(seed * 1_000_003)
+    while evaluations < budget:
+        evaluations += 1
+        consider(_random_candidate(k, n, rng))
 
     nonzero = sum(1 for rows in best_config if rows)
     return SearchResult(
@@ -586,10 +554,25 @@ class _TokenReader:
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def header(self) -> tuple[int, int]:
+        k, n = int(self.take()), int(self.take())
+        if k < 1 or n < 1:
+            raise ValueError(f"header needs positive k and n, got {k} {n}")
+        return k, n
+
     def block(self, width: int) -> Subspace:
         dim = int(self.take())
-        rows = [[Fraction(self.take()) for _ in range(width)] for _ in range(dim)]
+        if dim < 0:
+            raise ValueError(f"block dimension must be nonnegative, got {dim}")
+        rows = [[self.entry() for _ in range(width)] for _ in range(dim)]
         return Subspace(width, rows) if rows else Subspace.zero(width)
+
+    def entry(self) -> Fraction:
+        tok = self.take()
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"entry {tok!r} has a zero denominator") from None
 
 
 def parse_star_file(text: str) -> tuple[int, int, Subspace]:
@@ -600,8 +583,7 @@ def parse_star_file(text: str) -> tuple[int, int, Subspace]:
     integers or fractions like ``-3/2``.
     """
     reader = _TokenReader(text)
-    k = int(reader.take())
-    n = int(reader.take())
+    k, n = reader.header()
     V = reader.block(n * k)
     if not reader.done():
         raise ValueError("trailing tokens after the condition-(*) block")
@@ -611,8 +593,7 @@ def parse_star_file(text: str) -> tuple[int, int, Subspace]:
 def parse_doublestar_file(text: str) -> tuple[int, int, list[Subspace]]:
     """Condition-(**) input: line "k n", then n blocks of rows in Q^k."""
     reader = _TokenReader(text)
-    k = int(reader.take())
-    n = int(reader.take())
+    k, n = reader.header()
     spaces = [reader.block(k) for _ in range(n)]
     if not reader.done():
         raise ValueError(f"trailing tokens after {n} blocks")

@@ -183,6 +183,32 @@ def test_usage_errors(capsys):
     assert main(["check-star", "--file", "/nonexistent/path.txt"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check-doublestar", "--file", "{file}"], "3 1\n-1\n"),
+        (["check-doublestar", "--file", "{file}"], "3 1\n1\n1/0 -1 1\n"),
+        (["check-star", "--file", "{file}"], "3 0\n0\n"),
+        (["search", "--k", "3", "--n", "2", "--budget", "-5"], None),
+        (["identities", "--kmax", "0"], None),
+        (["verify-relation", "--k", "2", "--g", "3", "--cap", "-1", "--out", "{file}"], None),
+        (["mu-rank", "--k", "3", "--samples", "0"], None),
+    ],
+    ids=["negative-dim", "zero-denominator", "zero-n", "negative-budget", "kmax-0", "negative-cap",
+         "samples-0"],
+)
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    code = main([arg.replace("{file}", str(path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("pontcalc: error: ")
+
+
 def test_env_cap_override_maps_to_inconclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYCLES_MAX_CAP", "2")
     code, out = run(capsys, "gamma-check", "--g", "3", "--trials", "1")

@@ -88,6 +88,9 @@ def test_det():
     assert det([[2]]) == 2
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[1, 2], [2, 4]]) == 0
+    assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert det([[0, 2], [Fraction(1, 3), 0]]) == Fraction(-2, 3)
     rng = random.Random(4)
     for _ in range(20):
         a = rand_matrix(rng, 3, 3)
@@ -97,3 +100,99 @@ def test_det():
             for i in range(3)
         ]
         assert det(ab) == det(a) * det(b)
+
+
+# ---------------------------------------------------------------------------
+# differential test: every entry point against a textbook Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_gauss_jordan(rows):
+    """Fraction Gauss-Jordan kept apart from the library's integer core:
+    (RREF rows, pivot columns, determinant, meaningful for square input)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, d = [], Fraction(1)
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            d = Fraction(0)
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            d = -d
+        d *= m[r][c]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots, d
+
+
+def oracle_solve(columns, target):
+    """Solution with free coefficients zero, columns taken sparsest-first."""
+    ncols = len(columns)
+    order = sorted(range(ncols), key=lambda j: (sum(1 for x in columns[j] if x != 0), j))
+    augmented = [[columns[j][i] for j in order] + [target[i]] for i in range(len(target))]
+    red, pivots, _ = oracle_gauss_jordan(augmented)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[order[p]] = row[ncols]
+    return x
+
+
+def awkward_matrix(rng, nrows, ncols, fractions):
+    """Random matrix with, at random, a zero column, a dependent row and a
+    zero leading entry that forces a row swap."""
+    def entry():
+        bound = rng.choice((2, 5, 60))
+        if fractions:
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, 7))
+        return rng.randint(-bound, bound)
+
+    m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:
+        c = rng.randrange(ncols)
+        for row in m:
+            row[c] = 0
+    if nrows >= 3 and rng.random() < 0.4:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    if rng.random() < 0.4:
+        m[0][0] = 0
+    rng.shuffle(m)
+    return m
+
+
+def test_single_core_matches_fraction_oracle():
+    rng = random.Random(2024)
+    for trial in range(400):
+        fractions = trial % 2 == 1
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = awkward_matrix(rng, nrows, ncols, fractions)
+        red, pivots, _ = oracle_gauss_jordan(m)
+        assert rref(m) == (red, pivots), m
+        assert exact_rank(m) == len(pivots), m
+        if not fractions:
+            assert int_rank(m) == len(pivots), m
+        kernel = nullspace(m)
+        assert len(kernel) == ncols - len(pivots), m
+        for vec in kernel:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m), m
+        assert nullspace(red, ncols) == kernel, m
+
+        n = rng.randint(1, 5)
+        square = awkward_matrix(rng, n, n, fractions)
+        assert det(square) == oracle_gauss_jordan(square)[2], square
+
+        columns = [list(col) for col in zip(*m)]
+        target = [
+            sum(rng.randint(-2, 2) * x for x in row) if rng.random() < 0.7 else rng.randint(-3, 3)
+            for row in m
+        ]
+        assert solve_columns(columns, target) == oracle_solve(columns, target), (m, target)
+
