@@ -18,7 +18,6 @@ from .cycles import (
     GroupPoint,
     RingContext,
     SupportCapExceeded,
-    cycle_add,
     degree,
     exp_cycle,
     format_rational,

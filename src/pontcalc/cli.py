@@ -30,6 +30,7 @@ from .cycles import (
     GroupPoint,
     RingContext,
     SupportCapExceeded,
+    exp_cycle,
     format_rational,
     gamma,
     gamma_factorization,
@@ -37,15 +38,14 @@ from .cycles import (
     pontryagin,
     star_power,
 )
-from .kernels import binomial_kernel, derivative_oracle, kernel_table
+from .kernels import derivative_oracle, kernel_table
 from .relations import (
     NotFoundWithinCaps,
     alpha_coefficients,
     check_recursion_identity,
     verify_relation,
 )
-from .series import exp_after_log, log_after_exp, poly_eval_at_cycle
-from .cycles import exp_cycle
+from .series import exp_after_log, poly_eval_at_cycle
 from .tangent import (
     DimensionMismatch,
     PreconditionViolated,
@@ -229,6 +229,8 @@ def _cmd_alpha(args):
 
 
 def _cmd_recursion_check(args):
+    if args.k < 2:
+        raise ValueError("--k must be at least 2")
     results = {}
     ok = True
     for l in range(1, args.k):
@@ -344,6 +346,8 @@ def _cmd_search(args):
 def _cmd_gamma_check(args):
     import random as _random
 
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     rng = _random.Random(args.seed)
     g = args.g
     ctx = RingContext(rank=args.rank, geom_dim=g, support_cap=_env_cap(1_000_000))

@@ -6,8 +6,10 @@ product acts on points by group addition ({x} * {y} = {x + y}), the origin
 cycle {0} is the unit, and degree (sum of coefficients) is a ring
 homomorphism to Q.
 
-Everything here is exact: coefficients are arbitrary-precision rationals
-and there is no floating point.  Support caps are guards, not truncations:
+Everything here is exact and there is no floating point.  A cycle keeps
+integer numerators on coordinate tuples over one common denominator, so the
+ring operations run on tuples and ints only; ``GroupPoint`` and ``Fraction``
+appear only at the API boundary.  Support caps are guards, not truncations:
 an operation that would produce a point above the cap raises
 ``SupportCapExceeded`` instead of dropping terms, so every identity
 reported by this module is an identity of the free group ring.
@@ -21,9 +23,13 @@ modulo high powers of the augmentation ideal must say so explicitly.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping
+
+from .linalg import clear_denominators
 
 
 class SupportCapExceeded(Exception):
@@ -114,18 +120,20 @@ def _as_fraction(value) -> Fraction:
 class Cycle:
     """A zero-cycle: finite formal Q-combination of group points.
 
-    Canonical form is maintained on construction: zero coefficients are
-    never stored and equality is term-by-term.  Instances are immutable;
-    all operations return new cycles.
+    Stored as ``num``, a dict from coordinate tuples to nonzero integer
+    numerators, over ``den``, a positive integer common denominator: the
+    coefficient of a point p is num[p] / den.  The form is canonical,
+    gcd(den, *num.values()) == 1, so equality compares ``den`` and ``num``
+    directly.  Instances are immutable; all operations return new cycles.
     """
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ("rank", "den", "num")
 
     def __init__(self, rank: int, terms: Mapping | Iterable = ()):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[GroupPoint, Fraction] = {}
+        acc: dict[tuple[int, ...], Fraction] = {}
         for point, coeff in items:
             if not isinstance(point, GroupPoint):
                 point = GroupPoint(point)
@@ -133,13 +141,27 @@ class Cycle:
                 raise ValueError(
                     f"point {point} has rank {point.rank}, cycle has rank {rank}"
                 )
-            c = acc.get(point, Fraction(0)) + _as_fraction(coeff)
-            if c:
-                acc[point] = c
-            elif point in acc:
-                del acc[point]
+            acc[point.coords] = acc.get(point.coords, 0) + _as_fraction(coeff)
+        den, nums = clear_denominators(list(acc.values()))
+        self._set(rank, den, dict(zip(acc, nums)))
+
+    def _set(self, rank: int, den: int, num: dict[tuple[int, ...], int]) -> None:
+        """Store (rank, den, num) in canonical form: zero numerators are
+        dropped and the gcd of den and the numerators is divided out."""
+        num = {p: v for p, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {p: v // g for p, v in num.items()}
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", num)
+
+    @classmethod
+    def _canonical(cls, rank: int, den: int, num: dict[tuple[int, ...], int]) -> "Cycle":
+        out = object.__new__(cls)
+        out._set(rank, den, num)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -159,29 +181,29 @@ class Cycle:
     # -- inspection --------------------------------------------------------
 
     def coeff(self, point: GroupPoint) -> Fraction:
-        return self._terms.get(point, Fraction(0))
+        return Fraction(self.num.get(point.coords, 0), self.den)
 
     def items(self) -> Iterator[tuple[GroupPoint, Fraction]]:
-        return iter(self._terms.items())
+        return ((GroupPoint(p), Fraction(v, self.den)) for p, v in self.num.items())
 
     def sorted_items(self) -> list[tuple[GroupPoint, Fraction]]:
         """Terms in lexicographic point order (the canonical output order)."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].coords)
+        return [(GroupPoint(p), Fraction(v, self.den)) for p, v in sorted(self.num.items())]
 
     def support(self) -> list[GroupPoint]:
-        return sorted(self._terms, key=lambda p: p.coords)
+        return [GroupPoint(p) for p in sorted(self.num)]
 
     def support_size(self) -> int:
-        return len(self._terms)
+        return len(self.num)
 
     def max_height(self) -> int:
-        return max((p.height() for p in self._terms), default=0)
+        return max((sum(map(abs, p)) for p in self.num), default=0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.num
 
     def degree(self) -> Fraction:
-        return sum(self._terms.values(), Fraction(0))
+        return Fraction(sum(self.num.values()), self.den)
 
     # -- linear structure ----------------------------------------------------
 
@@ -190,32 +212,25 @@ class Cycle:
             return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch between cycles")
-        acc = dict(self._terms)
-        for p, c in other._terms.items():
-            s = acc.get(p, Fraction(0)) + c
-            if s:
-                acc[p] = s
-            elif p in acc:
-                del acc[p]
-        out = Cycle(self.rank)
-        object.__setattr__(out, "_terms", acc)
-        return out
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        acc = {p: v * m1 for p, v in self.num.items()}
+        for p, v in other.num.items():
+            acc[p] = acc.get(p, 0) + v * m2
+        return Cycle._canonical(self.rank, self.den * m1, acc)
 
     def __neg__(self) -> "Cycle":
-        out = Cycle(self.rank)
-        object.__setattr__(out, "_terms", {p: -c for p, c in self._terms.items()})
-        return out
+        return Cycle._canonical(self.rank, self.den, {p: -v for p, v in self.num.items()})
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         return self + (-other)
 
     def scale(self, scalar) -> "Cycle":
         s = _as_fraction(scalar)
-        if not s:
-            return Cycle.zero(self.rank)
-        out = Cycle(self.rank)
-        object.__setattr__(out, "_terms", {p: s * c for p, c in self._terms.items()})
-        return out
+        n = s.numerator
+        return Cycle._canonical(
+            self.rank, self.den * s.denominator, {p: v * n for p, v in self.num.items()}
+        )
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -228,7 +243,8 @@ class Cycle:
         return (
             isinstance(other, Cycle)
             and self.rank == other.rank
-            and self._terms == other._terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __setattr__(self, name, value):
@@ -316,39 +332,31 @@ class RingContext:
         return Cycle.unit(self.rank)
 
 
-def cycle_add(c1: Cycle, c2: Cycle) -> Cycle:
-    """Term-wise exact sum in canonical form."""
-    return c1 + c2
-
-
 def pontryagin(c1: Cycle, c2: Cycle, ctx: RingContext) -> Cycle:
     """Convolution product: coeff of p is the sum over p1 + p2 = p.
 
-    Raises ``SupportCapExceeded`` if an input or product point exceeds the
-    cap.  The cap check happens before coefficients are merged, so
+    Raises ``SupportCapExceeded`` if an input point or a product point
+    exceeds the cap.  Every product point is checked after the products
+    are accumulated and before zero coefficients are dropped, so
     cancellation can never mask an overflow.
     """
     if c1.rank != ctx.rank or c2.rank != ctx.rank:
         raise ValueError("cycle rank does not match context rank")
     cap = ctx.support_cap
     for c in (c1, c2):
-        for p in c._terms:
-            if p.height() > cap:
-                raise SupportCapExceeded(p, cap, where="input")
-    acc: dict[GroupPoint, Fraction] = {}
-    for p1, a in c1._terms.items():
-        for p2, b in c2._terms.items():
-            p = p1 + p2
-            if p.height() > cap:
-                raise SupportCapExceeded(p, cap)
-            s = acc.get(p, Fraction(0)) + a * b
-            if s:
-                acc[p] = s
-            elif p in acc:
-                del acc[p]
-    out = Cycle(ctx.rank)
-    object.__setattr__(out, "_terms", acc)
-    return out
+        for p in c.num:
+            if sum(map(abs, p)) > cap:
+                raise SupportCapExceeded(GroupPoint(p), cap, where="input")
+    acc: dict[tuple[int, ...], int] = {}
+    get, add = acc.get, operator.add
+    for p1, a in c1.num.items():
+        for p2, b in c2.num.items():
+            p = tuple(map(add, p1, p2))
+            acc[p] = get(p, 0) + a * b
+    for p in acc:
+        if sum(map(abs, p)) > cap:
+            raise SupportCapExceeded(GroupPoint(p), cap)
+    return Cycle._canonical(ctx.rank, c1.den * c2.den, acc)
 
 
 def star_power(c: Cycle, k: int, ctx: RingContext) -> Cycle:
@@ -366,17 +374,11 @@ def pushforward(c: Cycle, n: int) -> Cycle:
 
     This is a ring homomorphism for the convolution product for every n.
     """
-    acc: dict[GroupPoint, Fraction] = {}
-    for p, coeff in c._terms.items():
-        q = p.scale(n)
-        s = acc.get(q, Fraction(0)) + coeff
-        if s:
-            acc[q] = s
-        elif q in acc:
-            del acc[q]
-    out = Cycle(c.rank)
-    object.__setattr__(out, "_terms", acc)
-    return out
+    acc: dict[tuple[int, ...], int] = {}
+    for p, v in c.num.items():
+        q = tuple(n * x for x in p)
+        acc[q] = acc.get(q, 0) + v
+    return Cycle._canonical(c.rank, c.den, acc)
 
 
 def degree(c: Cycle) -> Fraction:

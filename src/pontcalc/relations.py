@@ -36,7 +36,6 @@ from .cycles import (
     Cycle,
     GroupPoint,
     RingContext,
-    cycle_add,
     pontryagin,
     pushforward,
     star_power,
@@ -341,7 +340,7 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
             return False
         if t.multiplier.max_height() > cert.cap:
             return False
-        total = cycle_add(total, pontryagin(t.multiplier, expected, ctx))
+        total = total + pontryagin(t.multiplier, expected, ctx)
     for t in cert.nilpotent_part:
         if len(t.factors) != cert.g + 1:
             return False
@@ -350,7 +349,7 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
         if t.multiplier.max_height() > cert.cap:
             return False
         prod = nilpotent_product(k, t.factors, ctx)
-        total = cycle_add(total, pontryagin(t.multiplier, prod, ctx))
+        total = total + pontryagin(t.multiplier, prod, ctx)
     return total == cert.target
 
 
@@ -441,44 +440,29 @@ def _monomial_points(k: int, cap: int) -> list[tuple[int, ...]]:
     return points
 
 
-def _int_coeff(c: Fraction) -> int:
-    if c.denominator != 1:
-        raise ArithmeticError(f"expected integer coefficient, got {c}")
-    return c.numerator
-
-
 def _window_solve_once(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate | None:
     ctx = RingContext(rank=k, geom_dim=g, support_cap=cap + j_max + k + g + 3)
     target_cycle = _target_power(k, ctx)
-    monomials = _monomial_points(k, cap)
+    shifts = [(m, Cycle.point(GroupPoint(m))) for m in _monomial_points(k, cap)]
+    bases = [("ideal", j, pushed_hypothesis(k, j)) for j in range(1, j_max + 1)]
+    bases += [
+        ("nil", factors, nilpotent_product(k, factors, ctx))
+        for factors in itertools.combinations_with_replacement(range(1, k + 1), g + 1)
+    ]
+    if target_cycle.den != 1 or any(base.den != 1 for *_, base in bases):
+        raise ArithmeticError("window solve expects integer cycles")
 
-    columns: list[tuple[str, object, dict[tuple[int, ...], int]]] = []
-    for j in range(1, j_max + 1):
-        for m in monomials:
-            col: dict[tuple[int, ...], int] = {}
-            for i in range(k):
-                p = list(m)
-                p[i] += j
-                col[tuple(p)] = col.get(tuple(p), 0) + 1
-            col[m] = col.get(m, 0) - k
-            columns.append(("ideal", (j, m), {p: v for p, v in col.items() if v}))
-    nil_products: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for factors in itertools.combinations_with_replacement(range(1, k + 1), g + 1):
-        prod = nilpotent_product(k, factors, ctx)
-        nil_products[factors] = {p.coords: _int_coeff(c) for p, c in prod.items()}
-    for factors, base in nil_products.items():
-        for m in monomials:
-            col = {}
-            for p, v in base.items():
-                q = tuple(a + b for a, b in zip(p, m))
-                col[q] = col.get(q, 0) + v
-            columns.append(("nil", (factors, m), {p: v for p, v in col.items() if v}))
-
-    target = {p.coords: _int_coeff(c) for p, c in target_cycle.items()}
-    row_points = sorted(set(target) | {p for _, _, col in columns for p in col})
+    # column (kind, key, m) is the monomial multiple {m} * base
+    columns = [
+        (kind, key, m, pontryagin(shift, base, ctx).num)
+        for kind, key, base in bases
+        for m, shift in shifts
+    ]
+    target = target_cycle.num
+    row_points = sorted(set(target) | {p for *_, col in columns for p in col})
     row_index = {p: i for i, p in enumerate(row_points)}
     dense_cols = []
-    for _, _, col in columns:
+    for *_, col in columns:
         vec = [0] * len(row_points)
         for p, v in col.items():
             vec[row_index[p]] = v
@@ -491,34 +475,20 @@ def _window_solve_once(k: int, g: int, j_max: int, cap: int) -> MembershipCertif
     if solution is None:
         return None
 
-    gen_mults: dict[int, Cycle] = {}
-    nil_mults: dict[tuple[int, ...], Cycle] = {}
-    for (kind, meta, _), coeff in zip(columns, solution):
-        if not coeff:
-            continue
-        if kind == "ideal":
-            j, m = meta
-            add = Cycle.point(GroupPoint(m), coeff)
-            gen_mults[j] = gen_mults.get(j, Cycle.zero(k)) + add
-        else:
-            factors, m = meta
-            add = Cycle.point(GroupPoint(m), coeff)
-            nil_mults[factors] = nil_mults.get(factors, Cycle.zero(k)) + add
-
+    gen_terms: dict[int, list] = {}
+    nil_terms: dict[tuple[int, ...], list] = {}
+    for (kind, key, m, _), coeff in zip(columns, solution):
+        if coeff:
+            (gen_terms if kind == "ideal" else nil_terms).setdefault(key, []).append((m, coeff))
     gens = tuple(
         GeneratorTerm(
-            label=f"(m_{j})*h",
-            j=j,
-            generator=pushed_hypothesis(k, j),
-            multiplier=mult,
+            label=f"(m_{j})*h", j=j, generator=pushed_hypothesis(k, j), multiplier=Cycle(k, t)
         )
-        for j, mult in sorted(gen_mults.items())
-        if not mult.is_zero()
+        for j, t in sorted(gen_terms.items())
     )
-    nil = tuple(
-        NilpotentTerm(factors=factors, multiplier=mult)
-        for factors, mult in sorted(nil_mults.items())
-        if not mult.is_zero()
+    nil_part = tuple(
+        NilpotentTerm(factors=factors, multiplier=Cycle(k, t))
+        for factors, t in sorted(nil_terms.items())
     )
     return MembershipCertificate(
         k=k,
@@ -527,7 +497,7 @@ def _window_solve_once(k: int, g: int, j_max: int, cap: int) -> MembershipCertif
         cap=cap,
         target=target_cycle,
         generators=gens,
-        nilpotent_part=nil,
+        nilpotent_part=nil_part,
     )
 
 

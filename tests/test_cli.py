@@ -193,9 +193,13 @@ def test_usage_errors(capsys):
         (["identities", "--kmax", "0"], None),
         (["verify-relation", "--k", "2", "--g", "3", "--cap", "-1", "--out", "{file}"], None),
         (["mu-rank", "--k", "3", "--samples", "0"], None),
+        (["gamma-check", "--trials", "0"], None),
+        (["gamma-check", "--trials", "-3"], None),
+        (["recursion-check", "--k", "1"], None),
+        (["recursion-check", "--k", "0"], None),
     ],
     ids=["negative-dim", "zero-denominator", "zero-n", "negative-budget", "kmax-0", "negative-cap",
-         "samples-0"],
+         "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.txt"

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +12,6 @@ from pontcalc.cycles import (
     GroupPoint,
     RingContext,
     SupportCapExceeded,
-    cycle_add,
     degree,
     pontryagin,
     pushforward,
@@ -33,9 +33,9 @@ def rand_cycle(rng, rank, max_support=6, coord=2):
 
 
 def test_canonical_form():
-    assert cycle_add(Cycle.point(X) + Cycle.point(Y), Cycle.point(Y).scale(-1)) == Cycle.point(X)
+    assert (Cycle.point(X) + Cycle.point(Y)) + Cycle.point(Y).scale(-1) == Cycle.point(X)
     c = rand_cycle(random.Random(1), 2)
-    assert cycle_add(c, Cycle.zero(2)) == c
+    assert c + Cycle.zero(2) == c
     assert Cycle.point(X) + Cycle.point(X) == Cycle.point(X, 2)
     # zero coefficients are never stored
     assert (Cycle.point(X) - Cycle.point(X)).support_size() == 0
@@ -172,3 +172,100 @@ def test_cycles_are_immutable():
         c.rank = 3
     with pytest.raises(AttributeError):
         X.coords = (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the integer core against a naive Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_reduce(pairs):
+    """dict[coords, Fraction] with zero coefficients dropped."""
+    acc = {}
+    for p, c in pairs:
+        acc[p] = acc.get(p, Fraction(0)) + c
+    return {p: c for p, c in acc.items() if c != 0}
+
+
+def oracle_products(a, b):
+    return [(tuple(x + y for x, y in zip(p, q)), c * d) for p, c in a.items() for q, d in b.items()]
+
+
+def oracle_json(rank, terms):
+    return json.dumps(
+        {
+            "rank": rank,
+            "terms": [
+                {"point": list(p), "coeff": f"{c.numerator}/{c.denominator}"}
+                for p, c in sorted(terms.items())
+            ],
+        },
+        sort_keys=True,
+    )
+
+
+def assert_matches(cycle, rank, terms):
+    assert cycle.rank == rank
+    assert cycle == Cycle(rank, terms)
+    assert cycle.den == lcm(*(c.denominator for c in terms.values()))
+    assert gcd(cycle.den, *cycle.num.values()) == 1
+    assert {p.coords: c for p, c in cycle.items()} == terms
+    assert cycle.sorted_items() == [(GroupPoint(p), c) for p, c in sorted(terms.items())]
+    assert cycle.degree() == sum(terms.values(), Fraction(0))
+    for p, c in terms.items():
+        assert cycle.coeff(GroupPoint(p)) == c
+    assert cycle.coeff(GroupPoint((99,) * rank)) == 0
+    assert cycle.to_json() == oracle_json(rank, terms)
+
+
+def awkward_terms(rng, rank):
+    """Input pairs with negative coordinates, denominators 1..6 and
+    repeated points, some of which cancel exactly."""
+    pool = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 5))]
+    pairs = []
+    for _ in range(rng.randint(0, 7)):
+        p = rng.choice(pool)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        pairs.append((p, c))
+        if rng.random() < 0.3:
+            pairs.append((p, -c))
+    return pairs
+
+
+def test_integer_core_matches_fraction_oracle():
+    rng = random.Random(31)
+    for trial in range(300):
+        rank = rng.randint(1, 3)
+        ctx = RingContext(rank=rank, geom_dim=2, support_cap=10**6)
+        pa, pb = awkward_terms(rng, rank), awkward_terms(rng, rank)
+        a = Cycle(rank, [(GroupPoint(p) if i % 2 else p, c) for i, (p, c) in enumerate(pa)])
+        b = Cycle(rank, pb)
+        oa, ob = oracle_reduce(pa), oracle_reduce(pb)
+        assert_matches(a, rank, oa)
+        assert_matches(b, rank, ob)
+
+        assert_matches(a + b, rank, oracle_reduce(list(oa.items()) + list(ob.items())))
+        assert_matches(a - b, rank, oracle_reduce(list(oa.items()) + [(p, -c) for p, c in ob.items()]))
+        assert_matches(-a, rank, {p: -c for p, c in oa.items()})
+        s = rng.choice([0, 1, -2, Fraction(-3, 4), Fraction(5, 6), Fraction(-7, 2)])
+        assert_matches(a.scale(s), rank, oracle_reduce((p, s * c) for p, c in oa.items()))
+
+        assert_matches(pontryagin(a, b, ctx), rank, oracle_reduce(oracle_products(oa, ob)))
+        k = rng.randint(0, 3)
+        power = {(0,) * rank: Fraction(1)}
+        for _ in range(k):
+            power = oracle_reduce(oracle_products(power, oa))
+        assert_matches(star_power(a, k, ctx), rank, power)
+        n = rng.randint(-2, 3)
+        assert_matches(pushforward(a, n), rank, oracle_reduce((tuple(n * x for x in p), c) for p, c in oa.items()))
+
+        cap = rng.randint(0, 4)
+        small = RingContext(rank=rank, geom_dim=2, support_cap=cap)
+        over_input = any(sum(map(abs, p)) > cap for p in list(oa) + list(ob))
+        over_product = any(sum(map(abs, p)) > cap for p, _ in oracle_products(oa, ob))
+        if over_input or over_product:
+            with pytest.raises(SupportCapExceeded) as info:
+                pontryagin(a, b, small)
+            assert info.value.where == ("input" if over_input else "product")
+        else:
+            assert pontryagin(a, b, small) == pontryagin(a, b, ctx)
