@@ -18,6 +18,7 @@ explicit flag was not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -386,6 +387,7 @@ def _cmd_gamma_check(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pontcalc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

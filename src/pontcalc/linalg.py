@@ -2,21 +2,23 @@
 
 Small, dependency-free routines used by the certificate engine and the
 tangent-space checkers: reduced row echelon form, rank, nullspace, linear
-solves and determinants.  All of them run one fraction-free (Bareiss)
-elimination over integer rows, ``_eliminate``.  Rational input (ints or
-Fractions) is made integral at the boundary by clearing denominators per
-row, or per column in ``solve_columns``; scaling a row or a column by a
-nonzero constant leaves the rank, the pivot columns and the row space
-unchanged.  Bareiss quotients are exact for any integer input, with any
-row swaps and skipped columns (Bareiss 1968, Math. Comp. 22), so no
-Fraction arithmetic happens inside the elimination.  Fractions appear only
-in the outputs: RREF rows, nullspace vectors, determinants and solutions.
+solves and determinants.  All of them run one exact elimination over
+integer rows, ``_eliminate``.  Rational input (ints or Fractions) is made
+integral at the boundary by clearing denominators per row, or per column in
+``solve_columns``; scaling a row or a column by a nonzero constant leaves
+the rank, the pivot columns and the row space unchanged.  Each update of
+the elimination is an integer combination of two rows by gcd-reduced
+factors, followed by division by the row's content, so every step is exact
+in the integers and every updated row is primitive; rows with a zero in the
+pivot column are skipped.  No Fraction arithmetic happens inside the
+elimination.  Fractions appear only in the outputs: RREF rows, nullspace
+vectors, determinants and solutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 
 def clear_denominators(vec) -> tuple[int, list[int]]:
@@ -29,24 +31,34 @@ def clear_denominators(vec) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
-def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[list[int], int]:
-    """Fraction-free elimination of the integer rows ``m`` over their first
+def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[list[int], int, int]:
+    """Exact elimination of the integer rows ``m`` over their first
     ``ncols`` columns; further columns (a right-hand side) are carried along.
 
-    Returns (pivot columns, sign of the row permutation).  Afterwards row i
-    of ``m`` has its pivot at column pivots[i], and rows past the pivot rows
-    are zero in the first ``ncols`` columns.  Every entry is a minor of the
-    input, so each ``// prev`` divides exactly; for a square matrix of full
-    rank the last pivot is the determinant of the row-permuted input.  With
-    ``reduce`` the rows above each pivot are eliminated as well (fraction-
-    free Gauss-Jordan): every pivot row ends as d times its RREF row, with
-    d the last pivot.
+    At each pivot ``piv`` (the first nonzero entry at or below the current
+    row, columns in order) every other row with a nonzero ``f`` in the pivot
+    column becomes ``(piv//g)*row - (f//g)*pivot_row``, ``g = gcd(piv, f)``,
+    divided by its content (the gcd of its entries).  Every update is exact
+    in the integers: both factors are integers, the pivot-column entry
+    becomes ``(piv*f - f*piv)//g == 0`` and the content divides each entry;
+    ``piv//g != 0`` keeps the row space.  Rows with a zero in the pivot
+    column are skipped, so the cost follows the nonzeros of sparse input
+    such as the window solve's Macaulay matrices.
+
+    Returns (pivot columns, num, den).  Afterwards row i of ``m`` has its
+    pivot at column pivots[i], and rows past the pivot rows are zero in the
+    first ``ncols`` columns.  With ``reduce`` the rows above each pivot are
+    eliminated as well, and each pivot row is its RREF row times its own
+    pivot, not one common d times its RREF row.  For square input,
+    det(input) is num / den times the product of the diagonal of the
+    result: num is the swap sign times the contents divided out, den the
+    product of the ``piv//g`` factors.
 
     ``m`` is reordered and its rows are replaced, never modified in place,
     so it may share row lists with the caller's input.
     """
     pivots: list[int] = []
-    sign, prev = 1, 1
+    num, den = 1, 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -56,19 +68,27 @@ def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[li
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            sign = -sign
+            num = -num
         piv = m[r][c]
         # below the pivot rows, columns before c are already zero
         start = 0 if reduce else c
         pivot_tail = m[r][start:]
         for i in range(0 if reduce else r + 1, len(m)):
-            if i != r:
-                row = m[i]
-                f = row[c]
-                m[i] = row[:start] + [(a * piv - f * b) // prev for a, b in zip(row[start:], pivot_tail)]
-        prev = piv
+            row = m[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            tail = [a * x - b * y for x, y in zip(row[start:], pivot_tail)]
+            content = gcd(*tail)
+            if content > 1:
+                tail = [x // content for x in tail]
+                num *= content
+            m[i] = row[:start] + tail
+            den *= a
         pivots.append(c)
-    return pivots, sign
+    return pivots, num, den
 
 
 def _integer_rows(rows) -> list[list[int]]:
@@ -80,11 +100,8 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     m = _integer_rows(rows)
     if not m:
         return [], []
-    pivots, _ = _eliminate(m, len(m[0]), reduce=True)
-    if not pivots:
-        return [], []
-    d = m[len(pivots) - 1][pivots[-1]]
-    return [[Fraction(x, d) for x in row] for row in m[: len(pivots)]], pivots
+    pivots, _, _ = _eliminate(m, len(m[0]), reduce=True)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
 
 
 def int_rank(rows) -> int:
@@ -124,7 +141,8 @@ def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
 
 
 def det(rows) -> Fraction:
-    """Exact determinant: the last Bareiss pivot of the integral rows."""
+    """Exact determinant: the product of the eliminated diagonal, scaled
+    back by the row scalings ``_eliminate`` reports."""
     rows = list(rows)
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -134,10 +152,10 @@ def det(rows) -> Fraction:
         d, ints = clear_denominators(row)
         scale *= d
         m.append(ints)
-    pivots, sign = _eliminate(m, n)
+    pivots, num, den = _eliminate(m, n)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * m[-1][-1] if n else 1, scale)
+    return Fraction(prod(row[i] for i, row in enumerate(m)) * num, den * scale)
 
 
 def solve_columns(columns, target):
@@ -156,7 +174,7 @@ def solve_columns(columns, target):
     scales, int_cols = zip(*[clear_denominators(columns[j]) for j in order])
     t_scale, t = clear_denominators(target)
     m = [list(row) for row in zip(*int_cols, t)]
-    pivots, _ = _eliminate(m, ncols)
+    pivots, _, _ = _eliminate(m, ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     y = _back_substitute(m, pivots, ncols)
@@ -177,12 +195,3 @@ def _back_substitute(m, piv_cols, ncols):
                 s -= m[ri][j] * x[j]
         x[c] = s / m[ri][c]
     return x
-
-
-def solve_rows(rows, rhs):
-    """Solve  M x = rhs  for row-major M; returns None if inconsistent."""
-    if not rows:
-        return [] if all(x == 0 for x in rhs) else None
-    ncols = len(rows[0])
-    columns = [[row[j] for row in rows] for j in range(ncols)]
-    return solve_columns(columns, list(rhs))

@@ -237,6 +237,26 @@ def test_report_determinism(tmp_path, capsys):
     assert strip_wall(r1) == strip_wall(r2)
 
 
+def test_parser_reuse_leaks_no_state(capsys):
+    # the parser is built once per process: a later parse must not see
+    # values or defaults left by other subcommands or by a failed parse
+    search = ["search", "--k", "3", "--n", "2", "--budget", "200", "--seed", "7"]
+
+    def search_report():
+        assert main(search) == 0
+        report = last_json(capsys.readouterr().out)
+        report.pop("wall_time_s")
+        return report
+
+    first = search_report()
+    assert main(["pair-lemma", "--k", "3", "--seed", "5"]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--k", "3"])  # missing --n
+    assert info.value.code == 1
+    capsys.readouterr()
+    assert search_report() == first
+
+
 def test_report_file_destination(tmp_path, capsys):
     path = tmp_path / "rep.json"
     code = main(["thresholds", "--k", "4", "--report", str(path)])

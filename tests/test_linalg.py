@@ -10,7 +10,6 @@ from pontcalc.linalg import (
     nullspace,
     rref,
     solve_columns,
-    solve_rows,
 )
 
 
@@ -64,7 +63,7 @@ def test_solve_round_trip():
         m = rand_matrix(rng, nrows, ncols)
         x_true = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
         b = [sum(m[i][j] * x_true[j] for j in range(ncols)) for i in range(nrows)]
-        x = solve_rows(m, b)
+        x = solve_columns([list(col) for col in zip(*m)], b)
         assert x is not None
         # any exact solution is acceptable; verify the residual
         for i in range(nrows):
@@ -72,7 +71,7 @@ def test_solve_round_trip():
 
 
 def test_solve_detects_inconsistency():
-    assert solve_rows([[1, 1], [1, 1]], [1, 2]) is None
+    assert solve_columns([[1, 1], [1, 1]], [1, 2]) is None
     assert solve_columns([[1, 0], [0, 0]], [0, 5]) is None
     assert solve_columns([], [0, 0]) == []
     assert solve_columns([], [1]) is None
@@ -126,7 +125,7 @@ def oracle_gauss_jordan(rows):
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m[: len(pivots)], pivots, d
 
@@ -168,12 +167,47 @@ def awkward_matrix(rng, nrows, ncols, fractions):
     return m
 
 
+def tall_sparse_matrix(rng, fractions):
+    """Matrix shaped like the window solve's Macaulay matrices: 20-60 rows,
+    30-120 columns, at most 4 nonzeros per column, with repeated columns,
+    scaled copies and sums of two columns among them."""
+    nrows, ncols = rng.randint(20, 60), rng.randint(30, 120)
+
+    def entry():
+        value = rng.choice((1, 1, 2, 3, 60)) * rng.choice((-1, 1))
+        return Fraction(value, rng.randint(1, 4)) if fractions else value
+
+    columns = []
+    while len(columns) < ncols:
+        roll = rng.random()
+        if columns and roll < 0.15:
+            columns.append(list(rng.choice(columns)))
+        elif columns and roll < 0.25:
+            columns.append([entry() * x for x in rng.choice(columns)])
+        elif len(columns) >= 2 and roll < 0.4:
+            a, b = rng.sample(columns, 2)
+            col = [x + y for x, y in zip(a, b)]
+            if sum(1 for x in col if x) <= 4:
+                columns.append(col)
+        else:
+            col = [0] * nrows
+            for i in rng.sample(range(nrows), rng.randint(0, 4)):
+                col[i] = entry()
+            columns.append(col)
+    return [list(row) for row in zip(*columns)]
+
+
 def test_single_core_matches_fraction_oracle():
     rng = random.Random(2024)
-    for trial in range(400):
+    solved = {True: 0, False: 0}
+    for trial in range(440):
         fractions = trial % 2 == 1
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        m = awkward_matrix(rng, nrows, ncols, fractions)
+        tall = trial >= 400
+        if tall:
+            m = tall_sparse_matrix(rng, fractions)
+        else:
+            m = awkward_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), fractions)
+        ncols = len(m[0])
         red, pivots, _ = oracle_gauss_jordan(m)
         assert rref(m) == (red, pivots), m
         assert exact_rank(m) == len(pivots), m
@@ -181,8 +215,9 @@ def test_single_core_matches_fraction_oracle():
             assert int_rank(m) == len(pivots), m
         kernel = nullspace(m)
         assert len(kernel) == ncols - len(pivots), m
-        for vec in kernel:
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m), m
+        if not tall:  # on tall input the oracle RREF above pins the kernel
+            for vec in kernel:
+                assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m), m
         assert nullspace(red, ncols) == kernel, m
 
         n = rng.randint(1, 5)
@@ -190,9 +225,20 @@ def test_single_core_matches_fraction_oracle():
         assert det(square) == oracle_gauss_jordan(square)[2], square
 
         columns = [list(col) for col in zip(*m)]
-        target = [
-            sum(rng.randint(-2, 2) * x for x in row) if rng.random() < 0.7 else rng.randint(-3, 3)
-            for row in m
-        ]
-        assert solve_columns(columns, target) == oracle_solve(columns, target), (m, target)
+        if tall:
+            # M x for a sparse x, then one entry moved in half of the cases
+            x = [rng.randint(-3, 3) if rng.random() < 0.2 else 0 for _ in columns]
+            target = [sum(a * b for a, b in zip(row, x)) for row in m]
+            if trial % 4 < 2:
+                target[rng.randrange(len(target))] += 1
+        else:
+            target = [
+                sum(rng.randint(-2, 2) * x for x in row) if rng.random() < 0.7 else rng.randint(-3, 3)
+                for row in m
+            ]
+        expected = oracle_solve(columns, target)
+        assert solve_columns(columns, target) == expected, (m, target)
+        if tall:
+            solved[expected is not None] += 1
+    assert solved[True] and solved[False]
 

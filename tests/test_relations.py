@@ -1,5 +1,7 @@
 """Recursion identity, alpha coefficients, basis change, and certificates."""
 
+import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -167,6 +169,46 @@ def test_not_found_within_caps():
     with pytest.raises(NotFoundWithinCaps) as info:
         verify_relation(2, 3, j_max=1, cap=1, method="window")
     assert info.value.caps_tried == [1, 2]
+    with pytest.raises(NotFoundWithinCaps) as info:
+        verify_relation(5, 1, j_max=3, cap=1, method="window")
+    assert info.value.caps_tried == [1, 2]
+
+
+# SHA-256 of json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) for
+# window certificates.  The pivot columns, and so the solution with free
+# coefficients zero, do not depend on how the elimination scales its rows,
+# so a change to the elimination must leave these bytes alone.
+WINDOW_CERT_SHA256 = {
+    (2, 3, None): "048bd0ad23acc5cb16b6fec88938e5f5d3b2b21f49cd3f7192786b1fcb7ec62a",
+    (3, 1, 4): "cd4c31af14f5ae4b1917e181b1bcdd350076175a795f58738a1867d33d5c78a0",
+    (4, 1, 2): "ae3652e5177eb550fc0444f980792ec90a3789073eb3a92ba96e538c8289db04",
+    (4, 2, 1): "178551b471ed73cb7b590bd3419ca63eb9bfc609edf84d6eef5ebad5b4bd20f4",
+}
+
+
+@pytest.mark.parametrize("k, g, cap", list(WINDOW_CERT_SHA256))
+def test_window_certificate_bytes_pinned(k, g, cap):
+    cert = verify_relation(k, g, cap=cap, method="window")
+    text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_CERT_SHA256[k, g, cap]
+
+
+@pytest.mark.parametrize("k, g", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_window_agrees_with_groebner_membership(k, g):
+    # independent oracle: in Q[x_1..x_k], (m_j)_*h is sum_i x_i^j - k and the
+    # nilpotency span is generated by the products of g+1 factors x_i - 1;
+    # u^{*k} is (x_1 - 1)^k
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{k + 1}")
+    gens = [sum(x**j for x in xs) - k for j in range(1, k * (g + 1) + 1)]
+    gens += [
+        sympy.prod([x - 1 for x in factors])
+        for factors in itertools.combinations_with_replacement(xs, g + 1)
+    ]
+    basis = sympy.groebner(gens, *xs, order="grevlex")
+    assert basis.contains((xs[0] - 1) ** k)
+    assert not basis.contains(xs[0] - 1)
+    assert verify_certificate(verify_relation(k, g, method="window"))
 
 
 def test_argument_validation():
