@@ -10,9 +10,7 @@ codes are CI-oriented:
     3  counterexample finding (a witnessed violation; for checks of proven
        facts this demands human review)
 
-Randomized subcommands take ``--seed`` (default 0).  The environment
-variable ``CYCLES_MAX_CAP`` overrides default support caps wherever an
-explicit flag was not given.
+Randomized subcommands take ``--seed`` (default 0).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -71,11 +68,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _env_cap(default: int) -> int:
-    value = os.environ.get("CYCLES_MAX_CAP")
-    return int(value) if value else default
 
 
 def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float):
@@ -191,9 +183,8 @@ def _cmd_thresholds(args):
 
 
 def _cmd_verify_relation(args):
-    cap = args.cap if args.cap is not None else _env_cap(0) or None
     try:
-        cert = verify_relation(args.k, args.g, j_max=args.jmax, cap=cap, method=args.method)
+        cert = verify_relation(args.k, args.g, j_max=args.jmax, cap=args.cap, method=args.method)
     except NotFoundWithinCaps as exc:
         witness = {
             "caps_tried": exc.caps_tried,
@@ -351,7 +342,7 @@ def _cmd_gamma_check(args):
         raise ValueError("--trials must be at least 1")
     rng = _random.Random(args.seed)
     g = args.g
-    ctx = RingContext(rank=args.rank, geom_dim=g, support_cap=_env_cap(1_000_000))
+    ctx = RingContext(rank=args.rank, geom_dim=g, support_cap=1_000_000)
     failures = []
     checked = 0
     for _ in range(args.trials):

@@ -190,9 +190,6 @@ class Cycle:
         """Terms in lexicographic point order (the canonical output order)."""
         return [(GroupPoint(p), Fraction(v, self.den)) for p, v in sorted(self.num.items())]
 
-    def support(self) -> list[GroupPoint]:
-        return [GroupPoint(p) for p in sorted(self.num)]
-
     def support_size(self) -> int:
         return len(self.num)
 
@@ -321,15 +318,6 @@ class RingContext:
     def series_order(self) -> int:
         """Truncation order g + 1 for the log/exp/gamma series."""
         return self.geom_dim + 1
-
-    def origin(self) -> GroupPoint:
-        return GroupPoint.origin(self.rank)
-
-    def generator(self, index: int) -> GroupPoint:
-        return GroupPoint.generator(self.rank, index)
-
-    def unit(self) -> Cycle:
-        return Cycle.unit(self.rank)
 
 
 def pontryagin(c1: Cycle, c2: Cycle, ctx: RingContext) -> Cycle:

@@ -177,21 +177,23 @@ def solve_columns(columns, target):
     pivots, _, _ = _eliminate(m, ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
-    y = _back_substitute(m, pivots, ncols)
     sol = [Fraction(0)] * ncols
-    for pos, j in enumerate(order):
-        if y[pos]:
-            sol[j] = y[pos] * scales[pos] / t_scale
+    for pos, v in _back_substitute(m, pivots, ncols).items():
+        sol[order[pos]] = v * scales[pos] / t_scale
     return sol
 
 
-def _back_substitute(m, piv_cols, ncols):
-    x = [Fraction(0)] * ncols
+def _back_substitute(m, piv_cols, ncols) -> dict[int, Fraction]:
+    """The nonzero entries of the solution with free coefficients zero.
+    Pivot rows are solved bottom-up, each over the entries found so far,
+    which all lie right of its pivot."""
+    x: dict[int, Fraction] = {}
     for ri in reversed(range(len(piv_cols))):
-        c = piv_cols[ri]
-        s = Fraction(m[ri][ncols])
-        for j in range(c + 1, ncols):
-            if x[j]:
-                s -= m[ri][j] * x[j]
-        x[c] = s / m[ri][c]
+        row = m[ri]
+        s = Fraction(row[ncols])
+        for j, v in x.items():
+            if row[j]:
+                s -= row[j] * v
+        if s:
+            x[piv_cols[ri]] = s / row[piv_cols[ri]]
     return x

@@ -19,7 +19,10 @@ inequality check dim(A.B + A + B) >= dim A + dim B for admissible pairs,
 the generic rank of the bilinear multiplication map at random rational
 points, and a budgeted randomized search for configurations maximizing
 the total dimension (which the theory bounds by k - 1; exceeding the
-bound would be a reportable counterexample, not a success).
+bound would be a reportable counterexample, not a success).  A pair
+(A, B) is admissible exactly when it satisfies condition (**), and is
+checked by the same walk; the left side of the span inequality is one
+exact rank of the product rows stacked on both bases.
 
 All verdicts are exact; randomness only chooses where to look.
 """
@@ -76,38 +79,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector) -> bool:
-        vector = [Fraction(x) for x in vector]
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient")
-        stacked = [list(row) for row in self.basis] + [vector]
-        return exact_rank(stacked) == self.dim
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_same_ambient(other)
-        return Subspace.span(self.ambient_dim, list(self.basis) + list(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection via the kernel of the concatenated sum map."""
-        self._check_same_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        stacked = [list(r) for r in self.basis] + [list(r) for r in other.basis]
-        transposed = [[stacked[i][c] for i in range(len(stacked))] for c in range(self.ambient_dim)]
-        kernel = nullspace(transposed, len(stacked))
-        vecs = []
-        for coeffs in kernel:
-            vec = [
-                sum(coeffs[i] * self.basis[i][c] for i in range(self.dim))
-                for c in range(self.ambient_dim)
-            ]
-            vecs.append(vec)
-        return Subspace.span(self.ambient_dim, vecs)
-
-    def _check_same_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
 
     def canonical_basis(self) -> tuple:
         if not self.basis:
@@ -249,44 +220,43 @@ def split_subspace(spaces) -> Subspace:
     return Subspace(n * k, rows)
 
 
+def _product_rows(A: Subspace, B: Subspace) -> list[list[Fraction]]:
+    """Coordinatewise products of basis pairs (bilinearity makes basis
+    pairs sufficient to span A.B)."""
+    return [[a * b for a, b in zip(ra, rb)] for ra in A.basis for rb in B.basis]
+
+
 def product_span(A: Subspace, B: Subspace) -> Subspace:
-    """Span of coordinatewise products of basis pairs (bilinearity makes
-    basis pairs sufficient)."""
+    """The span A.B of coordinatewise products of vectors of A and B."""
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    vectors = [
-        [a * b for a, b in zip(ra, rb)]
-        for ra in A.basis
-        for rb in B.basis
-    ]
-    return Subspace.span(A.ambient_dim, vectors)
+    return Subspace.span(A.ambient_dim, _product_rows(A, B))
 
 
 def _check_pair_preconditions(A: Subspace, B: Subspace):
+    """Raise unless (A, B) is admissible, i.e. satisfies condition (**)."""
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    for label, sp in (("A", A), ("B", B)):
-        for row in sp.basis:
-            if sum(row) != 0:
-                raise PreconditionViolated(f"{label} basis row {row} has nonzero sum")
-    for ra in A.basis:
-        for rb in B.basis:
-            if sum(a * b for a, b in zip(ra, rb)) != 0:
-                raise PreconditionViolated(f"rows {ra} and {rb} are not orthogonal")
+    found = _doublestar_violation([A.basis, B.basis])
+    if found is not None:
+        components, basis_rows, value = found
+        where = " and ".join(f"{'AB'[c]} basis row {r}" for c, r in zip(components, basis_rows))
+        failure = "has nonzero sum" if len(components) == 1 else "are not orthogonal, pairing"
+        raise PreconditionViolated(f"{where} {failure} {value}")
 
 
 def pair_lemma_check(A: Subspace, B: Subspace) -> tuple[int, int, bool]:
     """(dim(A.B + A + B), dim A + dim B, lhs >= rhs) for an admissible pair.
 
-    Admissible means every basis row sums to zero and the two bases are
-    orthogonal under the standard pairing; violations raise.
-    A False verdict would contradict the span inequality and is surfaced
-    by callers as a counterexample finding.
+    Admissible means (**) holds on (A, B): every basis row sums to zero and
+    the two bases are orthogonal under the standard pairing; violations
+    raise.  The left side is one rank, of the product rows stacked on both
+    bases.  A False verdict would contradict the span inequality and is
+    surfaced by callers as a counterexample finding.
     """
     _check_pair_preconditions(A, B)
-    prod = product_span(A, B)
-    total = prod.sum_with(A).sum_with(B)
-    lhs = total.dim
+    rows = _product_rows(A, B) + list(A.basis) + list(B.basis)
+    lhs = exact_rank(rows) if rows else 0
     rhs = A.dim + B.dim
     return lhs, rhs, lhs >= rhs
 
@@ -364,7 +334,7 @@ def _random_subspace_in_sum_zero(k: int, dim: int, rng: random.Random) -> Subspa
         return Subspace.zero(k)
     for _ in range(200):
         rows = [_random_sum_zero_vector(k, rng) for _ in range(dim)]
-        if int_rank([list(r) for r in rows]) == dim:
+        if int_rank(rows) == dim:
             return Subspace(k, rows)
     raise RuntimeError("failed to sample an independent basis")
 
@@ -398,7 +368,7 @@ def random_admissible_pair(
             rows.append(
                 [sum(c * comp_rows[t][j] for t, c in enumerate(coeffs)) for j in range(k)]
             )
-        if int_rank([list(r) for r in rows]) == dim_b:
+        if int_rank(rows) == dim_b:
             return A, Subspace(k, rows)
     raise RuntimeError("failed to sample an independent complement basis")
 
@@ -426,7 +396,7 @@ class SearchResult:
 
 def _config_sum(bases: list[list[list[int]]]) -> int:
     """True total dimension (ranks, not row counts)."""
-    return sum(int_rank([list(r) for r in rows]) for rows in bases if rows)
+    return sum(int_rank(rows) for rows in bases if rows)
 
 
 def _structured_candidates(k: int, n: int):

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from pontcalc import cli
 from pontcalc.cli import main
+from pontcalc.cycles import GroupPoint, SupportCapExceeded
 
 
 def run(capsys, *argv):
@@ -213,13 +215,19 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     assert captured.err.startswith("pontcalc: error: ")
 
 
-def test_env_cap_override_maps_to_inconclusive(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CYCLES_MAX_CAP", "2")
+def test_support_cap_exceeded_maps_to_inconclusive(capsys, monkeypatch):
+    def over_cap(x, ctx):
+        raise SupportCapExceeded(GroupPoint([3, 0]), 2)
+
+    monkeypatch.setattr(cli, "gamma", over_cap)
     code, out = run(capsys, "gamma-check", "--g", "3", "--trials", "1")
     assert code == 2
     report = last_json(out)
     assert report["verdict"] == "inconclusive"
-    assert "support cap" in report["witness"]["error"]
+    assert report["witness"] == {
+        "error": "support cap exceeded",
+        "detail": "product point GroupPoint((3, 0)) has height 3 > support cap 2",
+    }
 
 
 def test_report_determinism(tmp_path, capsys):

@@ -39,26 +39,14 @@ def rand_spaces(rng, k, n, max_dim=2):
 def test_subspace_basics():
     s = Subspace(3, [[1, 0, 0], [0, 1, 0]])
     assert s.dim == 2
-    assert s.contains([2, -3, 0])
-    assert not s.contains([0, 0, 1])
+    assert Subspace.span(3, [*s.basis, [2, -3, 0]]) == s
+    assert Subspace.span(3, [*s.basis, [0, 0, 1]]).dim == 3
     with pytest.raises(ValueError):
         Subspace(3, [[1, 1, 1], [2, 2, 2]])
     with pytest.raises(DimensionMismatch):
         Subspace(3, [[1, 0]])
     spanned = Subspace.span(3, [[1, 1, 1], [2, 2, 2], [1, 0, 0]])
     assert spanned.dim == 2
-
-
-def test_subspace_sum_and_intersection():
-    a = Subspace(3, [[1, 0, 0]])
-    b = Subspace(3, [[0, 1, 0]])
-    assert a.sum_with(b).dim == 2
-    assert a.intersect(b).dim == 0
-    c = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-    d = Subspace(3, [[1, 1, 0], [0, 0, 1]])
-    inter = c.intersect(d)
-    assert inter.dim == 1
-    assert inter.contains([1, 1, 0])
 
 
 def test_kernel_of_sum_passes_star():
@@ -171,6 +159,57 @@ def test_pair_lemma_random_admissible():
             assert ok, (k, A.basis, B.basis)
 
 
+def _naive_admissible(A, B):
+    sums = all(sum(row) == 0 for row in A.basis + B.basis)
+    orthogonal = all(
+        sum(x * y for x, y in zip(ra, rb)) == 0 for ra in A.basis for rb in B.basis
+    )
+    return sums, orthogonal
+
+
+def _perturbed(rng, sp, keep_sum):
+    """sp with one entry of one basis row moved by a nonzero amount; with
+    ``keep_sum`` a second entry of that row moves back by the same amount."""
+    rows = [list(row) for row in sp.basis]
+    row = rng.choice(rows)
+    i, j = rng.sample(range(sp.ambient_dim), 2)
+    delta = rng.choice([-2, -1, 1, 2])
+    row[i] += delta
+    if keep_sum:
+        row[j] -= delta
+    return Subspace.span(sp.ambient_dim, rows)
+
+
+def test_pair_checks_match_naive_oracle():
+    """Admissibility is raised on exactly when a naive sum and pairing check
+    fails, and the span-inequality side is the dimension of the spanned sum."""
+    rng = random.Random(2024)
+    seen = {"admissible": 0, "sum": 0, "pairing only": 0}
+    for _ in range(400):
+        k = rng.randint(3, 7)
+        A, B = random_admissible_pair(k, rng)
+        C, D = random_admissible_pair(k, rng)
+        pairs = [(A, B), (B, A), (A, D), (C, B)]
+        for keep_sum in (False, True):
+            if A.dim:
+                pairs.append((_perturbed(rng, A, keep_sum), B))
+            if B.dim:
+                pairs.append((A, _perturbed(rng, B, keep_sum)))
+        for P, Q in pairs:
+            sums, orthogonal = _naive_admissible(P, Q)
+            if sums and orthogonal:
+                seen["admissible"] += 1
+                products = [[x * y for x, y in zip(rp, rq)] for rp in P.basis for rq in Q.basis]
+                expected = Subspace.span(k, products + list(P.basis) + list(Q.basis)).dim
+                assert pair_lemma_check(P, Q) == (expected, P.dim + Q.dim, expected >= P.dim + Q.dim)
+                continue
+            seen["sum" if not sums else "pairing only"] += 1
+            for check in (pair_lemma_check, lambda P, Q: mu_generic_rank(P, Q, seed=0, samples=1)):
+                with pytest.raises(PreconditionViolated, match="basis row"):
+                    check(P, Q)
+    assert min(seen.values()) >= 100, seen
+
+
 def test_random_admissible_pair_invariants():
     rng = random.Random(5)
     for _ in range(50):
@@ -187,7 +226,7 @@ def test_mu_rank():
     a = Subspace(3, [[1, -1, 0]])
     b = Subspace(3, [[1, 1, -2]])
     e = [Fraction(1)] * 3
-    assert mu_rank_at(a, b, e, e) == a.sum_with(b).dim
+    assert mu_rank_at(a, b, e, e) == Subspace.span(3, a.basis + b.basis).dim
     assert mu_generic_rank(a, b, seed=0) == 2
     z = Subspace.zero(3)
     assert mu_generic_rank(z, z, seed=0) == 0
