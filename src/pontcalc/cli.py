@@ -294,8 +294,8 @@ def _cmd_pair_lemma(args):
         "lhs_dim_product_plus_sum": lhs,
         "rhs_dim_a_plus_dim_b": rhs,
         "ok": ok,
-        "A": [[format_rational(x) for x in row] for row in A.basis],
-        "B": [[format_rational(x) for x in row] for row in B.basis],
+        "A": [[format_rational(x) for x in row] for row in A.rows()],
+        "B": [[format_rational(x) for x in row] for row in B.rows()],
     }
     return ("pass", witness, PASS) if ok else ("fail", witness, FINDING)
 
@@ -467,18 +467,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        verdict, witness, code = args.func(args)
-    except SupportCapExceeded as exc:
-        verdict, witness, code = (
-            "inconclusive",
-            {"error": "support cap exceeded", "detail": str(exc)},
-            INCONCLUSIVE,
-        )
+        try:
+            verdict, witness, code = args.func(args)
+        except SupportCapExceeded as exc:
+            witness = {"error": "support cap exceeded", "detail": str(exc)}
+            verdict, code = "inconclusive", INCONCLUSIVE
+        _emit_report(args, args.subcommand, verdict, witness, time.perf_counter() - start)
     except (ValueError, DimensionMismatch, PreconditionViolated, OSError) as exc:
         print(f"pontcalc: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    wall = time.perf_counter() - start
-    _emit_report(args, args.subcommand, verdict, witness, wall)
     return code
 
 

@@ -24,7 +24,11 @@ bound would be a reportable counterexample, not a success).  A pair
 checked by the same walk; the left side of the span inequality is one
 exact rank of the product rows stacked on both bases.
 
-All verdicts are exact; randomness only chooses where to look.
+A ``Subspace`` is stored like a ``Cycle``: integer basis rows over one
+positive common denominator ``den``.  Checks run on the integer rows, as
+ranks and vanishing ignore row scaling; ``Fraction`` appears only in the
+constructor, the file parser, ``Subspace.rows()`` and the two witness
+values.  All verdicts are exact; randomness only chooses where to look.
 """
 
 from __future__ import annotations
@@ -47,30 +51,32 @@ class PreconditionViolated(Exception):
 
 
 class Subspace:
-    """A linear subspace of Q^ambient_dim given by an independent row basis."""
+    """A linear subspace of Q^ambient_dim given by an independent row basis,
+    stored as integer rows ``basis`` over one common denominator ``den`` > 0
+    with gcd(den, entries) == 1.  The constructor takes ints or anything
+    ``Fraction()`` accepts; ``rows()`` gives the basis vectors as Fractions."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "den")
 
     def __init__(self, ambient_dim: int, rows=()):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
         for row in rows:
             if len(row) != ambient_dim:
                 raise DimensionMismatch(
                     f"basis row has length {len(row)}, ambient is {ambient_dim}"
                 )
-        if rows and exact_rank(rows) != len(rows):
+        den = math.lcm(*[x.denominator for row in rows for x in row])
+        basis = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        if basis and int_rank(basis) != len(basis):
             raise ValueError("basis rows are not linearly independent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
         """Span of arbitrary vectors; reduces to a canonical basis."""
-        vectors = [list(v) for v in vectors]
-        if not vectors:
-            return cls(ambient_dim)
-        reduced, _ = rref(vectors)
-        return cls(ambient_dim, reduced)
+        return cls(ambient_dim, rref(vectors)[0])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -80,17 +86,14 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def canonical_basis(self) -> tuple:
-        if not self.basis:
-            return ()
-        reduced, _ = rref([list(r) for r in self.basis])
-        return tuple(tuple(row) for row in reduced)
+    def rows(self) -> list[list[Fraction]]:
+        return [[Fraction(x, self.den) for x in row] for row in self.basis]
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.canonical_basis() == other.canonical_basis()
+            and rref(self.basis)[0] == rref(other.basis)[0]
         )
 
     def __setattr__(self, name, value):
@@ -123,14 +126,14 @@ def evaluate_star_datum(V: Subspace, n: int, k: int, basis_indices, multi_index)
     """Re-evaluate one (*) datum: sum over the k blocks of the minor picked
     by ``multi_index`` rows and ``basis_indices`` basis vectors."""
     i = len(basis_indices)
-    total = Fraction(0)
+    total = 0
     for j in range(k):
         mat = [
             [V.basis[a][j * n + r] for r in multi_index]
             for a in basis_indices
         ]
         total += det(mat)
-    return total
+    return Fraction(total, V.den ** i)
 
 
 def check_condition_star(V: Subspace, n: int, k: int):
@@ -168,14 +171,15 @@ def check_condition_doublestar(spaces):
     if found is None:
         return True
     components, basis_rows, value = found
-    return DoubleStarViolation(components, basis_rows, Fraction(value))
+    scale = math.prod(spaces[c].den for c in components)
+    return DoubleStarViolation(components, basis_rows, Fraction(value, scale))
 
 
 def _doublestar_violation(bases):
     """The first failure of (**) on raw basis rows, or None.
 
-    ``bases`` holds each component's basis rows (ints or Fractions, all of
-    one length).  Choices are walked by subset size, then by subset, then
+    ``bases`` holds each component's integer basis rows, all of one
+    length.  Choices are walked by subset size, then by subset, then
     by rows, and the first with a nonzero product sum is returned as
     (component indices, row indices, value).  Row indices are recovered
     only then, by equality: rows of one basis are distinct.
@@ -212,17 +216,17 @@ def split_subspace(spaces) -> Subspace:
     for i, sp in enumerate(spaces):
         if sp.ambient_dim != k:
             raise DimensionMismatch("all component subspaces must share the ambient Q^k")
-        for lam in sp.basis:
-            vec = [Fraction(0)] * (n * k)
+        for lam in sp.rows():
+            vec = [0] * (n * k)
             for j in range(k):
                 vec[j * n + i] = lam[j]
             rows.append(vec)
     return Subspace(n * k, rows)
 
 
-def _product_rows(A: Subspace, B: Subspace) -> list[list[Fraction]]:
-    """Coordinatewise products of basis pairs (bilinearity makes basis
-    pairs sufficient to span A.B)."""
+def _product_rows(A: Subspace, B: Subspace) -> list[list[int]]:
+    """Coordinatewise products of integer basis pairs (bilinearity makes
+    basis pairs sufficient to span A.B)."""
     return [[a * b for a, b in zip(ra, rb)] for ra in A.basis for rb in B.basis]
 
 
@@ -237,12 +241,12 @@ def _check_pair_preconditions(A: Subspace, B: Subspace):
     """Raise unless (A, B) is admissible, i.e. satisfies condition (**)."""
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    found = _doublestar_violation([A.basis, B.basis])
-    if found is not None:
-        components, basis_rows, value = found
-        where = " and ".join(f"{'AB'[c]} basis row {r}" for c, r in zip(components, basis_rows))
-        failure = "has nonzero sum" if len(components) == 1 else "are not orthogonal, pairing"
-        raise PreconditionViolated(f"{where} {failure} {value}")
+    found = check_condition_doublestar([A, B])
+    if found is not True:
+        picked = zip(found.components, found.basis_rows)
+        where = " and ".join(f"{'AB'[c]} basis row {r}" for c, r in picked)
+        failure = "has nonzero sum" if len(found.components) == 1 else "are not orthogonal, pairing"
+        raise PreconditionViolated(f"{where} {failure} {found.value}")
 
 
 def pair_lemma_check(A: Subspace, B: Subspace) -> tuple[int, int, bool]:
@@ -255,8 +259,7 @@ def pair_lemma_check(A: Subspace, B: Subspace) -> tuple[int, int, bool]:
     surfaced by callers as a counterexample finding.
     """
     _check_pair_preconditions(A, B)
-    rows = _product_rows(A, B) + list(A.basis) + list(B.basis)
-    lhs = exact_rank(rows) if rows else 0
+    lhs = int_rank(_product_rows(A, B) + list(A.basis) + list(B.basis))
     rhs = A.dim + B.dim
     return lhs, rhs, lhs >= rhs
 
@@ -264,8 +267,6 @@ def pair_lemma_check(A: Subspace, B: Subspace) -> tuple[int, int, bool]:
 def mu_rank_at(A: Subspace, B: Subspace, a, b) -> int:
     """Rank of the differential (alpha, beta) -> alpha o b + a o beta of the
     coordinatewise multiplication map at the point (a, b)."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
     columns = []
     for alpha in A.basis:
         columns.append([alpha[j] * b[j] for j in range(A.ambient_dim)])
@@ -281,6 +282,7 @@ def mu_generic_rank(A: Subspace, B: Subspace, seed: int, samples: int = 4) -> in
     random rational points of (e + A) x (e + B).
 
     The admissibility preconditions of the span inequality are required.
+    Points are den times points of e + A and e + B; scaling keeps ranks.
     The generic value is dim A + dim B; a random point may miss the
     generic locus, which is why the max over several samples is reported.
     """
@@ -289,14 +291,13 @@ def mu_generic_rank(A: Subspace, B: Subspace, seed: int, samples: int = 4) -> in
     _check_pair_preconditions(A, B)
     k = A.ambient_dim
     rng = random.Random(seed)
-    e = [Fraction(1)] * k
     best = 0
     for _ in range(samples):
-        a = list(e)
+        a = [A.den] * k
         for row in A.basis:
             c = rng.randint(-5, 5)
             a = [x + c * y for x, y in zip(a, row)]
-        b = list(e)
+        b = [B.den] * k
         for row in B.basis:
             c = rng.randint(-5, 5)
             b = [x + c * y for x, y in zip(b, row)]
@@ -330,8 +331,6 @@ def _random_sum_zero_vector(k: int, rng: random.Random, bound: int = 4) -> list[
 def _random_subspace_in_sum_zero(k: int, dim: int, rng: random.Random) -> Subspace:
     """Random dim-dimensional subspace of the sum-zero hyperplane with
     small-integer basis vectors."""
-    if dim == 0:
-        return Subspace.zero(k)
     for _ in range(200):
         rows = [_random_sum_zero_vector(k, rng) for _ in range(dim)]
         if int_rank(rows) == dim:
@@ -354,13 +353,11 @@ def random_admissible_pair(
     if dim_a is None:
         dim_a = rng.randint(1, min(3, k - 1))
     A = _random_subspace_in_sum_zero(k, dim_a, rng)
-    constraint = [[1] * k] + [list(r) for r in A.basis]
+    constraint = [[1] * k, *A.basis]
     comp_rows = [clear_denominators(row)[1] for row in nullspace(constraint, k)]
     comp_dim = len(comp_rows)
     if dim_b is None:
         dim_b = rng.randint(0, min(3, comp_dim))
-    if dim_b == 0:
-        return A, Subspace.zero(k)
     for _ in range(200):
         rows = []
         for _ in range(dim_b):
@@ -403,13 +400,13 @@ def _structured_candidates(k: int, n: int):
     """Deterministic seeds: the kernel-of-sum witness, orthogonal splits of
     the sum-zero hyperplane, and a small finite-field sweep over F_3 lifted
     back to Q (every candidate is re-verified exactly by the caller)."""
-    e_perp = [clear_denominators(row)[1] for row in kernel_of_sum_subspace(k).basis]
+    e_perp = kernel_of_sum_subspace(k).basis
     config = [e_perp] + [[] for _ in range(n - 1)]
     yield config
     if n >= 2:
         for d1 in range(1, k - 1):
             first = e_perp[:d1]
-            constraint = [[1] * k] + [list(r) for r in first]
+            constraint = [[1] * k, *first]
             rest = [clear_denominators(row)[1] for row in nullspace(constraint, k)]
             config = [first, rest] + [[] for _ in range(n - 2)]
             yield config
@@ -472,7 +469,7 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
         total = _config_sum(bases)
         if total > best_sum:
             # authoritative re-verification over Q before accepting
-            spaces = [Subspace.span(k, [list(r) for r in rows]) for rows in bases]
+            spaces = [Subspace.span(k, rows) for rows in bases]
             if check_condition_doublestar(spaces) is not True:
                 return
             best_sum = total
@@ -535,7 +532,7 @@ class _TokenReader:
         if dim < 0:
             raise ValueError(f"block dimension must be nonnegative, got {dim}")
         rows = [[self.entry() for _ in range(width)] for _ in range(dim)]
-        return Subspace(width, rows) if rows else Subspace.zero(width)
+        return Subspace(width, rows)
 
     def entry(self) -> Fraction:
         tok = self.take()

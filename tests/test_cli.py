@@ -1,5 +1,6 @@
 """CLI exit codes, report schema, determinism, and file artifacts."""
 
+import hashlib
 import json
 import re
 
@@ -199,15 +200,18 @@ def test_usage_errors(capsys):
         (["gamma-check", "--trials", "-3"], None),
         (["recursion-check", "--k", "1"], None),
         (["recursion-check", "--k", "0"], None),
+        (["pair-lemma", "--k", "3", "--report", "{file}/r.json"], None),
+        (["pair-lemma", "--k", "3", "--report", "{dir}"], None),
     ],
     ids=["negative-dim", "zero-denominator", "zero-n", "negative-budget", "kmax-0", "negative-cap",
-         "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0"],
+         "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
+         "report-missing-dir", "report-is-dir"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text)
-    code = main([arg.replace("{file}", str(path)) for arg in argv])
+    code = main([arg.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -276,3 +280,86 @@ def test_report_file_destination(tmp_path, capsys):
     report = json.loads(path.read_text())
     assert report["subcommand"] == "thresholds"
     assert report["witness"]["g_gonality"] == thresholds(4).g_gonality
+
+
+# Fixed subspace files with p/q rows, a different denominator in each block.
+_FRACTIONAL_BLOCKS = {
+    "pair_ok": (4, [[["1/2", "-1/2", "0", "0"], ["1", "1", "-3/2", "-1/2"]],
+                    [["1/3", "1/3", "1", "-5/3"]]]),
+    "pair_bad": (3, [[["1/2", "1/4", "-1/2"]], [["1/3", "1/3", "-2/3"]]]),
+    "pair_orth": (3, [[["1/2", "-1/2", "0"]], [["2/5", "1/5", "-3/5"]]]),
+    "ds_bad": (4, [[["1/2", "-1/2", "0", "0"]], [], [["0", "0", "1/3", "-1/3"]],
+                   [["1", "1", "-3/7", "-11/7"]]]),
+}
+
+
+def _doublestar_text(k, blocks):
+    lines = [f"{k} {len(blocks)}"]
+    for rows in blocks:
+        lines += [str(len(rows))] + [" ".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _star_text(k, blocks):
+    # the split embedding: a row lam of block i puts lam_j at slot i of block j
+    n = len(blocks)
+    rows = []
+    for i, block in enumerate(blocks):
+        for lam in block:
+            vec = ["0"] * (n * k)
+            for j in range(k):
+                vec[j * n + i] = lam[j]
+            rows.append(" ".join(vec))
+    return "\n".join([f"{k} {n}", str(len(rows))] + rows) + "\n"
+
+
+def _report_sha256(out):
+    kept = [line for line in out.splitlines(keepends=True) if '"wall_time_s"' not in line]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+# SHA-256 of each report with its wall_time_s line removed, or the exact
+# one-line stderr of a rejected pair; recorded when Subspace still stored
+# Fraction rows, so they pin that p/q input is reported exactly as given.
+@pytest.mark.parametrize(
+    "argv, code, pinned",
+    [
+        (["pair-lemma", "--file", "pair_ok.ds.txt"], 0,
+         "7967109e561d9649f69ce046c304d94c07dc5c92ab8fed9c70b6ae3b877a979f"),
+        (["mu-rank", "--file", "pair_ok.ds.txt", "--seed", "3"], 0,
+         "0faf4a67458defe084119c6f3797149af5ef5732a868a7c1c80fdfc8a9b3470a"),
+        (["check-doublestar", "--file", "pair_ok.ds.txt"], 0,
+         "815469cc979d8dff13df56b333953d4fe4878899bf89a3ec29ce6ae6fad7e688"),
+        (["check-star", "--file", "pair_ok.star.txt"], 0,
+         "785b18822fdc6edb6ba35197f040d8d3ab65a9714dff2983e4251c43061e0ba0"),
+        (["check-doublestar", "--file", "pair_bad.ds.txt"], 3,
+         "91fbb7fdc4b9e7cee7591d6c04f71aae39547510682d1bc224f5be364b6280b6"),
+        (["check-star", "--file", "pair_bad.star.txt"], 3,
+         "df0368ce89bbc850ebe65c3fd00d96707f2f5e29b9920f55138cd6913f5efdaa"),
+        (["check-doublestar", "--file", "ds_bad.ds.txt"], 3,
+         "501183983e01f78d58c28c5d714a6d7b71b14d2c34130009d91da1320951b429"),
+        (["check-star", "--file", "ds_bad.star.txt"], 3,
+         "71f6deed36dd244c70bdf5e6d2030e40e056c1a47f8543c0fbe659d82479884f"),
+        (["pair-lemma", "--file", "pair_bad.ds.txt"], 1,
+         "pontcalc: error: A basis row 0 has nonzero sum 1/4\n"),
+        (["mu-rank", "--file", "pair_bad.ds.txt", "--seed", "3"], 1,
+         "pontcalc: error: A basis row 0 has nonzero sum 1/4\n"),
+        (["pair-lemma", "--file", "pair_orth.ds.txt"], 1,
+         "pontcalc: error: A basis row 0 and B basis row 0 are not orthogonal, pairing 1/10\n"),
+    ],
+    ids=["pair-lemma", "mu-rank", "doublestar-pass", "star-pass", "doublestar-sum", "star-sum",
+         "doublestar-pairing", "star-pairing", "pair-lemma-sum", "mu-rank-sum",
+         "pair-lemma-pairing"],
+)
+def test_fractional_input_reports_are_pinned(tmp_path, monkeypatch, capsys, argv, code, pinned):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the reports byte-identical
+    for name, (k, blocks) in _FRACTIONAL_BLOCKS.items():
+        (tmp_path / f"{name}.ds.txt").write_text(_doublestar_text(k, blocks))
+        (tmp_path / f"{name}.star.txt").write_text(_star_text(k, blocks))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert (captured.out, captured.err) == ("", pinned)
+    else:
+        assert captured.err == ""
+        assert _report_sha256(captured.out) == pinned

@@ -1,5 +1,7 @@
 """Tangent-space conditions, the span inequality, and the budgeted search."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -278,3 +280,228 @@ def test_parse_doublestar_file():
     zero_block = "2 2\n1\n1 -1\n0\n"
     _, _, spaces = parse_doublestar_file(zero_block)
     assert [sp.dim for sp in spaces] == [1, 0]
+
+
+# ---------------------------------------------------------------------------
+# differential test: integer rows over one denominator against a naive
+# Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_integer_rows(sp):
+    assert sp.den > 0
+    assert all(type(x) is int for row in sp.basis for x in row)
+    assert math.gcd(sp.den, *[x for row in sp.basis for x in row]) == 1
+
+
+def _oracle_rank(rows):
+    m = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_det(mat):
+    if not mat:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * mat[0][j] * _oracle_det([row[:j] + row[j + 1:] for row in mat[1:]])
+        for j in range(len(mat))
+    )
+
+
+def _oracle_doublestar(rows_list):
+    """(components, row indices, value) of the first (**) failure, walked in
+    the documented order over Fraction rows, or None."""
+    active = [(idx, rows) for idx, rows in enumerate(rows_list) if rows]
+    for size in range(1, len(active) + 1):
+        for chosen in itertools.combinations(active, size):
+            for pick in itertools.product(*[list(enumerate(rows)) for _, rows in chosen]):
+                value = sum(math.prod(col) for col in zip(*[vec for _, vec in pick]))
+                if value:
+                    return tuple(idx for idx, _ in chosen), tuple(r for r, _ in pick), value
+    return None
+
+
+def _oracle_star(rows, n, k):
+    for i in range(1, min(n, len(rows)) + 1):
+        for basis_indices in itertools.combinations(range(len(rows)), i):
+            for multi_index in itertools.combinations(range(n), i):
+                value = sum(
+                    _oracle_det([[rows[a][j * n + r] for r in multi_index] for a in basis_indices])
+                    for j in range(k)
+                )
+                if value:
+                    return i, basis_indices, multi_index, value
+    return None
+
+
+def _star_tuple(violation):
+    return violation.degree, violation.basis_indices, violation.multi_index, violation.value
+
+
+def _oracle_pair_message(A, B):
+    found = _oracle_doublestar([A.rows(), B.rows()])
+    if found is None:
+        return None
+    components, rows, value = found
+    where = " and ".join(f"{'AB'[c]} basis row {r}" for c, r in zip(components, rows))
+    failure = "has nonzero sum" if len(components) == 1 else "are not orthogonal, pairing"
+    return f"{where} {failure} {value}"
+
+
+def _oracle_mu_rank(A, B, seed, samples):
+    rng = random.Random(seed)
+    k = A.ambient_dim
+    best = 0
+    for _ in range(samples):
+        a = [Fraction(1)] * k
+        for row in A.rows():
+            c = rng.randint(-5, 5)
+            a = [x + c * y for x, y in zip(a, row)]
+        b = [Fraction(1)] * k
+        for row in B.rows():
+            c = rng.randint(-5, 5)
+            b = [x + c * y for x, y in zip(b, row)]
+        columns = [[x * y for x, y in zip(alpha, b)] for alpha in A.rows()]
+        columns += [[x * y for x, y in zip(a, beta)] for beta in B.rows()]
+        best = max(best, _oracle_rank(columns))
+    return best
+
+
+def _rational(rng):
+    """A nonzero p/q with q in 1..6: an int when q == 1, else a Fraction."""
+    q = rng.randint(1, 6)
+    p = rng.choice([-1, 1]) * rng.randint(1, 7)
+    return p if q == 1 else Fraction(p, q)
+
+
+def _rescaled(rng, sp, perturb):
+    """Basis rows of sp, each scaled by a random rational; with ``perturb``
+    one entry moves by a rational amount, and mostly a second entry of the
+    same row moves back, keeping the row sum."""
+    rows = []
+    for row in sp.rows():
+        c = _rational(rng)
+        rows.append([c * x for x in row])
+    rows = [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in r] for r in rows]
+    if perturb and rows:
+        row = rng.choice(rows)
+        i, j = rng.sample(range(sp.ambient_dim), 2)
+        delta = _rational(rng)
+        row[i] += delta
+        if rng.random() < 0.7:
+            row[j] -= delta
+    return rows
+
+
+def test_integer_rows_match_fraction_oracle():
+    rng = random.Random(6)
+    seen = {"pass": 0, "sum": 0, "pairing": 0, "star": 0}
+    for _ in range(300):
+        k = rng.randint(3, 6)
+        A, B = random_admissible_pair(k, rng)
+        _assert_integer_rows(A)
+        _assert_integer_rows(B)
+        perturb = rng.random() < 0.6
+        spaces = []
+        for sp in [A, B, kernel_of_sum_subspace(k)][: rng.randint(2, 3)]:
+            rows = _rescaled(rng, sp, perturb and rng.random() < 0.5)
+            try:
+                built = Subspace(k, rows)
+            except ValueError:
+                built = Subspace.span(k, rows)
+            else:
+                assert built.rows() == [[Fraction(x) for x in row] for row in rows]
+            _assert_integer_rows(built)
+            spaces.append(built)
+        P, Q = spaces[:2]
+
+        found = _oracle_doublestar([sp.rows() for sp in spaces])
+        outcome = check_condition_doublestar(spaces)
+        if found is None:
+            assert outcome is True
+        else:
+            assert (outcome.components, outcome.basis_rows, outcome.value) == found
+
+        message = _oracle_pair_message(P, Q)
+        if message is None:
+            seen["pass"] += 1
+            seed = rng.randint(0, 10**6)
+            assert mu_generic_rank(P, Q, seed=seed, samples=1) == _oracle_mu_rank(P, Q, seed, 1)
+        else:
+            seen["sum" if "sum" in message else "pairing"] += 1
+            with pytest.raises(PreconditionViolated) as info:
+                pair_lemma_check(P, Q)
+            assert str(info.value) == message
+
+        V = split_subspace(spaces)
+        _assert_integer_rows(V)
+        star = _oracle_star(V.rows(), len(spaces), k)
+        outcome = check_condition_star(V, len(spaces), k)
+        if star is None:
+            assert outcome is True
+        else:
+            seen["star"] += 1
+            assert _star_tuple(outcome) == star
+    assert min(seen.values()) >= 30, seen
+
+
+def test_star_and_mu_rank_on_rational_rows_match_oracle():
+    rng = random.Random(7)
+    for _ in range(150):
+        n, k = rng.randint(1, 3), rng.randint(2, 4)
+        dim = rng.randint(1, min(3, n * k))
+        rows = [[_rational(rng) if rng.random() < 0.6 else 0 for _ in range(n * k)]
+                for _ in range(dim)]
+        V = Subspace.span(n * k, rows)
+        _assert_integer_rows(V)
+        star = _oracle_star(V.rows(), n, k)
+        outcome = check_condition_star(V, n, k)
+        assert outcome is True if star is None else _star_tuple(outcome) == star
+    for _ in range(150):
+        k = rng.randint(3, 6)
+        A, B = random_admissible_pair(k, rng)
+        P, Q = Subspace(k, _rescaled(rng, A, False)), Subspace(k, _rescaled(rng, B, False))
+        seed = rng.randint(0, 10**6)
+        assert mu_generic_rank(P, Q, seed=seed, samples=2) == _oracle_mu_rank(P, Q, seed, 2)
+    # off the generic locus: the point on the line through (1, 1, -2) / r
+    # vanishes on the support of (1, -1, 0) / q exactly when its draw is -r,
+    # so one sample often drops the rank, on either side of the pair
+    drops = 0
+    for q in range(1, 6):
+        for r in range(1, 6):
+            P = Subspace(3, [[Fraction(1, q), Fraction(-1, q), 0]])
+            Q = Subspace(3, [[Fraction(1, r), Fraction(1, r), Fraction(-2, r)]])
+            for seed in range(12):
+                for X, Y in ((P, Q), (Q, P)):
+                    rank = mu_generic_rank(X, Y, seed=seed, samples=1)
+                    assert rank == _oracle_mu_rank(X, Y, seed, 1)
+                    drops += rank < 2
+    assert drops >= 20, drops
+
+
+def test_every_constructor_path_stores_integer_rows():
+    _assert_integer_rows(Subspace(3, [[Fraction(1, 2), -1, Fraction(1, 2)], ["2/3", 0, "-2/3"]]))
+    _assert_integer_rows(Subspace.span(3, [[Fraction(3, 4), Fraction(-3, 4), 0], [1, 1, -2]]))
+    _assert_integer_rows(Subspace(4))
+    _assert_integer_rows(kernel_of_sum_subspace(5))
+    for sp in parse_doublestar_file("3 3\n1\n1/2 -1/2 0\n0\n2\n1/3 1 -4/3\n5 -5/6 -25/6\n")[2]:
+        _assert_integer_rows(sp)
+    _assert_integer_rows(parse_star_file("2 2\n1\n1/4 -3/4 0 1/6\n")[2])
+    A, B = random_admissible_pair(6, random.Random(3))
+    _assert_integer_rows(A)
+    _assert_integer_rows(B)
+    halves, thirds = Subspace(3, [[Fraction(1, 2), 0, 0]]), Subspace(3, [[0, Fraction(1, 3), 0]])
+    _assert_integer_rows(split_subspace([halves, thirds]))
+    sp = Subspace(2, [[Fraction(2, 4), Fraction(-6, 4)]])
+    assert (sp.basis, sp.den) == (((1, -3),), 2)
+    assert sp.rows() == [[Fraction(1, 2), Fraction(-3, 2)]]
