@@ -5,7 +5,6 @@ threshold arithmetic.  All computation is exact rational arithmetic."""
 from .bounds import (
     ThresholdTable,
     conjectured_gonality_threshold,
-    descent_path,
     descent_thresholds,
     induction_closed_form,
     induction_sequence,

@@ -84,14 +84,6 @@ def descent_thresholds(g0: int, k: int) -> tuple[int, int]:
     return 2 * g0 - 1, g0 + k - 1
 
 
-def descent_path(start_dim: int, g0: int) -> list[tuple[int, int]]:
-    """Worst-case descent simulation: dimension drops by exactly one per
-    unit increase of g, from (g0, start_dim) down to dimension 0."""
-    if start_dim < 0 or g0 < 1:
-        raise ValueError("start_dim must be >= 0 and g0 >= 1")
-    return [(g0 + step, start_dim - step) for step in range(start_dim + 1)]
-
-
 def max_proven_gonality(g: int) -> int:
     """Largest k with g_gonality(k) <= g, i.e. the proven bound
     "gonality >= k + 1" at dimension g; returns 1 when no bound applies."""

@@ -16,7 +16,9 @@ Randomized subcommands take ``--seed`` (default 0).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import sys
 import time
@@ -70,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float):
+def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float, table):
     parameters = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -87,11 +89,9 @@ def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float)
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     dest = getattr(args, "report", None)
-    if dest:
-        with open(dest, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(dest, "w") if dest else contextlib.nullcontext(sys.stdout) as fh:
+        sys.stdout.write(table.getvalue())
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +466,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    # a subcommand's table is printed only once its report destination is open
+    table = io.StringIO()
     try:
         try:
-            verdict, witness, code = args.func(args)
+            with contextlib.redirect_stdout(table):
+                verdict, witness, code = args.func(args)
         except SupportCapExceeded as exc:
             witness = {"error": "support cap exceeded", "detail": str(exc)}
             verdict, code = "inconclusive", INCONCLUSIVE
-        _emit_report(args, args.subcommand, verdict, witness, time.perf_counter() - start)
+        _emit_report(args, args.subcommand, verdict, witness, time.perf_counter() - start, table)
     except (ValueError, DimensionMismatch, PreconditionViolated, OSError) as exc:
         print(f"pontcalc: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

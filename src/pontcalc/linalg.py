@@ -42,8 +42,7 @@ def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[li
     in the integers: both factors are integers, the pivot-column entry
     becomes ``(piv*f - f*piv)//g == 0`` and the content divides each entry;
     ``piv//g != 0`` keeps the row space.  Rows with a zero in the pivot
-    column are skipped, so the cost follows the nonzeros of sparse input
-    such as the window solve's Macaulay matrices.
+    column are skipped, so the cost follows the nonzeros of sparse input.
 
     Returns (pivot columns, num, den).  Afterwards row i of ``m`` has its
     pivot at column pivots[i], and rows past the pivot rows are zero in the

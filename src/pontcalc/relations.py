@@ -20,15 +20,16 @@ Two solution strategies share the same certificate format:
   explicit cofactors with multiplier monomials of height <= k - 1 and
   pushforward indices j <= k.  This always lies inside the default
   monomial window.
-* ``window``: blind exact linear algebra over all monomials of height at
-  most ``cap`` (fraction-free elimination, sparsest column first), with a
-  single automatic retry at twice the cap.
+* ``window``: decides membership exactly in the local algebra
+  Q[y]/(y)^{g+1}, y = x - 1, with at most one small linear solve; ``cap``
+  bounds the multiplier height a certificate may have (up to ``2 * cap``).
+  A proven non-member is still reported as inconclusive.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
@@ -44,9 +45,10 @@ from .linalg import solve_columns
 
 
 class NotFoundWithinCaps(Exception):
-    """No certificate found inside the searched monomial windows.
+    """No certificate found within the caps.
 
-    This is inconclusive: membership may still hold at larger caps.
+    This is inconclusive: membership may still hold at larger caps, and a
+    non-membership the window method proves comes without a witness.
     """
 
     def __init__(self, k: int, g: int, j_max: int, caps_tried: list[int]):
@@ -440,65 +442,60 @@ def _monomial_points(k: int, cap: int) -> list[tuple[int, ...]]:
     return points
 
 
-def _window_solve_once(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate | None:
-    ctx = RingContext(rank=k, geom_dim=g, support_cap=cap + j_max + k + g + 3)
-    target_cycle = _target_power(k, ctx)
-    shifts = [(m, Cycle.point(GroupPoint(m))) for m in _monomial_points(k, cap)]
-    bases = [("ideal", j, pushed_hypothesis(k, j)) for j in range(1, j_max + 1)]
-    bases += [
-        ("nil", factors, nilpotent_product(k, factors, ctx))
-        for factors in itertools.combinations_with_replacement(range(1, k + 1), g + 1)
-    ]
-    if target_cycle.den != 1 or any(base.den != 1 for *_, base in bases):
-        raise ArithmeticError("window solve expects integer cycles")
+def _window_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate | None:
+    """Decide whether u^{*k} lies in I + J^{g+1}, with I spanned by the
+    (m_j)_* h, j <= j_max, and J the augmentation ideal; certify it if so.
 
-    # column (kind, key, m) is the monomial multiple {m} * base
-    columns = [
-        (kind, key, m, pontryagin(shift, base, ctx).num)
-        for kind, key, base in bases
-        for m, shift in shifts
-    ]
-    target = target_cycle.num
-    row_points = sorted(set(target) | {p for *_, col in columns for p in col})
-    row_index = {p: i for i, p in enumerate(row_points)}
-    dense_cols = []
-    for *_, col in columns:
-        vec = [0] * len(row_points)
-        for p, v in col.items():
-            vec[row_index[p]] = v
-        dense_cols.append(vec)
-    rhs = [0] * len(row_points)
-    for p, v in target.items():
-        rhs[row_index[p]] = v
+    J^{g+1} is primary at x = 1, so the question lives in Q[y]/(y)^{g+1},
+    y_i = x_i - 1, where (m_j)_* h is P_j = sum_i (1+y_i)^j - k and the
+    target is y_1^k.  For k > g the target is u_1^{*(k-g-1)} times the
+    nilpotent product u_1^{*(g+1)}.  For k <= g one solve has a row per
+    monomial of degree <= g and a column y^a P_j per 1 <= j <= min(j_max, g)
+    and |a| <= g - j.  Columns have degree <= g, so a solution is an exact
+    free-ring identity with multipliers sum_a c_{a,j} u^a.  The columns span
+    the whole image of I: with p_t = sum_i y_i^t, modulo (y)^{g+1}
 
-    solution = solve_columns(dense_cols, rhs)
-    if solution is None:
-        return None
+        y^a P_j == y^a * sum_{1 <= t <= g-|a|} C(j, t) p_t,
 
-    gen_terms: dict[int, list] = {}
-    nil_terms: dict[tuple[int, ...], list] = {}
-    for (kind, key, m, _), coeff in zip(columns, solution):
-        if coeff:
-            (gen_terms if kind == "ideal" else nil_terms).setdefault(key, []).append((m, coeff))
-    gens = tuple(
-        GeneratorTerm(
-            label=f"(m_{j})*h", j=j, generator=pushed_hypothesis(k, j), multiplier=Cycle(k, t)
+    and the columns y^a P_j, j <= g - |a|, are unitriangular in these
+    y^a p_t; when j_max < g - |a| every y^a P_j is itself a column.  So an
+    inconsistent system proves non-membership at every multiplier height.
+
+    Returns None then, and when the multiplier height exceeds 2 * cap;
+    otherwise the certificate records cap, or 2 * cap if it needs it.
+    """
+    ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
+    gens, nil_part = (), ()
+    if k > g:
+        u_power = nilpotent_product(k, (1,) * (k - g - 1), ctx)
+        nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
+    else:
+        rows = {p: r for r, p in enumerate(_monomial_points(k, g))}
+        keys = [(j, a) for j in range(1, min(j_max, g) + 1) for a in _monomial_points(k, g - j)]
+        columns = [[0] * len(rows) for _ in keys]
+        for col, (j, a) in zip(columns, keys):
+            for i, t in itertools.product(range(k), range(1, j + 1)):
+                col[rows[a[:i] + (a[i] + t,) + a[i + 1:]]] = comb(j, t)
+        target = [0] * len(rows)
+        target[rows[(k,) + (0,) * (k - 1)]] = 1
+        solution = solve_columns(columns, target)
+        if solution is None:
+            return None
+        multipliers: dict[int, Cycle] = {}
+        for (j, a), c in zip(keys, solution):
+            if c:
+                factors = tuple(i + 1 for i, e in enumerate(a) for _ in range(e))
+                u_power = nilpotent_product(k, factors, ctx)
+                multipliers[j] = multipliers.get(j, Cycle.zero(k)) + u_power.scale(c)
+        gens = tuple(
+            GeneratorTerm(label=f"(m_{j})*h", j=j, generator=pushed_hypothesis(k, j), multiplier=m)
+            for j, m in sorted(multipliers.items())
         )
-        for j, t in sorted(gen_terms.items())
-    )
-    nil_part = tuple(
-        NilpotentTerm(factors=factors, multiplier=Cycle(k, t))
-        for factors, t in sorted(nil_terms.items())
-    )
-    return MembershipCertificate(
-        k=k,
-        g=g,
-        j_max=j_max,
-        cap=cap,
-        target=target_cycle,
-        generators=gens,
-        nilpotent_part=nil_part,
-    )
+    cert = MembershipCertificate(k, g, j_max, cap, _target_power(k, ctx), gens, nil_part)
+    height = cert.max_multiplier_height()
+    if height > 2 * cap:
+        return None
+    return cert if height <= cap else replace(cert, cap=2 * cap)
 
 
 def default_j_max(k: int, g: int) -> int:
@@ -519,9 +516,12 @@ def verify_relation(
     """Produce a re-verified membership certificate for u^{*k}.
 
     ``method`` is "auto" (structured Newton telescoping, falling back to
-    the windowed solver if its output ever left the window), "newton", or
-    "window".  Raises ``NotFoundWithinCaps`` when the windowed search
-    exhausts ``cap`` and its single 2x retry.
+    the window method if its output ever left the window), "newton", or
+    "window" (``_window_certificate``).  The window method raises
+    ``NotFoundWithinCaps`` with caps [cap, 2 * cap] when its certificate
+    needs multipliers above height 2 * cap, and when u^{*k} is not in
+    I + J^{g+1} at all: that proves non-membership but stays inconclusive,
+    as a refutation would need a checkable witness (a dual functional).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -551,14 +551,9 @@ def verify_relation(
         if method == "newton":
             raise NotFoundWithinCaps(k, g, j_max, [cap])
 
-    caps_tried = []
-    for attempt_cap in (cap, 2 * cap):
-        caps_tried.append(attempt_cap)
-        cert = _window_solve_once(k, g, j_max, attempt_cap)
-        if cert is not None:
-            if not verify_certificate(cert):
-                raise AssertionError(
-                    "internal error: window certificate failed re-verification"
-                )
-            return cert
-    raise NotFoundWithinCaps(k, g, j_max, caps_tried)
+    cert = _window_certificate(k, g, j_max, cap)
+    if cert is None:
+        raise NotFoundWithinCaps(k, g, j_max, [cap, 2 * cap])
+    if not verify_certificate(cert):
+        raise AssertionError("internal error: window certificate failed re-verification")
+    return cert

@@ -4,7 +4,6 @@ import pytest
 
 from pontcalc.bounds import (
     conjectured_gonality_threshold,
-    descent_path,
     descent_thresholds,
     induction_closed_form,
     induction_sequence,
@@ -75,15 +74,6 @@ def test_descent_thresholds():
         assert descent_thresholds(k + 1, k) == (2 * k + 1, 2 * k)
     with pytest.raises(ValueError):
         descent_thresholds(0, 1)
-
-
-def test_descent_path_simulation():
-    for g0 in range(2, 8):
-        path = descent_path(g0 - 1, g0)
-        assert path[0] == (g0, g0 - 1)
-        assert path[-1] == (2 * g0 - 1, 0)
-        for (g_a, d_a), (g_b, d_b) in zip(path, path[1:]):
-            assert g_b == g_a + 1 and d_b == d_a - 1
 
 
 def test_max_proven_gonality():

@@ -202,10 +202,14 @@ def test_usage_errors(capsys):
         (["recursion-check", "--k", "0"], None),
         (["pair-lemma", "--k", "3", "--report", "{file}/r.json"], None),
         (["pair-lemma", "--k", "3", "--report", "{dir}"], None),
+        (["thresholds", "--k", "3", "--report", "{file}/r.json"], None),
+        (["identities", "--kmax", "2", "--report", "{file}/r.json"], None),
+        (["alpha", "--k", "3", "--report", "{file}/r.json"], None),
     ],
     ids=["negative-dim", "zero-denominator", "zero-n", "negative-budget", "kmax-0", "negative-cap",
          "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
-         "report-missing-dir", "report-is-dir"],
+         "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
+         "identities-report-missing-dir", "alpha-report-missing-dir"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.txt"

@@ -193,22 +193,125 @@ def test_window_certificate_bytes_pinned(k, g, cap):
     assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_CERT_SHA256[k, g, cap]
 
 
-@pytest.mark.parametrize("k, g", [(2, 1), (2, 2), (2, 3), (3, 1)])
-def test_window_agrees_with_groebner_membership(k, g):
+@pytest.mark.parametrize(
+    "k, g, j_max, member",
+    [pytest.param(k, g, None, True, id=f"{k}-{g}") for k, g in [(2, 1), (2, 2), (2, 3), (3, 1)]]
+    + [
+        pytest.param(k, g, j_max, member, id=f"{k}-{g}-{j_max}")
+        for k, g, j_max, member in [
+            (2, 2, 1, False),
+            (2, 3, 1, False),
+            (3, 3, 2, False),
+            (3, 4, 2, False),
+            (3, 3, 3, True),
+            (3, 4, 3, True),
+        ]
+    ],
+)
+def test_window_agrees_with_groebner_membership(k, g, j_max, member):
     # independent oracle: in Q[x_1..x_k], (m_j)_*h is sum_i x_i^j - k and the
     # nilpotency span is generated by the products of g+1 factors x_i - 1;
     # u^{*k} is (x_1 - 1)^k
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols(f"x1:{k + 1}")
-    gens = [sum(x**j for x in xs) - k for j in range(1, k * (g + 1) + 1)]
+    top = k * (g + 1) if j_max is None else j_max
+    gens = [sum(x**j for x in xs) - k for j in range(1, top + 1)]
     gens += [
         sympy.prod([x - 1 for x in factors])
         for factors in itertools.combinations_with_replacement(xs, g + 1)
     ]
     basis = sympy.groebner(gens, *xs, order="grevlex")
-    assert basis.contains((xs[0] - 1) ** k)
+    assert basis.contains((xs[0] - 1) ** k) == member
     assert not basis.contains(xs[0] - 1)
-    assert verify_certificate(verify_relation(k, g, method="window"))
+    if member:
+        assert verify_certificate(verify_relation(k, g, j_max=j_max, method="window"))
+    else:
+        with pytest.raises(NotFoundWithinCaps):
+            verify_relation(k, g, j_max=j_max, method="window")
+
+
+# Verdicts of the Macaulay-window implementation that the local solve
+# replaced, recorded over k 2..4, g 1..3, j_max in {1, 2, 3, k, k(g+1)} and
+# cap in {1, 2, k(g+1)}: (k, g, j_max, cap) -> (recorded cap, multiplier
+# height) of its certificate, or None where it raised NotFoundWithinCaps
+# with caps [cap, 2 * cap].  Windows too large for it (over 3e7 matrix
+# cells, 40 s or 1.5 GB) are left out: k = 3, g = 3 at cap 12 with j_max
+# 1, 2, 12; k = 4, g = 1 at cap 8 with j_max 8; k = 4, g = 2, 3 at cap
+# k(g+1).
+MACAULAY_WINDOW_VERDICTS = {
+    (2, 1, 1, 1): (1, 0), (2, 1, 1, 2): (2, 0), (2, 1, 1, 4): (4, 0), (2, 1, 2, 1): (1, 1),
+    (2, 1, 2, 2): (2, 1), (2, 1, 2, 4): (4, 1), (2, 1, 3, 1): (1, 1), (2, 1, 3, 2): (2, 1),
+    (2, 1, 3, 4): (4, 1), (2, 1, 4, 1): (1, 1), (2, 1, 4, 2): (2, 1), (2, 1, 4, 4): (4, 1),
+    (2, 2, 1, 1): None, (2, 2, 1, 2): None, (2, 2, 1, 6): None, (2, 2, 2, 1): (1, 1),
+    (2, 2, 2, 2): (2, 1), (2, 2, 2, 6): (6, 1), (2, 2, 3, 1): (1, 1), (2, 2, 3, 2): (2, 1),
+    (2, 2, 3, 6): (6, 1), (2, 2, 6, 1): (1, 1), (2, 2, 6, 2): (2, 1), (2, 2, 6, 6): (6, 1),
+    (2, 3, 1, 1): None, (2, 3, 1, 2): None, (2, 3, 1, 8): None, (2, 3, 2, 1): (1, 1),
+    (2, 3, 2, 2): (2, 1), (2, 3, 2, 8): (8, 1), (2, 3, 3, 1): (1, 1), (2, 3, 3, 2): (2, 1),
+    (2, 3, 3, 8): (8, 1), (2, 3, 8, 1): (1, 1), (2, 3, 8, 2): (2, 1), (2, 3, 8, 8): (8, 1),
+    (3, 1, 1, 1): (1, 1), (3, 1, 1, 2): (2, 1), (3, 1, 1, 6): (6, 1), (3, 1, 2, 1): (1, 1),
+    (3, 1, 2, 2): (2, 1), (3, 1, 2, 6): (6, 1), (3, 1, 3, 1): (1, 1), (3, 1, 3, 2): (2, 1),
+    (3, 1, 3, 6): (6, 1), (3, 1, 6, 1): (1, 1), (3, 1, 6, 2): (2, 1), (3, 1, 6, 6): (6, 1),
+    (3, 2, 1, 1): (1, 0), (3, 2, 1, 2): (2, 0), (3, 2, 1, 9): (9, 0), (3, 2, 2, 1): (1, 0),
+    (3, 2, 2, 2): (2, 0), (3, 2, 2, 9): (9, 0), (3, 2, 3, 1): (1, 0), (3, 2, 3, 2): (2, 2),
+    (3, 2, 3, 9): (9, 2), (3, 2, 9, 1): (1, 0), (3, 2, 9, 2): (2, 2), (3, 2, 9, 9): (9, 2),
+    (3, 3, 1, 1): None, (3, 3, 1, 2): None, (3, 3, 2, 1): None, (3, 3, 2, 2): None,
+    (3, 3, 3, 1): (2, 2), (3, 3, 3, 2): (2, 2), (3, 3, 3, 12): (12, 2), (3, 3, 12, 1): (2, 2),
+    (3, 3, 12, 2): (2, 2), (4, 1, 1, 1): (2, 2), (4, 1, 1, 2): (2, 2), (4, 1, 1, 8): (8, 2),
+    (4, 1, 2, 1): (2, 2), (4, 1, 2, 2): (2, 2), (4, 1, 2, 8): (8, 2), (4, 1, 3, 1): (2, 2),
+    (4, 1, 3, 2): (2, 2), (4, 1, 3, 8): (8, 2), (4, 1, 4, 1): (2, 2), (4, 1, 4, 2): (2, 2),
+    (4, 1, 4, 8): (8, 2), (4, 1, 8, 1): (2, 2), (4, 1, 8, 2): (2, 2), (4, 2, 1, 1): (1, 1),
+    (4, 2, 1, 2): (2, 1), (4, 2, 2, 1): (1, 1), (4, 2, 2, 2): (2, 1), (4, 2, 3, 1): (1, 1),
+    (4, 2, 3, 2): (2, 1), (4, 2, 4, 1): (1, 1), (4, 2, 4, 2): (2, 1), (4, 2, 12, 1): (1, 1),
+    (4, 2, 12, 2): (2, 1), (4, 3, 1, 1): (1, 0), (4, 3, 1, 2): (2, 0), (4, 3, 2, 1): (1, 0),
+    (4, 3, 2, 2): (2, 0), (4, 3, 3, 1): (1, 0), (4, 3, 3, 2): (2, 0), (4, 3, 4, 1): (1, 0),
+    (4, 3, 4, 2): (2, 0), (4, 3, 16, 1): (1, 0), (4, 3, 16, 2): (2, 0),
+}
+
+
+@pytest.mark.parametrize("k, g, j_max, cap", list(MACAULAY_WINDOW_VERDICTS))
+def test_window_verdicts_match_macaulay_window(k, g, j_max, cap):
+    expected = MACAULAY_WINDOW_VERDICTS[k, g, j_max, cap]
+    if expected is None:
+        with pytest.raises(NotFoundWithinCaps) as info:
+            verify_relation(k, g, j_max=j_max, cap=cap, method="window")
+        assert info.value.caps_tried == [cap, 2 * cap]
+        return
+    cert = verify_relation(k, g, j_max=j_max, cap=cap, method="window")
+    assert cert.cap == expected[0]
+    assert cert.max_multiplier_height() <= expected[1]
+
+
+def test_window_certificate_structure():
+    for k in range(2, 6):
+        for g in range(1, 5):
+            for j_max in (1, 2, 3, None):
+                try:
+                    cert = verify_relation(k, g, j_max=j_max, method="window")
+                except NotFoundWithinCaps:
+                    assert k <= g
+                    continue
+                assert verify_certificate(cert)
+                if k > g:
+                    # the target u_1^{*k} already lies in J^{g+1}
+                    ctx = RingContext(rank=k, geom_dim=g, support_cap=k)
+                    u = augmentation_generator(k, 1)
+                    assert cert.generators == ()
+                    assert cert.nilpotent_part == (
+                        NilpotentTerm(factors=(1,) * (g + 1), multiplier=star_power(u, k - g - 1, ctx)),
+                    )
+                else:
+                    assert cert.nilpotent_part == ()
+                    assert max(cert.pushforward_indices()) <= min(cert.j_max, g)
+
+
+def test_window_reaches_larger_windows():
+    for k in (4, 5):
+        cert = verify_relation(k, k, method="window")
+        assert verify_certificate(cert)
+        assert cert.nilpotent_part == ()
+    with pytest.raises(NotFoundWithinCaps) as info:
+        verify_relation(4, 4, j_max=3, method="window")
+    assert info.value.caps_tried == [20, 40]
 
 
 def test_argument_validation():
