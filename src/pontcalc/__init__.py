@@ -34,7 +34,6 @@ from .kernels import (
     derivative_oracle,
     kernel_table,
     pont_pullback_coefficient,
-    stirling2,
 )
 from .relations import (
     AlphaMatrix,

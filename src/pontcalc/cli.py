@@ -20,6 +20,7 @@ import contextlib
 import functools
 import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -61,7 +62,9 @@ from .tangent import (
 
 REPORT_VERSION = 1
 
-PASS, USAGE_ERROR, INCONCLUSIVE, FINDING = 0, 1, 2, 3
+USAGE_ERROR = 1
+# every subcommand returns (verdict, witness); the exit code follows from the verdict
+EXIT_CODES = {"pass": 0, "inconclusive": 2, "fail": 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,9 +134,7 @@ def _cmd_identities(args):
             if 1 <= v.d < v.k and oracle != 0:
                 problems.append({"k": v.k, "d": v.d, "oracle": str(oracle)})
     witness = {"kmax": kmax, "dmax": dmax, "checked": len(values), "problems": problems}
-    if problems:
-        return "fail", witness, FINDING
-    return "pass", witness, PASS
+    return ("fail" if problems else "pass"), witness
 
 
 def _threshold_row(k: int) -> dict:
@@ -165,7 +166,7 @@ def _cmd_thresholds(args):
             print("\t".join(str(row[key]) for key in keys))
             print("induction_G\t" + "\t".join(str(x) for x in row["induction_G"]))
             print(f"conjectured_gonality_threshold (conjecture, unproven)\t{row['conjectured_gonality_threshold']['value']}")
-        return "pass", row, PASS
+        return "pass", row
     k = bounds_mod.max_proven_gonality(args.g)
     witness = {
         "g": args.g,
@@ -179,7 +180,7 @@ def _cmd_thresholds(args):
     else:
         print("g\tmax_proven_k\tstatement")
         print(f"{args.g}\t{k}\t gonality >= {k + 1}")
-    return "pass", witness, PASS
+    return "pass", witness
 
 
 def _cmd_verify_relation(args):
@@ -191,7 +192,7 @@ def _cmd_verify_relation(args):
             "j_max": exc.j_max,
             "note": "inconclusive: absence of a certificate at these caps is not a refutation",
         }
-        return "inconclusive", witness, INCONCLUSIVE
+        return "inconclusive", witness
     with open(args.out, "w") as fh:
         json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -203,7 +204,7 @@ def _cmd_verify_relation(args):
         "max_multiplier_height": cert.max_multiplier_height(),
         "re_verified_by_expansion": True,
     }
-    return "pass", witness, PASS
+    return "pass", witness
 
 
 def _cmd_alpha(args):
@@ -215,9 +216,7 @@ def _cmd_alpha(args):
         "rows": [[format_rational(c) for c in matrix.row(l)] for l in range(args.k + 1)],
         "zero_entries": [list(z) for z in matrix.zero_entries],
     }
-    if matrix.zero_entries:
-        return "fail", witness, FINDING
-    return "pass", witness, PASS
+    return ("fail" if matrix.zero_entries else "pass"), witness
 
 
 def _cmd_recursion_check(args):
@@ -230,7 +229,7 @@ def _cmd_recursion_check(args):
         results[str(l)] = holds
         ok = ok and holds
     witness = {"k": args.k, "results": results}
-    return ("pass", witness, PASS) if ok else ("fail", witness, FINDING)
+    return ("pass" if ok else "fail"), witness
 
 
 def _read_text(path: str) -> str:
@@ -242,7 +241,7 @@ def _cmd_check_star(args):
     k, n, V = parse_star_file(_read_text(args.file))
     outcome = check_condition_star(V, n, k)
     if outcome is True:
-        return "pass", {"k": k, "n": n, "dim": V.dim, "violation": None}, PASS
+        return "pass", {"k": k, "n": n, "dim": V.dim, "violation": None}
     witness = {
         "k": k,
         "n": n,
@@ -254,7 +253,7 @@ def _cmd_check_star(args):
             "value": format_rational(outcome.value),
         },
     }
-    return "fail", witness, FINDING
+    return "fail", witness
 
 
 def _cmd_check_doublestar(args):
@@ -262,7 +261,7 @@ def _cmd_check_doublestar(args):
     outcome = check_condition_doublestar(spaces)
     dims = [sp.dim for sp in spaces]
     if outcome is True:
-        return "pass", {"k": k, "n": n, "dims": dims, "violation": None}, PASS
+        return "pass", {"k": k, "n": n, "dims": dims, "violation": None}
     witness = {
         "k": k,
         "n": n,
@@ -273,7 +272,7 @@ def _cmd_check_doublestar(args):
             "value": format_rational(outcome.value),
         },
     }
-    return "fail", witness, FINDING
+    return "fail", witness
 
 
 def _pair_from_args(args):
@@ -297,7 +296,7 @@ def _cmd_pair_lemma(args):
         "A": [[format_rational(x) for x in row] for row in A.rows()],
         "B": [[format_rational(x) for x in row] for row in B.rows()],
     }
-    return ("pass", witness, PASS) if ok else ("fail", witness, FINDING)
+    return ("pass" if ok else "fail"), witness
 
 
 def _cmd_mu_rank(args):
@@ -306,9 +305,9 @@ def _cmd_mu_rank(args):
     expected = A.dim + B.dim
     witness = {"rank": rank, "expected": expected, "samples": args.samples}
     if rank == expected:
-        return "pass", witness, PASS
+        return "pass", witness
     witness["note"] = "sampled points may have missed the generic locus"
-    return "inconclusive", witness, INCONCLUSIVE
+    return "inconclusive", witness
 
 
 def _cmd_search(args):
@@ -331,19 +330,21 @@ def _cmd_search(args):
             )
             fh.write("\n")
         witness["counterexample_artifact"] = artifact
-        return "fail", witness, FINDING
-    return "pass", witness, PASS
+        return "fail", witness
+    return "pass", witness
 
 
 def _cmd_gamma_check(args):
-    import random as _random
-
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     g = args.g
     ctx = RingContext(rank=args.rank, geom_dim=g, support_cap=1_000_000)
     failures = []
+    # the univariate model of exp after log, 1 + T up to order g + 1, once per run
+    composite = exp_after_log(g)
+    if any(composite[j] != (1 if j <= 1 else 0) for j in range(0, g + 2)):
+        failures.append({"check": "exp_log_series", "g": g})
     checked = 0
     for _ in range(args.trials):
         coords = [rng.randint(-2, 2) for _ in range(args.rank)]
@@ -363,14 +364,11 @@ def _cmd_gamma_check(args):
             if lhs != rhs.scale(Fraction((-1) ** kk)):
                 failures.append({"check": "power_factorization", "point": coords, "k": kk})
         # exp/log composition agrees with its univariate polynomial model
-        composite = exp_after_log(g)
         if exp_cycle(log_cycle(Cycle.point(x), ctx), ctx) != poly_eval_at_cycle(composite, u, ctx):
             failures.append({"check": "exp_log_model", "point": coords})
-        if any(composite[j] != (1 if j <= 1 else 0) for j in range(0, g + 2)):
-            failures.append({"check": "exp_log_series", "g": g})
         checked += 1
     witness = {"trials": checked, "g": g, "rank": args.rank, "failures": failures}
-    return ("pass", witness, PASS) if not failures else ("fail", witness, FINDING)
+    return ("fail" if failures else "pass"), witness
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +469,14 @@ def main(argv=None) -> int:
     try:
         try:
             with contextlib.redirect_stdout(table):
-                verdict, witness, code = args.func(args)
+                verdict, witness = args.func(args)
         except SupportCapExceeded as exc:
-            witness = {"error": "support cap exceeded", "detail": str(exc)}
-            verdict, code = "inconclusive", INCONCLUSIVE
+            verdict, witness = "inconclusive", {"error": "support cap exceeded", "detail": str(exc)}
         _emit_report(args, args.subcommand, verdict, witness, time.perf_counter() - start, table)
     except (ValueError, DimensionMismatch, PreconditionViolated, OSError) as exc:
         print(f"pontcalc: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return code
+    return EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

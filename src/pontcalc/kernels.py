@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -78,22 +77,3 @@ def kernel_table(kmax: int, dmax: int | None = None) -> list[KernelValue]:
         for k in range(1, kmax + 1)
         for d in range(dmax + 1)
     ]
-
-
-def stirling2(n: int, m: int) -> int:
-    """Stirling number of the second kind via the standard recurrence.
-
-    Used to recover power sums from falling factorials:
-    i^d = sum_m stirling2(d, m) * i(i-1)...(i-m+1).
-    """
-    if n < 0 or m < 0:
-        raise ValueError("stirling2 arguments must be nonnegative")
-    if m > n:
-        return 0
-    row = [1]  # S(0, 0)
-    for nn in range(1, n + 1):
-        new = [0] * (nn + 1)
-        for mm in range(1, nn + 1):
-            new[mm] = mm * (row[mm] if mm < len(row) else 0) + row[mm - 1]
-        row = new
-    return row[m]

@@ -1,18 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Small, dependency-free routines used by the certificate engine and the
 tangent-space checkers: reduced row echelon form, rank, nullspace, linear
-solves and determinants.  All of them run one exact elimination over
-integer rows, ``_eliminate``.  Rational input (ints or Fractions) is made
-integral at the boundary by clearing denominators per row, or per column in
-``solve_columns``; scaling a row or a column by a nonzero constant leaves
-the rank, the pivot columns and the row space unchanged.  Each update of
-the elimination is an integer combination of two rows by gcd-reduced
-factors, followed by division by the row's content, so every step is exact
-in the integers and every updated row is primitive; rows with a zero in the
-pivot column are skipped.  No Fraction arithmetic happens inside the
-elimination.  Fractions appear only in the outputs: RREF rows, nullspace
-vectors, determinants and solutions.
+solves and determinants.  They take integer rows and return integer rows;
+the only rational output is the solution of ``solve_columns``.  Rationals
+are cleared where they enter, by the callers' constructors and by
+``exact_rank``, the one rank that also accepts Fractions: scaling a row by
+a nonzero constant leaves the rank, the pivot columns and the row space
+unchanged.  All routines run one exact elimination over integer rows,
+``_eliminate``.  Each of its updates is an integer combination of two rows
+by gcd-reduced factors, followed by division by the row's content, so
+every step is exact in the integers and every updated row is primitive;
+rows with a zero in the pivot column are skipped.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ from math import gcd, lcm, prod
 
 def clear_denominators(vec) -> tuple[int, list[int]]:
     """(d, d * vec) with d the least common multiple of the denominators of
-    the int or Fraction entries, so that d * vec is a list of ints.  A list
-    of ints is returned itself, uncopied, with d = 1."""
-    if type(vec) is list and all(type(x) is int for x in vec):
-        return 1, vec
+    the int or Fraction entries, so that d * vec is a list of ints."""
     d = lcm(*[x.denominator for x in vec])
     return d, [x.numerator * (d // x.denominator) for x in vec]
 
@@ -90,17 +86,21 @@ def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[li
     return pivots, num, den
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    return [clear_denominators(row)[1] for row in rows]
+def _primitive(row: list[int], c: int) -> list[int]:
+    """``row`` divided by its content, signed to make ``row[c]`` positive."""
+    g = gcd(*row) if row[c] > 0 else -gcd(*row)
+    return [x // g for x in row]
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = _integer_rows(rows)
+def rref(rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows; returns (rows, pivot
+    column indices).  Each row is its RREF row scaled to the primitive
+    integer row with a positive pivot, a canonical form of the row space."""
+    m = [list(row) for row in rows]
     if not m:
         return [], []
     pivots, _, _ = _eliminate(m, len(m[0]), reduce=True)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)], pivots
+    return [_primitive(row, c) for row, c in zip(m, pivots)], pivots
 
 
 def int_rank(rows) -> int:
@@ -110,75 +110,61 @@ def int_rank(rows) -> int:
 
 
 def exact_rank(rows) -> int:
-    """Rank of a matrix of ints and Fractions."""
-    m = _integer_rows(rows)
+    """Rank of a matrix of ints and Fractions; each row is cleared of its
+    denominators first."""
+    m = [clear_denominators(row)[1] for row in rows]
     return len(_eliminate(m, len(m[0]))[0]) if m else 0
 
 
-def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} as rows."""
+def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
+    """Basis of {x : M x = 0} for integer rows M, one row per free column:
+    the primitive integer vector that is positive at its free column, zero
+    at the other free columns and solves M x = 0."""
     rows = list(rows)
-    if not rows:
-        if ncols is None:
-            return []
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
     if ncols is None:
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else 0
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    scale = lcm(*[row[c] for row, c in zip(red, pivots)])
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -red[ri][fc]
-        basis.append(vec)
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [0] * ncols
+        vec[fc] = scale
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        basis.append(_primitive(vec, fc))
     return basis
 
 
-def det(rows) -> Fraction:
-    """Exact determinant: the product of the eliminated diagonal, scaled
-    back by the row scalings ``_eliminate`` reports."""
-    rows = list(rows)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+def det(rows) -> int:
+    """Exact determinant of a square integer matrix: the product of the
+    eliminated diagonal times num / den as ``_eliminate`` reports them."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    scale, m = 1, []
-    for row in rows:
-        d, ints = clear_denominators(row)
-        scale *= d
-        m.append(ints)
     pivots, num, den = _eliminate(m, n)
     if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(prod(row[i] for i, row in enumerate(m)) * num, den * scale)
+        return 0
+    return prod(row[i] for i, row in enumerate(m)) * num // den
 
 
 def solve_columns(columns, target):
     """Exact solution x of  sum_j x_j * columns[j] == target, or None.
 
-    ``columns`` is a list of column vectors (lists, all the same length).
-    Columns are eliminated sparsest-first, which keeps certificate
-    multipliers small, and free coefficients are set to zero.  Each column
-    (and the target) is scaled to integers by the lcm of its denominators;
-    the solution y of the scaled system gives x_j = y_j * d_j / d_target.
+    ``columns`` is a list of integer column vectors (lists, all the same
+    length) and ``target`` an integer vector.  Columns are eliminated
+    sparsest-first, which keeps certificate multipliers small, and free
+    coefficients are set to zero.  The solution is a list of Fractions.
     """
     ncols = len(columns)
-    if ncols == 0:
-        return [] if all(x == 0 for x in target) else None
     order = sorted(range(ncols), key=lambda j: (len(columns[j]) - columns[j].count(0), j))
-    scales, int_cols = zip(*[clear_denominators(columns[j]) for j in order])
-    t_scale, t = clear_denominators(target)
-    m = [list(row) for row in zip(*int_cols, t)]
+    m = [list(row) for row in zip(*[columns[j] for j in order], target)]
     pivots, _, _ = _eliminate(m, ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     sol = [Fraction(0)] * ncols
     for pos, v in _back_substitute(m, pivots, ncols).items():
-        sol[order[pos]] = v * scales[pos] / t_scale
+        sol[order[pos]] = v
     return sol
 
 

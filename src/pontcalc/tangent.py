@@ -26,9 +26,10 @@ exact rank of the product rows stacked on both bases.
 
 A ``Subspace`` is stored like a ``Cycle``: integer basis rows over one
 positive common denominator ``den``.  Checks run on the integer rows, as
-ranks and vanishing ignore row scaling; ``Fraction`` appears only in the
-constructor, the file parser, ``Subspace.rows()`` and the two witness
-values.  All verdicts are exact; randomness only chooses where to look.
+ranks and vanishing ignore row scaling.  ``Fraction`` is cleared in the
+constructor and in ``Subspace.span``, and appears otherwise only in the
+file parser, ``Subspace.rows()`` and the two witness values.  All verdicts
+are exact; randomness only chooses where to look.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
-        """Span of arbitrary vectors; reduces to a canonical basis."""
-        return cls(ambient_dim, rref(vectors)[0])
+        """Span of arbitrary vectors; reduces to a canonical basis, the
+        primitive integer RREF rows (``den`` 1)."""
+        return cls(ambient_dim, rref([clear_denominators(vec)[1] for vec in vectors])[0])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -354,7 +356,7 @@ def random_admissible_pair(
         dim_a = rng.randint(1, min(3, k - 1))
     A = _random_subspace_in_sum_zero(k, dim_a, rng)
     constraint = [[1] * k, *A.basis]
-    comp_rows = [clear_denominators(row)[1] for row in nullspace(constraint, k)]
+    comp_rows = nullspace(constraint, k)
     comp_dim = len(comp_rows)
     if dim_b is None:
         dim_b = rng.randint(0, min(3, comp_dim))
@@ -407,7 +409,7 @@ def _structured_candidates(k: int, n: int):
         for d1 in range(1, k - 1):
             first = e_perp[:d1]
             constraint = [[1] * k, *first]
-            rest = [clear_denominators(row)[1] for row in nullspace(constraint, k)]
+            rest = nullspace(constraint, k)
             config = [first, rest] + [[] for _ in range(n - 2)]
             yield config
     if n >= 2 and k <= 6:

@@ -1,0 +1,134 @@
+"""Contract fuzzing of the CLI: every well-typed argv ends in a report or a
+one-line usage error.
+
+Argv of the cheap subcommands is generated with small values, some of them
+out of range, and (**)/pair/(*) files with p/q entries and malformed
+tokens.  A run must either exit 0, 2 or 3 with a JSON report that repeats
+byte for byte (minus ``wall_time_s``) when the same argv runs again, or
+exit 1 with empty stdout and one stderr line ``pontcalc: error: ...``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pontcalc.cli import main
+
+small = st.integers(min_value=-1, max_value=4)
+
+entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+bad_token = st.sampled_from(["1/0", "0/0", "x", "3/-2", "1//2", "--"])
+
+
+@st.composite
+def subspace_file(draw, star: bool):
+    """Text of a (*) file (one block in (Q^n)^k) or a (**) file (n blocks
+    in Q^k): small or out-of-range header values, blocks of small
+    dimension, p/q entries with rows summing to zero in half the files,
+    and now and then a token dropped, one too many or one malformed."""
+    k, n = draw(st.integers(-1, 4)), draw(st.integers(-1, 3))
+    width = max(k, 0) * (max(n, 0) if star else 1)
+    sum_zero = draw(st.booleans())
+    tokens = [str(k), str(n)]
+    for _ in range(1 if star else max(n, 0)):
+        dim = draw(st.integers(-1, 2))
+        tokens.append(str(dim))
+        for _ in range(max(dim, 0)):
+            row = [draw(entry) for _ in range(width)]
+            if sum_zero and row:
+                row[-1] = -sum(row[:-1])
+            tokens += [str(x) for x in row]
+    edit = draw(st.sampled_from(["none", "none", "none", "drop", "extra", "malformed"]))
+    at = draw(st.integers(0, len(tokens) - 1))
+    if edit == "drop":
+        del tokens[at]
+    elif edit == "extra":
+        tokens.append(str(draw(entry)))
+    elif edit == "malformed":
+        tokens[at] = draw(bad_token)
+    return " ".join(tokens) + "\n"
+
+
+def flag(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def optional(name, values):
+    return st.one_of(st.just([]), flag(name, values))
+
+
+def argv_of(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+FILE = ["--file", "{file}"]
+
+ARGVS = {
+    "identities": argv_of("identities", optional("--kmax", small), optional("--dmax", st.integers(-1, 5))),
+    "thresholds": argv_of("thresholds", optional("--k", st.integers(-1, 6)),
+                          optional("--g", st.integers(-1, 30)),
+                          optional("--format", st.sampled_from(["tsv", "json"]))),
+    "alpha": argv_of("alpha", flag("--k", small)),
+    "recursion-check": argv_of("recursion-check", flag("--k", small)),
+    "verify-relation": argv_of("verify-relation", flag("--k", st.integers(-1, 3)),
+                               flag("--g", st.integers(-1, 2)), optional("--jmax", st.integers(-1, 3)),
+                               optional("--cap", st.integers(-1, 3)),
+                               optional("--method", st.sampled_from(["auto", "newton", "window"])),
+                               st.just(["--out", "{dir}/cert.json"])),
+    "search": argv_of("search", flag("--k", small), flag("--n", st.integers(-1, 3)),
+                      flag("--budget", st.integers(-1, 30)), optional("--seed", st.integers(0, 3)),
+                      st.just(["--artifact", "{dir}/found.json"])),
+    "gamma-check": argv_of("gamma-check", optional("--g", st.integers(-1, 2)),
+                           optional("--rank", st.integers(-1, 2)), optional("--trials", st.integers(-1, 2)),
+                           optional("--kmax", st.integers(-1, 3)), optional("--seed", st.integers(0, 3))),
+    "pair-lemma": argv_of("pair-lemma", st.one_of(st.just(FILE), flag("--k", st.integers(-1, 6)), st.just([])),
+                          optional("--seed", st.integers(0, 3))),
+    "mu-rank": argv_of("mu-rank", st.one_of(st.just(FILE), flag("--k", st.integers(-1, 6))),
+                       optional("--seed", st.integers(0, 3)), optional("--samples", st.integers(-1, 3))),
+    "check-star": argv_of("check-star", st.just(FILE)),
+    "check-doublestar": argv_of("check-doublestar", st.just(FILE)),
+}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def without_wall_time(report_text):
+    return [line for line in report_text.splitlines() if '"wall_time_s"' not in line]
+
+
+@pytest.mark.parametrize("command", list(ARGVS))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_argv_ends_in_a_report_or_one_line_error(command, data):
+    argv = data.draw(ARGVS[command])
+    text = data.draw(subspace_file(star=command == "check-star"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [a.replace("{file}", path).replace("{dir}", tmp) for a in argv]
+        code, out, err = run(argv)
+        if code == 1:
+            assert out == "", (argv, out)
+            assert len(err.splitlines()) == 1 and err.startswith("pontcalc: error: "), (argv, err)
+            return
+        assert code in (0, 2, 3), (argv, code)
+        assert err == "", (argv, err)
+        start = out.rfind("\n{\n") + 1
+        report = json.loads(out[start:])
+        assert report["verdict"] == {0: "pass", 2: "inconclusive", 3: "fail"}[code]
+        again = run(argv)
+        assert again[0] == code and again[2] == ""
+        assert without_wall_time(again[1]) == without_wall_time(out), argv

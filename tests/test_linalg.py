@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 from pontcalc.linalg import (
+    clear_denominators,
     det,
     exact_rank,
     int_rank,
@@ -15,6 +17,33 @@ from pontcalc.linalg import (
 
 def rand_matrix(rng, nrows, ncols, bound=4):
     return [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def integer_rows(rows):
+    return [clear_denominators(row)[1] for row in rows]
+
+
+def det_rational(rows):
+    """det on rational input: each row cleared of its denominators, the
+    determinant divided by the product of the row scales."""
+    scales = [clear_denominators(row)[0] for row in rows]
+    return Fraction(det(integer_rows(rows)), prod(scales))
+
+
+def solve_rational(columns, target):
+    """solve_columns on rational input: each column and the target cleared
+    of denominators, the solution y scaled back as y_j * d_j / d_target."""
+    scales = [clear_denominators(col)[0] for col in columns]
+    t_scale, t = clear_denominators(target)
+    y = solve_columns(integer_rows(columns), t)
+    return None if y is None else [v * d / t_scale for v, d in zip(y, scales)]
+
+
+def assert_primitive(rows, lead_columns):
+    """Each row is a primitive integer row, positive in its lead column."""
+    for row, c in zip(rows, lead_columns, strict=True):
+        assert all(type(x) is int for x in row), row
+        assert row[c] > 0 and gcd(*row) == 1, (row, c)
 
 
 def test_rank_agreement_int_vs_fraction():
@@ -39,8 +68,8 @@ def test_rref_idempotent_and_pivots():
         red, pivots = rref(m)
         red2, pivots2 = rref(red)
         assert red == red2 and pivots == pivots2
+        assert_primitive(red, pivots)
         for i, c in enumerate(pivots):
-            assert red[i][c] == 1
             assert all(red[r][c] == 0 for r in range(len(red)) if r != i)
 
 
@@ -51,6 +80,10 @@ def test_nullspace_annihilates():
         m = rand_matrix(rng, nrows, ncols)
         basis = nullspace(m, ncols)
         assert len(basis) == ncols - exact_rank(m)
+        free = [c for c in range(ncols) if c not in rref(m)[1]]
+        assert_primitive(basis, free)
+        for vec, fc in zip(basis, free):
+            assert all(vec[c] == 0 for c in free if c != fc)
         for vec in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
@@ -63,7 +96,7 @@ def test_solve_round_trip():
         m = rand_matrix(rng, nrows, ncols)
         x_true = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ncols)]
         b = [sum(m[i][j] * x_true[j] for j in range(ncols)) for i in range(nrows)]
-        x = solve_columns([list(col) for col in zip(*m)], b)
+        x = solve_rational([list(col) for col in zip(*m)], b)
         assert x is not None
         # any exact solution is acceptable; verify the residual
         for i in range(nrows):
@@ -78,9 +111,10 @@ def test_solve_detects_inconsistency():
 
 
 def test_solve_with_fraction_entries():
-    cols = [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-    x = solve_columns(cols, [1, 2])
-    assert x == [2, 6]
+    # rational columns are cleared by the caller and the solution scaled back
+    assert solve_columns([[1, 0], [0, 1]], [1, 2]) == [1, 2]
+    assert solve_rational([[Fraction(1, 2), 0], [0, Fraction(1, 3)]], [1, 2]) == [2, 6]
+    assert solve_rational([[2, 0], [0, 3]], [Fraction(1, 2), 1]) == [Fraction(1, 4), Fraction(1, 3)]
 
 
 def test_det():
@@ -89,7 +123,8 @@ def test_det():
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
     assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
-    assert det([[0, 2], [Fraction(1, 3), 0]]) == Fraction(-2, 3)
+    assert det([[6, 4], [3, 8]]) == 36 and type(det([[6, 4], [3, 8]])) is int
+    assert det_rational([[0, 2], [Fraction(1, 3), 0]]) == Fraction(-2, 3)
     rng = random.Random(4)
     for _ in range(20):
         a = rand_matrix(rng, 3, 3)
@@ -142,6 +177,18 @@ def oracle_solve(columns, target):
     for row, p in zip(red, pivots):
         x[order[p]] = row[ncols]
     return x
+
+
+def oracle_nullspace(red, pivots, ncols):
+    """Kernel basis read off the oracle RREF: 1 at each free column."""
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
 
 
 def awkward_matrix(rng, nrows, ncols, fractions):
@@ -209,20 +256,24 @@ def test_single_core_matches_fraction_oracle():
             m = awkward_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), fractions)
         ncols = len(m[0])
         red, pivots, _ = oracle_gauss_jordan(m)
-        assert rref(m) == (red, pivots), m
-        assert exact_rank(m) == len(pivots), m
-        if not fractions:
-            assert int_rank(m) == len(pivots), m
-        kernel = nullspace(m)
-        assert len(kernel) == ncols - len(pivots), m
-        if not tall:  # on tall input the oracle RREF above pins the kernel
+        # the integer routines see m with each row cleared of denominators
+        ints = integer_rows(m)
+        int_red = rref(ints)
+        assert int_red == (integer_rows(red), pivots), m
+        assert_primitive(int_red[0], pivots)
+        assert exact_rank(m) == exact_rank(ints) == len(pivots), m
+        assert int_rank(ints) == len(pivots), m
+        kernel = nullspace(ints)
+        assert kernel == integer_rows(oracle_nullspace(red, pivots, ncols)), m
+        assert_primitive(kernel, [c for c in range(ncols) if c not in pivots])
+        if not tall:  # on tall input the oracle kernel above pins it
             for vec in kernel:
                 assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m), m
-        assert nullspace(red, ncols) == kernel, m
+        assert nullspace(int_red[0], ncols) == kernel, m
 
         n = rng.randint(1, 5)
         square = awkward_matrix(rng, n, n, fractions)
-        assert det(square) == oracle_gauss_jordan(square)[2], square
+        assert det_rational(square) == oracle_gauss_jordan(square)[2], square
 
         columns = [list(col) for col in zip(*m)]
         if tall:
@@ -237,7 +288,7 @@ def test_single_core_matches_fraction_oracle():
                 for row in m
             ]
         expected = oracle_solve(columns, target)
-        assert solve_columns(columns, target) == expected, (m, target)
+        assert solve_rational(columns, target) == expected, (m, target)
         if tall:
             solved[expected is not None] += 1
     assert solved[True] and solved[False]
