@@ -69,10 +69,10 @@ EXIT_CODES = {"pass": 0, "inconclusive": 2, "fail": 3}
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the report contract reserves 2
-    # for inconclusive runs, so usage errors are remapped to 1.
+    # for inconclusive runs, so usage errors are remapped to 1, and printed
+    # as the one line every other usage error is.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(USAGE_ERROR, f"pontcalc: error: {message}\n")
 
 
 def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float, table):

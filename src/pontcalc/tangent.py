@@ -19,10 +19,13 @@ inequality check dim(A.B + A + B) >= dim A + dim B for admissible pairs,
 the generic rank of the bilinear multiplication map at random rational
 points, and a budgeted randomized search for configurations maximizing
 the total dimension (which the theory bounds by k - 1; exceeding the
-bound would be a reportable counterexample, not a success).  A pair
-(A, B) is admissible exactly when it satisfies condition (**), and is
-checked by the same walk; the left side of the span inequality is one
-exact rank of the product rows stacked on both bases.
+bound would be a reportable counterexample, not a success).  The search's
+random stream is defined by the generator's 32-bit words and the
+``randint`` rejection rule, and a candidate whose row count cannot beat
+the best total is not walked.  A pair (A, B) is admissible exactly when
+it satisfies condition (**), and is checked by the same walk; the left
+side of the span inequality is one exact rank of the product rows stacked
+on both bases.
 
 A ``Subspace`` is stored like a ``Cycle``: integer basis rows over one
 positive common denominator ``den``.  Checks run on the integer rows, as
@@ -325,8 +328,8 @@ def kernel_of_sum_subspace(k: int) -> Subspace:
     return Subspace(k, rows)
 
 
-def _random_sum_zero_vector(k: int, rng: random.Random, bound: int = 4) -> list[int]:
-    head = [rng.randint(-bound, bound) for _ in range(k - 1)]
+def _random_sum_zero_vector(k: int, rng: random.Random) -> list[int]:
+    head = [rng.randint(-4, 4) for _ in range(k - 1)]
     return head + [-sum(head)]
 
 
@@ -432,13 +435,44 @@ def _structured_candidates(k: int, n: int):
                 yield config
 
 
-def _random_candidate(k: int, n: int, rng: random.Random) -> list[list[list[int]]]:
-    bases = []
-    for _ in range(n):
-        dim = rng.randint(0, min(3, k - 1))
-        rows = [_random_sum_zero_vector(k, rng, bound=3) for _ in range(dim)]
-        bases.append(rows)
-    return bases
+# The search's random stream is defined by the generator's 32-bit words.
+# ``randint(a, a + w - 1)`` adds to a the first ``getrandbits(w.bit_length())``
+# below w, and ``getrandbits(b)`` for b <= 32 is the top b bits of the next
+# word.  Dims (w <= 4) and entries (w = 7) take at most three bits, so
+# each word is read as its top three bits.  One ``getrandbits`` call fetches
+# a block of words, the first word least significant.
+_BLOCK_WORDS = 1024
+_TOP3 = bytes(b >> 5 for b in range(256))
+
+
+def _top3_draws(rng: random.Random):
+    """The top three bits of each 32-bit word of ``rng``, in stream order."""
+    size = 32 * _BLOCK_WORDS
+    blocks = iter(lambda: rng.getrandbits(size).to_bytes(size // 8, "little"), None)
+    return itertools.chain.from_iterable(block[3::4].translate(_TOP3) for block in blocks)
+
+
+def _random_candidates(k: int, n: int, rng: random.Random):
+    """Endless random candidates: n components, each of dim
+    ``randint(0, min(3, k - 1))`` with sum-zero rows whose first k - 1
+    entries are ``randint(-3, 3)``, read from the word stream of ``rng``."""
+    width = min(3, k - 1) + 1
+    shift = 3 - width.bit_length()  # dims take 2 bits for k <= 3, else 3
+    draws = _top3_draws(rng)
+    entries = filter((7).__ne__, draws)
+    while True:
+        bases = []
+        for _ in range(n):
+            dim = next(draws) >> shift
+            while dim >= width:
+                dim = next(draws) >> shift
+            rows = []
+            for _ in range(dim):
+                head = [x - 3 for x in itertools.islice(entries, k - 1)]
+                head.append(-sum(head))
+                rows.append(head)
+            bases.append(rows)
+        yield bases
 
 
 def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> SearchResult:
@@ -446,11 +480,15 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
 
     The deterministic structured seeds run first, then random candidates
     from one stream seeded by ``seed``, until ``budget`` candidates have
-    been evaluated.  Each candidate is screened by the exact (**) walk on
-    its integer rows; one that would raise the best total is re-verified
-    over Q on its spanned subspaces before it is accepted.  The theoretical
-    bound is k - 1; a configuration exceeding it is recorded as a
-    counterexample, which callers must treat as a build-failing finding.
+    been evaluated.  The stream is read from the 32-bit words of
+    ``random.Random(seed * 1_000_003)`` with the ``randint`` rejection rule
+    (see ``_random_candidates``).  A candidate whose row count is at most
+    the best total is not walked: its total, a sum of ranks, cannot exceed
+    its row count.  Every other candidate is screened by the exact (**)
+    walk on its integer rows; one that would raise the best total is
+    re-verified over Q on its spanned subspaces before it is accepted.  The
+    theoretical bound is k - 1; a configuration exceeding it is recorded as
+    a counterexample, which callers must treat as a build-failing finding.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -466,7 +504,8 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
 
     def consider(bases: list[list[list[int]]]):
         nonlocal best_sum, best_config, counterexample
-        if _doublestar_violation(bases) is not None:
+        # the total is a sum of ranks, so at most the row count
+        if sum(map(len, bases)) <= best_sum or _doublestar_violation(bases) is not None:
             return
         total = _config_sum(bases)
         if total > best_sum:
@@ -485,10 +524,10 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
         evaluations += 1
         consider(config)
 
-    rng = random.Random(seed * 1_000_003)
+    candidates = _random_candidates(k, n, random.Random(seed * 1_000_003))
     while evaluations < budget:
         evaluations += 1
-        consider(_random_candidate(k, n, rng))
+        consider(next(candidates))
 
     nonzero = sum(1 for rows in best_config if rows)
     return SearchResult(

@@ -177,13 +177,21 @@ def test_gamma_check(capsys):
 
 
 def test_usage_errors(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["no-such-command"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main(["verify-relation"])  # missing required flags
-    assert info.value.code == 1
+    # argparse-level errors: a missing, mistyped or unknown flag, an unknown
+    # subcommand, no subcommand at all
+    for argv in (["search", "--k", "3"], ["search", "--k", "x", "--n", "2"],
+                 ["search", "--k", "3", "--n", "2", "--bogus", "1"], ["nosuch"], [],
+                 ["verify-relation"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+        assert captured.err.startswith("pontcalc: error: "), (argv, captured.err)
     assert main(["check-star", "--file", "/nonexistent/path.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("pontcalc: error: ")
 
 
 @pytest.mark.parametrize(

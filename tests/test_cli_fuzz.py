@@ -1,11 +1,13 @@
-"""Contract fuzzing of the CLI: every well-typed argv ends in a report or a
-one-line usage error.
+"""Contract fuzzing of the CLI: every argv ends in a report or a one-line
+usage error.
 
 Argv of the cheap subcommands is generated with small values, some of them
 out of range, and (**)/pair/(*) files with p/q entries and malformed
 tokens.  A run must either exit 0, 2 or 3 with a JSON report that repeats
 byte for byte (minus ``wall_time_s``) when the same argv runs again, or
 exit 1 with empty stdout and one stderr line ``pontcalc: error: ...``.
+The same argv with a required flag dropped, an int value mistyped or an
+unknown flag added must end in that one-line error.
 """
 
 import contextlib
@@ -96,11 +98,56 @@ ARGVS = {
 }
 
 
+# flags argparse itself requires; dropping one must be a usage error
+REQUIRED = {
+    "alpha": ["--k"],
+    "recursion-check": ["--k"],
+    "verify-relation": ["--k", "--g"],
+    "search": ["--k", "--n"],
+    "check-star": ["--file"],
+    "check-doublestar": ["--file"],
+}
+
+# neither a flag of any subcommand nor a prefix of one (argparse accepts prefixes)
+unknown_flag = st.sampled_from(["--bogus", "--workers", "--profile", "--kk"])
+not_an_int = st.sampled_from(["x", "1.5", "3/2", "0x1", "", "one", "2e3"])
+
+
+@st.composite
+def broken_argv(draw, command):
+    """A well-typed argv of ``command`` with one argparse-level fault: a
+    required flag dropped, an int value mistyped, or an unknown flag added."""
+    argv = draw(ARGVS[command])
+    int_values = [i for i in range(2, len(argv), 2) if argv[i].lstrip("-").isdigit()]
+    edits = ["unknown"]
+    edits += ["drop"] if command in REQUIRED else []
+    edits += ["mistype"] if int_values else []
+    edit = draw(st.sampled_from(edits))
+    if edit == "drop":
+        at = argv.index(draw(st.sampled_from(REQUIRED[command])))
+        del argv[at:at + 2]
+    elif edit == "mistype":
+        argv[draw(st.sampled_from(int_values))] = draw(not_an_int)
+    else:
+        at = draw(st.sampled_from(range(1, len(argv) + 1, 2)))
+        argv[at:at] = [draw(unknown_flag), str(draw(small))]
+    return argv
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits instead of returning
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_error(argv, code, out, err):
+    assert code == 1, (argv, code)
+    assert out == "", (argv, out)
+    assert len(err.splitlines()) == 1 and err.startswith("pontcalc: error: "), (argv, err)
 
 
 def without_wall_time(report_text):
@@ -121,8 +168,7 @@ def test_every_argv_ends_in_a_report_or_one_line_error(command, data):
         argv = [a.replace("{file}", path).replace("{dir}", tmp) for a in argv]
         code, out, err = run(argv)
         if code == 1:
-            assert out == "", (argv, out)
-            assert len(err.splitlines()) == 1 and err.startswith("pontcalc: error: "), (argv, err)
+            assert_one_line_error(argv, code, out, err)
             return
         assert code in (0, 2, 3), (argv, code)
         assert err == "", (argv, err)
@@ -132,3 +178,13 @@ def test_every_argv_ends_in_a_report_or_one_line_error(command, data):
         again = run(argv)
         assert again[0] == code and again[2] == ""
         assert without_wall_time(again[1]) == without_wall_time(out), argv
+
+
+@pytest.mark.parametrize("command", list(ARGVS))
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_argparse_errors_are_one_line_errors(command, data):
+    argv = data.draw(broken_argv(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{file}", os.path.join(tmp, "input.txt")).replace("{dir}", tmp) for a in argv]
+        assert_one_line_error(argv, *run(argv))

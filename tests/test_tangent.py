@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from pontcalc import tangent
 from pontcalc.tangent import (
     DimensionMismatch,
     DoubleStarViolation,
     PreconditionViolated,
+    SearchResult,
     StarViolation,
     Subspace,
     check_condition_doublestar,
@@ -260,6 +262,65 @@ def test_search_finds_nonzero_two_component_split():
     # orthogonal-split seeds reach the bound with both components nonzero
     res = search_max_total_dimension(3, 2, budget=200, seed=0)
     assert res.best_sum == 2
+
+
+class CountingRandom(random.Random):
+    """A Random that counts the words its ``randint`` calls read."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+def randint_candidates(k, n, rng):
+    """Oracle: the search's random candidates drawn value by value with
+    ``randint``, as the stream is specified."""
+    while True:
+        bases = []
+        for _ in range(n):
+            rows = []
+            for _ in range(rng.randint(0, min(3, k - 1))):
+                head = [rng.randint(-3, 3) for _ in range(k - 1)]
+                rows.append(head + [-sum(head)])
+            bases.append(rows)
+        yield bases
+
+
+def test_random_candidates_match_randint_oracle():
+    # k <= 3 draws dims with 2 bits, k >= 4 with 3; entries always with 3
+    for k, n, seed in itertools.product(range(2, 10), range(1, 5), (0, 5, 1_000_003)):
+        oracle_rng = CountingRandom(seed)
+        oracle = randint_candidates(k, n, oracle_rng)
+        stream = tangent._random_candidates(k, n, random.Random(seed))
+        # run on into the third block of words
+        while oracle_rng.words <= 2 * tangent._BLOCK_WORDS:
+            assert next(stream) == next(oracle), (k, n, seed)
+
+
+def naive_search(k, n, budget, seed):
+    """Oracle search: the randint stream, every candidate checked for (**)
+    over Q on its spans, no row-count rule."""
+    best_sum, best_config, counterexample = -1, [], None
+    rng = random.Random(seed * 1_000_003)
+    for bases in itertools.islice(randint_candidates(k, n, rng), budget):
+        spaces = [Subspace.span(k, rows) for rows in bases]
+        total = sum(sp.dim for sp in spaces)
+        if check_condition_doublestar(spaces) is True and total > best_sum:
+            best_sum, best_config = total, [[list(r) for r in rows] for rows in bases]
+            if total > k - 1 and counterexample is None:
+                counterexample = best_config
+    nonzero = sum(1 for rows in best_config if rows)
+    return SearchResult(k, n, best_sum, best_config, budget, k - 1, nonzero, counterexample)
+
+
+def test_random_search_matches_naive_oracle(monkeypatch):
+    # without the structured seeds the random stream sets best_sum, so each
+    # step up goes through the row-count rule
+    monkeypatch.setattr(tangent, "_structured_candidates", lambda k, n: iter(()))
+    for (k, n), seed in itertools.product(((2, 1), (3, 2), (4, 2), (5, 3)), (0, 1, 2)):
+        assert search_max_total_dimension(k, n, 300, seed) == naive_search(k, n, 300, seed), (k, n, seed)
 
 
 def test_parse_star_file():
