@@ -26,7 +26,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import clear_denominators
@@ -374,6 +374,17 @@ def degree(c: Cycle) -> Fraction:
     return c.degree()
 
 
+def _power_sum(base: Cycle, coeffs: list[Fraction], ctx: RingContext) -> Cycle:
+    """sum_j coeffs[j] * base^{*j}, one convolution per power above 0."""
+    acc = Cycle.zero(ctx.rank)
+    power = Cycle.unit(ctx.rank)
+    for j, coeff in enumerate(coeffs):
+        if j:
+            power = pontryagin(power, base, ctx)
+        acc = acc + power.scale(coeff)
+    return acc
+
+
 def log_cycle(c: Cycle, ctx: RingContext) -> Cycle:
     """Truncated convolution logarithm of a degree-1 cycle.
 
@@ -383,12 +394,8 @@ def log_cycle(c: Cycle, ctx: RingContext) -> Cycle:
     if c.degree() != 1:
         raise DegreeError(f"log_cycle requires degree 1, got {c.degree()}")
     u = c - Cycle.unit(ctx.rank)
-    acc = Cycle.zero(ctx.rank)
-    power = Cycle.unit(ctx.rank)
-    for j in range(1, ctx.series_order + 1):
-        power = pontryagin(power, u, ctx)
-        acc = acc + power.scale(Fraction((-1) ** (j + 1), j))
-    return acc
+    coeffs = [Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, ctx.series_order + 1)]
+    return _power_sum(u, coeffs, ctx)
 
 
 def exp_cycle(c: Cycle, ctx: RingContext) -> Cycle:
@@ -398,14 +405,8 @@ def exp_cycle(c: Cycle, ctx: RingContext) -> Cycle:
     """
     if c.degree() != 0:
         raise DegreeError(f"exp_cycle requires degree 0, got {c.degree()}")
-    acc = Cycle.unit(ctx.rank)
-    power = Cycle.unit(ctx.rank)
-    factorial = 1
-    for j in range(1, ctx.series_order + 1):
-        power = pontryagin(power, c, ctx)
-        factorial *= j
-        acc = acc + power.scale(Fraction(1, factorial))
-    return acc
+    coeffs = [Fraction(1, factorial(j)) for j in range(ctx.series_order + 1)]
+    return _power_sum(c, coeffs, ctx)
 
 
 def gamma(x: GroupPoint, ctx: RingContext) -> Cycle:
@@ -416,12 +417,8 @@ def gamma(x: GroupPoint, ctx: RingContext) -> Cycle:
     gamma(0_A) is the zero cycle.
     """
     v = Cycle.unit(ctx.rank) - Cycle.point(x)
-    acc = Cycle.zero(ctx.rank)
-    power = Cycle.unit(ctx.rank)
-    for j in range(1, ctx.series_order + 1):
-        power = pontryagin(power, v, ctx)
-        acc = acc + power.scale(Fraction(1, j))
-    return acc
+    coeffs = [Fraction(0)] + [Fraction(1, j) for j in range(1, ctx.series_order + 1)]
+    return _power_sum(v, coeffs, ctx)
 
 
 def gamma_factorization(x: GroupPoint, ctx: RingContext) -> Cycle:
@@ -434,10 +431,5 @@ def gamma_factorization(x: GroupPoint, ctx: RingContext) -> Cycle:
     if x.is_origin():
         raise ValueError("gamma_factorization requires a nonzero point")
     u = Cycle.point(x) - Cycle.unit(ctx.rank)
-    acc = Cycle.zero(ctx.rank)
-    power = Cycle.unit(ctx.rank)
-    for j in range(0, ctx.geom_dim + 1):
-        if j > 0:
-            power = pontryagin(power, u, ctx)
-        acc = acc + power.scale(Fraction((-1) ** j, j + 1))
-    return acc
+    coeffs = [Fraction((-1) ** j, j + 1) for j in range(ctx.geom_dim + 1)]
+    return _power_sum(u, coeffs, ctx)

@@ -19,13 +19,13 @@ inequality check dim(A.B + A + B) >= dim A + dim B for admissible pairs,
 the generic rank of the bilinear multiplication map at random rational
 points, and a budgeted randomized search for configurations maximizing
 the total dimension (which the theory bounds by k - 1; exceeding the
-bound would be a reportable counterexample, not a success).  The search's
-random stream is defined by the generator's 32-bit words and the
-``randint`` rejection rule, and a candidate whose row count cannot beat
-the best total is not walked.  A pair (A, B) is admissible exactly when
-it satisfies condition (**), and is checked by the same walk; the left
-side of the span inequality is one exact rank of the product rows stacked
-on both bases.
+bound would be a reportable counterexample, not a success).  The search
+runs the kernel-of-sum witness first, then one random stream defined by
+the generator's 32-bit words and the ``randint`` rejection rule; a
+candidate whose row count cannot beat the best total is not walked.  A
+pair (A, B) is admissible exactly when it satisfies condition (**), and
+is checked by the same walk; the left side of the span inequality is one
+exact rank of the product rows stacked on both bases.
 
 A ``Subspace`` is stored like a ``Cycle``: integer basis rows over one
 positive common denominator ``den``.  Checks run on the integer rows, as
@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -402,37 +403,11 @@ def _config_sum(bases: list[list[list[int]]]) -> int:
 
 
 def _structured_candidates(k: int, n: int):
-    """Deterministic seeds: the kernel-of-sum witness, orthogonal splits of
-    the sum-zero hyperplane, and a small finite-field sweep over F_3 lifted
-    back to Q (every candidate is re-verified exactly by the caller)."""
-    e_perp = kernel_of_sum_subspace(k).basis
-    config = [e_perp] + [[] for _ in range(n - 1)]
-    yield config
-    if n >= 2:
-        for d1 in range(1, k - 1):
-            first = e_perp[:d1]
-            constraint = [[1] * k, *first]
-            rest = nullspace(constraint, k)
-            config = [first, rest] + [[] for _ in range(n - 2)]
-            yield config
-    if n >= 2 and k <= 6:
-        # 1-dimensional pairs over F_3, lifted to representatives in {-1,0,1}
-        lines = []
-        seen = set()
-        for vec in itertools.product((0, 1, 2), repeat=k):
-            if all(v == 0 for v in vec) or sum(vec) % 3 != 0:
-                continue
-            first = next(v for v in vec if v)
-            inv = 1 if first == 1 else 2
-            canon = tuple((inv * v) % 3 for v in vec)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            lines.append([v - 3 if v == 2 else v for v in canon])
-        for va, vb in itertools.combinations(lines, 2):
-            if sum(a * b for a, b in zip(va, vb)) % 3 == 0:
-                config = [[va], [vb]] + [[] for _ in range(n - 2)]
-                yield config
+    """The deterministic seed: the kernel-of-sum witness as the first
+    component.  Its total k - 1 is the bound, and only a strictly larger
+    total is accepted, so no other structured configuration could change
+    the result."""
+    yield [kernel_of_sum_subspace(k).basis] + [[] for _ in range(n - 1)]
 
 
 # The search's random stream is defined by the generator's 32-bit words.
@@ -478,17 +453,17 @@ def _random_candidates(k: int, n: int, rng: random.Random):
 def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> SearchResult:
     """Budgeted search for (**) configurations maximizing total dimension.
 
-    The deterministic structured seeds run first, then random candidates
-    from one stream seeded by ``seed``, until ``budget`` candidates have
-    been evaluated.  The stream is read from the 32-bit words of
-    ``random.Random(seed * 1_000_003)`` with the ``randint`` rejection rule
-    (see ``_random_candidates``).  A candidate whose row count is at most
-    the best total is not walked: its total, a sum of ranks, cannot exceed
-    its row count.  Every other candidate is screened by the exact (**)
-    walk on its integer rows; one that would raise the best total is
-    re-verified over Q on its spanned subspaces before it is accepted.  The
-    theoretical bound is k - 1; a configuration exceeding it is recorded as
-    a counterexample, which callers must treat as a build-failing finding.
+    The kernel-of-sum witness runs first, then random candidates from one
+    stream seeded by ``seed``, ``budget`` candidates in all.  The stream is
+    read from the 32-bit words of ``random.Random(seed * 1_000_003)`` with
+    the ``randint`` rejection rule (see ``_random_candidates``).  A
+    candidate whose row count is at most the best total is not walked: its
+    total, a sum of ranks, cannot exceed its row count.  Every other
+    candidate is screened by the exact (**) walk on its integer rows; one
+    that would raise the best total is re-verified over Q on its spanned
+    subspaces before it is accepted.  The theoretical bound is k - 1; a
+    configuration exceeding it is recorded as a counterexample, which
+    callers must treat as a build-failing finding.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -499,45 +474,31 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
     bound = k - 1
     best_sum = -1
     best_config: list[list[list[int]]] = []
-    evaluations = 0
     counterexample = None
-
-    def consider(bases: list[list[list[int]]]):
-        nonlocal best_sum, best_config, counterexample
+    stream = _random_candidates(k, n, random.Random(seed * 1_000_003))
+    for bases in itertools.islice(itertools.chain(_structured_candidates(k, n), stream), budget):
         # the total is a sum of ranks, so at most the row count
         if sum(map(len, bases)) <= best_sum or _doublestar_violation(bases) is not None:
-            return
+            continue
         total = _config_sum(bases)
-        if total > best_sum:
-            # authoritative re-verification over Q before accepting
-            spaces = [Subspace.span(k, rows) for rows in bases]
-            if check_condition_doublestar(spaces) is not True:
-                return
-            best_sum = total
-            best_config = [[list(r) for r in rows] for rows in bases]
-            if total > bound and counterexample is None:
-                counterexample = best_config
+        if total <= best_sum:
+            continue
+        # authoritative re-verification over Q before accepting
+        if check_condition_doublestar([Subspace.span(k, rows) for rows in bases]) is not True:
+            continue
+        best_sum = total
+        best_config = [[list(r) for r in rows] for rows in bases]
+        if total > bound and counterexample is None:
+            counterexample = best_config
 
-    for config in _structured_candidates(k, n):
-        if evaluations >= budget:
-            break
-        evaluations += 1
-        consider(config)
-
-    candidates = _random_candidates(k, n, random.Random(seed * 1_000_003))
-    while evaluations < budget:
-        evaluations += 1
-        consider(next(candidates))
-
-    nonzero = sum(1 for rows in best_config if rows)
     return SearchResult(
         k=k,
         n=n,
         best_sum=best_sum,
         best_config=best_config,
-        evaluations=evaluations,
+        evaluations=budget,
         bound=bound,
-        nonzero_components=nonzero,
+        nonzero_components=sum(1 for rows in best_config if rows),
         counterexample=counterexample,
     )
 
@@ -545,6 +506,9 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
 # ---------------------------------------------------------------------------
 # plain-text subspace files
 # ---------------------------------------------------------------------------
+
+
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class _TokenReader:
@@ -577,6 +541,8 @@ class _TokenReader:
 
     def entry(self) -> Fraction:
         tok = self.take()
+        if not _ENTRY.fullmatch(tok):
+            raise ValueError(f"entry {tok!r} is not an integer or p/q")
         try:
             return Fraction(tok)
         except ZeroDivisionError:

@@ -1,0 +1,52 @@
+"""Every benchmark workload still passes its known answers with the same bytes.
+
+``bench/run.py`` hashes each job's exit code, report (minus ``wall_time_s``)
+and certificate into one digest per workload.  One untimed pass of each
+workload at seed 101 must fail no known-answer check and repeat the pinned
+digest, so a change to any report or certificate byte fails here, not only
+in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+DIGESTS = {
+    "window": "617de0c8aca648e782eb3532bea8b1e48b29b6515daf067017cc558ad1801c52",
+    "convolution": "f1163e45f4254a0d4f0937a582e7d9bc06c64d88d7a9bc272ee4481fd96e9d23",
+    "tangent": "74101c7b1e2413e2d93d4b75e8a56f298b911825f3a0e6beeb77e5a040601670",
+}
+
+
+def _own(name):
+    return name.split(".")[0] in ("pontcalc", "tracing", "workloads", "bench_run")
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """``bench/run.py`` loaded by path.  It imports its sibling modules by
+    name and re-imports ``pontcalc`` from the checkout, so the modules it
+    loads are swapped out again afterwards and the other tests keep theirs."""
+    saved = {name: mod for name, mod in sys.modules.items() if _own(name)}
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        module = sys.modules["bench_run"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in [name for name in sys.modules if _own(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+@pytest.mark.parametrize("workload", list(DIGESTS))
+def test_workload_known_answers_and_digest(bench_run, workload):
+    run = bench_run.measure(workload, 101, 0, False)
+    assert run.failed == 0, run.summary
+    assert run.digest == DIGESTS[workload]

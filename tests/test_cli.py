@@ -199,6 +199,9 @@ def test_usage_errors(capsys):
     [
         (["check-doublestar", "--file", "{file}"], "3 1\n-1\n"),
         (["check-doublestar", "--file", "{file}"], "3 1\n1\n1/0 -1 1\n"),
+        (["check-doublestar", "--file", "{file}"], "2 1\n1\n1e5000 0\n"),
+        (["pair-lemma", "--file", "{file}"], "3 2\n1\n1e5000 -1e5000 0\n0\n"),
+        (["check-doublestar", "--file", "{file}"], "2 1\n1\n0.5 -1/2\n"),
         (["check-star", "--file", "{file}"], "3 0\n0\n"),
         (["search", "--k", "3", "--n", "2", "--budget", "-5"], None),
         (["identities", "--kmax", "0"], None),
@@ -214,8 +217,8 @@ def test_usage_errors(capsys):
         (["identities", "--kmax", "2", "--report", "{file}/r.json"], None),
         (["alpha", "--k", "3", "--report", "{file}/r.json"], None),
     ],
-    ids=["negative-dim", "zero-denominator", "zero-n", "negative-budget", "kmax-0", "negative-cap",
-         "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
+    ids=["negative-dim", "zero-denominator", "exponent-entry", "exponent-pair-entry", "decimal-entry",
+         "zero-n", "negative-budget", "kmax-0", "negative-cap", "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
          "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
          "identities-report-missing-dir", "alpha-report-missing-dir"],
 )

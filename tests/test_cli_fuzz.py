@@ -7,7 +7,10 @@ tokens.  A run must either exit 0, 2 or 3 with a JSON report that repeats
 byte for byte (minus ``wall_time_s``) when the same argv runs again, or
 exit 1 with empty stdout and one stderr line ``pontcalc: error: ...``.
 The same argv with a required flag dropped, an int value mistyped or an
-unknown flag added must end in that one-line error.
+unknown flag added must end in that one-line error.  With ``--report`` to
+a writable file, the report goes to the file and stdout keeps only the
+table; with ``--report`` to a directory or into a missing one, every run
+ends in the one-line error with empty stdout.
 """
 
 import contextlib
@@ -154,6 +157,20 @@ def without_wall_time(report_text):
     return [line for line in report_text.splitlines() if '"wall_time_s"' not in line]
 
 
+def with_input(argv, text, tmp):
+    """``argv`` with ``{file}`` naming a file in ``tmp`` that holds ``text``
+    and ``{dir}`` naming ``tmp``."""
+    path = os.path.join(tmp, "input.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return [a.replace("{file}", path).replace("{dir}", tmp) for a in argv]
+
+
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("command", list(ARGVS))
 @settings(max_examples=30, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -162,10 +179,7 @@ def test_every_argv_ends_in_a_report_or_one_line_error(command, data):
     argv = data.draw(ARGVS[command])
     text = data.draw(subspace_file(star=command == "check-star"))
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.txt")
-        with open(path, "w") as fh:
-            fh.write(text)
-        argv = [a.replace("{file}", path).replace("{dir}", tmp) for a in argv]
+        argv = with_input(argv, text, tmp)
         code, out, err = run(argv)
         if code == 1:
             assert_one_line_error(argv, code, out, err)
@@ -188,3 +202,37 @@ def test_argparse_errors_are_one_line_errors(command, data):
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.replace("{file}", os.path.join(tmp, "input.txt")).replace("{dir}", tmp) for a in argv]
         assert_one_line_error(argv, *run(argv))
+
+
+REPORT_DESTINATIONS = {
+    "file": "{dir}/report.json",
+    "missing-dir": "{dir}/missing/report.json",
+    "dir": "{dir}",
+}
+
+
+@pytest.mark.parametrize("dest", list(REPORT_DESTINATIONS))
+@pytest.mark.parametrize("command", list(ARGVS))
+@settings(max_examples=10, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_report_destinations(command, dest, data):
+    argv = data.draw(ARGVS[command])
+    text = data.draw(subspace_file(star=command == "check-star"))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = with_input(argv, text, tmp)
+        report = REPORT_DESTINATIONS[dest].replace("{dir}", tmp)
+        code, out, err = run(argv + ["--report", report])
+        if dest != "file" or code == 1:
+            assert_one_line_error(argv, code, out, err)
+            assert dest != "file" or not os.path.exists(report), argv
+            return
+        assert err == "", (argv, err)
+        written = read_text(report)
+        # stdout holds the table alone: with the report it is the plain run's output
+        plain = run(argv)
+        assert plain[0] == code, argv
+        assert without_wall_time(out + written) == without_wall_time(plain[1]), argv
+        again = run(argv + ["--report", report])
+        assert again[:2] == (code, out) and again[2] == "", argv
+        assert without_wall_time(read_text(report)) == without_wall_time(written), argv

@@ -258,10 +258,14 @@ def test_search_determinism():
     assert a.evaluations == b.evaluations == 1500
 
 
-def test_search_finds_nonzero_two_component_split():
-    # orthogonal-split seeds reach the bound with both components nonzero
-    res = search_max_total_dimension(3, 2, budget=200, seed=0)
-    assert res.best_sum == 2
+def test_search_result_is_the_kernel_of_sum_witness():
+    # the witness reaches the bound k - 1 as the first candidate, and only a
+    # strictly larger total is accepted, so it is the whole result at every
+    # budget, one candidate included
+    for k, n, budget, seed in itertools.product(range(2, 7), range(1, 4), (1, 2, 30, 300), (0, 7)):
+        witness = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(k)] for i in range(k - 1)]
+        expected = SearchResult(k, n, k - 1, [witness] + [[]] * (n - 1), budget, k - 1, 1, None)
+        assert search_max_total_dimension(k, n, budget, seed) == expected, (k, n, budget, seed)
 
 
 class CountingRandom(random.Random):
@@ -316,8 +320,8 @@ def naive_search(k, n, budget, seed):
 
 
 def test_random_search_matches_naive_oracle(monkeypatch):
-    # without the structured seeds the random stream sets best_sum, so each
-    # step up goes through the row-count rule
+    # without the kernel-of-sum witness the random stream sets best_sum, so
+    # each step up goes through the row-count rule
     monkeypatch.setattr(tangent, "_structured_candidates", lambda k, n: iter(()))
     for (k, n), seed in itertools.product(((2, 1), (3, 2), (4, 2), (5, 3)), (0, 1, 2)):
         assert search_max_total_dimension(k, n, 300, seed) == naive_search(k, n, 300, seed), (k, n, seed)
@@ -341,6 +345,12 @@ def test_parse_doublestar_file():
     zero_block = "2 2\n1\n1 -1\n0\n"
     _, _, spaces = parse_doublestar_file(zero_block)
     assert [sp.dim for sp in spaces] == [1, 0]
+    _, _, spaces = parse_doublestar_file("2 1\n1\n+3/2 -3/2\n")
+    assert spaces[0].rows() == [[Fraction(3, 2), Fraction(-3, 2)]]
+    # entries are integers or p/q only; any other token is named in the error
+    for tok in ("0.5", "1e5000", "1_0", "3/-2", "inf", "½"):
+        with pytest.raises(ValueError, match=f"entry '{tok}' is not an integer or p/q"):
+            parse_doublestar_file(f"2 1\n1\n{tok} 0\n")
 
 
 # ---------------------------------------------------------------------------
