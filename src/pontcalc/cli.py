@@ -460,23 +460,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
-    # a subcommand's table is printed only once its report destination is open
-    table = io.StringIO()
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's limit on int <-> str conversion (3.10.7 and later) for
+    the duration: exact values may have any number of digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def main(argv=None) -> int:
+    with _unlimited_int_digits():
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        start = time.perf_counter()
+        # a subcommand's table is printed only once its report destination is open
+        table = io.StringIO()
         try:
-            with contextlib.redirect_stdout(table):
-                verdict, witness = args.func(args)
-        except SupportCapExceeded as exc:
-            verdict, witness = "inconclusive", {"error": "support cap exceeded", "detail": str(exc)}
-        _emit_report(args, args.subcommand, verdict, witness, time.perf_counter() - start, table)
-    except (ValueError, DimensionMismatch, PreconditionViolated, OSError) as exc:
-        print(f"pontcalc: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return EXIT_CODES[verdict]
+            try:
+                with contextlib.redirect_stdout(table):
+                    verdict, witness = args.func(args)
+            except SupportCapExceeded as exc:
+                verdict, witness = "inconclusive", {"error": "support cap exceeded", "detail": str(exc)}
+            _emit_report(args, args.subcommand, verdict, witness, time.perf_counter() - start, table)
+        except (ValueError, DimensionMismatch, PreconditionViolated, OSError) as exc:
+            print(f"pontcalc: error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        return EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

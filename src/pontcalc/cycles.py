@@ -7,11 +7,16 @@ cycle {0} is the unit, and degree (sum of coefficients) is a ring
 homomorphism to Q.
 
 Everything here is exact and there is no floating point.  A cycle keeps
-integer numerators on coordinate tuples over one common denominator, so the
-ring operations run on tuples and ints only; ``GroupPoint`` and ``Fraction``
-appear only at the API boundary.  Support caps are guards, not truncations:
-an operation that would produce a point above the cap raises
-``SupportCapExceeded`` instead of dropping terms, so every identity
+integer numerators over one common denominator, and each point is one
+integer key: its coordinates packed as signed digits of ``_B`` bits, most
+significant first (Kronecker substitution).  Adding two keys adds the
+points, so a convolved pair costs one integer addition, and numeric key
+order is lexicographic point order.  Coordinates are limited to
+``|c| < 2**46``; a point outside that range raises ``ValueError`` where it
+would enter or arise, and is never wrapped.  Tuples, ``GroupPoint`` and
+``Fraction`` appear only at the API boundary.  Support caps are guards,
+not truncations: an operation that would produce a point above the cap
+raises ``SupportCapExceeded`` instead of dropping terms, so every identity
 reported by this module is an identity of the free group ring.
 
 The truncated logarithm / exponential / gamma series all stop at order
@@ -23,7 +28,6 @@ modulo high powers of the augmentation ideal must say so explicitly.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -117,38 +121,105 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {value!r}")
 
 
+# A point (c_1, ..., c_r) is stored as the key sum_i c_i * 2**(_B*(r-i)):
+# signed digits of _B bits, most significant first.  Stored coordinates
+# keep |c| < _LIMIT = 2**(_B-2), so numeric key order is lexicographic
+# point order, and the sum of two stored keys has digits |d| < 2**(_B-1)
+# and still decodes exactly.  CPython hashes ints modulo 2**61 - 1, so at
+# a width of 61 bits every point would hash to its coordinate sum and the
+# points of a cycle would collide in its dict; 48 bits spreads them.
+_B = 48
+_LIMIT = 1 << (_B - 2)
+_HALF = 1 << (_B - 1)
+_MASK = (1 << _B) - 1
+
+
+def _key(coords: Iterable[int]) -> int:
+    key = 0
+    for c in coords:
+        key = (key << _B) + c
+    return key
+
+
+def _points(keys: Iterable[int], rank: int) -> Iterator[tuple[int, ...]]:
+    """The points of keys whose digits all have |d| < 2**(_B-1)."""
+    offset = _key((_HALF,) * rank)
+    digits = range(rank)
+    for key in keys:
+        key += offset
+        out = []
+        for _ in digits:
+            out.append((key & _MASK) - _HALF)
+            key >>= _B
+        out.reverse()
+        yield tuple(out)
+
+
+def _height(coords: tuple[int, ...]) -> int:
+    """Height of a point; raises if a coordinate is outside the digit range."""
+    h = sum(map(abs, coords))
+    if h >= _LIMIT and max(map(abs, coords)) >= _LIMIT:
+        raise ValueError(f"point {coords} has a coordinate outside |c| < 2**{_B - 2}")
+    return h
+
+
+def _scan(keys: Iterable[int], rank: int, cap: int, where: str) -> int:
+    """Exact max height of the points of ``keys``.  Raises
+    ``SupportCapExceeded`` for the first point above ``cap`` in iteration
+    order, else ``ValueError`` for a point outside the digit range."""
+    points = list(_points(keys, rank))
+    for p in points:
+        if sum(map(abs, p)) > cap:
+            raise SupportCapExceeded(GroupPoint(p), cap, where=where)
+    return max(map(_height, points), default=0)
+
+
 class Cycle:
     """A zero-cycle: finite formal Q-combination of group points.
 
-    Stored as ``num``, a dict from coordinate tuples to nonzero integer
-    numerators, over ``den``, a positive integer common denominator: the
-    coefficient of a point p is num[p] / den.  The form is canonical,
-    gcd(den, *num.values()) == 1, so equality compares ``den`` and ``num``
-    directly.  Instances are immutable; all operations return new cycles.
+    Stored as ``num``, a dict from packed point keys (see ``_key``) to
+    nonzero integer numerators, over ``den``, a positive integer common
+    denominator: the coefficient of a point p is num[_key(p)] / den.  The
+    form is canonical, gcd(den, *num.values()) == 1, so equality compares
+    ``den`` and ``num`` directly.  ``hb`` is an upper bound on the height
+    of every stored point, carried through each operation so that caps and
+    the digit range are checked without decoding keys; it is the exact
+    height once ``_exact`` is set.  Instances are immutable; all
+    operations return new cycles.
     """
 
-    __slots__ = ("rank", "den", "num")
+    __slots__ = ("rank", "den", "num", "hb", "_exact")
 
     def __init__(self, rank: int, terms: Mapping | Iterable = ()):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[int, Fraction] = {}
+        hb = 0
         for point, coeff in items:
             if not isinstance(point, GroupPoint):
                 point = GroupPoint(point)
-            if point.rank != rank:
+            coords = point.coords
+            if len(coords) != rank:
                 raise ValueError(
                     f"point {point} has rank {point.rank}, cycle has rank {rank}"
                 )
-            acc[point.coords] = acc.get(point.coords, 0) + _as_fraction(coeff)
+            h = _height(coords)
+            if h > hb:
+                hb = h
+            key = _key(coords)
+            acc[key] = acc.get(key, 0) + _as_fraction(coeff)
         den, nums = clear_denominators(list(acc.values()))
-        self._set(rank, den, dict(zip(acc, nums)))
+        self._set(rank, den, dict(zip(acc, nums)), hb)
+        if len(self.num) == len(acc):
+            # nothing cancelled, so the largest input height is attained
+            self._set_height(hb)
 
-    def _set(self, rank: int, den: int, num: dict[tuple[int, ...], int]) -> None:
-        """Store (rank, den, num) in canonical form: zero numerators are
+    def _set(self, rank: int, den: int, num: dict[int, int], hb: int) -> None:
+        """Store (rank, den, num, hb) in canonical form: zero numerators are
         dropped and the gcd of den and the numerators is divided out."""
-        num = {p: v for p, v in num.items() if v}
+        if not all(num.values()):
+            num = {p: v for p, v in num.items() if v}
         g = gcd(den, *num.values())
         if g != 1:
             den //= g
@@ -156,11 +227,17 @@ class Cycle:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
+        object.__setattr__(self, "hb", hb if num else 0)
+        object.__setattr__(self, "_exact", not num)
+
+    def _set_height(self, height: int) -> None:
+        object.__setattr__(self, "hb", height)
+        object.__setattr__(self, "_exact", True)
 
     @classmethod
-    def _canonical(cls, rank: int, den: int, num: dict[tuple[int, ...], int]) -> "Cycle":
+    def _canonical(cls, rank: int, den: int, num: dict[int, int], hb: int) -> "Cycle":
         out = object.__new__(cls)
-        out._set(rank, den, num)
+        out._set(rank, den, num, hb)
         return out
 
     # -- constructors ------------------------------------------------------
@@ -171,8 +248,10 @@ class Cycle:
 
     @classmethod
     def unit(cls, rank: int) -> "Cycle":
-        """The convolution unit {0_A}."""
-        return cls(rank, {GroupPoint.origin(rank): Fraction(1)})
+        """The convolution unit {0_A}; the origin's key is 0."""
+        out = cls._canonical(rank, 1, {0: 1}, 0)
+        out._set_height(0)
+        return out
 
     @classmethod
     def point(cls, point: GroupPoint, coeff=1) -> "Cycle":
@@ -181,20 +260,31 @@ class Cycle:
     # -- inspection --------------------------------------------------------
 
     def coeff(self, point: GroupPoint) -> Fraction:
-        return Fraction(self.num.get(point.coords, 0), self.den)
+        if point.rank != self.rank:
+            raise ValueError(f"point {point} has rank {point.rank}, cycle has rank {self.rank}")
+        if max(map(abs, point.coords), default=0) >= _LIMIT:
+            return Fraction(0)
+        return Fraction(self.num.get(_key(point.coords), 0), self.den)
 
     def items(self) -> Iterator[tuple[GroupPoint, Fraction]]:
-        return ((GroupPoint(p), Fraction(v, self.den)) for p, v in self.num.items())
+        return ((GroupPoint(p), c) for p, c in self._terms(self.num))
 
     def sorted_items(self) -> list[tuple[GroupPoint, Fraction]]:
         """Terms in lexicographic point order (the canonical output order)."""
-        return [(GroupPoint(p), Fraction(v, self.den)) for p, v in sorted(self.num.items())]
+        return [(GroupPoint(p), c) for p, c in self._terms(sorted(self.num))]
+
+    def _terms(self, keys) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """(coordinates, coefficient) for each key, in the order given."""
+        num, den = self.num, self.den
+        return ((p, Fraction(num[key], den)) for key, p in zip(keys, _points(keys, self.rank)))
 
     def support_size(self) -> int:
         return len(self.num)
 
     def max_height(self) -> int:
-        return max((sum(map(abs, p)) for p in self.num), default=0)
+        if not self._exact:
+            self._set_height(max(map(_height, _points(self.num, self.rank)), default=0))
+        return self.hb
 
     def is_zero(self) -> bool:
         return not self.num
@@ -214,10 +304,12 @@ class Cycle:
         acc = {p: v * m1 for p, v in self.num.items()}
         for p, v in other.num.items():
             acc[p] = acc.get(p, 0) + v * m2
-        return Cycle._canonical(self.rank, self.den * m1, acc)
+        return Cycle._canonical(self.rank, self.den * m1, acc, max(self.hb, other.hb))
 
     def __neg__(self) -> "Cycle":
-        return Cycle._canonical(self.rank, self.den, {p: -v for p, v in self.num.items()})
+        return Cycle._canonical(
+            self.rank, self.den, {p: -v for p, v in self.num.items()}, self.hb
+        )
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         return self + (-other)
@@ -226,7 +318,7 @@ class Cycle:
         s = _as_fraction(scalar)
         n = s.numerator
         return Cycle._canonical(
-            self.rank, self.den * s.denominator, {p: v * n for p, v in self.num.items()}
+            self.rank, self.den * s.denominator, {p: v * n for p, v in self.num.items()}, self.hb
         )
 
     def __mul__(self, scalar):
@@ -259,8 +351,8 @@ class Cycle:
         return {
             "rank": self.rank,
             "terms": [
-                {"point": list(p.coords), "coeff": format_rational(c)}
-                for p, c in self.sorted_items()
+                {"point": list(p), "coeff": format_rational(c)}
+                for p, c in self._terms(sorted(self.num))
             ],
         }
 
@@ -324,27 +416,30 @@ def pontryagin(c1: Cycle, c2: Cycle, ctx: RingContext) -> Cycle:
     """Convolution product: coeff of p is the sum over p1 + p2 = p.
 
     Raises ``SupportCapExceeded`` if an input point or a product point
-    exceeds the cap.  Every product point is checked after the products
-    are accumulated and before zero coefficients are dropped, so
-    cancellation can never mask an overflow.
+    exceeds the cap, and ``ValueError`` if a product point leaves the digit
+    range.  Points are decoded only when the height bounds allow either:
+    then every product point is checked after the products are accumulated
+    and before zero coefficients are dropped, so cancellation can never
+    mask an overflow.
     """
-    if c1.rank != ctx.rank or c2.rank != ctx.rank:
+    rank = ctx.rank
+    if c1.rank != rank or c2.rank != rank:
         raise ValueError("cycle rank does not match context rank")
     cap = ctx.support_cap
     for c in (c1, c2):
-        for p in c.num:
-            if sum(map(abs, p)) > cap:
-                raise SupportCapExceeded(GroupPoint(p), cap, where="input")
-    acc: dict[tuple[int, ...], int] = {}
-    get, add = acc.get, operator.add
+        if c.hb > cap:
+            c._set_height(_scan(c.num, rank, cap, "input"))
+    acc: dict[int, int] = {}
+    get = acc.get
+    items2 = c2.num.items()
     for p1, a in c1.num.items():
-        for p2, b in c2.num.items():
-            p = tuple(map(add, p1, p2))
+        for p2, b in items2:
+            p = p1 + p2
             acc[p] = get(p, 0) + a * b
-    for p in acc:
-        if sum(map(abs, p)) > cap:
-            raise SupportCapExceeded(GroupPoint(p), cap)
-    return Cycle._canonical(ctx.rank, c1.den * c2.den, acc)
+    hb = c1.hb + c2.hb
+    if hb > cap or hb >= _LIMIT:
+        hb = _scan(acc, rank, cap, "product")
+    return Cycle._canonical(rank, c1.den * c2.den, acc, hb)
 
 
 def star_power(c: Cycle, k: int, ctx: RingContext) -> Cycle:
@@ -361,12 +456,16 @@ def pushforward(c: Cycle, n: int) -> Cycle:
     """Push forward along multiplication by n: each point p goes to n*p.
 
     This is a ring homomorphism for the convolution product for every n.
+    Raises ``ValueError`` if n*p leaves the digit range for some point p.
     """
-    acc: dict[tuple[int, ...], int] = {}
+    hb = abs(n) * c.hb
+    if hb >= _LIMIT:
+        hb = max((_height(tuple(n * x for x in p)) for p in _points(c.num, c.rank)), default=0)
+    acc: dict[int, int] = {}
     for p, v in c.num.items():
-        q = tuple(n * x for x in p)
+        q = n * p
         acc[q] = acc.get(q, 0) + v
-    return Cycle._canonical(c.rank, c.den, acc)
+    return Cycle._canonical(c.rank, c.den, acc, hb)
 
 
 def degree(c: Cycle) -> Fraction:

@@ -50,3 +50,14 @@ def test_workload_known_answers_and_digest(bench_run, workload):
     run = bench_run.measure(workload, 101, 0, False)
     assert run.failed == 0, run.summary
     assert run.digest == DIGESTS[workload]
+
+
+def test_convolution_work_counts(bench_run):
+    """One traced ``convolution`` pass at seed 101 does the pinned amount of
+    convolution work, so a change to the cycle core that does more or less
+    of it fails here, whatever it does to the time."""
+    run = bench_run.measure("convolution", 101, 0, True)
+    assert run.failed == 0, run.summary
+    assert run.values["cycles.pontryagin.calls"] == 2811
+    assert run.values["cycles.pontryagin.pairs"] == 244426
+    assert run.values["cycles.max_support"] == 9717

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
@@ -132,6 +133,21 @@ def test_check_doublestar(tmp_path, capsys):
     f.write_text("3 1\n1\n1 0 0\n")
     code, out = run(capsys, "check-doublestar", "--file", str(f))
     assert code == 3
+
+
+def test_doublestar_value_past_the_int_digit_limit(tmp_path, capsys):
+    # A = B = span((N, -N)) with N = 10^2200 - 1: the pair's product row
+    # sums to 2 N^2 = 2*10^4400 - 4*10^2200 + 2, which has 4401 digits,
+    # past Python's default limit of 4300 on int <-> str conversion.
+    nines = "9" * 2200
+    f = tmp_path / "long.txt"
+    f.write_text(f"2 2\n1\n{nines} -{nines}\n1\n{nines} -{nines}\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run(capsys, "check-doublestar", "--file", str(f))
+    assert code == 3
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    violation = last_json(out)["witness"]["violation"]
+    assert violation["value"] == "1" + "9" * 2199 + "6" + "0" * 2199 + "2" + "/1"
 
 
 def test_pair_lemma_file_and_random(tmp_path, capsys):

@@ -3,9 +3,11 @@ usage error.
 
 Argv of the cheap subcommands is generated with small values, some of them
 out of range, and (**)/pair/(*) files with p/q entries and malformed
-tokens.  A run must either exit 0, 2 or 3 with a JSON report that repeats
-byte for byte (minus ``wall_time_s``) when the same argv runs again, or
-exit 1 with empty stdout and one stderr line ``pontcalc: error: ...``.
+tokens, now and then replaced by a (**) file whose violation value has
+more digits than Python converts to a string by default.  A run must
+either exit 0, 2 or 3 with a JSON report that repeats byte for byte (minus
+``wall_time_s``) when the same argv runs again, or exit 1 with empty
+stdout and one stderr line ``pontcalc: error: ...``.
 The same argv with a required flag dropped, an int value mistyped or an
 unknown flag added must end in that one-line error.  With ``--report`` to
 a writable file, the report goes to the file and stdout keeps only the
@@ -58,6 +60,17 @@ def subspace_file(draw, star: bool):
     elif edit == "malformed":
         tokens[at] = draw(bad_token)
     return " ".join(tokens) + "\n"
+
+
+# A (**) file of legal integer entries whose violation value 2 N^2 has 4401
+# digits, past Python's default limit on int <-> str conversion.
+NINES = "9" * 2200
+LONG_VALUE_FILE = f"2 2\n1\n{NINES} -{NINES}\n1\n{NINES} -{NINES}\n"
+
+
+def input_file(star: bool):
+    """A generated subspace file, or now and then the long-value file."""
+    return st.integers(0, 4).flatmap(lambda i: st.just(LONG_VALUE_FILE) if i == 0 else subspace_file(star))
 
 
 def flag(name, values):
@@ -177,7 +190,7 @@ def read_text(path):
 @given(data=st.data())
 def test_every_argv_ends_in_a_report_or_one_line_error(command, data):
     argv = data.draw(ARGVS[command])
-    text = data.draw(subspace_file(star=command == "check-star"))
+    text = data.draw(input_file(star=command == "check-star"))
     with tempfile.TemporaryDirectory() as tmp:
         argv = with_input(argv, text, tmp)
         code, out, err = run(argv)
@@ -218,7 +231,7 @@ REPORT_DESTINATIONS = {
 @given(data=st.data())
 def test_report_destinations(command, dest, data):
     argv = data.draw(ARGVS[command])
-    text = data.draw(subspace_file(star=command == "check-star"))
+    text = data.draw(input_file(star=command == "check-star"))
     with tempfile.TemporaryDirectory() as tmp:
         argv = with_input(argv, text, tmp)
         report = REPORT_DESTINATIONS[dest].replace("{dir}", tmp)

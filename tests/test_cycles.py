@@ -269,3 +269,96 @@ def test_integer_core_matches_fraction_oracle():
             assert info.value.where == ("input" if over_input else "product")
         else:
             assert pontryagin(a, b, small) == pontryagin(a, b, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the packed point keys: digit range, order, rank checks, hashing
+# ---------------------------------------------------------------------------
+
+# coordinates are limited to |c| < L
+L = 2**46
+
+
+def test_digit_range_boundary_round_trips_and_orders():
+    edge = [(-1, L - 1), (0, -(L - 1)), (L - 1, -(L - 1)), (-(L - 1), L - 1), (0, 0),
+            (-1, -(L - 1)), (0, L - 1), (L - 1, L - 1), (-(L - 1), -(L - 1)), (1, -1)]
+    terms = {p: Fraction(i + 1, 3) for i, p in enumerate(edge)}
+    c = Cycle(2, terms)
+    assert_matches(c, 2, terms)
+    assert Cycle.from_json(c.to_json()) == c
+    assert [p.coords for p, _ in c.sorted_items()] == sorted(edge)
+    assert [t["point"] for t in c.to_json_dict()["terms"]] == [list(p) for p in sorted(edge)]
+    assert c.max_height() == 2 * (L - 1)
+    # a point outside the range is in no cycle, even where its packing would alias
+    assert Cycle.point(X).coeff(GroupPoint((0, 2**48))) == 0
+    assert Cycle.point(GroupPoint((1, -1))).coeff(GroupPoint((0, 2**48 - 1))) == 0
+
+
+@pytest.mark.parametrize("bad", [L, -L, 2**48, -(2**61)])
+def test_coordinates_outside_the_digit_range_raise(bad):
+    with pytest.raises(ValueError):
+        Cycle(2, {(0, bad): 1})
+    with pytest.raises(ValueError):
+        Cycle.from_json_dict({"rank": 2, "terms": [{"point": [bad, 0], "coeff": "1/1"}]})
+
+
+def test_pushforward_at_the_digit_limit():
+    half = Cycle(2, {(L // 2, 0): 1, (0, -1): 2})
+    for n in (2, -2, 3):
+        with pytest.raises(ValueError):
+            pushforward(half, n)
+    assert pushforward(Cycle.point(GroupPoint((L - 1, 1 - L))), -1) == Cycle.point(GroupPoint((1 - L, L - 1)))
+    # a loose height bound decodes instead of raising
+    loose = Cycle.point(GroupPoint((L // 2, 0))) + Cycle.point(X) - Cycle.point(GroupPoint((L // 2, 0)))
+    assert pushforward(loose, 4) == Cycle.point(X.scale(4))
+
+
+def test_pontryagin_at_the_digit_limit():
+    wide = RingContext(rank=2, geom_dim=1, support_cap=4 * L)
+    edge = Cycle.point(GroupPoint((L - 2, 0)))
+    assert pontryagin(edge, Cycle.point(X), wide) == Cycle.point(GroupPoint((L - 1, 0)))
+    for a, b in [((L - 1, 0), (1, 0)), ((0, 1 - L), (0, -1)), ((L - 1, 5), (L - 1, -5))]:
+        with pytest.raises(ValueError):
+            pontryagin(Cycle.point(GroupPoint(a)), Cycle.point(GroupPoint(b)), wide)
+    # below the limit the cap is checked first
+    narrow = RingContext(rank=2, geom_dim=1, support_cap=L - 1)
+    with pytest.raises(SupportCapExceeded) as info:
+        pontryagin(Cycle.point(GroupPoint((L - 1, 0))), Cycle.point(X), narrow)
+    assert info.value.where == "product" and info.value.point == GroupPoint((L, 0))
+    # a product point that cancels still counts
+    u = Cycle.point(GroupPoint((L - 1, 0))) - Cycle.point(GroupPoint((L - 2, 0)))
+    with pytest.raises(ValueError):
+        pontryagin(u, Cycle.point(X) + Cycle.unit(2), wide)
+
+
+def test_rank_zero_cycles():
+    c = Cycle(0, {(): Fraction(3, 2)})
+    assert c == Cycle(0, [(GroupPoint(()), 1), ((), Fraction(1, 2))])
+    assert c.coeff(GroupPoint(())) == Fraction(3, 2)
+    assert c.sorted_items() == [(GroupPoint(()), Fraction(3, 2))]
+    assert Cycle.from_json(c.to_json()) == c
+    assert c.to_json_dict() == {"rank": 0, "terms": [{"point": [], "coeff": "3/2"}]}
+    assert Cycle.unit(0).scale(Fraction(3, 2)) == c
+    assert pushforward(c, 5) == c and c.max_height() == 0
+    assert (c - c).is_zero() and Cycle.zero(0).max_height() == 0
+
+
+def test_coeff_of_another_rank_raises():
+    c = Cycle(3, {(0, 0, 1): 5})
+    assert c.coeff(GroupPoint((0, 0, 1))) == 5
+    with pytest.raises(ValueError):
+        c.coeff(GroupPoint((0, 1)))
+    with pytest.raises(ValueError):
+        Cycle(2, {(0, 1): 1}).coeff(GroupPoint((0, 0, 1)))
+
+
+def test_certificate_keys_hash_apart():
+    # ints hash modulo 2**61 - 1: with a key width that is a multiple of 61,
+    # the points of a multiplier would collide in every dict they enter
+    from pontcalc.relations import verify_relation
+
+    cert = verify_relation(8, 1)
+    multipliers = [term.multiplier.num for term in cert.generators + cert.nilpotent_part]
+    for keys in multipliers:
+        assert len({hash(key) for key in keys}) == len(keys)
+    assert sum(map(len, multipliers)) > 1000
