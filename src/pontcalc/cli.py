@@ -194,8 +194,7 @@ def _cmd_verify_relation(args):
         }
         return "inconclusive", witness
     with open(args.out, "w") as fh:
-        json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        cert.write_json(fh)
     witness = {
         "certificate_path": args.out,
         "generator_terms": len(cert.generators),

@@ -347,14 +347,34 @@ class Cycle:
 
     # -- serialization -------------------------------------------------------
 
+    def _json_terms(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """('p/q' text, coordinates) for each term in sorted point order."""
+        keys = sorted(self.num)
+        num, den = self.num, self.den
+        return ((_ratio(num[key], den), p) for key, p in zip(keys, _points(keys, self.rank)))
+
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "terms": [
-                {"point": list(p), "coeff": format_rational(c)}
-                for p, c in self._terms(sorted(self.num))
-            ],
+            "terms": [{"point": list(p), "coeff": c} for c, p in self._json_terms()],
         }
+
+    def write_json(self, fh, depth: int = 0) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
+        as the value ``depth`` levels deep in an ``indent=2`` document: every
+        line after the first is indented ``2 * depth`` more spaces, and no
+        newline follows the closing brace.  One ``%`` template is built for
+        the rank and filled once per term, straight from the sorted keys."""
+        pad = "\n" + "  " * depth
+        p2, p3, p4 = pad + "    ", pad + "      ", pad + "        "
+        head = "{" + pad + '  "rank": %d,' % self.rank + pad + '  "terms": '
+        if not self.num:
+            fh.write(head + "[]" + pad + "}")
+            return
+        point = "[" + ",".join([p4 + "%d"] * self.rank) + p3 + "]" if self.rank else "[]"
+        term = "{" + p3 + '"coeff": "%s",' + p3 + '"point": ' + point + p2 + "}"
+        terms = [term % (c, *p) for c, p in self._json_terms()]
+        fh.write(head + "[" + p2 + ("," + p2).join(terms) + pad + "  ]" + pad + "}")
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -373,10 +393,18 @@ class Cycle:
         return cls.from_json_dict(json.loads(text))
 
 
+def _ratio(n: int, d: int) -> str:
+    """The 'p/q' text of n/d for d > 0: lowest terms, no Fraction built."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return f"{n}/{d}"
+
+
 def format_rational(value) -> str:
     """Decimal-free 'p/q' form, canonical lowest terms with q > 0."""
     f = _as_fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return _ratio(f.numerator, f.denominator)
 
 
 def parse_rational(text: str) -> Fraction:

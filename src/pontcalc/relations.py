@@ -29,6 +29,7 @@ Two solution strategies share the same certificate format:
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
@@ -222,6 +223,10 @@ class NilpotentTerm:
         return "*".join(f"u_{i}" for i in self.factors)
 
 
+_CERT_FORMAT = "pontryagin-membership-certificate"
+_CERT_VERSION = 1
+
+
 @dataclass(frozen=True)
 class MembershipCertificate:
     """An explicit rational combination exhibiting the target.
@@ -249,8 +254,8 @@ class MembershipCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "pontryagin-membership-certificate",
-            "version": 1,
+            "format": _CERT_FORMAT,
+            "version": _CERT_VERSION,
             "k": self.k,
             "g": self.g,
             "j_max": self.j_max,
@@ -274,6 +279,33 @@ class MembershipCertificate:
                 for t in self.nilpotent_part
             ],
         }
+
+    def write_json(self, fh) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
+        and a newline, cycle by cycle, without building the dict tree.  The
+        keys are written in sorted order; every scalar and label goes
+        through ``json.dumps``."""
+        dump = json.dumps
+        fh.write('{\n  "cap": %s,\n  "format": %s,\n  "g": %s,\n  "generators": '
+                 % (dump(self.cap), dump(_CERT_FORMAT), dump(self.g)))
+        for i, t in enumerate(self.generators):
+            fh.write((",\n" if i else "[\n") + '    {\n      "generator": ')
+            t.generator.write_json(fh, 3)
+            fh.write(',\n      "j": %s,\n      "label": %s,\n      "multiplier": '
+                     % (dump(t.j), dump(t.label)))
+            t.multiplier.write_json(fh, 3)
+            fh.write("\n    }")
+        fh.write('\n  ],\n  "j_max": ' if self.generators else '[],\n  "j_max": ')
+        fh.write('%s,\n  "k": %s,\n  "nilpotent_part": ' % (dump(self.j_max), dump(self.k)))
+        for i, t in enumerate(self.nilpotent_part):
+            factors = dump(list(t.factors), indent=2).replace("\n", "\n      ")
+            fh.write((",\n" if i else "[\n") + '    {\n      "factors": %s,\n      "label": %s,\n'
+                     '      "multiplier": ' % (factors, dump(t.label)))
+            t.multiplier.write_json(fh, 3)
+            fh.write("\n    }")
+        fh.write('\n  ],\n  "target": ' if self.nilpotent_part else '[],\n  "target": ')
+        self.target.write_json(fh, 1)
+        fh.write(',\n  "version": %s\n}\n' % dump(_CERT_VERSION))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":

@@ -1,11 +1,14 @@
 """Cycle algebra: canonical form, convolution, pushforward, degree, caps."""
 
+import io
 import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pontcalc.cycles import (
     Cycle,
@@ -329,6 +332,43 @@ def test_pontryagin_at_the_digit_limit():
     u = Cycle.point(GroupPoint((L - 1, 0))) - Cycle.point(GroupPoint((L - 2, 0)))
     with pytest.raises(ValueError):
         pontryagin(u, Cycle.point(X) + Cycle.unit(2), wide)
+
+
+COORD = st.one_of(st.sampled_from([0, 1, -1, L - 1, 1 - L]), st.integers(1 - L, L - 1))
+NUMER = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
+DENOM = st.one_of(st.integers(1, 6), st.integers(2**64, 2**80))
+
+
+def indented(text, depth):
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_write_json_matches_stdlib_layout(data):
+    rank = data.draw(st.integers(0, 4))
+    pairs = data.draw(st.lists(st.tuples(st.tuples(*[COORD] * rank), NUMER, DENOM), max_size=6))
+    terms = [(p, Fraction(n, d)) for p, n, d in pairs]
+    if data.draw(st.booleans()):
+        terms += [(p, -c) for p, c in terms]  # the zero cycle
+    depth = data.draw(st.integers(0, 4))
+    c = Cycle(rank, terms)
+    fh = io.StringIO()
+    c.write_json(fh, depth)
+    stdlib = json.dumps(c.to_json_dict(), indent=2, sort_keys=True)
+    assert fh.getvalue() == indented(stdlib, depth)
+    oracle = json.loads(oracle_json(rank, oracle_reduce(terms)))
+    assert stdlib == json.dumps(oracle, indent=2, sort_keys=True)
+
+
+def test_write_json_zero_and_rank_zero():
+    fh = io.StringIO()
+    Cycle.zero(2).write_json(fh, 1)
+    Cycle(0, {(): Fraction(-3, 2)}).write_json(fh)
+    assert fh.getvalue() == (
+        '{\n    "rank": 2,\n    "terms": []\n  }'
+        '{\n  "rank": 0,\n  "terms": [\n    {\n      "coeff": "-3/2",\n      "point": []\n    }\n  ]\n}'
+    )
 
 
 def test_rank_zero_cycles():

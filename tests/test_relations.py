@@ -1,16 +1,20 @@
 """Recursion identity, alpha coefficients, basis change, and certificates."""
 
 import hashlib
+import io
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from pontcalc.cli import main
 from pontcalc.cycles import Cycle, GroupPoint, RingContext, pontryagin, pushforward, star_power
 from pontcalc.relations import (
+    GeneratorTerm,
     MembershipCertificate,
     NilpotentTerm,
     NotFoundWithinCaps,
@@ -174,10 +178,12 @@ def test_not_found_within_caps():
     assert info.value.caps_tried == [1, 2]
 
 
-# SHA-256 of json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) for
-# window certificates.  The pivot columns, and so the solution with free
-# coefficients zero, do not depend on how the elimination scales its rows,
-# so a change to the elimination must leave these bytes alone.
+# SHA-256 of the window certificate text json.dumps(cert.to_json_dict(),
+# indent=2, sort_keys=True).  The file `verify-relation --out` writes is
+# that text and one newline; both are checked against these pins.  The
+# pivot columns, and so the solution with free coefficients zero, do not
+# depend on how the elimination scales its rows, so a change to the
+# elimination must leave these bytes alone.
 WINDOW_CERT_SHA256 = {
     (2, 3, None): "048bd0ad23acc5cb16b6fec88938e5f5d3b2b21f49cd3f7192786b1fcb7ec62a",
     (3, 1, 4): "cd4c31af14f5ae4b1917e181b1bcdd350076175a795f58738a1867d33d5c78a0",
@@ -191,6 +197,57 @@ def test_window_certificate_bytes_pinned(k, g, cap):
     cert = verify_relation(k, g, cap=cap, method="window")
     text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_CERT_SHA256[k, g, cap]
+
+
+@pytest.mark.parametrize("k, g, cap", list(WINDOW_CERT_SHA256))
+def test_cli_certificate_file_pinned(k, g, cap, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["verify-relation", "--method", "window", "--k", str(k), "--g", str(g)]
+    argv += [] if cap is None else ["--cap", str(cap)]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    data = out.read_bytes()
+    assert data.endswith(b"}\n")
+    assert hashlib.sha256(data[:-1]).hexdigest() == WINDOW_CERT_SHA256[k, g, cap]
+
+
+def stdlib_text(cert):
+    return json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def written(cert):
+    fh = io.StringIO()
+    cert.write_json(fh)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize(
+    "k, g, j_max, cap, method",
+    [(k, g, None, cap, "window") for k, g, cap in WINDOW_CERT_SHA256]
+    + [(k, g, None, None, "newton") for k in range(2, 9) for g in range(1, 4)]
+    # k > g: a nilpotent term and no generator terms
+    + [(3, 1, 1, 2, "window")],
+)
+def test_write_json_matches_stdlib(k, g, j_max, cap, method):
+    cert = verify_relation(k, g, j_max=j_max, cap=cap, method=method)
+    assert written(cert) == stdlib_text(cert)
+
+
+def test_write_json_edge_cases():
+    x = Cycle.point(GroupPoint((1, 0)))
+    cert = MembershipCertificate(
+        k=2, g=1, j_max=0, cap=0, target=Cycle.zero(2), generators=(),
+        nilpotent_part=(NilpotentTerm(factors=(), multiplier=x),
+                        NilpotentTerm(factors=(2,), multiplier=Cycle.zero(2))),
+    )
+    assert written(cert) == stdlib_text(cert)
+    assert '"factors": [],' in written(cert) and '"generators": [],' in written(cert)
+    labelled = replace(
+        verify_relation(2, 1, method="newton"), nilpotent_part=(),
+        generators=(GeneratorTerm(label='q"\\\u00e9\n', j=-1, generator=x, multiplier=-x),),
+    )
+    assert written(labelled) == stdlib_text(labelled)
+    assert '"nilpotent_part": [],' in written(labelled)
 
 
 @pytest.mark.parametrize(
