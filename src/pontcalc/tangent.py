@@ -21,8 +21,11 @@ points, and a budgeted randomized search for configurations maximizing
 the total dimension (which the theory bounds by k - 1; exceeding the
 bound would be a reportable counterexample, not a success).  The search
 runs the kernel-of-sum witness first, then one random stream defined by
-the generator's 32-bit words and the ``randint`` rejection rule; a
-candidate whose row count cannot beat the best total is not walked.  A
+the generator's 32-bit words and the ``randint`` rejection rule.  A
+three-bit draw of 7 is rejected wherever it is read, so the 7s are
+dropped from each block of words and the rest is read in order, one byte
+per dim or entry.  A candidate whose row count cannot beat the best total
+is not walked, and only its dims are decoded, not its rows.  A
 pair (A, B) is admissible exactly when it satisfies condition (**), and
 is checked by the same walk; the left side of the span inequality is one
 exact rank of the product rows stacked on both bases.
@@ -338,9 +341,10 @@ def _random_subspace_in_sum_zero(k: int, dim: int, rng: random.Random) -> Subspa
     """Random dim-dimensional subspace of the sum-zero hyperplane with
     small-integer basis vectors."""
     for _ in range(200):
-        rows = [_random_sum_zero_vector(k, rng) for _ in range(dim)]
-        if int_rank(rows) == dim:
-            return Subspace(k, rows)
+        try:
+            return Subspace(k, [_random_sum_zero_vector(k, rng) for _ in range(dim)])
+        except ValueError:  # dependent rows: draw again
+            pass
     raise RuntimeError("failed to sample an independent basis")
 
 
@@ -371,8 +375,10 @@ def random_admissible_pair(
             rows.append(
                 [sum(c * comp_rows[t][j] for t, c in enumerate(coeffs)) for j in range(k)]
             )
-        if int_rank(rows) == dim_b:
+        try:
             return A, Subspace(k, rows)
+        except ValueError:  # dependent rows: draw again
+            pass
     raise RuntimeError("failed to sample an independent complement basis")
 
 
@@ -414,40 +420,70 @@ def _structured_candidates(k: int, n: int):
 # ``randint(a, a + w - 1)`` adds to a the first ``getrandbits(w.bit_length())``
 # below w, and ``getrandbits(b)`` for b <= 32 is the top b bits of the next
 # word.  Dims (w <= 4) and entries (w = 7) take at most three bits, so
-# each word is read as its top three bits.  One ``getrandbits`` call fetches
-# a block of words, the first word least significant.
+# each word is read as its top three bits.  A value of 7 is rejected
+# wherever it is read: as an entry it is not below 7, and as a dim
+# ``7 >> shift`` is at least the width for every k.  So the 7s are dropped
+# from each block as it is read, and what is left is exactly the sequence
+# of accepted draws: each component is one dim draw (redrawn while it is
+# too wide) followed by its rows, k - 1 entries each, contiguous.  One
+# ``getrandbits`` call fetches a block of words, the first word least
+# significant.
 _BLOCK_WORDS = 1024
 _TOP3 = bytes(b >> 5 for b in range(256))
-
-
-def _top3_draws(rng: random.Random):
-    """The top three bits of each 32-bit word of ``rng``, in stream order."""
-    size = 32 * _BLOCK_WORDS
-    blocks = iter(lambda: rng.getrandbits(size).to_bytes(size // 8, "little"), None)
-    return itertools.chain.from_iterable(block[3::4].translate(_TOP3) for block in blocks)
+_SEVENS = bytes(range(0b11100000, 256))  # the bytes whose top three bits are 7
 
 
 def _random_candidates(k: int, n: int, rng: random.Random):
-    """Endless random candidates: n components, each of dim
-    ``randint(0, min(3, k - 1))`` with sum-zero rows whose first k - 1
-    entries are ``randint(-3, 3)``, read from the word stream of ``rng``."""
+    """Endless random candidates from the word stream of ``rng``: n
+    components, each of dim ``randint(0, min(3, k - 1))`` with sum-zero
+    rows whose first k - 1 entries are ``randint(-3, 3)``.
+
+    Start it with ``next``; then each ``send(best)`` reads one candidate
+    and returns its bases if its row count exceeds ``best``, else None.
+    Only the dims of a candidate returned as None are decoded."""
     width = min(3, k - 1) + 1
     shift = 3 - width.bit_length()  # dims take 2 bits for k <= 3, else 3
-    draws = _top3_draws(rng)
-    entries = filter((7).__ne__, draws)
+    step = k - 1
+    size = 32 * _BLOCK_WORDS
+    draws = b""
+    start = 0
+    best = yield
     while True:
+        comps = []
+        count = 0
+        pos = start
+        try:
+            for _ in range(n):
+                dim = draws[pos] >> shift
+                pos += 1
+                while dim >= width:
+                    dim = draws[pos] >> shift
+                    pos += 1
+                comps.append((pos, dim))
+                count += dim
+                pos += dim * step
+        except IndexError:
+            pos = len(draws) + 1
+        if pos > len(draws):
+            # the candidate runs past the buffer: keep only its start, append
+            # the next block and read it again
+            block = rng.getrandbits(size).to_bytes(size // 8, "little")
+            draws = draws[start:] + block[3::4].translate(_TOP3, _SEVENS)
+            start = 0
+            continue
+        start = pos
+        if count <= best:
+            best = yield None
+            continue
         bases = []
-        for _ in range(n):
-            dim = next(draws) >> shift
-            while dim >= width:
-                dim = next(draws) >> shift
+        for first, dim in comps:
             rows = []
-            for _ in range(dim):
-                head = [x - 3 for x in itertools.islice(entries, k - 1)]
-                head.append(-sum(head))
-                rows.append(head)
+            for pos in range(first, first + dim * step, step):
+                row = [x - 3 for x in draws[pos : pos + step]]
+                row.append(-sum(row))
+                rows.append(row)
             bases.append(rows)
-        yield bases
+        best = yield bases
 
 
 def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> SearchResult:
@@ -456,14 +492,17 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
     The kernel-of-sum witness runs first, then random candidates from one
     stream seeded by ``seed``, ``budget`` candidates in all.  The stream is
     read from the 32-bit words of ``random.Random(seed * 1_000_003)`` with
-    the ``randint`` rejection rule (see ``_random_candidates``).  A
-    candidate whose row count is at most the best total is not walked: its
-    total, a sum of ranks, cannot exceed its row count.  Every other
-    candidate is screened by the exact (**) walk on its integer rows; one
-    that would raise the best total is re-verified over Q on its spanned
-    subspaces before it is accepted.  The theoretical bound is k - 1; a
-    configuration exceeding it is recorded as a counterexample, which
-    callers must treat as a build-failing finding.
+    the ``randint`` rejection rule; dropping the three-bit draws of 7, which
+    that rule rejects as a dim and as an entry alike, leaves exactly the
+    accepted values (see ``_random_candidates``).  A candidate whose row
+    count is at most the best total is not walked, and the stream decodes
+    only its dims, not its rows: its total, a sum of ranks, cannot exceed
+    its row count.  Every other candidate is screened by the exact (**)
+    walk on its integer rows; one that would raise the best total is
+    re-verified over Q on its spanned subspaces before it is accepted.
+    The theoretical bound is k - 1; a configuration exceeding it is
+    recorded as a counterexample, which callers must treat as a
+    build-failing finding.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -475,10 +514,14 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
     best_sum = -1
     best_config: list[list[list[int]]] = []
     counterexample = None
+    seeds = list(_structured_candidates(k, n))
     stream = _random_candidates(k, n, random.Random(seed * 1_000_003))
-    for bases in itertools.islice(itertools.chain(_structured_candidates(k, n), stream), budget):
-        # the total is a sum of ranks, so at most the row count
-        if sum(map(len, bases)) <= best_sum or _doublestar_violation(bases) is not None:
+    next(stream)
+    for turn in range(budget):
+        # the stream returns None for a candidate whose row count is at most
+        # the best total: its total is a sum of ranks, so it cannot beat it
+        bases = seeds[turn] if turn < len(seeds) else stream.send(best_sum)
+        if bases is None or _doublestar_violation(bases) is not None:
             continue
         total = _config_sum(bases)
         if total <= best_sum:

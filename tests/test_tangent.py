@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pontcalc import tangent
+from pontcalc.linalg import int_rank, nullspace
 from pontcalc.tangent import (
     DimensionMismatch,
     DoubleStarViolation,
@@ -214,6 +215,48 @@ def test_pair_checks_match_naive_oracle():
     assert min(seen.values()) >= 100, seen
 
 
+def sum_zero_subspace_oracle(k, dim, rng):
+    """Oracle: the pair sampler's first component, its independence checked
+    by a rank before the subspace is built."""
+    for _ in range(200):
+        rows = [tangent._random_sum_zero_vector(k, rng) for _ in range(dim)]
+        if int_rank(rows) == dim:
+            return Subspace(k, rows)
+    raise RuntimeError("failed to sample an independent basis")
+
+
+def admissible_pair_oracle(k, seed, dim_a=None, dim_b=None):
+    """Oracle: ``random_admissible_pair`` with the rank check before each
+    subspace is built."""
+    rng = random.Random(seed)
+    if dim_a is None:
+        dim_a = rng.randint(1, min(3, k - 1))
+    A = sum_zero_subspace_oracle(k, dim_a, rng)
+    comp_rows = nullspace([[1] * k, *A.basis], k)
+    comp_dim = len(comp_rows)
+    if dim_b is None:
+        dim_b = rng.randint(0, min(3, comp_dim))
+    for _ in range(200):
+        rows = []
+        for _ in range(dim_b):
+            coeffs = [rng.randint(-3, 3) for _ in range(comp_dim)]
+            rows.append([sum(c * comp_rows[t][j] for t, c in enumerate(coeffs)) for j in range(k)])
+        if int_rank(rows) == dim_b:
+            return A, Subspace(k, rows)
+    raise RuntimeError("failed to sample an independent complement basis")
+
+
+def test_random_admissible_pair_matches_rank_first_oracle():
+    # same draws, same bases, whether the dims are drawn or given
+    for k, seed in itertools.product(range(2, 9), range(40)):
+        cases = [(None, None)]
+        cases += [(a, b) for a in range(1, min(3, k - 1) + 1) for b in range(min(3, k - 1 - a) + 1)]
+        for dim_a, dim_b in cases:
+            A, B = random_admissible_pair(k, seed, dim_a, dim_b)
+            OA, OB = admissible_pair_oracle(k, seed, dim_a, dim_b)
+            assert (A.basis, A.den, B.basis, B.den) == (OA.basis, OA.den, OB.basis, OB.den), (k, seed, dim_a, dim_b)
+
+
 def test_random_admissible_pair_invariants():
     rng = random.Random(5)
     for _ in range(50):
@@ -293,14 +336,39 @@ def randint_candidates(k, n, rng):
 
 
 def test_random_candidates_match_randint_oracle():
-    # k <= 3 draws dims with 2 bits, k >= 4 with 3; entries always with 3
+    # k <= 3 draws dims with 2 bits, k >= 4 with 3; entries always with 3.
+    # A best total of -1 builds every candidate's rows.
     for k, n, seed in itertools.product(range(2, 10), range(1, 5), (0, 5, 1_000_003)):
         oracle_rng = CountingRandom(seed)
         oracle = randint_candidates(k, n, oracle_rng)
         stream = tangent._random_candidates(k, n, random.Random(seed))
+        next(stream)
         # run on into the third block of words
         while oracle_rng.words <= 2 * tangent._BLOCK_WORDS:
-            assert next(stream) == next(oracle), (k, n, seed)
+            assert stream.send(-1) == next(oracle), (k, n, seed)
+
+
+def test_random_candidates_across_one_word_blocks(monkeypatch):
+    # with one word per block, dim redraws and row entries straddle refills,
+    # and a block whose word is a dropped 7 adds nothing; rows are built
+    # exactly for candidates whose row count exceeds the best total
+    monkeypatch.setattr(tangent, "_BLOCK_WORDS", 1)
+    for k, n, seed in itertools.product(range(2, 9), range(1, 4), (0, 5)):
+        oracle = randint_candidates(k, n, random.Random(seed))
+        stream = tangent._random_candidates(k, n, random.Random(seed))
+        next(stream)
+        bests = random.Random(seed + 1)
+        built = 0
+        for _ in range(300):
+            expected = next(oracle)
+            best = bests.randint(-1, 4)
+            got = stream.send(best)
+            if sum(map(len, expected)) > best:
+                assert got == expected, (k, n, seed)
+                built += 1
+            else:
+                assert got is None, (k, n, seed)
+        assert 0 < built < 300, (k, n, seed)
 
 
 def naive_search(k, n, budget, seed):
