@@ -20,6 +20,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -120,9 +121,7 @@ def _cmd_identities(args):
         if 1 <= v.d < v.k and v.value != 0:
             problems.append({"k": v.k, "d": v.d, "value": str(v.value), "expected": "0"})
         if v.d == v.k:
-            fact = 1
-            for i in range(2, v.k + 1):
-                fact *= i
+            fact = math.factorial(v.k)
             if v.value != fact:
                 problems.append({"k": v.k, "d": v.d, "value": str(v.value), "expected": str(fact)})
         if v.d <= v.k:
@@ -179,7 +178,7 @@ def _cmd_thresholds(args):
         print(json.dumps(witness, indent=2, sort_keys=True))
     else:
         print("g\tmax_proven_k\tstatement")
-        print(f"{args.g}\t{k}\t gonality >= {k + 1}")
+        print(f"{args.g}\t{k}\tgonality >= {k + 1}")
     return "pass", witness
 
 

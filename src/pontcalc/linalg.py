@@ -1,17 +1,24 @@
 """Exact linear algebra over the integers.
 
-Small, dependency-free routines used by the certificate engine and the
-tangent-space checkers: reduced row echelon form, rank, nullspace, linear
-solves and determinants.  They take integer rows and return integer rows;
-the only rational output is the solution of ``solve_columns``.  Rationals
-are cleared where they enter, by the callers' constructors and by
-``exact_rank``, the one rank that also accepts Fractions: scaling a row by
-a nonzero constant leaves the rank, the pivot columns and the row space
-unchanged.  All routines run one exact elimination over integer rows,
-``_eliminate``.  Each of its updates is an integer combination of two rows
-by gcd-reduced factors, followed by division by the row's content, so
-every step is exact in the integers and every updated row is primitive;
-rows with a zero in the pivot column are skipped.
+Small, dependency-free routines used by the tangent-space checkers (and,
+for ``clear_denominators``, the cycle core): reduced row echelon form,
+rank, nullspace, linear solves and determinants.  They take integer rows
+and return integer rows; the only rational output is the solution of
+``solve_columns``.  Rationals are cleared where they enter, by the
+callers' constructors and by ``exact_rank``, the one rank that also
+accepts Fractions: scaling a row by a nonzero constant leaves the rank,
+the pivot columns and the row space unchanged.  All routines run one
+exact elimination over integer rows, ``_eliminate``.  Each of its updates
+is an integer combination of two rows by gcd-reduced factors, followed by
+division by the row's content, so every step is exact in the integers and
+every updated row is primitive; rows with a zero in the pivot column are
+skipped.
+
+``solve_columns`` and ``_back_substitute`` have no caller in the package
+since the window method decides membership by a rule.  They stay because
+the benchmark's tracer wraps ``solve_columns`` by name (and a test checks
+that it exists), and because the test-local oracle for the window rule
+re-runs the local-algebra solve through it.
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ Two solution strategies share the same certificate format:
   explicit cofactors with multiplier monomials of height <= k - 1 and
   pushforward indices j <= k.  This always lies inside the default
   monomial window.
-* ``window``: decides membership exactly in the local algebra
-  Q[y]/(y)^{g+1}, y = x - 1, with at most one small linear solve; ``cap``
-  bounds the multiplier height a certificate may have (up to ``2 * cap``).
-  A proven non-member is still reported as inconclusive.
+* ``window``: decides membership in the local algebra Q[y]/(y)^{g+1},
+  y = x - 1, by a rule: for k > g the target is a nilpotent product, and
+  for k <= g it is a member iff j_max >= k, certified by the Newton
+  cofactors.  ``cap`` bounds the multiplier height a certificate may have
+  (up to ``2 * cap``).  A non-member is still reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ from .cycles import (
     pushforward,
     star_power,
 )
-from .linalg import solve_columns
 
 
 class NotFoundWithinCaps(Exception):
     """No certificate found within the caps.
 
     This is inconclusive: membership may still hold at larger caps, and a
-    non-membership the window method proves comes without a witness.
+    non-membership the window rule decides (k <= g, j_max < k) comes
+    without a witness.
     """
 
     def __init__(self, k: int, g: int, j_max: int, caps_tried: list[int]):
@@ -458,22 +459,6 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     )
 
 
-def _monomial_points(k: int, cap: int) -> list[tuple[int, ...]]:
-    """All points with nonnegative coordinates of total height <= cap."""
-    points: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 0:
-            points.append(tuple(prefix))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], cap, k)
-    points.sort()
-    return points
-
-
 def _window_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate | None:
     """Decide whether u^{*k} lies in I + J^{g+1}, with I spanned by the
     (m_j)_* h, j <= j_max, and J the augmentation ideal; certify it if so.
@@ -481,49 +466,34 @@ def _window_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     J^{g+1} is primary at x = 1, so the question lives in Q[y]/(y)^{g+1},
     y_i = x_i - 1, where (m_j)_* h is P_j = sum_i (1+y_i)^j - k and the
     target is y_1^k.  For k > g the target is u_1^{*(k-g-1)} times the
-    nilpotent product u_1^{*(g+1)}.  For k <= g one solve has a row per
-    monomial of degree <= g and a column y^a P_j per 1 <= j <= min(j_max, g)
-    and |a| <= g - j.  Columns have degree <= g, so a solution is an exact
-    free-ring identity with multipliers sum_a c_{a,j} u^a.  The columns span
-    the whole image of I: with p_t = sum_i y_i^t, modulo (y)^{g+1}
+    nilpotent product u_1^{*(g+1)}.  For k <= g, u^{*k} is in I + J^{g+1}
+    iff j_max >= k:
 
-        y^a P_j == y^a * sum_{1 <= t <= g-|a|} C(j, t) p_t,
+    * if: the Newton certificate is a free-ring identity that uses only
+      the pushforwards with j <= k;
+    * only if: with p_t = sum_i y_i^t, modulo (y)^{g+1} each P_j is
+      sum_{1 <= t <= g} C(j, t) p_t, and the P_j, j <= min(j_max, g), are
+      unitriangular in these p_t, so I + J^{g+1} is
+      (p_1..p_{min(j_max, g)}) + (y)^{g+1}.  Both parts are homogeneous
+      and the second starts in degree g+1 > k, so for j_max < k <= g the
+      target would lie in (p_1..p_{k-1}) = (e_1..e_{k-1}).  It does not:
+      y_1 is a root of prod_i (T - y_i), so modulo that ideal y_1^k is
+      +-e_k, and e_k is not in the ideal of e_1..e_{k-1}, which are
+      algebraically independent with it.
 
-    and the columns y^a P_j, j <= g - |a|, are unitriangular in these
-    y^a p_t; when j_max < g - |a| every y^a P_j is itself a column.  So an
-    inconsistent system proves non-membership at every multiplier height.
-
-    Returns None then, and when the multiplier height exceeds 2 * cap;
-    otherwise the certificate records cap, or 2 * cap if it needs it.
+    Returns None for a non-member, and when the multiplier height exceeds
+    2 * cap; otherwise the certificate records cap, or 2 * cap if it needs
+    it.
     """
-    ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
-    gens, nil_part = (), ()
     if k > g:
+        ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
         u_power = nilpotent_product(k, (1,) * (k - g - 1), ctx)
         nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
+        cert = MembershipCertificate(k, g, j_max, cap, _target_power(k, ctx), (), nil_part)
+    elif j_max >= k:
+        cert = _newton_certificate(k, g, j_max, cap)
     else:
-        rows = {p: r for r, p in enumerate(_monomial_points(k, g))}
-        keys = [(j, a) for j in range(1, min(j_max, g) + 1) for a in _monomial_points(k, g - j)]
-        columns = [[0] * len(rows) for _ in keys]
-        for col, (j, a) in zip(columns, keys):
-            for i, t in itertools.product(range(k), range(1, j + 1)):
-                col[rows[a[:i] + (a[i] + t,) + a[i + 1:]]] = comb(j, t)
-        target = [0] * len(rows)
-        target[rows[(k,) + (0,) * (k - 1)]] = 1
-        solution = solve_columns(columns, target)
-        if solution is None:
-            return None
-        multipliers: dict[int, Cycle] = {}
-        for (j, a), c in zip(keys, solution):
-            if c:
-                factors = tuple(i + 1 for i, e in enumerate(a) for _ in range(e))
-                u_power = nilpotent_product(k, factors, ctx)
-                multipliers[j] = multipliers.get(j, Cycle.zero(k)) + u_power.scale(c)
-        gens = tuple(
-            GeneratorTerm(label=f"(m_{j})*h", j=j, generator=pushed_hypothesis(k, j), multiplier=m)
-            for j, m in sorted(multipliers.items())
-        )
-    cert = MembershipCertificate(k, g, j_max, cap, _target_power(k, ctx), gens, nil_part)
+        return None
     height = cert.max_multiplier_height()
     if height > 2 * cap:
         return None
@@ -552,8 +522,9 @@ def verify_relation(
     "window" (``_window_certificate``).  The window method raises
     ``NotFoundWithinCaps`` with caps [cap, 2 * cap] when its certificate
     needs multipliers above height 2 * cap, and when u^{*k} is not in
-    I + J^{g+1} at all: that proves non-membership but stays inconclusive,
-    as a refutation would need a checkable witness (a dual functional).
+    I + J^{g+1} at all, which for k <= g is exactly j_max < k: that
+    decides non-membership but stays inconclusive, as a refutation would
+    need a checkable witness (a dual functional).
     """
     if k < 2:
         raise ValueError("k must be at least 2")

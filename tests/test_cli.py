@@ -61,6 +61,13 @@ def test_thresholds_inverse(capsys):
     assert report["witness"]["max_proven_k"] == 3
 
 
+def test_thresholds_inverse_table(capsys):
+    code, out = run(capsys, "thresholds", "--g", "1")
+    assert code == 0
+    assert out.splitlines()[:2] == ["g\tmax_proven_k\tstatement", "1\t1\tgonality >= 2"]
+    assert last_json(out)["witness"]["statement"] == "gonality >= 2"
+
+
 def test_thresholds_requires_exactly_one(capsys):
     assert main(["thresholds"]) == 1
     assert main(["thresholds", "--k", "2", "--g", "3"]) == 1

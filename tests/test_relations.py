@@ -13,11 +13,13 @@ import pytest
 
 from pontcalc.cli import main
 from pontcalc.cycles import Cycle, GroupPoint, RingContext, pontryagin, pushforward, star_power
+from pontcalc.linalg import solve_columns
 from pontcalc.relations import (
     GeneratorTerm,
     MembershipCertificate,
     NilpotentTerm,
     NotFoundWithinCaps,
+    _newton_certificate,
     alpha_coefficients,
     augmentation_generator,
     check_recursion_identity,
@@ -181,9 +183,8 @@ def test_not_found_within_caps():
 # SHA-256 of the window certificate text json.dumps(cert.to_json_dict(),
 # indent=2, sort_keys=True).  The file `verify-relation --out` writes is
 # that text and one newline; both are checked against these pins.  The
-# pivot columns, and so the solution with free coefficients zero, do not
-# depend on how the elimination scales its rows, so a change to the
-# elimination must leave these bytes alone.
+# k > g pins are nilpotent certificates; (2, 3) is the Newton certificate
+# the window rule returns for j_max >= k.
 WINDOW_CERT_SHA256 = {
     (2, 3, None): "048bd0ad23acc5cb16b6fec88938e5f5d3b2b21f49cd3f7192786b1fcb7ec62a",
     (3, 1, 4): "cd4c31af14f5ae4b1917e181b1bcdd350076175a795f58738a1867d33d5c78a0",
@@ -338,6 +339,49 @@ def test_window_verdicts_match_macaulay_window(k, g, j_max, cap):
     assert cert.max_multiplier_height() <= expected[1]
 
 
+def _monomial_points(k, top):
+    """All exponent vectors of length k with total degree <= top, sorted."""
+    return sorted(a for a in itertools.product(range(top + 1), repeat=k) if sum(a) <= top)
+
+
+def local_algebra_solution(k, g, j_max):
+    """The window question for k <= g as one linear solve in Q[y]/(y)^{g+1},
+    y = x - 1: a row per monomial of degree <= g, a column y^a P_j per
+    1 <= j <= min(j_max, g) and |a| <= g - j, where P_j = sum_i (1+y_i)^j - k
+    has the entry C(j, t) at y_i^t, and the target y_1^k.  Returns None for
+    an inconsistent system, else (multiplier height, pushforward indices)
+    of the certificate with multipliers sum_a c_{a,j} u^a."""
+    rows = {p: r for r, p in enumerate(_monomial_points(k, g))}
+    keys = [(j, a) for j in range(1, min(j_max, g) + 1) for a in _monomial_points(k, g - j)]
+    columns = [[0] * len(rows) for _ in keys]
+    for col, (j, a) in zip(columns, keys):
+        for i, t in itertools.product(range(k), range(1, j + 1)):
+            col[rows[a[:i] + (a[i] + t,) + a[i + 1:]]] = comb(j, t)
+    target = [0] * len(rows)
+    target[rows[(k,) + (0,) * (k - 1)]] = 1
+    solution = solve_columns(columns, target)
+    if solution is None:
+        return None
+    used = [(j, a) for (j, a), c in zip(keys, solution) if c]
+    return max(sum(a) for _, a in used), sorted({j for j, _ in used})
+
+
+def test_window_rule_matches_local_algebra_solve():
+    # independent oracle: the rule j_max >= k against the exact solve it
+    # replaced, which decides membership at every multiplier height
+    for k in range(2, 6):
+        for g in range(k, 6):
+            for j_max in range(1, g + 3):
+                expected = local_algebra_solution(k, g, j_max)
+                assert (expected is not None) == (j_max >= k), (k, g, j_max)
+                if expected is None:
+                    with pytest.raises(NotFoundWithinCaps):
+                        verify_relation(k, g, j_max=j_max, method="window")
+                    continue
+                cert = verify_relation(k, g, j_max=j_max, method="window")
+                assert (cert.max_multiplier_height(), cert.pushforward_indices()) == expected
+
+
 def test_window_certificate_structure():
     for k in range(2, 6):
         for g in range(1, 5):
@@ -345,7 +389,7 @@ def test_window_certificate_structure():
                 try:
                     cert = verify_relation(k, g, j_max=j_max, method="window")
                 except NotFoundWithinCaps:
-                    assert k <= g
+                    assert k <= g and j_max is not None and j_max < k
                     continue
                 assert verify_certificate(cert)
                 if k > g:
@@ -357,12 +401,15 @@ def test_window_certificate_structure():
                         NilpotentTerm(factors=(1,) * (g + 1), multiplier=star_power(u, k - g - 1, ctx)),
                     )
                 else:
+                    # j_max >= k: the window certificate is the Newton one
                     assert cert.nilpotent_part == ()
                     assert max(cert.pushforward_indices()) <= min(cert.j_max, g)
+                    newton = _newton_certificate(k, g, cert.j_max, cert.cap)
+                    assert cert.generators == newton.generators
 
 
 def test_window_reaches_larger_windows():
-    for k in (4, 5):
+    for k in (4, 5, 6, 7, 8):
         cert = verify_relation(k, k, method="window")
         assert verify_certificate(cert)
         assert cert.nilpotent_part == ()
