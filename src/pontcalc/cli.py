@@ -397,7 +397,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--jmax", type=int, default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--method", choices=("auto", "newton", "window"), default="auto")
+    p.add_argument("--method", choices=("auto", "newton", "window"), default="auto", help=(
+        "newton: the Newton certificate (j = 1..k, height k-1) if --jmax >= k and --cap >= k-1, "
+        "else exit 2 with caps_tried [cap]; window: the nilpotent certificate if k > g, else the "
+        "Newton one if --jmax >= k, recording --cap, or twice --cap if its height needs it, else "
+        "exit 2 with caps_tried [cap, 2 cap]; auto (default): newton if it fits, else window"))
     p.add_argument("--out", default="cert.json", help="certificate output path")
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify_relation)

@@ -13,25 +13,25 @@ it returns is re-verified by brute-force expansion through an independent
 code path, so a returned certificate is a proof; failure to find one
 within the caps is reported as inconclusive, never as a refutation.
 
-Two solution strategies share the same certificate format:
+Two certificates share the same format, and which one a call gets is
+decided from (k, g, j_max, cap) before anything is built:
 
-* ``newton`` (default): telescopes the elementary-symmetric / power-sum
+* the Newton certificate telescopes the elementary-symmetric / power-sum
   recursion satisfied by the subset-sum cycles gamma_l, which yields
-  explicit cofactors with multiplier monomials of height <= k - 1 and
-  pushforward indices j <= k.  This always lies inside the default
-  monomial window.
-* ``window``: decides membership in the local algebra Q[y]/(y)^{g+1},
-  y = x - 1, by a rule: for k > g the target is a nilpotent product, and
-  for k <= g it is a member iff j_max >= k, certified by the Newton
-  cofactors.  ``cap`` bounds the multiplier height a certificate may have
-  (up to ``2 * cap``).  A non-member is still reported as inconclusive.
+  explicit cofactors with multiplier monomials of height k - 1 over the
+  pushforwards with j = 1..k, and no nilpotency term;
+* the nilpotent certificate (k > g) writes the target as one multiple of
+  a product of g+1 augmentation generators.
+
+``verify_relation`` tabulates which one each ``method`` (``auto``, the
+default, ``newton`` or ``window``) returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -357,10 +357,14 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     Recomputes every generator from its pushforward index, recomputes
     every nilpotent product from its factor list (which must have exactly
     g+1 factors), convolves with the stored multipliers, and compares the
-    exact sum against the target.  Shares no state with the solvers.
+    exact sum against the target, which must be u^{*k} expanded as
+    sum_i C(k, i) (-1)^(k-i) {i x_1}.  Shares no state with the solvers.
     """
     k = cert.k
-    heights = [cert.target.max_height()]
+    x_1 = GroupPoint.generator(k, 0)
+    if cert.target != Cycle(k, {x_1.scale(i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)}):
+        return False
+    heights = [k]
     for t in cert.generators:
         heights.append(t.multiplier.max_height() + t.j)
     for t in cert.nilpotent_part:
@@ -410,7 +414,8 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
 
     with t_j = k{0} - {j x_1}.  Since the free gamma_k is empty and the
     substituted one is (-1)^k u^{*k}, the accumulated cofactors of delta_k
-    express u^{*k} over the pushforwards (m_j)_* h with j <= k.
+    express u^{*k} over the (m_j)_* h, j = 1..k, at height k - 1; g, j_max
+    and cap are only recorded.
     """
     ctx = RingContext(rank=k, geom_dim=g, support_cap=cap + j_max + k + 2)
     free_indices = list(range(1, k))
@@ -436,15 +441,12 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     sign = Fraction((-1) ** (k + 1))
     gens = []
     for j in sorted(cof[k]):
-        multiplier = cof[k][j].scale(sign)
-        if multiplier.is_zero():
-            continue
         gens.append(
             GeneratorTerm(
                 label=f"(m_{j})*h",
                 j=j,
                 generator=pushed_hypothesis(k, j),
-                multiplier=multiplier,
+                multiplier=cof[k][j].scale(sign),
             )
         )
     target = _target_power(k, ctx)
@@ -459,15 +461,28 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     )
 
 
-def _window_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate | None:
-    """Decide whether u^{*k} lies in I + J^{g+1}, with I spanned by the
-    (m_j)_* h, j <= j_max, and J the augmentation ideal; certify it if so.
+def _nilpotent_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate:
+    """For k > g: u^{*k} is u_1^{*(k-g-1)} times the nilpotent product
+    u_1^{*(g+1)}, one term with a multiplier of height k - g - 1."""
+    ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
+    u_power = nilpotent_product(k, (1,) * (k - g - 1), ctx)
+    nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
+    return MembershipCertificate(k, g, j_max, cap, _target_power(k, ctx), (), nil_part)
 
+
+def _certificate(k: int, g: int, j_max: int, cap: int, method: str) -> MembershipCertificate | None:
+    """The certificate ``verify_relation`` tabulates for ``method``, or None.
+
+    Both certificates have a height known in advance (Newton k - 1 over
+    j = 1..k, nilpotent k - g - 1), so the choice is made from
+    (k, g, j_max, cap) and only the chosen one is built.
+
+    The window rule decides whether u^{*k} lies in I + J^{g+1}, with I
+    spanned by the (m_j)_* h, j <= j_max, and J the augmentation ideal.
     J^{g+1} is primary at x = 1, so the question lives in Q[y]/(y)^{g+1},
     y_i = x_i - 1, where (m_j)_* h is P_j = sum_i (1+y_i)^j - k and the
-    target is y_1^k.  For k > g the target is u_1^{*(k-g-1)} times the
-    nilpotent product u_1^{*(g+1)}.  For k <= g, u^{*k} is in I + J^{g+1}
-    iff j_max >= k:
+    target is y_1^k.  For k > g the rule gives the nilpotent certificate.
+    For k <= g, u^{*k} is in I + J^{g+1} iff j_max >= k:
 
     * if: the Newton certificate is a free-ring identity that uses only
       the pushforwards with j <= k;
@@ -480,32 +495,20 @@ def _window_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
       y_1 is a root of prod_i (T - y_i), so modulo that ideal y_1^k is
       +-e_k, and e_k is not in the ideal of e_1..e_{k-1}, which are
       algebraically independent with it.
-
-    Returns None for a non-member, and when the multiplier height exceeds
-    2 * cap; otherwise the certificate records cap, or 2 * cap if it needs
-    it.
     """
+    if method != "window" and j_max >= k and k - 1 <= cap:
+        return _newton_certificate(k, g, j_max, cap)
+    if method == "newton":
+        return None
     if k > g:
-        ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
-        u_power = nilpotent_product(k, (1,) * (k - g - 1), ctx)
-        nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
-        cert = MembershipCertificate(k, g, j_max, cap, _target_power(k, ctx), (), nil_part)
+        build, height = _nilpotent_certificate, k - g - 1
     elif j_max >= k:
-        cert = _newton_certificate(k, g, j_max, cap)
+        build, height = _newton_certificate, k - 1
     else:
         return None
-    height = cert.max_multiplier_height()
     if height > 2 * cap:
         return None
-    return cert if height <= cap else replace(cert, cap=2 * cap)
-
-
-def default_j_max(k: int, g: int) -> int:
-    return k * (g + 1)
-
-
-def default_cap(k: int, g: int) -> int:
-    return k * (g + 1)
+    return build(k, g, j_max, cap if height <= cap else 2 * cap)
 
 
 def verify_relation(
@@ -517,46 +520,37 @@ def verify_relation(
 ) -> MembershipCertificate:
     """Produce a re-verified membership certificate for u^{*k}.
 
-    ``method`` is "auto" (structured Newton telescoping, falling back to
-    the window method if its output ever left the window), "newton", or
-    "window" (``_window_certificate``).  The window method raises
-    ``NotFoundWithinCaps`` with caps [cap, 2 * cap] when its certificate
-    needs multipliers above height 2 * cap, and when u^{*k} is not in
-    I + J^{g+1} at all, which for k <= g is exactly j_max < k: that
-    decides non-membership but stays inconclusive, as a refutation would
-    need a checkable witness (a dual functional).
+    j_max and cap default to k(g+1).  The Newton certificate (j = 1..k,
+    height k - 1) fits when j_max >= k and cap >= k - 1.  The window rule
+    gives the nilpotent certificate for k > g, the Newton one for k <= g
+    and j_max >= k, and nothing otherwise; it records cap, or 2 * cap if
+    the height needs it, and gives nothing above 2 * cap.
+
+      method  certificate                              else NotFoundWithinCaps
+      auto    Newton if it fits, else the window rule  caps_tried [cap, 2 * cap]
+      newton  Newton if it fits                        caps_tried [cap]
+      window  the window rule                          caps_tried [cap, 2 * cap]
+
+    ``newton`` is the only way to require a free-ring identity with no
+    nilpotency term.  A non-member (k <= g, j_max < k) stays inconclusive,
+    as a refutation would need a checkable witness (a dual functional).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if g < 1:
         raise ValueError("g must be a positive integer")
     if j_max is None:
-        j_max = default_j_max(k, g)
+        j_max = k * (g + 1)
     if cap is None:
-        cap = default_cap(k, g)
+        cap = k * (g + 1)
     if j_max < 1 or cap < 1:
         raise ValueError("j_max and cap must be at least 1")
     if method not in ("auto", "newton", "window"):
         raise ValueError(f"unknown method {method!r}")
 
-    if method in ("auto", "newton"):
-        cert = _newton_certificate(k, g, j_max, cap)
-        in_window = (
-            cert.max_multiplier_height() <= cap
-            and all(t.j <= j_max for t in cert.generators)
-        )
-        if in_window:
-            if not verify_certificate(cert):
-                raise AssertionError(
-                    "internal error: constructed certificate failed re-verification"
-                )
-            return cert
-        if method == "newton":
-            raise NotFoundWithinCaps(k, g, j_max, [cap])
-
-    cert = _window_certificate(k, g, j_max, cap)
+    cert = _certificate(k, g, j_max, cap, method)
     if cert is None:
-        raise NotFoundWithinCaps(k, g, j_max, [cap, 2 * cap])
+        raise NotFoundWithinCaps(k, g, j_max, [cap] if method == "newton" else [cap, 2 * cap])
     if not verify_certificate(cert):
-        raise AssertionError("internal error: window certificate failed re-verification")
+        raise AssertionError("internal error: constructed certificate failed re-verification")
     return cert

@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from pontcalc import relations
 from pontcalc.cli import main
 from pontcalc.cycles import Cycle, GroupPoint, RingContext, pontryagin, pushforward, star_power
 from pontcalc.linalg import solve_columns
@@ -154,6 +155,16 @@ def test_newton_certificates_small_range():
             assert cert.nilpotent_part == ()
             assert cert.max_multiplier_height() <= k - 1
             assert max(cert.pushforward_indices()) <= k
+    # the certificate rule decides from these facts without building: the
+    # Newton certificate uses j = 1..k at height exactly k - 1, and its
+    # terms do not depend on g, j_max or cap
+    for k in range(2, 9):
+        first = _newton_certificate(k, 1, k, k - 1)
+        assert first.pushforward_indices() == list(range(1, k + 1)), k
+        assert first.max_multiplier_height() == k - 1, k
+        for g, j_max, cap in [(2, 2 * k, 1), (k, k + 1, 2 * k), (k + 2, 3 * k, k)]:
+            cert = _newton_certificate(k, g, j_max, cap)
+            assert (cert.generators, cert.target) == (first.generators, first.target), (k, g)
 
 
 def test_window_method_agrees():
@@ -418,6 +429,87 @@ def test_window_reaches_larger_windows():
     assert info.value.caps_tried == [20, 40]
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, builds",
+    [
+        ((4, 4), {"cap": 2}, 1),
+        ((5, 2), {"j_max": 3}, 0),
+        ((5, 1), {"j_max": 3, "cap": 1, "method": "newton"}, 0),
+    ],
+)
+def test_newton_certificate_built_at_most_once(monkeypatch, args, kwargs, builds):
+    calls = []
+
+    def counted(*a):
+        calls.append(a)
+        return _newton_certificate(*a)
+
+    monkeypatch.setattr(relations, "_newton_certificate", counted)
+    try:
+        verify_relation(*args, **kwargs)
+    except NotFoundWithinCaps:
+        pass
+    assert len(calls) == builds
+
+
+def window_dispatch_oracle(k, g, j_max, cap):
+    """The window rule decided by building the certificate and measuring
+    its height, with no height formula."""
+    if k > g:
+        ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
+        u_power = relations.nilpotent_product(k, (1,) * (k - g - 1), ctx)
+        nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
+        cert = MembershipCertificate(
+            k, g, j_max, cap, star_power(augmentation_generator(k, 1), k, ctx), (), nil_part
+        )
+    elif j_max >= k:
+        cert = _newton_certificate(k, g, j_max, cap)
+    else:
+        return None
+    height = cert.max_multiplier_height()
+    if height > 2 * cap:
+        return None
+    return cert if height <= cap else replace(cert, cap=2 * cap)
+
+
+def dispatch_oracle(k, g, j_max, cap, method):
+    """verify_relation's dispatch with no height formula: build the Newton
+    certificate for auto and newton, keep it if its measured height and
+    indices fit, else fall back to the window."""
+    j_max = k * (g + 1) if j_max is None else j_max
+    cap = k * (g + 1) if cap is None else cap
+    if method in ("auto", "newton"):
+        cert = _newton_certificate(k, g, j_max, cap)
+        if cert.max_multiplier_height() <= cap and all(t.j <= j_max for t in cert.generators):
+            return cert
+        if method == "newton":
+            raise NotFoundWithinCaps(k, g, j_max, [cap])
+    cert = window_dispatch_oracle(k, g, j_max, cap)
+    if cert is None:
+        raise NotFoundWithinCaps(k, g, j_max, [cap, 2 * cap])
+    return cert
+
+
+def outcome(call):
+    try:
+        return written(call())
+    except NotFoundWithinCaps as exc:
+        return exc.caps_tried, exc.j_max
+
+
+def test_certificate_rule_matches_build_then_measure_dispatch():
+    for k in range(2, 6):
+        for g, j_max, cap, method in itertools.product(
+            range(1, 6),
+            [*range(1, k + 3), None],
+            [*range(1, k + 2), None],
+            ("auto", "newton", "window"),
+        ):
+            expected = outcome(lambda: dispatch_oracle(k, g, j_max, cap, method))
+            got = outcome(lambda: verify_relation(k, g, j_max=j_max, cap=cap, method=method))
+            assert got == expected, (k, g, j_max, cap, method)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         verify_relation(1, 2)
@@ -441,6 +533,18 @@ def test_certificate_json_round_trip_and_tampering():
     wrong_gen = json.loads(json.dumps(cert.to_json_dict()))
     wrong_gen["generators"][0]["j"] = 5
     assert not verify_certificate(MembershipCertificate.from_json_dict(wrong_gen))
+
+    # a consistent identity for a target other than u^{*k} proves nothing
+    empty = MembershipCertificate(
+        k=2, g=1, j_max=1, cap=1, target=Cycle.zero(2), generators=(), nilpotent_part=()
+    )
+    assert not verify_certificate(empty)
+    doubled = replace(
+        cert,
+        target=cert.target.scale(2),
+        generators=tuple(replace(t, multiplier=t.multiplier.scale(2)) for t in cert.generators),
+    )
+    assert not verify_certificate(doubled)
 
 
 def test_trivial_nilpotent_certificate_k2_g1():
