@@ -32,6 +32,7 @@ from .cycles import (
     GroupPoint,
     RingContext,
     SupportCapExceeded,
+    _ratio,
     exp_cycle,
     format_rational,
     gamma,
@@ -291,8 +292,8 @@ def _cmd_pair_lemma(args):
         "lhs_dim_product_plus_sum": lhs,
         "rhs_dim_a_plus_dim_b": rhs,
         "ok": ok,
-        "A": [[format_rational(x) for x in row] for row in A.rows()],
-        "B": [[format_rational(x) for x in row] for row in B.rows()],
+        "A": [[_ratio(x, A.den) for x in row] for row in A.basis],
+        "B": [[_ratio(x, B.den) for x in row] for row in B.basis],
     }
     return ("pass" if ok else "fail"), witness
 

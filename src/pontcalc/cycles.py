@@ -194,8 +194,9 @@ class Cycle:
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         hb = 0
+        integral = True
         for point, coeff in items:
             if not isinstance(point, GroupPoint):
                 point = GroupPoint(point)
@@ -208,9 +209,16 @@ class Cycle:
             if h > hb:
                 hb = h
             key = _key(coords)
-            acc[key] = acc.get(key, 0) + _as_fraction(coeff)
-        den, nums = clear_denominators(list(acc.values()))
-        self._set(rank, den, dict(zip(acc, nums)), hb)
+            if not isinstance(coeff, int):
+                coeff = _as_fraction(coeff)
+                integral = False
+            acc[key] = acc.get(key, 0) + coeff
+        if integral:
+            # integer coefficients are already numerators over den 1
+            self._set(rank, 1, acc, hb)
+        else:
+            den, nums = clear_denominators(list(acc.values()))
+            self._set(rank, den, dict(zip(acc, nums)), hb)
         if len(self.num) == len(acc):
             # nothing cancelled, so the largest input height is attained
             self._set_height(hb)
@@ -494,6 +502,42 @@ def pushforward(c: Cycle, n: int) -> Cycle:
         q = n * p
         acc[q] = acc.get(q, 0) + v
     return Cycle._canonical(c.rank, c.den, acc, hb)
+
+
+def _orbit_cycle(rank: int, den: int, orbits: Mapping[tuple[int, ...], int]) -> Cycle:
+    """The cycle that an orbit form stands for.
+
+    Each orbit key (a_1, *tail), tail sorted, maps to the numerator n over
+    ``den`` shared by every point (a_1, sigma(tail)), sigma a permutation of
+    x_2..x_r.  The keys of a tail's orderings are its distinct first values
+    v, each placed before the orderings of the rest of the tail (memoized),
+    so every key costs one shift and one addition.
+    """
+    memo: dict[tuple[int, ...], list[int]] = {(): [0]}
+
+    def orderings(tail: tuple[int, ...]) -> list[int]:
+        keys = memo.get(tail)
+        if keys is None:
+            shift = _B * (len(tail) - 1)
+            keys = memo[tail] = [
+                (v << shift) + key
+                for i, v in enumerate(tail) if i == 0 or v != tail[i - 1]
+                for key in orderings(tail[:i] + tail[i + 1:])
+            ]
+        return keys
+
+    num: dict[int, int] = {}
+    hb = 0
+    for orbit, n in orbits.items():
+        if not n:
+            continue
+        hb = max(hb, _height(orbit))
+        head = orbit[0] << _B * (rank - 1)
+        for key in orderings(orbit[1:]):
+            num[head + key] = n
+    out = Cycle._canonical(rank, den, num, hb)
+    out._set_height(hb)
+    return out
 
 
 def degree(c: Cycle) -> Fraction:

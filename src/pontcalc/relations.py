@@ -9,9 +9,11 @@ times the origin".  The engine exhibits u^{*k}, u = {x_1} - {0}, as an
 exact combination of monomial multiples of the pushforwards (m_j)_* h
 (the relation ideal) plus, when needed, monomial multiples of products of
 g+1 augmentation-ideal generators (the nilpotency span).  Any certificate
-it returns is re-verified by brute-force expansion through an independent
-code path, so a returned certificate is a proof; failure to find one
-within the caps is reported as inconclusive, never as a refutation.
+it returns is re-verified through an independent code path (a Newton
+certificate on orbits of the permutations of x_2..x_k, any other by
+brute-force expansion), so a returned certificate is a proof; failure to
+find one within the caps is reported as inconclusive, never as a
+refutation.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -31,14 +33,19 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, lcm
+from operator import add
 
 from .cycles import (
+    _LIMIT,
     Cycle,
     GroupPoint,
     RingContext,
+    _key,
+    _orbit_cycle,
     pontryagin,
     pushforward,
     star_power,
@@ -203,12 +210,19 @@ def power_basis_change_inverse(beta) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class GeneratorTerm:
-    """One relation-ideal contribution: multiplier * (m_j)_* h."""
+    """One relation-ideal contribution: multiplier * (m_j)_* h.
+
+    ``orbits`` is the multiplier's orbit form when it is invariant under
+    permuting x_2..x_k: each key (a_1, *tail), tail sorted, maps to the
+    numerator over ``multiplier.den`` shared by the points of its orbit.
+    It is kept in memory only: not serialized and not compared.
+    """
 
     label: str
     j: int
     generator: Cycle
     multiplier: Cycle
+    orbits: dict[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -234,7 +248,7 @@ class MembershipCertificate:
 
     target == sum multiplier * generator + sum multiplier * nilpotent
     product, as an exact identity of the free group ring; re-verifiable by
-    ``verify_certificate`` which re-expands everything independently.
+    ``verify_certificate``, independently of the builders.
     """
 
     k: int
@@ -352,17 +366,28 @@ def nilpotent_product(k: int, factors: tuple[int, ...], ctx: RingContext) -> Cyc
 
 
 def verify_certificate(cert: MembershipCertificate) -> bool:
-    """Independent re-verification by brute-force expansion.
+    """Independent re-verification of the identity target == sum of terms.
 
-    Recomputes every generator from its pushforward index, recomputes
-    every nilpotent product from its factor list (which must have exactly
-    g+1 factors), convolves with the stored multipliers, and compares the
-    exact sum against the target, which must be u^{*k} expanded as
-    sum_i C(k, i) (-1)^(k-i) {i x_1}.  Shares no state with the solvers.
+    The target must be u^{*k} expanded as sum_i C(k, i) (-1)^(k-i) {i x_1},
+    every generator is recomputed from its pushforward index, and every
+    multiplier must have rank k and height at most cap.  Shares no state or
+    code with the solvers.
+
+    A certificate whose terms all carry an orbit form (an in-memory Newton
+    certificate) is proved on orbits of the permutations of x_2..x_k, see
+    ``_verify_on_orbits``.  Any other certificate, and every certificate
+    loaded from a file, is proved by full expansion: each nilpotent product
+    (exactly g+1 factors) is recomputed from its factor list, each term is
+    convolved out, and the exact sum is compared with the target.
     """
     k = cert.k
     x_1 = GroupPoint.generator(k, 0)
     if cert.target != Cycle(k, {x_1.scale(i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)}):
+        return False
+    if (cert.generators and not cert.nilpotent_part
+            and all(t.orbits is not None for t in cert.generators)):
+        return _verify_on_orbits(cert)
+    if any(t.multiplier.rank != k for t in cert.generators + cert.nilpotent_part):
         return False
     heights = [k]
     for t in cert.generators:
@@ -392,6 +417,84 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     return total == cert.target
 
 
+def _arrangements(tail: tuple[int, ...]) -> tuple[list[int], int]:
+    """Packed keys of the distinct orderings of a sorted tail, listed by
+    lexicographic next-permutation, and their number as a multinomial."""
+    perm = list(tail)
+    keys = []
+    while True:
+        keys.append(_key(perm))
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            break
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
+    size = factorial(len(tail))
+    for m in Counter(tail).values():
+        size //= factorial(m)
+    return keys, size
+
+
+def _verify_on_orbits(cert: MembershipCertificate) -> bool:
+    """Prove an all-generator certificate from the orbit forms of its terms.
+
+    S_{k-1} permutes x_2..x_k.  Each orbit key must be a point of rank k
+    with integer coordinates in the digit range, height at most cap and a
+    sorted tail, so keys name distinct orbits.  The orbit form is expanded
+    here, one key per distinct ordering of the tail, and must equal
+    ``multiplier.num`` exactly: the multiplier Y is then invariant.  So is
+    each (m_j)_* h, hence so is the difference of the two sides, and an
+    invariant cycle is zero iff every orbit sum is.  The orbit sum over Q
+    of Y * (m_j)_* h is sum_r S(O(r)) * sum_{g : r + g in Q} c(g), over one
+    representative r per orbit of Y, with S(O(r)) = |O(r)| Y(r) and |O(r)|
+    the multinomial (k-1)! / prod m_v! of the tail's multiplicities.  All
+    sums are integers over the lcm of the multiplier denominators, keyed by
+    (a_1, sorted tail).
+    """
+    k = cert.k
+    den = lcm(*(t.multiplier.den for t in cert.generators))
+    zeros = (0,) * (k - 1)
+    arrangements: dict[tuple[int, ...], tuple[list[int], int]] = {}
+    sums: dict[tuple[int, tuple[int, ...]], int] = {}
+    for t in cert.generators:
+        if not 1 <= t.j <= cert.j_max or t.multiplier.rank != k:
+            return False
+        # (m_j)_* h = sum_i {j x_i} - k{0}, as (g_1, g_tail, c) triples
+        generator = [(t.j, zeros, 1), (0, zeros, -k)]
+        generator += [(0, zeros[:i] + (t.j,) + zeros[i + 1:], 1) for i in range(k - 1)]
+        if t.generator != Cycle(k, [((g1, *gt), c) for g1, gt, c in generator]):
+            return False
+        moves: dict[tuple[int, ...], list] = {}
+        scale = den // t.multiplier.den
+        expanded = {}
+        for orbit, n in t.orbits.items():
+            tail = orbit[1:]
+            if (len(orbit) != k or any(type(c) is not int or abs(c) >= _LIMIT for c in orbit)
+                    or sum(map(abs, orbit)) > cert.cap or list(tail) != sorted(tail)):
+                return False
+            if tail not in arrangements:
+                arrangements[tail] = _arrangements(tail)
+            keys, size = arrangements[tail]
+            head = _key((orbit[0], *zeros))
+            for key in keys:
+                expanded[head + key] = n
+            if tail not in moves:
+                moves[tail] = [(g1, tuple(sorted(map(add, tail, gt))), c) for g1, gt, c in generator]
+            weight = size * n * scale
+            for g1, q_tail, c in moves[tail]:
+                q = (orbit[0] + g1, q_tail)
+                sums[q] = sums.get(q, 0) + weight * c
+        if expanded != t.multiplier.num:
+            return False
+    target = {(i, zeros): comb(k, i) * (-1) ** (k - i) * den for i in range(k + 1)}
+    return {q: v for q, v in sums.items() if v} == target
+
+
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
@@ -416,37 +519,51 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     substituted one is (-1)^k u^{*k}, the accumulated cofactors of delta_k
     express u^{*k} over the (m_j)_* h, j = 1..k, at height k - 1; g, j_max
     and cap are only recorded.
+
+    Every cofactor is invariant under permuting x_2..x_k, so the recursion
+    runs on orbit keys (a_1, *sorted tail): gamma_s is the single orbit
+    (0, 0^(k-1-s), 1^s), t_j * c is k c minus c with a_1 shifted by j, and
+    the cofactors at step m are integer numerators over m!.  Each
+    multiplier is expanded onto points once and keeps its orbit form.
     """
     ctx = RingContext(rank=k, geom_dim=g, support_cap=cap + j_max + k + 2)
-    free_indices = list(range(1, k))
-    gamma_free = [subset_sum_cycle(k, free_indices, s) for s in range(k)]
-    t_subst = [None] + [
-        Cycle(k, {GroupPoint.origin(k): k, GroupPoint.generator(k, 0).scale(j): -1})
-        for j in range(1, k + 1)
-    ]
-    cof: list[dict[int, Cycle]] = [dict() for _ in range(k + 1)]
-    cof[1] = {1: Cycle.unit(k)}
+    cof: list[dict[int, dict[tuple[int, ...], int]]] = [{} for _ in range(k + 1)]
+    cof[1] = {1: {(0,) * k: 1}}
     for l in range(1, k):
-        new: dict[int, Cycle] = {}
+        new: dict[int, dict[tuple[int, ...], int]] = {}
         for i in range(0, l + 1):
-            weight = Fraction((-1) ** i, l + 1)
-            j = i + 1
-            contrib = gamma_free[l - i].scale(weight)
-            new[j] = new.get(j, Cycle.zero(k)) + contrib
+            # weight (-1)^i / (l+1): over (l+1)! a gamma term gets (-1)^i l!
+            # and a numerator over (l-i)! gets (-1)^i l! / (l-i)!
+            sign = (-1) ** i
+            acc = new.setdefault(i + 1, {})
+            gamma_orbit = (0,) * (k - l + i) + (1,) * (l - i)
+            acc[gamma_orbit] = acc.get(gamma_orbit, 0) + sign * factorial(l)
+            f = sign * factorial(l) // factorial(l - i)
             for jj, c in cof[l - i].items():
-                moved = pontryagin(t_subst[i + 1], c, ctx).scale(weight)
-                new[jj] = new.get(jj, Cycle.zero(k)) + moved
-        cof[l + 1] = {j: c for j, c in new.items() if not c.is_zero()}
+                acc = new.setdefault(jj, {})
+                for orbit, n in c.items():
+                    acc[orbit] = acc.get(orbit, 0) + k * f * n
+                    moved = (orbit[0] + i + 1, *orbit[1:])
+                    acc[moved] = acc.get(moved, 0) - f * n
+        for j, c in new.items():
+            c = {orbit: n for orbit, n in c.items() if n}
+            if c:
+                cof[l + 1][j] = c
 
-    sign = Fraction((-1) ** (k + 1))
+    sign = (-1) ** (k + 1)
     gens = []
     for j in sorted(cof[k]):
+        orbits = cof[k][j]
+        d = gcd(factorial(k), *orbits.values())
+        orbits = {orbit: sign * n // d for orbit, n in orbits.items()}
+        den = factorial(k) // d
         gens.append(
             GeneratorTerm(
                 label=f"(m_{j})*h",
                 j=j,
                 generator=pushed_hypothesis(k, j),
-                multiplier=cof[k][j].scale(sign),
+                multiplier=_orbit_cycle(k, den, orbits),
+                orbits=orbits,
             )
         )
     target = _target_power(k, ctx)

@@ -361,6 +361,27 @@ def test_write_json_matches_stdlib_layout(data):
     assert stdlib == json.dumps(oracle, indent=2, sort_keys=True)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_integer_coefficients_match_fraction_path(data):
+    # int-only terms skip Fraction and clear_denominators; the cycle must be
+    # the one the same terms give as Fractions, cancelling terms included
+    rank = data.draw(st.integers(0, 3))
+    points = st.tuples(*[COORD] * rank)
+    pairs = data.draw(st.lists(st.tuples(points, NUMER), max_size=6))
+    if data.draw(st.booleans()):
+        pairs += [(p, -n) for p, n in data.draw(st.permutations(pairs))]
+    if pairs and data.draw(st.booleans()):
+        pairs.append((pairs[0][0], data.draw(NUMER)))
+    by_int = Cycle(rank, pairs)
+    by_fraction = Cycle(rank, [(p, Fraction(n)) for p, n in pairs])
+    for c in (by_int, by_fraction):
+        assert all(type(v) is int for v in c.num.values())
+    assert (by_int.den, by_int.num, by_int.hb, by_int._exact) == (
+        by_fraction.den, by_fraction.num, by_fraction.hb, by_fraction._exact
+    )
+
+
 def test_write_json_zero_and_rank_zero():
     fh = io.StringIO()
     Cycle.zero(2).write_json(fh, 1)

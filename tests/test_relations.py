@@ -542,9 +542,19 @@ def test_certificate_json_round_trip_and_tampering():
     doubled = replace(
         cert,
         target=cert.target.scale(2),
-        generators=tuple(replace(t, multiplier=t.multiplier.scale(2)) for t in cert.generators),
+        generators=tuple(replace(t, multiplier=t.multiplier.scale(2), orbits=None)
+                         for t in cert.generators),
     )
     assert not verify_certificate(doubled)
+    doubled_on_orbits = replace(
+        doubled,
+        generators=tuple(
+            replace(d, orbits={o: 2 * n * t.multiplier.den // d.multiplier.den
+                               for o, n in t.orbits.items()})
+            for t, d in zip(cert.generators, doubled.generators)
+        ),
+    )
+    assert not verify_certificate(doubled_on_orbits)
 
 
 def test_trivial_nilpotent_certificate_k2_g1():
@@ -572,3 +582,144 @@ def test_trivial_nilpotent_certificate_k2_g1():
         nilpotent_part=(NilpotentTerm(factors=(1, 1), multiplier=Cycle.unit(2)),),
     )
     assert not verify_certificate(bad)
+
+
+def wrong_rank(multiplier):
+    """A multiplier's JSON truncated from rank 3 to rank 2."""
+    return {"rank": 2, "terms": [{"coeff": t["coeff"], "point": t["point"][:2]}
+                                 for t in multiplier["terms"]]}
+
+
+def test_wrong_rank_multipliers_are_rejected():
+    data = verify_relation(3, 2, method="newton").to_json_dict()
+    data["generators"][0]["multiplier"] = wrong_rank(data["generators"][0]["multiplier"])
+    assert verify_certificate(MembershipCertificate.from_json_dict(data)) is False
+
+    data = verify_relation(3, 1, j_max=1, cap=2, method="window").to_json_dict()
+    assert data["nilpotent_part"] and not data["generators"]
+    data["nilpotent_part"][0]["multiplier"] = wrong_rank(data["nilpotent_part"][0]["multiplier"])
+    assert verify_certificate(MembershipCertificate.from_json_dict(data)) is False
+
+    cert = verify_relation(3, 2, method="newton")
+    t = cert.generators[0]
+    short = replace(cert, generators=(replace(t, multiplier=Cycle.unit(2)),) + cert.generators[1:])
+    assert verify_certificate(short) is False
+
+
+# ---------------------------------------------------------------------------
+# Newton certificates on S_{k-1} orbits
+# ---------------------------------------------------------------------------
+
+
+def point_keyed_newton_multipliers(k):
+    """{j: multiplier} of the Newton certificate, built on points with full
+    convolutions, as ``_newton_certificate`` did before its orbit keys."""
+    ctx = RingContext(rank=k, geom_dim=1, support_cap=4 * k)
+    free_indices = list(range(1, k))
+    gamma_free = [subset_sum_cycle(k, free_indices, s) for s in range(k)]
+    t_subst = [None] + [
+        Cycle(k, {GroupPoint.origin(k): k, GroupPoint.generator(k, 0).scale(j): -1})
+        for j in range(1, k + 1)
+    ]
+    cof = [dict() for _ in range(k + 1)]
+    cof[1] = {1: Cycle.unit(k)}
+    for l in range(1, k):
+        new = {}
+        for i in range(0, l + 1):
+            weight = Fraction((-1) ** i, l + 1)
+            new[i + 1] = new.get(i + 1, Cycle.zero(k)) + gamma_free[l - i].scale(weight)
+            for jj, c in cof[l - i].items():
+                moved = pontryagin(t_subst[i + 1], c, ctx).scale(weight)
+                new[jj] = new.get(jj, Cycle.zero(k)) + moved
+        cof[l + 1] = {j: c for j, c in new.items() if not c.is_zero()}
+    return {j: c.scale((-1) ** (k + 1)) for j, c in cof[k].items()}
+
+
+def orbit_of(point):
+    return (point[0], *sorted(point[1:]))
+
+
+def full_path(cert):
+    return replace(cert, generators=tuple(replace(t, orbits=None) for t in cert.generators))
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_orbit_builder_matches_point_keyed_builder(k):
+    cert = _newton_certificate(k, 1, k, k - 1)
+    oracle = point_keyed_newton_multipliers(k)
+    assert {t.j: t.multiplier for t in cert.generators} == oracle
+    # one orbit key per S_{k-1} orbit of the support: C(k+2, 3) in all
+    assert sum(len(t.orbits) for t in cert.generators) == comb(k + 2, 3)
+    for t in cert.generators:
+        coeffs = {p.coords: c for p, c in t.multiplier.items()}
+        assert {orbit_of(p) for p in coeffs} == set(t.orbits)
+        for p, c in coeffs.items():
+            assert c == Fraction(t.orbits[orbit_of(p)], t.multiplier.den)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_orbit_and_full_verification_agree(k, monkeypatch):
+    certs = []
+    for g, method in itertools.product(range(1, 4), ("auto", "newton", "window")):
+        cert = verify_relation(k, g, method=method)
+        if not cert.nilpotent_part:
+            assert all(t.orbits is not None for t in cert.generators)
+        certs.append(cert)
+    for cert in certs:
+        reloaded = MembershipCertificate.from_json_dict(cert.to_json_dict())
+        assert all(t.orbits is None for t in reloaded.generators)
+        assert verify_certificate(full_path(cert)) and verify_certificate(reloaded)
+    # the orbit path convolves nothing
+    monkeypatch.setattr(relations, "pontryagin", None)
+    for cert in certs:
+        if not cert.nilpotent_part:
+            assert verify_certificate(cert)
+
+
+def rebuilt(cert, index, coeffs=None, orbits=None):
+    """``cert`` with generator term ``index`` given new point coefficients
+    and/or a new orbit form."""
+    t = cert.generators[index]
+    if coeffs is not None:
+        t = replace(t, multiplier=Cycle(cert.k, coeffs))
+    if orbits is not None:
+        t = replace(t, orbits=orbits)
+    return replace(cert, generators=cert.generators[:index] + (t,) + cert.generators[index + 1:])
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_orbit_path_rejects_tampering(k):
+    cert = verify_relation(k, k, method="newton")
+    assert verify_certificate(cert)
+    index = 0
+    t = cert.generators[index]
+    coeffs = {p.coords: c for p, c in t.multiplier.items()}
+    # an orbit with more than one point, and one of its points
+    big = next(o for o in t.orbits if len(set(o[1:])) > 1)
+    point = next(p for p in coeffs if orbit_of(p) == big and p != big)
+
+    one_point = rebuilt(cert, index, coeffs={**coeffs, point: coeffs[point] + 1})
+    scaled = rebuilt(
+        cert, index,
+        coeffs={p: 2 * c if orbit_of(p) == big else c for p, c in coeffs.items()},
+        orbits={o: 2 * n if o == big else n for o, n in t.orbits.items()},
+    )
+    assert scaled.generators[index].multiplier.den == t.multiplier.den
+    unsorted_key = (big[0], *sorted(big[1:], reverse=True))
+    unsorted = rebuilt(cert, index, orbits={unsorted_key if o == big else o: n
+                                            for o, n in t.orbits.items()})
+    # a zero on an unsorted key, overwritten by its orbit's sorted key:
+    # expansion and orbit sums both still match, only the sort check sees it
+    shadowed = rebuilt(cert, index, orbits={unsorted_key: 0, **t.orbits})
+    disagrees = rebuilt(cert, index, orbits={**t.orbits, big: t.orbits[big] + 1})
+    for bad in (one_point, scaled, unsorted, shadowed, disagrees):
+        assert verify_certificate(bad) is False
+    for bad in (replace(cert, cap=k - 2), replace(cert, j_max=k - 1)):
+        assert verify_certificate(bad) is False
+        assert verify_certificate(full_path(bad)) is False
+    for bad in (one_point, scaled):
+        assert verify_certificate(full_path(bad)) is False
+    # the multiplier itself is sound, so dropping the orbit form leaves the
+    # full path, which accepts it
+    assert verify_certificate(full_path(unsorted)) and verify_certificate(full_path(disagrees))
+    assert verify_certificate(full_path(cert))
