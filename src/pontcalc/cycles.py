@@ -94,14 +94,8 @@ class GroupPoint:
     def scale(self, n: int) -> "GroupPoint":
         return GroupPoint(tuple(n * c for c in self.coords))
 
-    def __neg__(self) -> "GroupPoint":
-        return self.scale(-1)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupPoint) and self.coords == other.coords
-
-    def __lt__(self, other: "GroupPoint") -> bool:
-        return self.coords < other.coords
 
     def __hash__(self) -> int:
         return hash(self.coords)
@@ -263,7 +257,7 @@ class Cycle:
 
     @classmethod
     def point(cls, point: GroupPoint, coeff=1) -> "Cycle":
-        return cls(point.rank, {point: _as_fraction(coeff)})
+        return cls(point.rank, {point: coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -328,13 +322,6 @@ class Cycle:
         return Cycle._canonical(
             self.rank, self.den * s.denominator, {p: v * n for p, v in self.num.items()}, self.hb
         )
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.scale(scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -529,8 +516,6 @@ def _orbit_cycle(rank: int, den: int, orbits: Mapping[tuple[int, ...], int]) -> 
     num: dict[int, int] = {}
     hb = 0
     for orbit, n in orbits.items():
-        if not n:
-            continue
         hb = max(hb, _height(orbit))
         head = orbit[0] << _B * (rank - 1)
         for key in orderings(orbit[1:]):

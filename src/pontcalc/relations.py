@@ -9,11 +9,13 @@ times the origin".  The engine exhibits u^{*k}, u = {x_1} - {0}, as an
 exact combination of monomial multiples of the pushforwards (m_j)_* h
 (the relation ideal) plus, when needed, monomial multiples of products of
 g+1 augmentation-ideal generators (the nilpotency span).  Any certificate
-it returns is re-verified through an independent code path (a Newton
-certificate on orbits of the permutations of x_2..x_k, any other by
-brute-force expansion), so a returned certificate is a proof; failure to
-find one within the caps is reported as inconclusive, never as a
-refutation.
+it returns is re-verified through an independent code path, so a
+returned certificate is a proof; failure to find one within the caps is
+reported as inconclusive, never as a refutation.  The verifier reads its
+proof from the certificate alone: multipliers that are all invariant
+under permuting x_2..x_k (a Newton certificate, built in memory or loaded
+from a file) are proved on orbit sums, any other certificate by
+brute-force expansion.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -37,15 +39,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from operator import add
 
 from .cycles import (
-    _LIMIT,
+    _B,
+    _HALF,
     Cycle,
     GroupPoint,
     RingContext,
     _key,
     _orbit_cycle,
+    _points,
     pontryagin,
     pushforward,
     star_power,
@@ -210,19 +213,12 @@ def power_basis_change_inverse(beta) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class GeneratorTerm:
-    """One relation-ideal contribution: multiplier * (m_j)_* h.
-
-    ``orbits`` is the multiplier's orbit form when it is invariant under
-    permuting x_2..x_k: each key (a_1, *tail), tail sorted, maps to the
-    numerator over ``multiplier.den`` shared by the points of its orbit.
-    It is kept in memory only: not serialized and not compared.
-    """
+    """One relation-ideal contribution: multiplier * (m_j)_* h."""
 
     label: str
     j: int
     generator: Cycle
     multiplier: Cycle
-    orbits: dict[tuple[int, ...], int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -368,130 +364,116 @@ def nilpotent_product(k: int, factors: tuple[int, ...], ctx: RingContext) -> Cyc
 def verify_certificate(cert: MembershipCertificate) -> bool:
     """Independent re-verification of the identity target == sum of terms.
 
-    The target must be u^{*k} expanded as sum_i C(k, i) (-1)^(k-i) {i x_1},
-    every generator is recomputed from its pushforward index, and every
-    multiplier must have rank k and height at most cap.  Shares no state or
-    code with the solvers.
+    The target must be u^{*k} expanded as sum_i C(k, i) (-1)^(k-i) {i x_1}.
+    Every multiplier must have rank k and height at most cap, every
+    generator must be (m_j)_* h with 1 <= j <= j_max, recomputed from j,
+    and every nilpotent product must have exactly g+1 factors in 1..k.
+    Shares no state or code with the solvers.
 
-    A certificate whose terms all carry an orbit form (an in-memory Newton
-    certificate) is proved on orbits of the permutations of x_2..x_k, see
-    ``_verify_on_orbits``.  Any other certificate, and every certificate
-    loaded from a file, is proved by full expansion: each nilpotent product
-    (exactly g+1 factors) is recomputed from its factor list, each term is
-    convolved out, and the exact sum is compared with the target.
+    The proof is chosen from the certificate alone.  With no nilpotent term
+    and every multiplier invariant under permuting x_2..x_k, as a Newton
+    certificate's are whether built in memory or loaded from a file, the
+    identity is proved on orbit sums, see ``_verify_on_orbits``.  Any other
+    certificate is proved by full expansion: each nilpotent product is
+    recomputed from its factor list, each term is convolved out, and the
+    exact sum is compared with the target.
     """
     k = cert.k
     x_1 = GroupPoint.generator(k, 0)
     if cert.target != Cycle(k, {x_1.scale(i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)}):
         return False
-    if (cert.generators and not cert.nilpotent_part
-            and all(t.orbits is not None for t in cert.generators)):
-        return _verify_on_orbits(cert)
-    if any(t.multiplier.rank != k for t in cert.generators + cert.nilpotent_part):
-        return False
-    heights = [k]
+    for t in cert.generators + cert.nilpotent_part:
+        if t.multiplier.rank != k or t.multiplier.max_height() > cert.cap:
+            return False
     for t in cert.generators:
-        heights.append(t.multiplier.max_height() + t.j)
+        if not 1 <= t.j <= cert.j_max or t.generator != pushed_hypothesis(k, t.j):
+            return False
     for t in cert.nilpotent_part:
-        heights.append(t.multiplier.max_height() + len(t.factors))
+        if len(t.factors) != cert.g + 1 or any(not 1 <= i <= k for i in t.factors):
+            return False
+    if not cert.nilpotent_part:
+        proved = _verify_on_orbits(cert)
+        if proved is not None:
+            return proved
+    heights = [k]
+    heights += [t.multiplier.max_height() + t.j for t in cert.generators]
+    heights += [t.multiplier.max_height() + len(t.factors) for t in cert.nilpotent_part]
     ctx = RingContext(rank=k, geom_dim=cert.g, support_cap=max(heights) + 1)
     total = Cycle.zero(k)
     for t in cert.generators:
-        if not 1 <= t.j <= cert.j_max:
-            return False
-        expected = pushed_hypothesis(k, t.j)
-        if t.generator != expected:
-            return False
-        if t.multiplier.max_height() > cert.cap:
-            return False
-        total = total + pontryagin(t.multiplier, expected, ctx)
+        total = total + pontryagin(t.multiplier, t.generator, ctx)
     for t in cert.nilpotent_part:
-        if len(t.factors) != cert.g + 1:
-            return False
-        if any(not 1 <= i <= k for i in t.factors):
-            return False
-        if t.multiplier.max_height() > cert.cap:
-            return False
-        prod = nilpotent_product(k, t.factors, ctx)
-        total = total + pontryagin(t.multiplier, prod, ctx)
+        total = total + pontryagin(t.multiplier, nilpotent_product(k, t.factors, ctx), ctx)
     return total == cert.target
 
 
-def _arrangements(tail: tuple[int, ...]) -> tuple[list[int], int]:
-    """Packed keys of the distinct orderings of a sorted tail, listed by
-    lexicographic next-permutation, and their number as a multinomial."""
-    perm = list(tail)
-    keys = []
-    while True:
-        keys.append(_key(perm))
-        i = len(perm) - 2
-        while i >= 0 and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            break
-        j = len(perm) - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        perm[i + 1:] = reversed(perm[i + 1:])
-    size = factorial(len(tail))
-    for m in Counter(tail).values():
-        size //= factorial(m)
-    return keys, size
+def _verify_on_orbits(cert: MembershipCertificate) -> bool | None:
+    """Prove an all-generator certificate on orbits of S_{k-1}, or return
+    None if some multiplier is not invariant under permuting x_2..x_k.
 
+    The orbit of a point (a_1, *tail) is read from its packed key: the
+    digit offset splits a_1 from the tail's key exactly (stored digits
+    have |d| < 2**46), and each tail key is mapped once to the key of its
+    sorted tail, which names the orbit, and to the orbit size |O|, the
+    multinomial (k-1)! / prod m_v! of the tail's multiplicities.  A
+    multiplier Y is invariant iff every point of an orbit carries the same
+    numerator and sum |O| over the orbits met is len(Y.num): the points
+    met are then whole orbits.
 
-def _verify_on_orbits(cert: MembershipCertificate) -> bool:
-    """Prove an all-generator certificate from the orbit forms of its terms.
-
-    S_{k-1} permutes x_2..x_k.  Each orbit key must be a point of rank k
-    with integer coordinates in the digit range, height at most cap and a
-    sorted tail, so keys name distinct orbits.  The orbit form is expanded
-    here, one key per distinct ordering of the tail, and must equal
-    ``multiplier.num`` exactly: the multiplier Y is then invariant.  So is
-    each (m_j)_* h, hence so is the difference of the two sides, and an
-    invariant cycle is zero iff every orbit sum is.  The orbit sum over Q
-    of Y * (m_j)_* h is sum_r S(O(r)) * sum_{g : r + g in Q} c(g), over one
-    representative r per orbit of Y, with S(O(r)) = |O(r)| Y(r) and |O(r)|
-    the multinomial (k-1)! / prod m_v! of the tail's multiplicities.  All
-    sums are integers over the lcm of the multiplier denominators, keyed by
-    (a_1, sorted tail).
+    Each (m_j)_* h is invariant, so with every Y invariant the difference
+    of the two sides is invariant, and an invariant cycle is zero iff
+    every orbit sum is.  The orbit sum over Q of Y * (m_j)_* h is
+    sum_r |O(r)| Y(r) sum_{g : r + g in Q} c(g), over one representative r
+    per orbit of Y.  All sums are integers over the lcm of the multiplier
+    denominators, keyed by the packed key of (a_1, sorted tail).
     """
     k = cert.k
+    shift = _B * (k - 1)
+    offset, mask = _key((_HALF,) * (k - 1)), (1 << shift) - 1
     den = lcm(*(t.multiplier.den for t in cert.generators))
-    zeros = (0,) * (k - 1)
-    arrangements: dict[tuple[int, ...], tuple[list[int], int]] = {}
-    sums: dict[tuple[int, tuple[int, ...]], int] = {}
+    # tail key -> key change to its sorted tail; sorted tail key -> (tail, |O|)
+    to_sorted: dict[int, int] = {}
+    tails: dict[int, tuple[tuple[int, ...], int]] = {}
+    sums: dict[int, int] = {}
     for t in cert.generators:
-        if not 1 <= t.j <= cert.j_max or t.multiplier.rank != k:
-            return False
-        # (m_j)_* h = sum_i {j x_i} - k{0}, as (g_1, g_tail, c) triples
-        generator = [(t.j, zeros, 1), (0, zeros, -k)]
-        generator += [(0, zeros[:i] + (t.j,) + zeros[i + 1:], 1) for i in range(k - 1)]
-        if t.generator != Cycle(k, [((g1, *gt), c) for g1, gt, c in generator]):
-            return False
-        moves: dict[tuple[int, ...], list] = {}
+        num = t.multiplier.num
+        orbits: dict[int, int] = {}
+        for key, n in num.items():
+            tail = ((key + offset) & mask) - offset
+            change = to_sorted.get(tail)
+            if change is None:
+                sorted_tail = tuple(sorted(next(_points((tail,), k - 1))))
+                rep = _key(sorted_tail)
+                change = to_sorted[tail] = rep - tail
+                if rep not in tails:
+                    size = factorial(k - 1)
+                    for m in Counter(sorted_tail).values():
+                        size //= factorial(m)
+                    tails[rep] = sorted_tail, size
+            if orbits.setdefault(key + change, n) != n:
+                return None
+        met = 0
         scale = den // t.multiplier.den
-        expanded = {}
-        for orbit, n in t.orbits.items():
-            tail = orbit[1:]
-            if (len(orbit) != k or any(type(c) is not int or abs(c) >= _LIMIT for c in orbit)
-                    or sum(map(abs, orbit)) > cert.cap or list(tail) != sorted(tail)):
-                return False
-            if tail not in arrangements:
-                arrangements[tail] = _arrangements(tail)
-            keys, size = arrangements[tail]
-            head = _key((orbit[0], *zeros))
-            for key in keys:
-                expanded[head + key] = n
-            if tail not in moves:
-                moves[tail] = [(g1, tuple(sorted(map(add, tail, gt))), c) for g1, gt, c in generator]
+        moves: dict[int, list[tuple[int, int]]] = {}
+        for orbit, n in orbits.items():
+            tail = ((orbit + offset) & mask) - offset
+            sorted_tail, size = tails[tail]
+            met += size
+            step = moves.get(tail)
+            if step is None:
+                # (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i}, as
+                # (key change of the orbit, coefficient) pairs
+                step = moves[tail] = [(t.j << shift, 1), (0, -k)] + [
+                    (_key(sorted(sorted_tail[:i] + (v + t.j,) + sorted_tail[i + 1:])) - tail, 1)
+                    for i, v in enumerate(sorted_tail)
+                ]
             weight = size * n * scale
-            for g1, q_tail, c in moves[tail]:
-                q = (orbit[0] + g1, q_tail)
+            for move, c in step:
+                q = orbit + move
                 sums[q] = sums.get(q, 0) + weight * c
-        if expanded != t.multiplier.num:
-            return False
-    target = {(i, zeros): comb(k, i) * (-1) ** (k - i) * den for i in range(k + 1)}
+        if met != len(num):
+            return None
+    target = {i << shift: comb(k, i) * (-1) ** (k - i) * den for i in range(k + 1)}
     return {q: v for q, v in sums.items() if v} == target
 
 
@@ -524,7 +506,7 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     runs on orbit keys (a_1, *sorted tail): gamma_s is the single orbit
     (0, 0^(k-1-s), 1^s), t_j * c is k c minus c with a_1 shifted by j, and
     the cofactors at step m are integer numerators over m!.  Each
-    multiplier is expanded onto points once and keeps its orbit form.
+    multiplier is expanded onto points once.
     """
     ctx = RingContext(rank=k, geom_dim=g, support_cap=cap + j_max + k + 2)
     cof: list[dict[int, dict[tuple[int, ...], int]]] = [{} for _ in range(k + 1)]
@@ -563,7 +545,6 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
                 j=j,
                 generator=pushed_hypothesis(k, j),
                 multiplier=_orbit_cycle(k, den, orbits),
-                orbits=orbits,
             )
         )
     target = _target_power(k, ctx)

@@ -10,6 +10,7 @@ import pytest
 from pontcalc import cli
 from pontcalc.cli import main
 from pontcalc.cycles import GroupPoint, SupportCapExceeded
+from pontcalc.tangent import SearchResult
 
 
 def run(capsys, *argv):
@@ -181,6 +182,49 @@ def test_mu_rank(tmp_path, capsys):
     assert code == 0
     report = last_json(out)
     assert report["witness"]["rank"] == 2 == report["witness"]["expected"]
+
+
+def test_mu_rank_missing_the_generic_locus_is_inconclusive(tmp_path, capsys):
+    f = tmp_path / "pair.txt"
+    f.write_text("3 2\n1\n1 -1 0\n1\n1 1 -2\n")
+    code, out = run(capsys, "mu-rank", "--file", str(f), "--samples", "1", "--seed", "4")
+    assert code == 2
+    report = last_json(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["witness"] == {
+        "rank": 1,
+        "expected": 2,
+        "samples": 1,
+        "note": "sampled points may have missed the generic locus",
+    }
+
+
+def over_bound_search(k, n, budget, seed):
+    config = [[[1, -1, 0]], [[1, 0, -1]], [[0, 1, -1]]]
+    return SearchResult(k=k, n=n, best_sum=3, best_config=config, evaluations=budget,
+                        bound=k - 1, nonzero_components=3, counterexample=config)
+
+
+def test_search_counterexample_writes_artifact(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "search_max_total_dimension", over_bound_search)
+    artifact = tmp_path / "cx.json"
+    argv = ["search", "--k", "3", "--n", "3", "--budget", "5", "--artifact", str(artifact)]
+    code, out = run(capsys, *argv)
+    assert code == 3
+    report = last_json(out)
+    assert report["verdict"] == "fail"
+    assert report["witness"]["counterexample_artifact"] == str(artifact)
+    assert report["witness"]["best_sum"] == 3 > report["witness"]["bound"] == 2
+    config = over_bound_search(3, 3, 5, 0).counterexample
+    expected = json.dumps({"k": 3, "n": 3, "config": config}, indent=2, sort_keys=True) + "\n"
+    assert artifact.read_text() == expected
+
+    unwritable = str(tmp_path / "missing" / "cx.json")
+    assert main(argv[:-1] + [unwritable]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("pontcalc: error: ")
 
 
 def test_search(capsys):

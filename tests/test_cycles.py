@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pontcalc import cycles
 from pontcalc.cycles import (
     Cycle,
     GroupPoint,
@@ -20,6 +21,7 @@ from pontcalc.cycles import (
     pushforward,
     star_power,
 )
+from pontcalc.linalg import clear_denominators
 
 CTX = RingContext(rank=2, geom_dim=3, support_cap=1000)
 O = GroupPoint.origin(2)
@@ -51,6 +53,23 @@ def test_point_validation():
         Cycle(2, {GroupPoint((1,)): 1})
     with pytest.raises(ValueError):
         Cycle.point(X) + Cycle.point(GroupPoint((1,)))
+
+
+def test_point_cycles_skip_the_fraction_path(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cycles, "clear_denominators",
+                        lambda values: calls.append(values) or clear_denominators(values))
+    for p in (O, X, GroupPoint((-3, 5))):
+        c = Cycle.point(p)
+        assert c == Cycle(2, {p: 1})
+        assert (c.den, c.max_height()) == (1, p.height())
+    assert Cycle.point(X, -4) == Cycle(2, {X: -4})
+    assert calls == []
+    assert Cycle.point(X, Fraction(1, 2)) == Cycle(2, {X: Fraction(1, 2)})
+    assert len(calls) == 2
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            Cycle.point(X, bad)
 
 
 def test_pontryagin_on_points():

@@ -5,9 +5,10 @@ import io
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -542,19 +543,9 @@ def test_certificate_json_round_trip_and_tampering():
     doubled = replace(
         cert,
         target=cert.target.scale(2),
-        generators=tuple(replace(t, multiplier=t.multiplier.scale(2), orbits=None)
-                         for t in cert.generators),
+        generators=tuple(replace(t, multiplier=t.multiplier.scale(2)) for t in cert.generators),
     )
     assert not verify_certificate(doubled)
-    doubled_on_orbits = replace(
-        doubled,
-        generators=tuple(
-            replace(d, orbits={o: 2 * n * t.multiplier.den // d.multiplier.den
-                               for o, n in t.orbits.items()})
-            for t, d in zip(cert.generators, doubled.generators)
-        ),
-    )
-    assert not verify_certificate(doubled_on_orbits)
 
 
 def test_trivial_nilpotent_certificate_k2_g1():
@@ -639,8 +630,25 @@ def orbit_of(point):
     return (point[0], *sorted(point[1:]))
 
 
-def full_path(cert):
-    return replace(cert, generators=tuple(replace(t, orbits=None) for t in cert.generators))
+def orbit_form(multiplier):
+    """{orbit: coefficient} of an S_{k-1}-invariant multiplier; asserts that
+    each orbit carries one coefficient and is present whole."""
+    form = {}
+    for p, c in multiplier.items():
+        assert form.setdefault(orbit_of(p.coords), c) == c
+    sizes = [factorial(len(o) - 1) // prod(map(factorial, Counter(o[1:]).values())) for o in form]
+    assert sum(sizes) == multiplier.support_size()
+    return form
+
+
+def expansion_oracle(cert):
+    """Every generator term convolved out on points and summed: the full
+    expansion, kept here as an oracle for the orbit proof."""
+    ctx = RingContext(rank=cert.k, geom_dim=1, support_cap=4 * cert.k)
+    total = Cycle.zero(cert.k)
+    for t in cert.generators:
+        total = total + pontryagin(t.multiplier, pushed_hypothesis(cert.k, t.j), ctx)
+    return total == cert.target
 
 
 @pytest.mark.parametrize("k", range(2, 10))
@@ -648,42 +656,38 @@ def test_orbit_builder_matches_point_keyed_builder(k):
     cert = _newton_certificate(k, 1, k, k - 1)
     oracle = point_keyed_newton_multipliers(k)
     assert {t.j: t.multiplier for t in cert.generators} == oracle
-    # one orbit key per S_{k-1} orbit of the support: C(k+2, 3) in all
-    assert sum(len(t.orbits) for t in cert.generators) == comb(k + 2, 3)
-    for t in cert.generators:
-        coeffs = {p.coords: c for p, c in t.multiplier.items()}
-        assert {orbit_of(p) for p in coeffs} == set(t.orbits)
-        for p, c in coeffs.items():
-            assert c == Fraction(t.orbits[orbit_of(p)], t.multiplier.den)
+    # every multiplier is invariant, with C(k+2, 3) orbits in all
+    assert sum(len(orbit_form(t.multiplier)) for t in cert.generators) == comb(k + 2, 3)
 
 
 @pytest.mark.parametrize("k", range(2, 10))
 def test_orbit_and_full_verification_agree(k, monkeypatch):
-    certs = []
-    for g, method in itertools.product(range(1, 4), ("auto", "newton", "window")):
-        cert = verify_relation(k, g, method=method)
-        if not cert.nilpotent_part:
-            assert all(t.orbits is not None for t in cert.generators)
-        certs.append(cert)
-    for cert in certs:
-        reloaded = MembershipCertificate.from_json_dict(cert.to_json_dict())
-        assert all(t.orbits is None for t in reloaded.generators)
-        assert verify_certificate(full_path(cert)) and verify_certificate(reloaded)
-    # the orbit path convolves nothing
+    certs = [verify_relation(k, g, method=method)
+             for g, method in itertools.product(range(1, 4), ("auto", "newton", "window"))]
+    newton = [cert for cert in certs if not cert.nilpotent_part]
+    assert newton
+    reloaded = [MembershipCertificate.from_json_dict(cert.to_json_dict()) for cert in certs]
+    for cert, again in zip(certs, reloaded):
+        assert again == cert
+        assert verify_certificate(cert) and verify_certificate(again)
+    for cert in newton:
+        assert expansion_oracle(cert)
+    # a Newton certificate is proved on orbits, built in memory or loaded:
+    # the orbit proof convolves nothing
     monkeypatch.setattr(relations, "pontryagin", None)
-    for cert in certs:
-        if not cert.nilpotent_part:
-            assert verify_certificate(cert)
+    for cert in newton:
+        assert verify_certificate(cert)
+        assert verify_certificate(MembershipCertificate.from_json_dict(cert.to_json_dict()))
 
 
-def rebuilt(cert, index, coeffs=None, orbits=None):
-    """``cert`` with generator term ``index`` given new point coefficients
-    and/or a new orbit form."""
-    t = cert.generators[index]
-    if coeffs is not None:
-        t = replace(t, multiplier=Cycle(cert.k, coeffs))
-    if orbits is not None:
-        t = replace(t, orbits=orbits)
+def test_orbit_proof_shares_no_code_with_the_builder():
+    names = relations._verify_on_orbits.__code__.co_names
+    assert "_orbit_cycle" not in names and "_newton_certificate" not in names
+
+
+def rebuilt(cert, index, coeffs):
+    """``cert`` with generator term ``index`` given new point coefficients."""
+    t = replace(cert.generators[index], multiplier=Cycle(cert.k, coeffs))
     return replace(cert, generators=cert.generators[:index] + (t,) + cert.generators[index + 1:])
 
 
@@ -695,31 +699,60 @@ def test_orbit_path_rejects_tampering(k):
     t = cert.generators[index]
     coeffs = {p.coords: c for p, c in t.multiplier.items()}
     # an orbit with more than one point, and one of its points
-    big = next(o for o in t.orbits if len(set(o[1:])) > 1)
+    big = next(o for o in orbit_form(t.multiplier) if len(set(o[1:])) > 1)
     point = next(p for p in coeffs if orbit_of(p) == big and p != big)
 
-    one_point = rebuilt(cert, index, coeffs={**coeffs, point: coeffs[point] + 1})
-    scaled = rebuilt(
-        cert, index,
-        coeffs={p: 2 * c if orbit_of(p) == big else c for p, c in coeffs.items()},
-        orbits={o: 2 * n if o == big else n for o, n in t.orbits.items()},
-    )
+    # not invariant: the expansion decides, and the identity fails
+    one_point = rebuilt(cert, index, {**coeffs, point: coeffs[point] + 1})
+    dropped = rebuilt(cert, index, {p: c for p, c in coeffs.items() if p != point})
+    # invariant, but the orbit sums no longer add up to the target
+    scaled = rebuilt(cert, index, {p: 2 * c if orbit_of(p) == big else c
+                                   for p, c in coeffs.items()})
     assert scaled.generators[index].multiplier.den == t.multiplier.den
-    unsorted_key = (big[0], *sorted(big[1:], reverse=True))
-    unsorted = rebuilt(cert, index, orbits={unsorted_key if o == big else o: n
-                                            for o, n in t.orbits.items()})
-    # a zero on an unsorted key, overwritten by its orbit's sorted key:
-    # expansion and orbit sums both still match, only the sort check sees it
-    shadowed = rebuilt(cert, index, orbits={unsorted_key: 0, **t.orbits})
-    disagrees = rebuilt(cert, index, orbits={**t.orbits, big: t.orbits[big] + 1})
-    for bad in (one_point, scaled, unsorted, shadowed, disagrees):
+    for bad in (one_point, dropped):
+        assert relations._verify_on_orbits(bad) is None
+    assert relations._verify_on_orbits(scaled) is False
+    for bad in (one_point, dropped, scaled):
         assert verify_certificate(bad) is False
+        assert not expansion_oracle(bad)
     for bad in (replace(cert, cap=k - 2), replace(cert, j_max=k - 1)):
         assert verify_certificate(bad) is False
-        assert verify_certificate(full_path(bad)) is False
-    for bad in (one_point, scaled):
-        assert verify_certificate(full_path(bad)) is False
-    # the multiplier itself is sound, so dropping the orbit form leaves the
-    # full path, which accepts it
-    assert verify_certificate(full_path(unsorted)) and verify_certificate(full_path(disagrees))
-    assert verify_certificate(full_path(cert))
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_valid_non_invariant_certificate_is_proved_by_expansion(k):
+    # Y_a + Z * G_b and Y_b - Z * G_a leave sum Y_j * G_j unchanged for any
+    # Z; Z = {x_2} breaks the symmetry in x_2..x_k
+    cert = verify_relation(k, k, method="newton")
+    ctx = RingContext(rank=k, geom_dim=1, support_cap=4 * k)
+    z = Cycle.point(GroupPoint.generator(k, 1))
+    a, b = cert.generators[:2]
+    moved = (
+        replace(a, multiplier=a.multiplier + pontryagin(z, b.generator, ctx)),
+        replace(b, multiplier=b.multiplier - pontryagin(z, a.generator, ctx)),
+    )
+    mixed = replace(cert, generators=moved + cert.generators[2:])
+    assert relations._verify_on_orbits(mixed) is None
+    assert expansion_oracle(mixed)
+    assert verify_certificate(mixed) is True
+    reloaded = MembershipCertificate.from_json_dict(mixed.to_json_dict())
+    assert verify_certificate(reloaded) is True
+
+
+def test_term_checks_reject_malformed_terms():
+    nil = verify_relation(3, 1, j_max=1, cap=2, method="window")
+    assert nil.nilpotent_part and not nil.generators
+    term = nil.nilpotent_part[0]
+    assert term.multiplier.max_height() == 1
+    for factors in ((1, 4), (0, 1)):
+        bad = replace(nil, nilpotent_part=(replace(term, factors=factors),))
+        assert verify_certificate(bad) is False
+    # the multiplier of height 1 above a cap of 0
+    assert verify_certificate(replace(nil, cap=0)) is False
+
+    newton = verify_relation(3, 3, method="newton")
+    assert newton.generators and not newton.nilpotent_part
+    t = newton.generators[0]
+    for generator in (t.generator.scale(2), pushed_hypothesis(3, t.j + 1)):
+        bad = replace(newton, generators=(replace(t, generator=generator),) + newton.generators[1:])
+        assert verify_certificate(bad) is False
