@@ -43,6 +43,7 @@ from math import comb, factorial, gcd, lcm
 from .cycles import (
     _B,
     _HALF,
+    _LIMIT,
     Cycle,
     GroupPoint,
     RingContext,
@@ -368,7 +369,9 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     Every multiplier must have rank k and height at most cap, every
     generator must be (m_j)_* h with 1 <= j <= j_max, recomputed from j,
     and every nilpotent product must have exactly g+1 factors in 1..k.
-    Shares no state or code with the solvers.
+    Malformed fields (k or g below 1, a j whose (m_j)_* h leaves the digit
+    range) give False, not an exception.  Shares no state or code with
+    the solvers.
 
     The proof is chosen from the certificate alone.  With no nilpotent term
     and every multiplier invariant under permuting x_2..x_k, as a Newton
@@ -379,6 +382,8 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     exact sum is compared with the target.
     """
     k = cert.k
+    if k < 1 or cert.g < 1:
+        return False
     x_1 = GroupPoint.generator(k, 0)
     if cert.target != Cycle(k, {x_1.scale(i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)}):
         return False
@@ -386,7 +391,7 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
         if t.multiplier.rank != k or t.multiplier.max_height() > cert.cap:
             return False
     for t in cert.generators:
-        if not 1 <= t.j <= cert.j_max or t.generator != pushed_hypothesis(k, t.j):
+        if not 1 <= t.j <= min(cert.j_max, _LIMIT - 1) or t.generator != pushed_hypothesis(k, t.j):
             return False
     for t in cert.nilpotent_part:
         if len(t.factors) != cert.g + 1 or any(not 1 <= i <= k for i in t.factors):
@@ -563,7 +568,7 @@ def _nilpotent_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCe
     """For k > g: u^{*k} is u_1^{*(k-g-1)} times the nilpotent product
     u_1^{*(g+1)}, one term with a multiplier of height k - g - 1."""
     ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
-    u_power = nilpotent_product(k, (1,) * (k - g - 1), ctx)
+    u_power = star_power(augmentation_generator(k, 1), k - g - 1, ctx)
     nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
     return MembershipCertificate(k, g, j_max, cap, _target_power(k, ctx), (), nil_part)
 

@@ -20,15 +20,11 @@ the generic rank of the bilinear multiplication map at random rational
 points, and a budgeted randomized search for configurations maximizing
 the total dimension (which the theory bounds by k - 1; exceeding the
 bound would be a reportable counterexample, not a success).  The search
-runs the kernel-of-sum witness first, then one random stream defined by
-the generator's 32-bit words and the ``randint`` rejection rule.  A
-three-bit draw of 7 is rejected wherever it is read, so the 7s are
-dropped from each block of words and the rest is read in order, one byte
-per dim or entry.  A candidate whose row count cannot beat the best total
-is not walked, and only its dims are decoded, not its rows.  A
-pair (A, B) is admissible exactly when it satisfies condition (**), and
-is checked by the same walk; the left side of the span inequality is one
-exact rank of the product rows stacked on both bases.
+runs the kernel-of-sum witness first, then random candidates, each one
+fixed-size record of random bytes.  A pair (A, B) is admissible exactly
+when it satisfies condition (**), and is checked by the same walk; the
+left side of the span inequality is one exact rank of the product rows
+stacked on both bases.
 
 A ``Subspace`` is stored like a ``Cycle``: integer basis rows over one
 positive common denominator ``den``.  Checks run on the integer rows, as
@@ -408,101 +404,54 @@ def _config_sum(bases: list[list[list[int]]]) -> int:
     return sum(int_rank(rows) for rows in bases if rows)
 
 
-def _structured_candidates(k: int, n: int):
-    """The deterministic seed: the kernel-of-sum witness as the first
-    component.  Its total k - 1 is the bound, and only a strictly larger
-    total is accepted, so no other structured configuration could change
-    the result."""
-    yield [kernel_of_sum_subspace(k).basis] + [[] for _ in range(n - 1)]
+_CHUNK = 1 << 15  # about the bytes fetched per getrandbits call
 
 
-# The search's random stream is defined by the generator's 32-bit words.
-# ``randint(a, a + w - 1)`` adds to a the first ``getrandbits(w.bit_length())``
-# below w, and ``getrandbits(b)`` for b <= 32 is the top b bits of the next
-# word.  Dims (w <= 4) and entries (w = 7) take at most three bits, so
-# each word is read as its top three bits.  A value of 7 is rejected
-# wherever it is read: as an entry it is not below 7, and as a dim
-# ``7 >> shift`` is at least the width for every k.  So the 7s are dropped
-# from each block as it is read, and what is left is exactly the sequence
-# of accepted draws: each component is one dim draw (redrawn while it is
-# too wide) followed by its rows, k - 1 entries each, contiguous.  One
-# ``getrandbits`` call fetches a block of words, the first word least
-# significant.
-_BLOCK_WORDS = 1024
-_TOP3 = bytes(b >> 5 for b in range(256))
-_SEVENS = bytes(range(0b11100000, 256))  # the bytes whose top three bits are 7
-
-
-def _random_candidates(k: int, n: int, rng: random.Random):
-    """Endless random candidates from the word stream of ``rng``: n
-    components, each of dim ``randint(0, min(3, k - 1))`` with sum-zero
-    rows whose first k - 1 entries are ``randint(-3, 3)``.
-
-    Start it with ``next``; then each ``send(best)`` reads one candidate
-    and returns its bases if its row count exceeds ``best``, else None.
-    Only the dims of a candidate returned as None are decoded."""
-    width = min(3, k - 1) + 1
-    shift = 3 - width.bit_length()  # dims take 2 bits for k <= 3, else 3
+def _random_candidates(k: int, n: int, rng: random.Random, floor: int):
+    """Endless random candidates, one record of n * (1 + 3(k - 1)) bytes
+    each, from the little-endian bytes of consecutive 32-bit words of
+    ``rng``.  A component is a dim byte d, giving dim d % (min(3, k - 1) + 1),
+    and room for three rows of k - 1 entry bytes e, giving e % 7 - 3; each
+    row ends with minus the sum of its entries.  A candidate with at most
+    ``floor`` rows is yielded as None, and only its dim bytes are read."""
     step = k - 1
-    size = 32 * _BLOCK_WORDS
-    draws = b""
-    start = 0
-    best = yield
+    comp = 1 + 3 * step
+    record = n * comp
+    to_dim = bytes(b % (min(3, step) + 1) for b in range(256))
+    to_entry = bytes(b % 7 for b in range(256))
+    size = 4 * max(1, _CHUNK // (4 * record)) * record  # whole records, whole words
     while True:
-        comps = []
-        count = 0
-        pos = start
-        try:
-            for _ in range(n):
-                dim = draws[pos] >> shift
-                pos += 1
-                while dim >= width:
-                    dim = draws[pos] >> shift
-                    pos += 1
-                comps.append((pos, dim))
-                count += dim
-                pos += dim * step
-        except IndexError:
-            pos = len(draws) + 1
-        if pos > len(draws):
-            # the candidate runs past the buffer: keep only its start, append
-            # the next block and read it again
-            block = rng.getrandbits(size).to_bytes(size // 8, "little")
-            draws = draws[start:] + block[3::4].translate(_TOP3, _SEVENS)
-            start = 0
-            continue
-        start = pos
-        if count <= best:
-            best = yield None
-            continue
-        bases = []
-        for first, dim in comps:
-            rows = []
-            for pos in range(first, first + dim * step, step):
-                row = [x - 3 for x in draws[pos : pos + step]]
-                row.append(-sum(row))
-                rows.append(row)
-            bases.append(rows)
-        best = yield bases
+        chunk = rng.getrandbits(8 * size).to_bytes(size, "little")
+        dims = chunk[::comp].translate(to_dim)
+        entries = chunk.translate(to_entry)
+        for start in range(0, len(dims), n):
+            ds = dims[start : start + n]
+            if sum(ds) <= floor:
+                yield None
+                continue
+            bases = []
+            for first, dim in zip(range(start * comp + 1, (start + n) * comp, comp), ds):
+                rows = []
+                for pos in range(first, first + dim * step, step):
+                    row = [x - 3 for x in entries[pos : pos + step]]
+                    row.append(-sum(row))
+                    rows.append(row)
+                bases.append(rows)
+            yield bases
 
 
 def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> SearchResult:
     """Budgeted search for (**) configurations maximizing total dimension.
 
-    The kernel-of-sum witness runs first, then random candidates from one
-    stream seeded by ``seed``, ``budget`` candidates in all.  The stream is
-    read from the 32-bit words of ``random.Random(seed * 1_000_003)`` with
-    the ``randint`` rejection rule; dropping the three-bit draws of 7, which
-    that rule rejects as a dim and as an entry alike, leaves exactly the
-    accepted values (see ``_random_candidates``).  A candidate whose row
-    count is at most the best total is not walked, and the stream decodes
-    only its dims, not its rows: its total, a sum of ranks, cannot exceed
-    its row count.  Every other candidate is screened by the exact (**)
-    walk on its integer rows; one that would raise the best total is
-    re-verified over Q on its spanned subspaces before it is accepted.
-    The theoretical bound is k - 1; a configuration exceeding it is
-    recorded as a counterexample, which callers must treat as a
-    build-failing finding.
+    ``budget`` candidates in all: the kernel-of-sum witness, whose total is
+    the bound k - 1, then records of ``random.Random(seed * 1_000_003)``
+    (see ``_random_candidates``).  After the witness a candidate with at
+    most k - 1 rows cannot raise the best total, a sum of ranks, so it is
+    not walked.  Every other candidate is screened by the exact (**) walk
+    on its integer rows; one that would raise the best total is
+    re-verified over Q on its spanned subspaces before it is accepted.  A
+    configuration exceeding the bound is recorded as a counterexample,
+    which callers must treat as a build-failing finding.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -514,13 +463,9 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
     best_sum = -1
     best_config: list[list[list[int]]] = []
     counterexample = None
-    seeds = list(_structured_candidates(k, n))
-    stream = _random_candidates(k, n, random.Random(seed * 1_000_003))
-    next(stream)
-    for turn in range(budget):
-        # the stream returns None for a candidate whose row count is at most
-        # the best total: its total is a sum of ranks, so it cannot beat it
-        bases = seeds[turn] if turn < len(seeds) else stream.send(best_sum)
+    witness = [kernel_of_sum_subspace(k).basis] + [[] for _ in range(n - 1)]
+    stream = _random_candidates(k, n, random.Random(seed * 1_000_003), bound)
+    for bases in itertools.islice(itertools.chain([witness], stream), budget):
         if bases is None or _doublestar_violation(bases) is not None:
             continue
         total = _config_sum(bases)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -299,6 +300,71 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("pontcalc: error: ")
+
+
+def test_identities_fail_verdicts(capsys, monkeypatch):
+    # an oracle one off everywhere disagrees on and below the diagonal
+    oracle = cli.derivative_oracle
+    monkeypatch.setattr(cli, "derivative_oracle", lambda k, d: oracle(k, d) + 1)
+    code, out = run(capsys, "identities", "--kmax", "3")
+    assert code == 3
+    assert last_json(out)["verdict"] == "fail"
+    assert last_json(out)["witness"]["problems"] == [
+        {"k": 1, "d": 1, "oracle": "2"},
+        {"k": 2, "d": 1, "oracle": "1"},
+        {"k": 2, "d": 2, "oracle": "3"},
+        {"k": 3, "d": 1, "oracle": "1"},
+        {"k": 3, "d": 2, "oracle": "1"},
+        {"k": 3, "d": 3, "oracle": "7"},
+    ]
+    monkeypatch.setattr(cli, "derivative_oracle", oracle)
+
+    # a table with a wrong diagonal and a nonzero entry below it
+    table = cli.kernel_table
+    wrong = {(2, 2): 3, (3, 1): 5}
+
+    def bad_table(kmax, dmax):
+        return [replace(v, value=wrong.get((v.k, v.d), v.value)) for v in table(kmax, dmax)]
+
+    monkeypatch.setattr(cli, "kernel_table", bad_table)
+    code, out = run(capsys, "identities", "--kmax", "3")
+    assert code == 3
+    assert last_json(out)["witness"]["problems"] == [
+        {"k": 2, "d": 2, "value": "3", "expected": "2"},
+        {"k": 2, "d": 2, "oracle": "2"},
+        {"k": 3, "d": 1, "value": "5", "expected": "0"},
+    ]
+
+
+def test_gamma_check_fail_verdicts(capsys, monkeypatch):
+    argv = ("gamma-check", "--g", "2", "--rank", "2", "--trials", "1", "--kmax", "3", "--seed", "1")
+    code, out = run(capsys, *argv)
+    assert code == 0 and last_json(out)["witness"]["failures"] == []
+    # twice gamma breaks its log identity, its factorization and its powers
+    good_gamma = cli.gamma
+    monkeypatch.setattr(cli, "gamma", lambda x, ctx: good_gamma(x, ctx).scale(2))
+    code, out = run(capsys, *argv)
+    assert code == 3
+    report = last_json(out)
+    assert report["verdict"] == "fail"
+    point = report["witness"]["failures"][0]["point"]
+    assert report["witness"]["failures"] == [
+        {"check": "gamma_vs_log", "point": point},
+        {"check": "factorization", "point": point},
+        {"check": "power_factorization", "point": point, "k": 2},
+        {"check": "power_factorization", "point": point, "k": 3},
+    ]
+    monkeypatch.setattr(cli, "gamma", good_gamma)
+
+    # a series model 1 + 2T fails its own check and the cycle comparison
+    good_series = cli.exp_after_log
+    monkeypatch.setattr(cli, "exp_after_log", lambda g: [1, 2] + good_series(g)[2:])
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert last_json(out)["witness"]["failures"] == [
+        {"check": "exp_log_series", "g": 2},
+        {"check": "exp_log_model", "point": point},
+    ]
 
 
 def test_support_cap_exceeded_maps_to_inconclusive(capsys, monkeypatch):

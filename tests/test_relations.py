@@ -683,6 +683,9 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
 def test_orbit_proof_shares_no_code_with_the_builder():
     names = relations._verify_on_orbits.__code__.co_names
     assert "_orbit_cycle" not in names and "_newton_certificate" not in names
+    # the verifier recomputes nilpotent products with ``nilpotent_product``,
+    # so the nilpotent builder must not use it
+    assert "nilpotent_product" not in relations._nilpotent_certificate.__code__.co_names
 
 
 def rebuilt(cert, index, coeffs):
@@ -756,3 +759,19 @@ def test_term_checks_reject_malformed_terms():
     for generator in (t.generator.scale(2), pushed_hypothesis(3, t.j + 1)):
         bad = replace(newton, generators=(replace(t, generator=generator),) + newton.generators[1:])
         assert verify_certificate(bad) is False
+
+
+def test_malformed_fields_are_rejected_not_raised():
+    cert = verify_relation(3, 2)
+    t, rest = cert.generators[0], cert.generators[1:]
+    assert verify_certificate(cert)
+    # k = 0 has no x_1 to build the target from
+    assert verify_certificate(replace(cert, k=0)) is False
+    # j within j_max, but (m_j)_* h leaves the digit range |c| < 2**46
+    big_j = replace(cert, j_max=2**47, generators=(replace(t, j=2**46),) + rest)
+    assert verify_certificate(big_j) is False
+    # a multiplier that is not invariant sends g = 0 to the expansion path
+    x_2 = Cycle.point(GroupPoint.generator(3, 1))
+    no_g = replace(cert, g=0, generators=(replace(t, multiplier=t.multiplier + x_2),) + rest)
+    assert relations._verify_on_orbits(no_g) is None
+    assert verify_certificate(no_g) is False

@@ -312,74 +312,78 @@ def test_search_result_is_the_kernel_of_sum_witness():
 
 
 class CountingRandom(random.Random):
-    """A Random that counts the words its ``randint`` calls read."""
+    """A Random that counts its ``getrandbits`` calls."""
 
-    words = 0
+    calls = 0
 
     def getrandbits(self, k):
-        self.words += 1
+        self.calls += 1
         return super().getrandbits(k)
 
 
-def randint_candidates(k, n, rng):
-    """Oracle: the search's random candidates drawn value by value with
-    ``randint``, as the stream is specified."""
+def word_candidates(k, n, rng):
+    """Oracle: the search's records read one 32-bit word at a time, as the
+    stream is specified, every candidate's rows built."""
+    comp = 1 + 3 * (k - 1)
+    buf = b""
     while True:
+        while len(buf) < n * comp:
+            buf += rng.getrandbits(32).to_bytes(4, "little")
+        record, buf = buf[: n * comp], buf[n * comp :]
         bases = []
-        for _ in range(n):
+        for field in (record[c * comp : (c + 1) * comp] for c in range(n)):
             rows = []
-            for _ in range(rng.randint(0, min(3, k - 1))):
-                head = [rng.randint(-3, 3) for _ in range(k - 1)]
+            for r in range(field[0] % (min(3, k - 1) + 1)):
+                head = [x % 7 - 3 for x in field[1 + r * (k - 1) : 1 + (r + 1) * (k - 1)]]
                 rows.append(head + [-sum(head)])
             bases.append(rows)
         yield bases
 
 
-def test_random_candidates_match_randint_oracle():
-    # k <= 3 draws dims with 2 bits, k >= 4 with 3; entries always with 3.
-    # A best total of -1 builds every candidate's rows.
+def test_random_candidates_match_word_oracle():
+    # a floor of -1 builds every candidate's rows
     for k, n, seed in itertools.product(range(2, 10), range(1, 5), (0, 5, 1_000_003)):
-        oracle_rng = CountingRandom(seed)
-        oracle = randint_candidates(k, n, oracle_rng)
-        stream = tangent._random_candidates(k, n, random.Random(seed))
-        next(stream)
-        # run on into the third block of words
-        while oracle_rng.words <= 2 * tangent._BLOCK_WORDS:
-            assert stream.send(-1) == next(oracle), (k, n, seed)
+        oracle = word_candidates(k, n, random.Random(seed))
+        rng = CountingRandom(seed)
+        stream = tangent._random_candidates(k, n, rng, -1)
+        # run on into the third chunk
+        while rng.calls < 3:
+            assert next(stream) == next(oracle), (k, n, seed)
 
 
-def test_random_candidates_across_one_word_blocks(monkeypatch):
-    # with one word per block, dim redraws and row entries straddle refills,
-    # and a block whose word is a dropped 7 adds nothing; rows are built
-    # exactly for candidates whose row count exceeds the best total
-    monkeypatch.setattr(tangent, "_BLOCK_WORDS", 1)
-    for k, n, seed in itertools.product(range(2, 9), range(1, 4), (0, 5)):
-        oracle = randint_candidates(k, n, random.Random(seed))
-        stream = tangent._random_candidates(k, n, random.Random(seed))
-        next(stream)
-        bests = random.Random(seed + 1)
+def test_random_candidates_do_not_depend_on_chunk_size(monkeypatch):
+    # four records per chunk give the same candidates as the default, and a
+    # candidate is None exactly when its row count is at most the floor
+    def first(k, n, seed, floor):
+        return list(itertools.islice(tangent._random_candidates(k, n, random.Random(seed), floor), 300))
+
+    cases = list(itertools.product(range(2, 9), range(1, 4), (0, 5), (-1, 0, 2, 4)))
+    default = {case: first(*case) for case in cases}
+    monkeypatch.setattr(tangent, "_CHUNK", 4)
+    for k, n, seed, floor in cases:
+        small = first(k, n, seed, floor)
+        assert small == default[k, n, seed, floor], (k, n, seed, floor)
+        oracle = itertools.islice(word_candidates(k, n, random.Random(seed)), 300)
         built = 0
-        for _ in range(300):
-            expected = next(oracle)
-            best = bests.randint(-1, 4)
-            got = stream.send(best)
-            if sum(map(len, expected)) > best:
-                assert got == expected, (k, n, seed)
+        for got, expected in zip(small, oracle):
+            if sum(map(len, expected)) > floor:
+                assert got == expected, (k, n, seed, floor)
                 built += 1
             else:
-                assert got is None, (k, n, seed)
-        assert 0 < built < 300, (k, n, seed)
+                assert got is None, (k, n, seed, floor)
+        assert (built == 300) == (floor < 0), (k, n, seed, floor)
+        assert built or floor >= n * min(3, k - 1), (k, n, seed, floor)
 
 
 def naive_search(k, n, budget, seed):
-    """Oracle search: the randint stream, every candidate checked for (**)
-    over Q on its spans, no row-count rule."""
+    """Oracle search with every configuration admissible: the witness, then
+    every record walked, totals as dims of spans, no row-count rule."""
+    witness = [list(r) for r in kernel_of_sum_subspace(k).basis]
+    stream = word_candidates(k, n, random.Random(seed * 1_000_003))
     best_sum, best_config, counterexample = -1, [], None
-    rng = random.Random(seed * 1_000_003)
-    for bases in itertools.islice(randint_candidates(k, n, rng), budget):
-        spaces = [Subspace.span(k, rows) for rows in bases]
-        total = sum(sp.dim for sp in spaces)
-        if check_condition_doublestar(spaces) is True and total > best_sum:
+    for bases in itertools.islice(itertools.chain([[witness] + [[]] * (n - 1)], stream), budget):
+        total = sum(Subspace.span(k, rows).dim for rows in bases)
+        if total > best_sum:
             best_sum, best_config = total, [[list(r) for r in rows] for rows in bases]
             if total > k - 1 and counterexample is None:
                 counterexample = best_config
@@ -388,11 +392,36 @@ def naive_search(k, n, budget, seed):
 
 
 def test_random_search_matches_naive_oracle(monkeypatch):
-    # without the kernel-of-sum witness the random stream sets best_sum, so
-    # each step up goes through the row-count rule
-    monkeypatch.setattr(tangent, "_structured_candidates", lambda k, n: iter(()))
+    # with (**) made to hold everywhere, records beat the witness: the best
+    # total rises past the bound and the first such record is the counterexample
+    monkeypatch.setattr(tangent, "_doublestar_violation", lambda bases: None)
+    monkeypatch.setattr(tangent, "check_condition_doublestar", lambda spaces: True)
+    raised = 0
     for (k, n), seed in itertools.product(((2, 1), (3, 2), (4, 2), (5, 3)), (0, 1, 2)):
-        assert search_max_total_dimension(k, n, 300, seed) == naive_search(k, n, 300, seed), (k, n, seed)
+        expected = naive_search(k, n, 300, seed)
+        assert search_max_total_dimension(k, n, 300, seed) == expected, (k, n, seed)
+        raised += expected.counterexample is not None and expected.counterexample != expected.best_config
+    assert raised
+
+
+def test_search_work_counts(monkeypatch):
+    # how many candidates the three ``tangent`` bench searches walk; a change
+    # that walks more of them fails here
+    calls = 0
+    walk = tangent._doublestar_violation
+
+    def counting(bases):
+        nonlocal calls
+        calls += 1
+        return walk(bases)
+
+    monkeypatch.setattr(tangent, "_doublestar_violation", counting)
+    counts = []
+    for k, n, seed in ((4, 2, 101), (5, 3, 101), (6, 2, 101)):
+        calls = 0
+        search_max_total_dimension(k, n, 20000, seed)
+        counts.append(calls)
+    assert counts == [7453, 9978, 1237]
 
 
 def test_parse_star_file():
