@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -78,11 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float, table):
-    parameters = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func", "report") and not key.startswith("_")
-    }
+    parameters = {key: value for key, value in sorted(vars(args).items()) if key not in ("func", "report")}
     report = {
         "report_version": REPORT_VERSION,
         "subcommand": subcommand,
@@ -93,8 +90,7 @@ def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float,
         "wall_time_s": round(wall_time, 6),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    dest = getattr(args, "report", None)
-    with open(dest, "w") if dest else contextlib.nullcontext(sys.stdout) as fh:
+    with open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout) as fh:
         sys.stdout.write(table.getvalue())
         fh.write(text + "\n")
 
@@ -119,38 +115,27 @@ def _cmd_identities(args):
 
     problems = []
     for v in values:
-        if 1 <= v.d < v.k and v.value != 0:
-            problems.append({"k": v.k, "d": v.d, "value": str(v.value), "expected": "0"})
-        if v.d == v.k:
-            fact = math.factorial(v.k)
-            if v.value != fact:
-                problems.append({"k": v.k, "d": v.d, "value": str(v.value), "expected": str(fact)})
-        if v.d <= v.k:
-            # structural agreement with the derivative path: both vanish
-            # below the diagonal and coincide at d = k
-            oracle = derivative_oracle(v.k, v.d)
-            if v.d == v.k and oracle != v.value:
-                problems.append({"k": v.k, "d": v.d, "oracle": str(oracle)})
-            if 1 <= v.d < v.k and oracle != 0:
-                problems.append({"k": v.k, "d": v.d, "oracle": str(oracle)})
+        if not 1 <= v.d <= v.k:
+            continue
+        # the kernel vanishes below the diagonal and is k! on it, and the
+        # derivative path agrees with it there
+        expected = math.factorial(v.k) if v.d == v.k else 0
+        if v.value != expected:
+            problems.append({"k": v.k, "d": v.d, "value": str(v.value), "expected": str(expected)})
+        oracle = derivative_oracle(v.k, v.d)
+        if oracle != (v.value if v.d == v.k else 0):
+            problems.append({"k": v.k, "d": v.d, "oracle": str(oracle)})
     witness = {"kmax": kmax, "dmax": dmax, "checked": len(values), "problems": problems}
     return ("fail" if problems else "pass"), witness
 
 
 def _threshold_row(k: int) -> dict:
-    table = bounds_mod.thresholds(k)
-    return {
-        "k": k,
-        "g_gonality": table.g_gonality,
-        "g_orbit_all": table.g_orbit_all,
-        "g_orbit_weierstrass": table.g_orbit_weierstrass,
-        "g_orbit_countable": table.g_orbit_countable,
-        "induction_G": list(table.induction_G),
-        "conjectured_gonality_threshold": {
-            "value": bounds_mod.conjectured_gonality_threshold(k),
-            "status": "conjecture",
-        },
+    row = dataclasses.asdict(bounds_mod.thresholds(k))
+    row["conjectured_gonality_threshold"] = {
+        "value": bounds_mod.conjectured_gonality_threshold(k),
+        "status": "conjecture",
     }
+    return row
 
 
 def _cmd_thresholds(args):
@@ -158,14 +143,11 @@ def _cmd_thresholds(args):
         raise ValueError("exactly one of --k or --g is required")
     if args.k is not None:
         row = _threshold_row(args.k)
-        if args.format == "json":
-            print(json.dumps(row, indent=2, sort_keys=True))
-        else:
-            keys = ["k", "g_gonality", "g_orbit_all", "g_orbit_weierstrass", "g_orbit_countable"]
-            print("\t".join(keys))
-            print("\t".join(str(row[key]) for key in keys))
-            print("induction_G\t" + "\t".join(str(x) for x in row["induction_G"]))
-            print(f"conjectured_gonality_threshold (conjecture, unproven)\t{row['conjectured_gonality_threshold']['value']}")
+        keys = ["k", "g_gonality", "g_orbit_all", "g_orbit_weierstrass", "g_orbit_countable"]
+        print("\t".join(keys))
+        print("\t".join(str(row[key]) for key in keys))
+        print("induction_G\t" + "\t".join(str(x) for x in row["induction_G"]))
+        print(f"conjectured_gonality_threshold (conjecture, unproven)\t{row['conjectured_gonality_threshold']['value']}")
         return "pass", row
     k = bounds_mod.max_proven_gonality(args.g)
     witness = {
@@ -175,11 +157,8 @@ def _cmd_thresholds(args):
     }
     if k >= 2:
         witness["threshold_row"] = _threshold_row(k)
-    if args.format == "json":
-        print(json.dumps(witness, indent=2, sort_keys=True))
-    else:
-        print("g\tmax_proven_k\tstatement")
-        print(f"{args.g}\t{k}\tgonality >= {k + 1}")
+    print("g\tmax_proven_k\tstatement")
+    print(f"{args.g}\t{k}\tgonality >= {k + 1}")
     return "pass", witness
 
 
@@ -221,14 +200,9 @@ def _cmd_alpha(args):
 def _cmd_recursion_check(args):
     if args.k < 2:
         raise ValueError("--k must be at least 2")
-    results = {}
-    ok = True
-    for l in range(1, args.k):
-        holds = check_recursion_identity(args.k, l)
-        results[str(l)] = holds
-        ok = ok and holds
+    results = {str(l): check_recursion_identity(args.k, l) for l in range(1, args.k)}
     witness = {"k": args.k, "results": results}
-    return ("pass" if ok else "fail"), witness
+    return ("pass" if all(results.values()) else "fail"), witness
 
 
 def _read_text(path: str) -> str:
@@ -239,18 +213,14 @@ def _read_text(path: str) -> str:
 def _cmd_check_star(args):
     k, n, V = parse_star_file(_read_text(args.file))
     outcome = check_condition_star(V, n, k)
+    witness = {"k": k, "n": n, "dim": V.dim, "violation": None}
     if outcome is True:
-        return "pass", {"k": k, "n": n, "dim": V.dim, "violation": None}
-    witness = {
-        "k": k,
-        "n": n,
-        "dim": V.dim,
-        "violation": {
-            "degree": outcome.degree,
-            "basis_indices": list(outcome.basis_indices),
-            "multi_index": list(outcome.multi_index),
-            "value": format_rational(outcome.value),
-        },
+        return "pass", witness
+    witness["violation"] = {
+        "degree": outcome.degree,
+        "basis_indices": list(outcome.basis_indices),
+        "multi_index": list(outcome.multi_index),
+        "value": format_rational(outcome.value),
     }
     return "fail", witness
 
@@ -258,18 +228,13 @@ def _cmd_check_star(args):
 def _cmd_check_doublestar(args):
     k, n, spaces = parse_doublestar_file(_read_text(args.file))
     outcome = check_condition_doublestar(spaces)
-    dims = [sp.dim for sp in spaces]
+    witness = {"k": k, "n": n, "dims": [sp.dim for sp in spaces], "violation": None}
     if outcome is True:
-        return "pass", {"k": k, "n": n, "dims": dims, "violation": None}
-    witness = {
-        "k": k,
-        "n": n,
-        "dims": dims,
-        "violation": {
-            "components": list(outcome.components),
-            "basis_rows": list(outcome.basis_rows),
-            "value": format_rational(outcome.value),
-        },
+        return "pass", witness
+    witness["violation"] = {
+        "components": list(outcome.components),
+        "basis_rows": list(outcome.basis_rows),
+        "value": format_rational(outcome.value),
     }
     return "fail", witness
 
@@ -379,21 +344,22 @@ def _cmd_gamma_check(args):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pontcalc", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # every subcommand takes --report
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--report", default=None, help="write the run report to this path")
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("identities", help="exact (k,d) kernel table with cross-checks")
+    p = add("identities", help="exact (k,d) kernel table with cross-checks")
     p.add_argument("--kmax", type=int, default=12)
     p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--report", default=None, help="write the run report to this path")
     p.set_defaults(func=_cmd_identities)
 
-    p = sub.add_parser("thresholds", help="dimension thresholds for a degree, or the inverse lookup")
+    p = add("thresholds", help="dimension thresholds for a degree, or the inverse lookup")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--g", type=int, default=None)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_thresholds)
 
-    p = sub.add_parser("verify-relation", help="produce a re-verified membership certificate")
+    p = add("verify-relation", help="produce a re-verified membership certificate")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--jmax", type=int, default=None)
@@ -404,60 +370,51 @@ def _build_parser() -> _Parser:
         "Newton one if --jmax >= k, recording --cap, or twice --cap if its height needs it, else "
         "exit 2 with caps_tried [cap, 2 cap]; auto (default): newton if it fits, else window"))
     p.add_argument("--out", default="cert.json", help="certificate output path")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify_relation)
 
-    p = sub.add_parser("alpha", help="exact coefficients of the substituted recursion")
+    p = add("alpha", help="exact coefficients of the substituted recursion")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("recursion-check", help="free-ring check of the inductive relation")
+    p = add("recursion-check", help="free-ring check of the inductive relation")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_recursion_check)
 
-    p = sub.add_parser("check-star", help="condition (*) on a subspace file")
+    p = add("check-star", help="condition (*) on a subspace file")
     p.add_argument("--file", required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_check_star)
 
-    p = sub.add_parser("check-doublestar", help="condition (**) on a configuration file")
+    p = add("check-doublestar", help="condition (**) on a configuration file")
     p.add_argument("--file", required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_check_doublestar)
 
-    p = sub.add_parser("pair-lemma", help="span inequality dim(A.B+A+B) >= dim A + dim B")
+    p = add("pair-lemma", help="span inequality dim(A.B+A+B) >= dim A + dim B")
     p.add_argument("--file", default=None, help="two-block configuration file")
     p.add_argument("--k", type=int, default=None, help="sample a random admissible pair in Q^k")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_pair_lemma)
 
-    p = sub.add_parser("mu-rank", help="generic rank of the multiplication differential")
+    p = add("mu-rank", help="generic rank of the multiplication differential")
     p.add_argument("--file", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=4)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_mu_rank)
 
-    p = sub.add_parser("search", help="budgeted search for max total dimension under (**)")
+    p = add("search", help="budgeted search for max total dimension under (**)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--artifact", default=None, help="counterexample artifact path")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("gamma-check", help="gamma/log/exp identity battery")
+    p = add("gamma-check", help="gamma/log/exp identity battery")
     p.add_argument("--g", type=int, default=3)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_gamma_check)
 
     return parser

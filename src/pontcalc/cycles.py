@@ -28,6 +28,7 @@ modulo high powers of the augmentation ideal must say so explicitly.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -376,12 +377,14 @@ class Cycle:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cycle":
-        rank = int(data["rank"])
+        """Read ``to_json_dict`` output: the rank and the coordinates must be
+        JSON integers and each coefficient a ``p/q`` string, see
+        ``parse_rational``; anything else raises ``ValueError``."""
         terms = [
-            (GroupPoint(int(x) for x in t["point"]), parse_rational(t["coeff"]))
+            (GroupPoint(json_int(x) for x in t["point"]), parse_rational(t["coeff"]))
             for t in data["terms"]
         ]
-        return cls(rank, terms)
+        return cls(json_int(data["rank"]), terms)
 
     @classmethod
     def from_json(cls, text: str) -> "Cycle":
@@ -402,8 +405,25 @@ def format_rational(value) -> str:
     return _ratio(f.numerator, f.denominator)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    """The value of an integer or ``p/q`` token; any other value, a zero
+    denominator included, raises ``ValueError``."""
+    if type(text) is not str or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"entry {text!r} is not an integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"entry {text!r} has a zero denominator") from None
+
+
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer; a bool or float raises ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .cycles import (
     _key,
     _orbit_cycle,
     _points,
+    json_int,
     pontryagin,
     pushforward,
     star_power,
@@ -104,7 +105,7 @@ def pushed_hypothesis(k: int, j: int) -> Cycle:
     return pushforward(hypothesis_cycle(k), j)
 
 
-def check_recursion_identity(k: int, l: int, ctx: RingContext | None = None) -> bool:
+def check_recursion_identity(k: int, l: int) -> bool:
     """Exact free-ring check of the inductive relation on subset-sum cycles.
 
     With gamma_l the sum over size-l subsets of {x_2, ..., x_k}, verifies
@@ -119,8 +120,7 @@ def check_recursion_identity(k: int, l: int, ctx: RingContext | None = None) -> 
     if not 1 <= l <= k - 1:
         raise ValueError(f"l={l} out of range 1..{k - 1}")
     rank = k - 1
-    if ctx is None:
-        ctx = RingContext(rank=rank, geom_dim=1, support_cap=2 * k * (k + 2))
+    ctx = RingContext(rank=rank, geom_dim=1, support_cap=2 * k * (k + 2))
     indices = list(range(rank))
     gam = [subset_sum_cycle(rank, indices, s) for s in range(l + 2)]
     lhs = pontryagin(gam[1], gam[l], ctx)
@@ -321,10 +321,13 @@ class MembershipCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":
+        """Read ``to_json_dict`` output.  Every integer field must be a JSON
+        integer and every coefficient a ``p/q`` string; anything else
+        raises ``ValueError``."""
         gens = tuple(
             GeneratorTerm(
                 label=t["label"],
-                j=int(t["j"]),
+                j=json_int(t["j"]),
                 generator=Cycle.from_json_dict(t["generator"]),
                 multiplier=Cycle.from_json_dict(t["multiplier"]),
             )
@@ -332,16 +335,16 @@ class MembershipCertificate:
         )
         nil = tuple(
             NilpotentTerm(
-                factors=tuple(int(i) for i in t["factors"]),
+                factors=tuple(json_int(i) for i in t["factors"]),
                 multiplier=Cycle.from_json_dict(t["multiplier"]),
             )
             for t in data["nilpotent_part"]
         )
         return cls(
-            k=int(data["k"]),
-            g=int(data["g"]),
-            j_max=int(data["j_max"]),
-            cap=int(data["cap"]),
+            k=json_int(data["k"]),
+            g=json_int(data["g"]),
+            j_max=json_int(data["j_max"]),
+            cap=json_int(data["cap"]),
             target=Cycle.from_json_dict(data["target"]),
             generators=gens,
             nilpotent_part=nil,
@@ -370,8 +373,8 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     generator must be (m_j)_* h with 1 <= j <= j_max, recomputed from j,
     and every nilpotent product must have exactly g+1 factors in 1..k.
     Malformed fields (k or g below 1, a j whose (m_j)_* h leaves the digit
-    range) give False, not an exception.  Shares no state or code with
-    the solvers.
+    range, a multiplier whose product with its generator does) give False,
+    not an exception.  Shares no state or code with the solvers.
 
     The proof is chosen from the certificate alone.  With no nilpotent term
     and every multiplier invariant under permuting x_2..x_k, as a Newton
@@ -405,10 +408,14 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     heights += [t.multiplier.max_height() + len(t.factors) for t in cert.nilpotent_part]
     ctx = RingContext(rank=k, geom_dim=cert.g, support_cap=max(heights) + 1)
     total = Cycle.zero(k)
-    for t in cert.generators:
-        total = total + pontryagin(t.multiplier, t.generator, ctx)
-    for t in cert.nilpotent_part:
-        total = total + pontryagin(t.multiplier, nilpotent_product(k, t.factors, ctx), ctx)
+    try:
+        for t in cert.generators:
+            total = total + pontryagin(t.multiplier, t.generator, ctx)
+        for t in cert.nilpotent_part:
+            total = total + pontryagin(t.multiplier, nilpotent_product(k, t.factors, ctx), ctx)
+    except ValueError:
+        # a product point left the digit range: the identity cannot be checked here
+        return False
     return total == cert.target
 
 

@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cycles import parse_rational
 from .linalg import clear_denominators, det, exact_rank, int_rank, nullspace, rref
 
 
@@ -496,9 +496,6 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
 # ---------------------------------------------------------------------------
 
 
-_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 class _TokenReader:
     def __init__(self, text: str):
         self.tokens = text.split()
@@ -528,13 +525,7 @@ class _TokenReader:
         return Subspace(width, rows)
 
     def entry(self) -> Fraction:
-        tok = self.take()
-        if not _ENTRY.fullmatch(tok):
-            raise ValueError(f"entry {tok!r} is not an integer or p/q")
-        try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError(f"entry {tok!r} has a zero denominator") from None
+        return parse_rational(self.take())
 
 
 def parse_star_file(text: str) -> tuple[int, int, Subspace]:

@@ -29,6 +29,8 @@ def test_rejects_small_k():
     with pytest.raises(ValueError):
         induction_sequence(0)
     with pytest.raises(ValueError):
+        induction_closed_form(2, -1)
+    with pytest.raises(ValueError):
         conjectured_gonality_threshold(1)
 
 

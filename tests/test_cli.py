@@ -57,7 +57,7 @@ def test_thresholds_k(capsys):
 
 
 def test_thresholds_inverse(capsys):
-    code, out = run(capsys, "thresholds", "--g", "11", "--format", "json")
+    code, out = run(capsys, "thresholds", "--g", "11")
     assert code == 0
     report = last_json(out)
     assert report["witness"]["max_proven_k"] == 3

@@ -90,8 +90,7 @@ FILE = ["--file", "{file}"]
 ARGVS = {
     "identities": argv_of("identities", optional("--kmax", small), optional("--dmax", st.integers(-1, 5))),
     "thresholds": argv_of("thresholds", optional("--k", st.integers(-1, 6)),
-                          optional("--g", st.integers(-1, 30)),
-                          optional("--format", st.sampled_from(["tsv", "json"]))),
+                          optional("--g", st.integers(-1, 30))),
     "alpha": argv_of("alpha", flag("--k", small)),
     "recursion-check": argv_of("recursion-check", flag("--k", small)),
     "verify-relation": argv_of("verify-relation", flag("--k", st.integers(-1, 3)),

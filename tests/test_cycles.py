@@ -53,6 +53,14 @@ def test_point_validation():
         Cycle(2, {GroupPoint((1,)): 1})
     with pytest.raises(ValueError):
         Cycle.point(X) + Cycle.point(GroupPoint((1,)))
+    with pytest.raises(ValueError):
+        GroupPoint.generator(2, 2)
+    with pytest.raises(ValueError):
+        GroupPoint((1,)) + GroupPoint((1, 0))
+    with pytest.raises(ValueError):
+        Cycle(-1)
+    with pytest.raises(TypeError):
+        Cycle(2) + 1
 
 
 def test_point_cycles_skip_the_fraction_path(monkeypatch):
@@ -167,6 +175,8 @@ def test_context_validation():
         RingContext(rank=1, geom_dim=0, support_cap=10)
     with pytest.raises(ValueError):
         RingContext(rank=1, geom_dim=1, support_cap=-1)
+    with pytest.raises(ValueError, match="context rank"):
+        pontryagin(Cycle.unit(2), Cycle.unit(2), RingContext(rank=3, geom_dim=1, support_cap=10))
 
 
 def test_serialization_round_trip():
@@ -186,6 +196,22 @@ def test_serialization_format():
     assert [t["coeff"] for t in data["terms"]] == ["-3/1", "1/1", "1/2"]
     parsed = json.loads(c.to_json())
     assert parsed == data
+    assert repr(c) == "Cycle(2, -3*{(0, 0)} + 1*{(0, 1)} + 1/2*{(1, 0)})"
+    assert repr(Cycle.zero(2)) == "Cycle(2, 0)"
+
+
+@pytest.mark.parametrize("data", [
+    {"rank": 2, "terms": [{"point": [0.9, "1"], "coeff": "1/2"}]},
+    {"rank": 2, "terms": [{"point": [0, 1], "coeff": "0.5"}]},
+    {"rank": 2, "terms": [{"point": [0, 1], "coeff": 0.5}]},
+    {"rank": 2, "terms": [{"point": [0, 1], "coeff": 1}]},
+    {"rank": 2, "terms": [{"point": [0, 1], "coeff": "1/0"}]},
+    {"rank": 2, "terms": [{"point": [True, 1], "coeff": "1/2"}]},
+    {"rank": 2.0, "terms": []},
+])
+def test_reader_takes_only_json_integers_and_rational_strings(data):
+    with pytest.raises(ValueError):
+        Cycle.from_json_dict(data)
 
 
 def test_cycles_are_immutable():

@@ -62,6 +62,8 @@ def test_derivative_oracle_range_errors():
     with pytest.raises(ValueError):
         binomial_kernel(0, 1)
     with pytest.raises(ValueError):
+        binomial_kernel(2, -1)
+    with pytest.raises(ValueError):
         pont_pullback_coefficient(2, 0)
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import gcd, prod
 
+import pytest
+
 from pontcalc.linalg import (
     clear_denominators,
     det,
@@ -125,6 +127,8 @@ def test_det():
     assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
     assert det([[6, 4], [3, 8]]) == 36 and type(det([[6, 4], [3, 8]])) is int
     assert det_rational([[0, 2], [Fraction(1, 3), 0]]) == Fraction(-2, 3)
+    with pytest.raises(ValueError, match="square"):
+        det([[1, 2]])
     rng = random.Random(4)
     for _ in range(20):
         a = rand_matrix(rng, 3, 3)

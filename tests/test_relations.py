@@ -518,6 +518,8 @@ def test_argument_validation():
         verify_relation(2, 0)
     with pytest.raises(ValueError):
         verify_relation(2, 2, method="magic")
+    with pytest.raises(ValueError):
+        augmentation_generator(3, 4)
 
 
 def test_certificate_json_round_trip_and_tampering():
@@ -546,6 +548,20 @@ def test_certificate_json_round_trip_and_tampering():
         generators=tuple(replace(t, multiplier=t.multiplier.scale(2)) for t in cert.generators),
     )
     assert not verify_certificate(doubled)
+
+
+def test_certificate_reader_takes_only_json_integers():
+    data = verify_relation(3, 2).to_json_dict()
+    assert verify_certificate(MembershipCertificate.from_json_dict(data))
+    half_point = json.loads(json.dumps(data))
+    half_point["generators"][0]["multiplier"]["terms"][0]["point"] = [0.5, 0, 0]
+    fractional_k = dict(data, k=3.9)
+    bool_cap = dict(data, cap=True)
+    float_j = json.loads(json.dumps(data))
+    float_j["generators"][0]["j"] = 1.0
+    for bad in (half_point, fractional_k, bool_cap, float_j):
+        with pytest.raises(ValueError, match="is not an integer"):
+            MembershipCertificate.from_json_dict(bad)
 
 
 def test_trivial_nilpotent_certificate_k2_g1():
@@ -775,3 +791,9 @@ def test_malformed_fields_are_rejected_not_raised():
     no_g = replace(cert, g=0, generators=(replace(t, multiplier=t.multiplier + x_2),) + rest)
     assert relations._verify_on_orbits(no_g) is None
     assert verify_certificate(no_g) is False
+    # a multiplier point within the cap whose product with (m_j)_* h has
+    # the coordinate 2**46 - 1 + j, outside the digit range
+    far = Cycle.point(GroupPoint((0, 2**46 - 1, 0)))
+    far_product = replace(cert, cap=2**47, generators=(replace(t, multiplier=t.multiplier + far),) + rest)
+    assert relations._verify_on_orbits(far_product) is None
+    assert verify_certificate(far_product) is False

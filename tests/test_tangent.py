@@ -52,6 +52,7 @@ def test_subspace_basics():
         Subspace(3, [[1, 0]])
     spanned = Subspace.span(3, [[1, 1, 1], [2, 2, 2], [1, 0, 0]])
     assert spanned.dim == 2
+    assert repr(spanned) == "Subspace(dim 2 of Q^3)"
 
 
 def test_kernel_of_sum_passes_star():
@@ -59,6 +60,8 @@ def test_kernel_of_sum_passes_star():
         V = kernel_of_sum_subspace(k)
         assert V.dim == k - 1
         assert check_condition_star(V, 1, k) is True
+    with pytest.raises(ValueError):
+        kernel_of_sum_subspace(0)
 
 
 def test_zero_subspace_passes_star():
@@ -78,11 +81,21 @@ def test_star_violation_with_datum_reevaluation():
 def test_star_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         check_condition_star(Subspace.zero(5), 2, 2)
+    a, b = Subspace(2, [[1, -1]]), Subspace(3, [[1, -1, 0]])
+    for check in (check_condition_doublestar, split_subspace):
+        with pytest.raises(DimensionMismatch, match="share the ambient"):
+            check([a, b])
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        split_subspace([])
+    for check in (product_span, pair_lemma_check):
+        with pytest.raises(DimensionMismatch, match="ambient dimensions differ"):
+            check(a, b)
 
 
 def test_doublestar_examples():
     a1 = Subspace(3, [[1, -1, 0]])
     a2 = Subspace(3, [[1, 1, -2]])
+    assert check_condition_doublestar([]) is True
     assert check_condition_doublestar([a1]) is True
     assert check_condition_doublestar([a1, a2]) is True
     bad = check_condition_doublestar([Subspace(3, [[1, 0, 0]])])
