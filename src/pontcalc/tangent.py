@@ -21,7 +21,9 @@ points, and a budgeted randomized search for configurations maximizing
 the total dimension (which the theory bounds by k - 1; exceeding the
 bound would be a reportable counterexample, not a success).  The search
 runs the kernel-of-sum witness first, then random candidates, each one
-fixed-size record of random bytes.  A pair (A, B) is admissible exactly
+fixed-size record of random bytes.  A record is first chosen by its row
+count, then screened on its first pair from the bytes, and only then
+built and walked.  A pair (A, B) is admissible exactly
 when it satisfies condition (**), and is checked by the same walk; the
 left side of the span inequality is one exact rank of the product rows
 stacked on both bases.
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -407,30 +411,50 @@ def _config_sum(bases: list[list[list[int]]]) -> int:
 _CHUNK = 1 << 15  # about the bytes fetched per getrandbits call
 
 
-def _random_candidates(k: int, n: int, rng: random.Random, floor: int):
-    """Endless random candidates, one record of n * (1 + 3(k - 1)) bytes
-    each, from the little-endian bytes of consecutive 32-bit words of
-    ``rng``.  A component is a dim byte d, giving dim d % (min(3, k - 1) + 1),
-    and room for three rows of k - 1 entry bytes e, giving e % 7 - 3; each
-    row ends with minus the sum of its entries.  A candidate with at most
-    ``floor`` rows is yielded as None, and only its dim bytes are read."""
+def _first_pair_sum(a: bytes, b: bytes) -> int:
+    """The (**) product sum of two record rows, from their k - 1 entry
+    bytes e (entries e - 3, each row closed by minus their sum): the sum of
+    a_i b_i plus (sum a)(sum b), in C-level sums over the bytes."""
+    m = len(a)
+    sa, sb = sum(a) - 3 * m, sum(b) - 3 * m
+    return sum(map(operator.mul, a, b)) - 3 * (sa + sb) - 9 * m + sa * sb
+
+
+def _random_candidates(k: int, n: int, rng: random.Random, floor: int, count: int):
+    """The next ``count`` random records that may raise the best total.
+
+    A record is n * (1 + 3(k - 1)) bytes, read from the little-endian bytes
+    of consecutive 32-bit words of ``rng``.  A component is a dim byte d,
+    giving dim d % (min(3, k - 1) + 1), and room for three rows of k - 1
+    entry bytes e, giving e % 7 - 3; each row ends with minus the sum of its
+    entries, so every row passes the singleton test of (**).  A record is
+    first chosen by its row count, more than ``floor``, over a whole chunk
+    at once.  It is then screened on its first pair: the first rows of its
+    first two nonzero components, the walk's first real step.  A nonzero
+    ``_first_pair_sum`` proves a (**) violation and drops the record.  Only
+    then are its rows built, and it is yielded as a list of bases."""
     step = k - 1
     comp = 1 + 3 * step
     record = n * comp
     to_dim = bytes(b % (min(3, step) + 1) for b in range(256))
     to_entry = bytes(b % 7 for b in range(256))
     size = 4 * max(1, _CHUNK // (4 * record)) * record  # whole records, whole words
-    while True:
+    while count > 0:
         chunk = rng.getrandbits(8 * size).to_bytes(size, "little")
-        dims = chunk[::comp].translate(to_dim)
+        dims = chunk[::comp][: count * n].translate(to_dim)
+        count -= len(dims) // n
         entries = chunk.translate(to_entry)
-        for start in range(0, len(dims), n):
-            ds = dims[start : start + n]
-            if sum(ds) <= floor:
-                yield None
-                continue
+        row_counts = map(sum, zip(*(dims[j::n] for j in range(n))))
+        for r in itertools.compress(itertools.count(), map(floor.__lt__, row_counts)):
+            ds = dims[r * n : (r + 1) * n]
+            firsts = range(r * record + 1, (r + 1) * record, comp)
+            nonzero = [first for first, dim in zip(firsts, ds) if dim]
+            if len(nonzero) > 1:
+                a, b = nonzero[:2]
+                if _first_pair_sum(entries[a : a + step], entries[b : b + step]):
+                    continue
             bases = []
-            for first, dim in zip(range(start * comp + 1, (start + n) * comp, comp), ds):
+            for first, dim in zip(firsts, ds):
                 rows = []
                 for pos in range(first, first + dim * step, step):
                     row = [x - 3 for x in entries[pos : pos + step]]
@@ -444,14 +468,16 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
     """Budgeted search for (**) configurations maximizing total dimension.
 
     ``budget`` candidates in all: the kernel-of-sum witness, whose total is
-    the bound k - 1, then records of ``random.Random(seed * 1_000_003)``
-    (see ``_random_candidates``).  After the witness a candidate with at
-    most k - 1 rows cannot raise the best total, a sum of ranks, so it is
-    not walked.  Every other candidate is screened by the exact (**) walk
-    on its integer rows; one that would raise the best total is
-    re-verified over Q on its spanned subspaces before it is accepted.  A
-    configuration exceeding the bound is recorded as a counterexample,
-    which callers must treat as a build-failing finding.
+    the bound k - 1, then ``budget - 1`` records of
+    ``random.Random(seed * 1_000_003)`` (see ``_random_candidates``).
+    After the witness a record with at most k - 1 rows cannot raise the
+    best total, a sum of ranks, so a record is first chosen by its row
+    count.  It is then screened on its first pair, straight from its bytes,
+    and dropped if that pair proves a (**) violation.  Only then are its
+    rows built and walked by the exact (**) check; one that would raise the
+    best total is re-verified over Q on its spanned subspaces before it is
+    accepted.  A configuration exceeding the bound is recorded as a
+    counterexample, which callers must treat as a build-failing finding.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -464,9 +490,9 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
     best_config: list[list[list[int]]] = []
     counterexample = None
     witness = [kernel_of_sum_subspace(k).basis] + [[] for _ in range(n - 1)]
-    stream = _random_candidates(k, n, random.Random(seed * 1_000_003), bound)
-    for bases in itertools.islice(itertools.chain([witness], stream), budget):
-        if bases is None or _doublestar_violation(bases) is not None:
+    records = _random_candidates(k, n, random.Random(seed * 1_000_003), bound, budget - 1)
+    for bases in itertools.chain([witness], records):
+        if _doublestar_violation(bases) is not None:
             continue
         total = _config_sum(bases)
         if total <= best_sum:
@@ -496,6 +522,9 @@ def search_max_total_dimension(k: int, n: int, budget: int, seed: int) -> Search
 # ---------------------------------------------------------------------------
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # the integer form of an entry
+
+
 class _TokenReader:
     def __init__(self, text: str):
         self.tokens = text.split()
@@ -511,14 +540,20 @@ class _TokenReader:
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def integer(self, what: str) -> int:
+        tok = self.take()
+        if not _INTEGER.fullmatch(tok):
+            raise ValueError(f"{what} {tok!r} is not an integer")
+        return int(tok)
+
     def header(self) -> tuple[int, int]:
-        k, n = int(self.take()), int(self.take())
+        k, n = self.integer("k"), self.integer("n")
         if k < 1 or n < 1:
             raise ValueError(f"header needs positive k and n, got {k} {n}")
         return k, n
 
     def block(self, width: int) -> Subspace:
-        dim = int(self.take())
+        dim = self.integer("block dimension")
         if dim < 0:
             raise ValueError(f"block dimension must be nonnegative, got {dim}")
         rows = [[self.entry() for _ in range(width)] for _ in range(dim)]

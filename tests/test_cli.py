@@ -270,6 +270,9 @@ def test_usage_errors(capsys):
         (["check-doublestar", "--file", "{file}"], "2 1\n1\n1e5000 0\n"),
         (["pair-lemma", "--file", "{file}"], "3 2\n1\n1e5000 -1e5000 0\n0\n"),
         (["check-doublestar", "--file", "{file}"], "2 1\n1\n0.5 -1/2\n"),
+        (["check-doublestar", "--file", "{file}"], "1_0 1\n0\n"),
+        (["check-doublestar", "--file", "{file}"], "\u0663 1\n0\n"),
+        (["check-star", "--file", "{file}"], "2 1\n0_1\n1 -1\n"),
         (["check-star", "--file", "{file}"], "3 0\n0\n"),
         (["search", "--k", "3", "--n", "2", "--budget", "-5"], None),
         (["identities", "--kmax", "0"], None),
@@ -286,6 +289,7 @@ def test_usage_errors(capsys):
         (["alpha", "--k", "3", "--report", "{file}/r.json"], None),
     ],
     ids=["negative-dim", "zero-denominator", "exponent-entry", "exponent-pair-entry", "decimal-entry",
+         "underscore-header", "arabic-indic-header", "underscore-dim",
          "zero-n", "negative-budget", "kmax-0", "negative-cap", "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
          "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
          "identities-report-missing-dir", "alpha-report-missing-dir"],
@@ -293,7 +297,7 @@ def test_usage_errors(capsys):
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.txt"
     if text is not None:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     code = main([arg.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1

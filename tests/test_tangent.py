@@ -353,39 +353,118 @@ def word_candidates(k, n, rng):
         yield bases
 
 
+def first_pair_passes(bases):
+    """Oracle for the screen, on built rows: the first rows of the first two
+    nonzero components are orthogonal (or there are no two such)."""
+    firsts = [rows[0] for rows in bases if rows][:2]
+    return len(firsts) < 2 or sum(a * b for a, b in zip(*firsts)) == 0
+
+
+def records_per_chunk(k, n):
+    """How many records one ``getrandbits`` call of the reader fetches."""
+    return 4 * max(1, tangent._CHUNK // (4 * n * (1 + 3 * (k - 1))))
+
+
 def test_random_candidates_match_word_oracle():
-    # a floor of -1 builds every candidate's rows
+    # a floor of -1 chooses every record, so what survives is exactly the
+    # records that pass the first-pair screen, read here into the third chunk
     for k, n, seed in itertools.product(range(2, 10), range(1, 5), (0, 5, 1_000_003)):
-        oracle = word_candidates(k, n, random.Random(seed))
+        count = 2 * records_per_chunk(k, n) + 1
+        oracle = itertools.islice(word_candidates(k, n, random.Random(seed)), count)
         rng = CountingRandom(seed)
-        stream = tangent._random_candidates(k, n, rng, -1)
-        # run on into the third chunk
-        while rng.calls < 3:
-            assert next(stream) == next(oracle), (k, n, seed)
+        got = list(tangent._random_candidates(k, n, rng, -1, count))
+        assert got == [bases for bases in oracle if first_pair_passes(bases)], (k, n, seed)
+        assert rng.calls == 3, (k, n, seed)
 
 
 def test_random_candidates_do_not_depend_on_chunk_size(monkeypatch):
-    # four records per chunk give the same candidates as the default, and a
-    # candidate is None exactly when its row count is at most the floor
+    # four records per chunk give the same survivors as the default: the
+    # records with more than ``floor`` rows that pass the first-pair screen
     def first(k, n, seed, floor):
-        return list(itertools.islice(tangent._random_candidates(k, n, random.Random(seed), floor), 300))
+        return list(tangent._random_candidates(k, n, random.Random(seed), floor, 300))
 
     cases = list(itertools.product(range(2, 9), range(1, 4), (0, 5), (-1, 0, 2, 4)))
     default = {case: first(*case) for case in cases}
     monkeypatch.setattr(tangent, "_CHUNK", 4)
+    chosen = screened = 0
     for k, n, seed, floor in cases:
         small = first(k, n, seed, floor)
         assert small == default[k, n, seed, floor], (k, n, seed, floor)
         oracle = itertools.islice(word_candidates(k, n, random.Random(seed)), 300)
-        built = 0
-        for got, expected in zip(small, oracle):
-            if sum(map(len, expected)) > floor:
-                assert got == expected, (k, n, seed, floor)
-                built += 1
-            else:
-                assert got is None, (k, n, seed, floor)
-        assert (built == 300) == (floor < 0), (k, n, seed, floor)
-        assert built or floor >= n * min(3, k - 1), (k, n, seed, floor)
+        rich = [bases for bases in oracle if sum(map(len, bases)) > floor]
+        assert small == [bases for bases in rich if first_pair_passes(bases)], (k, n, seed, floor)
+        # the screen drops a record only when the full walk rejects it
+        for bases in rich:
+            assert first_pair_passes(bases) or tangent._doublestar_violation(bases), (k, n, seed, floor)
+        assert bool(rich) or floor >= n * min(3, k - 1), (k, n, seed, floor)
+        chosen += len(rich)
+        screened += len(rich) - len(small)
+    assert 0 < screened < chosen
+
+
+def chunk_candidates(k, n, rng, floor):
+    """Oracle: the search's records before the first-pair screen, read a
+    chunk at a time; a record with at most ``floor`` rows is None, every
+    other one has its rows built."""
+    step = k - 1
+    comp = 1 + 3 * step
+    record = n * comp
+    to_dim = bytes(b % (min(3, step) + 1) for b in range(256))
+    to_entry = bytes(b % 7 for b in range(256))
+    size = 4 * max(1, tangent._CHUNK // (4 * record)) * record
+    while True:
+        chunk = rng.getrandbits(8 * size).to_bytes(size, "little")
+        dims = chunk[::comp].translate(to_dim)
+        entries = chunk.translate(to_entry)
+        for start in range(0, len(dims), n):
+            ds = dims[start : start + n]
+            if sum(ds) <= floor:
+                yield None
+                continue
+            bases = []
+            for first, dim in zip(range(start * comp + 1, (start + n) * comp, comp), ds):
+                rows = []
+                for pos in range(first, first + dim * step, step):
+                    row = [x - 3 for x in entries[pos : pos + step]]
+                    row.append(-sum(row))
+                    rows.append(row)
+                bases.append(rows)
+            yield bases
+
+
+def walked_search(k, n, budget, seed):
+    """Oracle: the search without the first-pair screen, every record with
+    more than k - 1 rows walked in full."""
+    bound = k - 1
+    best_sum, best_config, counterexample = -1, [], None
+    witness = [kernel_of_sum_subspace(k).basis] + [[] for _ in range(n - 1)]
+    stream = chunk_candidates(k, n, random.Random(seed * 1_000_003), bound)
+    for bases in itertools.islice(itertools.chain([witness], stream), budget):
+        if bases is None or tangent._doublestar_violation(bases) is not None:
+            continue
+        total = sum(int_rank(rows) for rows in bases if rows)
+        if total <= best_sum:
+            continue
+        if check_condition_doublestar([Subspace.span(k, rows) for rows in bases]) is not True:
+            continue
+        best_sum, best_config = total, [[list(r) for r in rows] for rows in bases]
+        if total > bound and counterexample is None:
+            counterexample = best_config
+    nonzero = sum(1 for rows in best_config if rows)
+    return SearchResult(k, n, best_sum, best_config, budget, bound, nonzero, counterexample)
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_screened_search_matches_walked_search(monkeypatch, chunk):
+    # budgets of one and two candidates, one ending mid-chunk and one
+    # spanning more than one chunk
+    if chunk is not None:
+        monkeypatch.setattr(tangent, "_CHUNK", chunk)
+    for k, n, seed in itertools.product(range(2, 10), range(1, 5), (0, 1, 101)):
+        per = records_per_chunk(k, n)
+        for budget in (1, 2, 1 + per // 2, 1 + per + per // 2):
+            expected = walked_search(k, n, budget, seed)
+            assert search_max_total_dimension(k, n, budget, seed) == expected, (k, n, seed, budget)
 
 
 def naive_search(k, n, budget, seed):
@@ -405,8 +484,10 @@ def naive_search(k, n, budget, seed):
 
 
 def test_random_search_matches_naive_oracle(monkeypatch):
-    # with (**) made to hold everywhere, records beat the witness: the best
-    # total rises past the bound and the first such record is the counterexample
+    # with (**) made to hold everywhere, the first-pair screen included,
+    # records beat the witness: the best total rises past the bound and the
+    # first such record is the counterexample
+    monkeypatch.setattr(tangent, "_first_pair_sum", lambda a, b: 0)
     monkeypatch.setattr(tangent, "_doublestar_violation", lambda bases: None)
     monkeypatch.setattr(tangent, "check_condition_doublestar", lambda spaces: True)
     raised = 0
@@ -418,23 +499,30 @@ def test_random_search_matches_naive_oracle(monkeypatch):
 
 
 def test_search_work_counts(monkeypatch):
-    # how many candidates the three ``tangent`` bench searches walk; a change
-    # that walks more of them fails here
-    calls = 0
-    walk = tangent._doublestar_violation
+    # how many records the three ``tangent`` bench searches screen on their
+    # first pair, and how many times they walk (**), the witness and its
+    # re-verification included; a change that does more of either fails here
+    screens = walks = 0
+    screen, walk = tangent._first_pair_sum, tangent._doublestar_violation
 
-    def counting(bases):
-        nonlocal calls
-        calls += 1
+    def counting_screen(a, b):
+        nonlocal screens
+        screens += 1
+        return screen(a, b)
+
+    def counting_walk(bases):
+        nonlocal walks
+        walks += 1
         return walk(bases)
 
-    monkeypatch.setattr(tangent, "_doublestar_violation", counting)
+    monkeypatch.setattr(tangent, "_first_pair_sum", counting_screen)
+    monkeypatch.setattr(tangent, "_doublestar_violation", counting_walk)
     counts = []
     for k, n, seed in ((4, 2, 101), (5, 3, 101), (6, 2, 101)):
-        calls = 0
+        screens = walks = 0
         search_max_total_dimension(k, n, 20000, seed)
-        counts.append(calls)
-    assert counts == [7453, 9978, 1237]
+        counts.append((screens, walks))
+    assert counts == [(7451, 401), (9976, 315), (1235, 35)]
 
 
 def test_parse_star_file():
@@ -461,6 +549,15 @@ def test_parse_doublestar_file():
     for tok in ("0.5", "1e5000", "1_0", "3/-2", "inf", "½"):
         with pytest.raises(ValueError, match=f"entry '{tok}' is not an integer or p/q"):
             parse_doublestar_file(f"2 1\n1\n{tok} 0\n")
+    # so are k, n and the block dimensions, in ASCII digits only
+    assert parse_doublestar_file("+2 1\n+1\n1 -1\n")[:2] == (2, 1)
+    for text, what, tok in (("1_0 1\n0\n", "k", "1_0"), ("\u0663 1\n0\n", "k", "\u0663"),
+                            ("2 1_0\n", "n", "1_0"), ("2 1\n0_1\n1 -1\n", "block dimension", "0_1"),
+                            ("2 1\n1.0\n1 -1\n", "block dimension", "1.0")):
+        with pytest.raises(ValueError, match=f"{what} '{tok}' is not an integer"):
+            parse_doublestar_file(text)
+    with pytest.raises(ValueError, match="k '\u0663' is not an integer"):
+        parse_star_file("\u0663 1\n0\n")
 
 
 # ---------------------------------------------------------------------------
