@@ -18,7 +18,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 DIGESTS = {
     "window": "617de0c8aca648e782eb3532bea8b1e48b29b6515daf067017cc558ad1801c52",
     "convolution": "f1163e45f4254a0d4f0937a582e7d9bc06c64d88d7a9bc272ee4481fd96e9d23",
-    "tangent": "74101c7b1e2413e2d93d4b75e8a56f298b911825f3a0e6beeb77e5a040601670",
+    "tangent": "6a7e48cbf8c1295fdf42dbf4dd647a7eb9222632c94cc06f2598a62527a383ba",
 }
 
 

@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def exit_code(argv):
+    # main returns the code, or argparse exits with it on a bad flag
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def last_json(text):
     # the report is the last JSON object on stdout (a table may precede it)
     decoder = json.JSONDecoder()
@@ -185,19 +193,26 @@ def test_mu_rank(tmp_path, capsys):
     assert report["witness"]["rank"] == 2 == report["witness"]["expected"]
 
 
-def test_mu_rank_missing_the_generic_locus_is_inconclusive(tmp_path, capsys):
+def test_mu_rank_is_decided_at_the_base_point(tmp_path, capsys):
+    # seed 4 once drew a random point off the generic locus; the rank at
+    # (e, e) does not depend on the seed
     f = tmp_path / "pair.txt"
     f.write_text("3 2\n1\n1 -1 0\n1\n1 1 -2\n")
-    code, out = run(capsys, "mu-rank", "--file", str(f), "--samples", "1", "--seed", "4")
-    assert code == 2
+    code, out = run(capsys, "mu-rank", "--file", str(f), "--seed", "4")
+    assert code == 0
     report = last_json(out)
-    assert report["verdict"] == "inconclusive"
-    assert report["witness"] == {
-        "rank": 1,
-        "expected": 2,
-        "samples": 1,
-        "note": "sampled points may have missed the generic locus",
-    }
+    assert report["verdict"] == "pass"
+    assert report["witness"] == {"rank": 2, "expected": 2}
+
+
+def test_mu_rank_below_dim_a_plus_dim_b_is_a_failure(capsys, monkeypatch):
+    # unreachable over Q; the guard reports it as a finding, not a miss
+    monkeypatch.setattr(cli, "mu_generic_rank", lambda A, B: A.dim + B.dim - 1)
+    code, out = run(capsys, "mu-rank", "--k", "5", "--seed", "3")
+    assert code == 3
+    report = last_json(out)
+    assert report["verdict"] == "fail"
+    assert report["witness"]["rank"] == report["witness"]["expected"] - 1
 
 
 def over_bound_search(k, n, budget, seed):
@@ -277,7 +292,11 @@ def test_usage_errors(capsys):
         (["search", "--k", "3", "--n", "2", "--budget", "-5"], None),
         (["identities", "--kmax", "0"], None),
         (["verify-relation", "--k", "2", "--g", "3", "--cap", "-1", "--out", "{file}"], None),
-        (["mu-rank", "--k", "3", "--samples", "0"], None),
+        (["mu-rank", "--k", "3", "--samples", "1"], None),
+        (["pair-lemma", "--file", "{file}", "--k", "7", "--seed", "5"], "3 2\n1\n1 -1 0\n1\n1 1 -2\n"),
+        (["mu-rank", "--file", "{file}", "--k", "7", "--seed", "5"], "3 2\n1\n1 -1 0\n1\n1 1 -2\n"),
+        (["pair-lemma", "--seed", "5"], None),
+        (["mu-rank", "--seed", "5"], None),
         (["gamma-check", "--trials", "0"], None),
         (["gamma-check", "--trials", "-3"], None),
         (["recursion-check", "--k", "1"], None),
@@ -290,7 +309,8 @@ def test_usage_errors(capsys):
     ],
     ids=["negative-dim", "zero-denominator", "exponent-entry", "exponent-pair-entry", "decimal-entry",
          "underscore-header", "arabic-indic-header", "underscore-dim",
-         "zero-n", "negative-budget", "kmax-0", "negative-cap", "samples-0", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
+         "zero-n", "negative-budget", "kmax-0", "negative-cap", "samples-unknown-flag",
+         "pair-lemma-file-and-k", "mu-rank-file-and-k", "pair-lemma-no-source", "mu-rank-no-source", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
          "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
          "identities-report-missing-dir", "alpha-report-missing-dir"],
 )
@@ -298,7 +318,7 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text, encoding="utf-8")
-    code = main([arg.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for arg in argv])
+    code = exit_code([arg.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -471,17 +491,26 @@ def _report_sha256(out):
 
 
 # SHA-256 of each report with its wall_time_s line removed, or the exact
-# one-line stderr of a rejected pair; recorded when Subspace still stored
-# Fraction rows, so they pin that p/q input is reported exactly as given.
+# one-line stderr of a rejected pair.  The file cases were recorded when
+# Subspace still stored Fraction rows, so they pin that p/q input is
+# reported exactly as given (the mu-rank pin since its report has no
+# samples field); the --k cases are bench-style random pairs, recorded
+# while each subcommand still declared its own --file, --k and --seed.
 @pytest.mark.parametrize(
     "argv, code, pinned",
     [
         (["pair-lemma", "--file", "pair_ok.ds.txt"], 0,
          "7967109e561d9649f69ce046c304d94c07dc5c92ab8fed9c70b6ae3b877a979f"),
         (["mu-rank", "--file", "pair_ok.ds.txt", "--seed", "3"], 0,
-         "0faf4a67458defe084119c6f3797149af5ef5732a868a7c1c80fdfc8a9b3470a"),
+         "c0ceebd5afb23619a25d49d5b7549b4b872107ccc1539a7901768dc83b16b3cd"),
         (["check-doublestar", "--file", "pair_ok.ds.txt"], 0,
          "815469cc979d8dff13df56b333953d4fe4878899bf89a3ec29ce6ae6fad7e688"),
+        (["pair-lemma", "--k", "2", "--seed", "0"], 0,
+         "fbdcce5167643620d19cb8a38eff43770074621f8a88ff92f650cfcf3341d680"),
+        (["pair-lemma", "--k", "5", "--seed", "1234567890"], 0,
+         "e5d8a0f1010335bd93f561662f343e526e9d23f848ce1c164907a82026746021"),
+        (["pair-lemma", "--k", "8", "--seed", "2147483647"], 0,
+         "e0f591e0f5701b5c57d60383f15cb2a9842ed2ace4fef6187dac73d5e619d2cb"),
         (["check-star", "--file", "pair_ok.star.txt"], 0,
          "785b18822fdc6edb6ba35197f040d8d3ab65a9714dff2983e4251c43061e0ba0"),
         (["check-doublestar", "--file", "pair_bad.ds.txt"], 3,
@@ -499,7 +528,8 @@ def _report_sha256(out):
         (["pair-lemma", "--file", "pair_orth.ds.txt"], 1,
          "pontcalc: error: A basis row 0 and B basis row 0 are not orthogonal, pairing 1/10\n"),
     ],
-    ids=["pair-lemma", "mu-rank", "doublestar-pass", "star-pass", "doublestar-sum", "star-sum",
+    ids=["pair-lemma", "mu-rank", "doublestar-pass", "pair-lemma-k2", "pair-lemma-k5", "pair-lemma-k8",
+         "star-pass", "doublestar-sum", "star-sum",
          "doublestar-pairing", "star-pairing", "pair-lemma-sum", "mu-rank-sum",
          "pair-lemma-pairing"],
 )

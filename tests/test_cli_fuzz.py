@@ -107,7 +107,7 @@ ARGVS = {
     "pair-lemma": argv_of("pair-lemma", st.one_of(st.just(FILE), flag("--k", st.integers(-1, 6)), st.just([])),
                           optional("--seed", st.integers(0, 3))),
     "mu-rank": argv_of("mu-rank", st.one_of(st.just(FILE), flag("--k", st.integers(-1, 6))),
-                       optional("--seed", st.integers(0, 3)), optional("--samples", st.integers(-1, 3))),
+                       optional("--seed", st.integers(0, 3))),
     "check-star": argv_of("check-star", st.just(FILE)),
     "check-doublestar": argv_of("check-doublestar", st.just(FILE)),
 }
