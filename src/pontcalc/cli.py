@@ -11,6 +11,18 @@ codes are CI-oriented:
        facts this demands human review)
 
 Randomized subcommands take ``--seed`` (default 0).
+
+Each subcommand's options are declared once, in ``_COMMANDS``.  An argv of
+the exact form ``SUB --opt VALUE ...`` is read straight from that table
+when every flag is an option string of SUB given once, no value starts
+with ``-``, every value converts with its option's type and meets its
+choices, and every required option and exactly-one-of group is given.
+Every other argv goes to argparse, built from the same table on first
+use: it alone prints help and usage errors and reads abbreviated flags
+and ``--opt=VALUE``.  Both give the same namespace.  ``pair-lemma`` and
+``mu-rank`` take ``--seed`` only with ``--k``; with ``--file`` it is a
+usage error.  Reports and artifacts are written by ``_json_text``, which
+gives the bytes of ``json.dumps(value, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import math
 import random
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -66,6 +79,7 @@ from .tangent import (
 REPORT_VERSION = 1
 
 USAGE_ERROR = 1
+_encode_str = json.encoder.encode_basestring_ascii
 # every subcommand returns (verdict, witness); the exit code follows from the verdict
 EXIT_CODES = {"pass": 0, "inconclusive": 2, "fail": 3}
 
@@ -76,6 +90,36 @@ class _Parser(argparse.ArgumentParser):
     # as the one line every other usage error is.
     def error(self, message):
         self.exit(USAGE_ERROR, f"pontcalc: error: {message}\n")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
+    values reports hold: dicts with str keys, lists, tuples, str, int, bool,
+    None and finite floats.  Any other value raises.  ``indent`` is the
+    newline and indentation that precede the value's closing bracket."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            # _encode_str raises on a key that is not a str
+            items = [_encode_str(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        # str items, the most common, skip the call
+        items = [_encode_str(item) if type(item) is str else _json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    raise TypeError(f"report value {value!r} is not JSON")
 
 
 def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float, table):
@@ -89,7 +133,7 @@ def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float,
         "exact_arithmetic": True,
         "wall_time_s": round(wall_time, 6),
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _json_text(report)
     with open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout) as fh:
         sys.stdout.write(table.getvalue())
         fh.write(text + "\n")
@@ -240,7 +284,11 @@ def _cmd_check_doublestar(args):
 
 
 def _pair_from_args(args):
-    if args.file:
+    # --seed picks the random pair of --k; a run of --file records seed 0
+    seed, args.seed = args.seed, args.seed or 0
+    if args.file is not None:
+        if seed is not None:
+            raise ValueError("--seed applies only with --k")
         k, n, spaces = parse_doublestar_file(_read_text(args.file))
         if n != 2 or len(spaces) != 2:
             raise ValueError("pair input file must declare exactly 2 blocks")
@@ -281,13 +329,7 @@ def _cmd_search(args):
     if not result.within_bound:
         artifact = args.artifact or "search_counterexample.json"
         with open(artifact, "w") as fh:
-            json.dump(
-                {"k": args.k, "n": args.n, "config": result.counterexample},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+            fh.write(_json_text({"k": args.k, "n": args.n, "config": result.counterexample}) + "\n")
         witness["counterexample_artifact"] = artifact
         return "fail", witness
     return "pass", witness
@@ -335,85 +377,142 @@ def _cmd_gamma_check(args):
 # ---------------------------------------------------------------------------
 
 
+class _Opt:
+    """One option of a subcommand.  argparse is built from these, and
+    ``_parse_exact`` reads an exact-form argv straight from them.
+    ``one_of`` marks a member of the subcommand's one required
+    exactly-one-of group."""
+
+    def __init__(self, flag: str, type: Callable[[str], object] = str, default=None, *,
+                 required: bool = False, one_of: bool = False, choices: tuple | None = None,
+                 help: str | None = None):
+        self.flag, self.type, self.default, self.help = flag, type, default, help
+        self.required, self.one_of, self.choices = required, one_of, choices
+        # argparse's rule: the flag without its leading dashes
+        self.dest = flag[2:].replace("-", "_")
+
+
+_REPORT = _Opt("--report", help="write the run report to this path")
+
+
+class _Command:
+    def __init__(self, func: Callable, help: str, *options: _Opt):
+        self.func, self.help = func, help
+        # flag -> option in argparse's order; every subcommand takes --report
+        self.options = {opt.flag: opt for opt in (_REPORT, *options)}
+
+
+# pair-lemma and mu-rank read a pair from a file or sample one in Q^k
+_PAIR = (
+    _Opt("--file", one_of=True, help="two-block configuration file"),
+    _Opt("--k", int, one_of=True, help="sample a random admissible pair in Q^k"),
+    # None unless given, so that _pair_from_args can refuse it with --file
+    _Opt("--seed", int),
+)
+
+_COMMANDS = {
+    "identities": _Command(
+        _cmd_identities, "exact (k,d) kernel table with cross-checks",
+        _Opt("--kmax", int, 12), _Opt("--dmax", int)),
+    "thresholds": _Command(
+        _cmd_thresholds, "dimension thresholds for a degree, or the inverse lookup",
+        _Opt("--k", int), _Opt("--g", int)),
+    "verify-relation": _Command(
+        _cmd_verify_relation, "produce a re-verified membership certificate",
+        _Opt("--k", int, required=True),
+        _Opt("--g", int, required=True),
+        _Opt("--jmax", int),
+        _Opt("--cap", int),
+        _Opt("--method", default="auto", choices=("auto", "newton", "window"), help=(
+            "newton: the Newton certificate (j = 1..k, height k-1) if --jmax >= k and --cap >= k-1, "
+            "else exit 2 with caps_tried [cap]; window: the nilpotent certificate if k > g, else the "
+            "Newton one if --jmax >= k, recording --cap, or twice --cap if its height needs it, else "
+            "exit 2 with caps_tried [cap, 2 cap]; auto (default): newton if it fits, else window")),
+        _Opt("--out", default="cert.json", help="certificate output path")),
+    "alpha": _Command(
+        _cmd_alpha, "exact coefficients of the substituted recursion",
+        _Opt("--k", int, required=True)),
+    "recursion-check": _Command(
+        _cmd_recursion_check, "free-ring check of the inductive relation",
+        _Opt("--k", int, required=True)),
+    "check-star": _Command(
+        _cmd_check_star, "condition (*) on a subspace file",
+        _Opt("--file", required=True)),
+    "check-doublestar": _Command(
+        _cmd_check_doublestar, "condition (**) on a configuration file",
+        _Opt("--file", required=True)),
+    "pair-lemma": _Command(
+        _cmd_pair_lemma, "span inequality dim(A.B+A+B) >= dim A + dim B", *_PAIR),
+    "mu-rank": _Command(
+        _cmd_mu_rank,
+        "rank of the multiplication differential at the base point (e, e), which over Q is its "
+        "generic rank: (**) makes A and B orthogonal, so they meet only in 0",
+        *_PAIR),
+    "search": _Command(
+        _cmd_search, "budgeted search for max total dimension under (**)",
+        _Opt("--k", int, required=True),
+        _Opt("--n", int, required=True),
+        _Opt("--budget", int, 10_000),
+        _Opt("--seed", int, 0),
+        _Opt("--artifact", help="counterexample artifact path")),
+    "gamma-check": _Command(
+        _cmd_gamma_check, "gamma/log/exp identity battery",
+        _Opt("--g", int, 3),
+        _Opt("--rank", int, 2),
+        _Opt("--trials", int, 5),
+        _Opt("--kmax", int, 3),
+        _Opt("--seed", int, 0)),
+}
+
+# `pontcalc -h` prints the docstring up to its notes on argv forms (none under -OO)
+_DESCRIPTION = __doc__ and __doc__.partition("\n\nEach subcommand's options")[0]
+
+
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="pontcalc", description=__doc__)
+    parser = _Parser(prog="pontcalc", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # every subcommand takes --report
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", default=None, help="write the run report to this path")
-    add = functools.partial(sub.add_parser, parents=[common])
-    # pair-lemma and mu-rank read a pair from a file or sample one in Q^k
-    pair = argparse.ArgumentParser(add_help=False)
-    source = pair.add_mutually_exclusive_group(required=True)
-    source.add_argument("--file", default=None, help="two-block configuration file")
-    source.add_argument("--k", type=int, default=None, help="sample a random admissible pair in Q^k")
-    pair.add_argument("--seed", type=int, default=0)
-
-    p = add("identities", help="exact (k,d) kernel table with cross-checks")
-    p.add_argument("--kmax", type=int, default=12)
-    p.add_argument("--dmax", type=int, default=None)
-    p.set_defaults(func=_cmd_identities)
-
-    p = add("thresholds", help="dimension thresholds for a degree, or the inverse lookup")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--g", type=int, default=None)
-    p.set_defaults(func=_cmd_thresholds)
-
-    p = add("verify-relation", help="produce a re-verified membership certificate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--jmax", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--method", choices=("auto", "newton", "window"), default="auto", help=(
-        "newton: the Newton certificate (j = 1..k, height k-1) if --jmax >= k and --cap >= k-1, "
-        "else exit 2 with caps_tried [cap]; window: the nilpotent certificate if k > g, else the "
-        "Newton one if --jmax >= k, recording --cap, or twice --cap if its height needs it, else "
-        "exit 2 with caps_tried [cap, 2 cap]; auto (default): newton if it fits, else window"))
-    p.add_argument("--out", default="cert.json", help="certificate output path")
-    p.set_defaults(func=_cmd_verify_relation)
-
-    p = add("alpha", help="exact coefficients of the substituted recursion")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_alpha)
-
-    p = add("recursion-check", help="free-ring check of the inductive relation")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_recursion_check)
-
-    p = add("check-star", help="condition (*) on a subspace file")
-    p.add_argument("--file", required=True)
-    p.set_defaults(func=_cmd_check_star)
-
-    p = add("check-doublestar", help="condition (**) on a configuration file")
-    p.add_argument("--file", required=True)
-    p.set_defaults(func=_cmd_check_doublestar)
-
-    p = add("pair-lemma", parents=[common, pair], help="span inequality dim(A.B+A+B) >= dim A + dim B")
-    p.set_defaults(func=_cmd_pair_lemma)
-
-    p = add("mu-rank", parents=[common, pair], help=(
-        "rank of the multiplication differential at the base point (e, e), which over Q is its "
-        "generic rank: (**) makes A and B orthogonal, so they meet only in 0"))
-    p.set_defaults(func=_cmd_mu_rank)
-
-    p = add("search", help="budgeted search for max total dimension under (**)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--artifact", default=None, help="counterexample artifact path")
-    p.set_defaults(func=_cmd_search)
-
-    p = add("gamma-check", help="gamma/log/exp identity battery")
-    p.add_argument("--g", type=int, default=3)
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gamma_check)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = None
+        for opt in command.options.values():
+            if opt.one_of and group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            (group if opt.one_of else p).add_argument(
+                opt.flag, type=opt.type, default=opt.default, required=opt.required,
+                choices=opt.choices, help=opt.help)
+        p.set_defaults(func=command.func)
     return parser
+
+
+def _parse_exact(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives an argv of the exact form
+    ``SUB --opt VALUE ...`` (see the module docstring), read from the
+    option table; None for any other argv, which argparse then parses.
+    This path only accepts: every argv it declines goes to argparse."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        opt = command.options.get(flag)
+        if opt is None or opt.dest in given or text.startswith("-"):
+            return None
+        try:
+            value = opt.type(text)
+        except ValueError:
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        given[opt.dest] = value
+    options = command.options.values()
+    if any(opt.required and opt.dest not in given for opt in options):
+        return None
+    group = [opt.dest in given for opt in options if opt.one_of]
+    if group and sum(group) != 1:
+        return None
+    values = {opt.dest: given.get(opt.dest, opt.default) for opt in options}
+    return argparse.Namespace(subcommand=argv[0], func=command.func, **values)
 
 
 @contextlib.contextmanager
@@ -433,8 +532,10 @@ def _unlimited_int_digits():
 
 def main(argv=None) -> int:
     with _unlimited_int_digits():
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _parse_exact(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         start = time.perf_counter()
         # a subcommand's table is printed only once its report destination is open
         table = io.StringIO()

@@ -187,22 +187,25 @@ def test_pair_lemma_precondition_is_usage_error(tmp_path, capsys):
 def test_mu_rank(tmp_path, capsys):
     f = tmp_path / "pair.txt"
     f.write_text("3 2\n1\n1 -1 0\n1\n1 1 -2\n")
-    code, out = run(capsys, "mu-rank", "--file", str(f), "--seed", "0")
+    code, out = run(capsys, "mu-rank", "--file", str(f))
     assert code == 0
     report = last_json(out)
     assert report["witness"]["rank"] == 2 == report["witness"]["expected"]
 
 
 def test_mu_rank_is_decided_at_the_base_point(tmp_path, capsys):
-    # seed 4 once drew a random point off the generic locus; the rank at
-    # (e, e) does not depend on the seed
+    # a sampled rank once missed off the generic locus; the rank at (e, e)
+    # has no seed, and a file pair takes none
     f = tmp_path / "pair.txt"
     f.write_text("3 2\n1\n1 -1 0\n1\n1 1 -2\n")
-    code, out = run(capsys, "mu-rank", "--file", str(f), "--seed", "4")
+    code, out = run(capsys, "mu-rank", "--file", str(f))
     assert code == 0
     report = last_json(out)
     assert report["verdict"] == "pass"
     assert report["witness"] == {"rank": 2, "expected": 2}
+    assert report["parameters"]["seed"] == 0
+    assert main(["mu-rank", "--file", str(f), "--seed", "4"]) == 1
+    assert capsys.readouterr() == ("", "pontcalc: error: --seed applies only with --k\n")
 
 
 def test_mu_rank_below_dim_a_plus_dim_b_is_a_failure(capsys, monkeypatch):
@@ -297,6 +300,8 @@ def test_usage_errors(capsys):
         (["mu-rank", "--file", "{file}", "--k", "7", "--seed", "5"], "3 2\n1\n1 -1 0\n1\n1 1 -2\n"),
         (["pair-lemma", "--seed", "5"], None),
         (["mu-rank", "--seed", "5"], None),
+        (["pair-lemma", "--file", "{file}", "--seed", "0"], "3 2\n1\n1 -1 0\n1\n1 1 -2\n"),
+        (["mu-rank", "--seed=3", "--fi", "{file}"], "3 2\n1\n1 -1 0\n1\n1 1 -2\n"),
         (["gamma-check", "--trials", "0"], None),
         (["gamma-check", "--trials", "-3"], None),
         (["recursion-check", "--k", "1"], None),
@@ -310,7 +315,8 @@ def test_usage_errors(capsys):
     ids=["negative-dim", "zero-denominator", "exponent-entry", "exponent-pair-entry", "decimal-entry",
          "underscore-header", "arabic-indic-header", "underscore-dim",
          "zero-n", "negative-budget", "kmax-0", "negative-cap", "samples-unknown-flag",
-         "pair-lemma-file-and-k", "mu-rank-file-and-k", "pair-lemma-no-source", "mu-rank-no-source", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
+         "pair-lemma-file-and-k", "mu-rank-file-and-k", "pair-lemma-no-source", "mu-rank-no-source",
+         "pair-lemma-file-and-seed", "mu-rank-file-and-seed", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
          "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
          "identities-report-missing-dir", "alpha-report-missing-dir"],
 )
@@ -493,16 +499,17 @@ def _report_sha256(out):
 # SHA-256 of each report with its wall_time_s line removed, or the exact
 # one-line stderr of a rejected pair.  The file cases were recorded when
 # Subspace still stored Fraction rows, so they pin that p/q input is
-# reported exactly as given (the mu-rank pin since its report has no
-# samples field); the --k cases are bench-style random pairs, recorded
-# while each subcommand still declared its own --file, --k and --seed.
+# reported exactly as given (the mu-rank pin since --file stopped taking
+# --seed, so its report records seed 0); the --k cases are bench-style
+# random pairs, recorded while each subcommand still declared its own
+# --file, --k and --seed.
 @pytest.mark.parametrize(
     "argv, code, pinned",
     [
         (["pair-lemma", "--file", "pair_ok.ds.txt"], 0,
          "7967109e561d9649f69ce046c304d94c07dc5c92ab8fed9c70b6ae3b877a979f"),
-        (["mu-rank", "--file", "pair_ok.ds.txt", "--seed", "3"], 0,
-         "c0ceebd5afb23619a25d49d5b7549b4b872107ccc1539a7901768dc83b16b3cd"),
+        (["mu-rank", "--file", "pair_ok.ds.txt"], 0,
+         "87191b5354303b7e1af981b2efcc388578171aef3ee271c253ff0db881874471"),
         (["check-doublestar", "--file", "pair_ok.ds.txt"], 0,
          "815469cc979d8dff13df56b333953d4fe4878899bf89a3ec29ce6ae6fad7e688"),
         (["pair-lemma", "--k", "2", "--seed", "0"], 0,
@@ -523,7 +530,7 @@ def _report_sha256(out):
          "71f6deed36dd244c70bdf5e6d2030e40e056c1a47f8543c0fbe659d82479884f"),
         (["pair-lemma", "--file", "pair_bad.ds.txt"], 1,
          "pontcalc: error: A basis row 0 has nonzero sum 1/4\n"),
-        (["mu-rank", "--file", "pair_bad.ds.txt", "--seed", "3"], 1,
+        (["mu-rank", "--file", "pair_bad.ds.txt"], 1,
          "pontcalc: error: A basis row 0 has nonzero sum 1/4\n"),
         (["pair-lemma", "--file", "pair_orth.ds.txt"], 1,
          "pontcalc: error: A basis row 0 and B basis row 0 are not orthogonal, pairing 1/10\n"),

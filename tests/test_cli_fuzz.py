@@ -86,6 +86,9 @@ def argv_of(command, *parts):
 
 
 FILE = ["--file", "{file}"]
+# a file pair takes no --seed; only the random pair of --k does
+K_AND_SEED = st.tuples(flag("--k", st.integers(-1, 6)), optional("--seed", st.integers(0, 3))).map(
+    lambda ps: ps[0] + ps[1])
 
 ARGVS = {
     "identities": argv_of("identities", optional("--kmax", small), optional("--dmax", st.integers(-1, 5))),
@@ -104,10 +107,8 @@ ARGVS = {
     "gamma-check": argv_of("gamma-check", optional("--g", st.integers(-1, 2)),
                            optional("--rank", st.integers(-1, 2)), optional("--trials", st.integers(-1, 2)),
                            optional("--kmax", st.integers(-1, 3)), optional("--seed", st.integers(0, 3))),
-    "pair-lemma": argv_of("pair-lemma", st.one_of(st.just(FILE), flag("--k", st.integers(-1, 6)), st.just([])),
-                          optional("--seed", st.integers(0, 3))),
-    "mu-rank": argv_of("mu-rank", st.one_of(st.just(FILE), flag("--k", st.integers(-1, 6))),
-                       optional("--seed", st.integers(0, 3))),
+    "pair-lemma": argv_of("pair-lemma", st.one_of(st.just(FILE), K_AND_SEED, st.just([]))),
+    "mu-rank": argv_of("mu-rank", st.one_of(st.just(FILE), K_AND_SEED)),
     "check-star": argv_of("check-star", st.just(FILE)),
     "check-doublestar": argv_of("check-doublestar", st.just(FILE)),
 }
