@@ -536,6 +536,10 @@ def main(argv=None) -> int:
         args = _parse_exact(argv)
         if args is None:
             args = _build_parser().parse_args(argv)
+            # argparse stores `--opt=--` as [] without calling the option's type
+            for opt in _COMMANDS[args.subcommand].options.values():
+                if isinstance(getattr(args, opt.dest), list):
+                    _build_parser().error(f"argument {opt.flag}: expected one argument")
         start = time.perf_counter()
         # a subcommand's table is printed only once its report destination is open
         table = io.StringIO()

@@ -343,34 +343,37 @@ class Cycle:
 
     # -- serialization -------------------------------------------------------
 
-    def _json_terms(self) -> Iterator[tuple[str, tuple[int, ...]]]:
-        """('p/q' text, coordinates) for each term in sorted point order."""
+    def to_json_dict(self) -> dict:
         keys = sorted(self.num)
         num, den = self.num, self.den
-        return ((_ratio(num[key], den), p) for key, p in zip(keys, _points(keys, self.rank)))
-
-    def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "terms": [{"point": list(p), "coeff": c} for c, p in self._json_terms()],
+            "terms": [{"point": list(p), "coeff": _ratio(num[key], den)}
+                      for key, p in zip(keys, _points(keys, self.rank))],
         }
 
-    def write_json(self, fh, depth: int = 0) -> None:
+    def write_json(self, fh, depth: int = 0, tables: dict | None = None) -> None:
         """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
         as the value ``depth`` levels deep in an ``indent=2`` document: every
         line after the first is indented ``2 * depth`` more spaces, and no
-        newline follows the closing brace.  One ``%`` template is built for
-        the rank and filled once per term, straight from the sorted keys."""
-        pad = "\n" + "  " * depth
-        p2, p3, p4 = pad + "    ", pad + "      ", pad + "        "
-        head = "{" + pad + '  "rank": %d,' % self.rank + pad + '  "terms": '
-        if not self.num:
-            fh.write(head + "[]" + pad + "}")
-            return
-        point = "[" + ",".join([p4 + "%d"] * self.rank) + p3 + "]" if self.rank else "[]"
-        term = "{" + p3 + '"coeff": "%s",' + p3 + '"point": ' + point + p2 + "}"
-        terms = [term % (c, *p) for c, p in self._json_terms()]
-        fh.write(head + "[" + p2 + ("," + p2).join(terms) + pad + "  ]" + pad + "}")
+        newline follows the closing brace.
+
+        Each term fills one ``%`` template with three texts.  Its key, offset
+        by ``_HALF`` in every digit so that no digit borrows from the next, is
+        cut with one shift and one mask into a high half of ceil(rank/2)
+        digits and a low half of floor(rank/2) digits.  Each half's
+        coordinate text, separators included, is looked up in a table keyed
+        by the half and made only on a miss.  The coefficient text is looked
+        up by numerator, since all terms share ``den``.  The half tables hold
+        indentation, so ``tables`` keeps them, with the templates, per
+        (rank, depth): a caller writing several cycles may pass one dict for
+        all of them, else each call makes its own."""
+        if tables is None:
+            tables = {}
+        layout = tables.get((self.rank, depth))
+        if layout is None:
+            layout = tables[self.rank, depth] = _Layout(self.rank, depth)
+        layout.write(fh, self.num, self.den)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -389,6 +392,59 @@ class Cycle:
     @classmethod
     def from_json(cls, text: str) -> "Cycle":
         return cls.from_json_dict(json.loads(text))
+
+
+class _Layout:
+    """The templates and half-key text tables of ``Cycle.write_json`` for
+    the cycles of one rank written ``depth`` levels deep."""
+
+    __slots__ = ("pad", "p2", "head", "term", "shift", "mask", "offset", "highs", "lows")
+
+    def __init__(self, rank: int, depth: int):
+        self.pad = pad = "\n" + "  " * depth
+        self.p2 = p2 = pad + "    "
+        p3 = p2 + "  "
+        p4 = p3 + "  "
+        self.head = "{" + pad + '  "rank": %d,' % rank + pad + '  "terms": '
+        # rank 0: both halves have no digits and their texts are empty
+        point = "[%s%s" + p3 + "]" if rank else "[]%s%s"
+        self.term = "{" + p3 + '"coeff": "%s",' + p3 + '"point": ' + point + p2 + "}"
+        low = rank // 2
+        self.shift = shift = _B * low
+        self.mask = (1 << shift) - 1
+        self.offset = _key((_HALF,) * rank)
+        sep = "," + p4
+        self.highs = _Texts(rank - low, p4, sep)
+        self.lows = _Texts(low, sep, sep)
+
+    def write(self, fh, num: dict[int, int], den: int) -> None:
+        pad, p2 = self.pad, self.p2
+        if not num:
+            fh.write(self.head + "[]" + pad + "}")
+            return
+        term, shift, mask, offset, highs, lows = (
+            self.term, self.shift, self.mask, self.offset, self.highs, self.lows)
+        coeffs = {n: _ratio(n, den) for n in set(num.values())}
+        terms = [term % (coeffs[num[key]], highs[(half := key + offset) >> shift], lows[half & mask])
+                 for key in sorted(num)]
+        fh.write("%s[%s%s%s  ]%s}" % (self.head, p2, ("," + p2).join(terms), pad, pad))
+
+
+class _Texts(dict):
+    """Coordinate texts of the ``n``-digit halves of offset keys, made on
+    first lookup: the first digit after ``first``, each other after
+    ``sep``, and the empty text for no digits."""
+
+    __slots__ = ("shifts", "first", "sep")
+
+    def __init__(self, n: int, first: str, sep: str):
+        self.shifts = range(_B * (n - 1), -1, -_B)
+        self.first, self.sep = first, sep
+
+    def __missing__(self, half: int) -> str:
+        digits = [str(((half >> s) & _MASK) - _HALF) for s in self.shifts]
+        text = self[half] = self.first + self.sep.join(digits) if digits else ""
+        return text
 
 
 def _ratio(n: int, d: int) -> str:

@@ -296,16 +296,18 @@ class MembershipCertificate:
         """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
         and a newline, cycle by cycle, without building the dict tree.  The
         keys are written in sorted order; every scalar and label goes
-        through ``json.dumps``."""
+        through ``json.dumps``.  All cycles share one set of text tables
+        (see ``Cycle.write_json``), made for this call."""
         dump = json.dumps
+        tables = {}
         fh.write('{\n  "cap": %s,\n  "format": %s,\n  "g": %s,\n  "generators": '
                  % (dump(self.cap), dump(_CERT_FORMAT), dump(self.g)))
         for i, t in enumerate(self.generators):
             fh.write((",\n" if i else "[\n") + '    {\n      "generator": ')
-            t.generator.write_json(fh, 3)
+            t.generator.write_json(fh, 3, tables)
             fh.write(',\n      "j": %s,\n      "label": %s,\n      "multiplier": '
                      % (dump(t.j), dump(t.label)))
-            t.multiplier.write_json(fh, 3)
+            t.multiplier.write_json(fh, 3, tables)
             fh.write("\n    }")
         fh.write('\n  ],\n  "j_max": ' if self.generators else '[],\n  "j_max": ')
         fh.write('%s,\n  "k": %s,\n  "nilpotent_part": ' % (dump(self.j_max), dump(self.k)))
@@ -313,10 +315,10 @@ class MembershipCertificate:
             factors = dump(list(t.factors), indent=2).replace("\n", "\n      ")
             fh.write((",\n" if i else "[\n") + '    {\n      "factors": %s,\n      "label": %s,\n'
                      '      "multiplier": ' % (factors, dump(t.label)))
-            t.multiplier.write_json(fh, 3)
+            t.multiplier.write_json(fh, 3, tables)
             fh.write("\n    }")
         fh.write('\n  ],\n  "target": ' if self.nilpotent_part else '[],\n  "target": ')
-        self.target.write_json(fh, 1)
+        self.target.write_json(fh, 1, tables)
         fh.write(',\n  "version": %s\n}\n' % dump(_CERT_VERSION))
 
     @classmethod

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -76,6 +79,17 @@ def test_thresholds_inverse_table(capsys):
     assert code == 0
     assert out.splitlines()[:2] == ["g\tmax_proven_k\tstatement", "1\t1\tgonality >= 2"]
     assert last_json(out)["witness"]["statement"] == "gonality >= 2"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pontcalc", "thresholds", "--g", "3"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:2] == ["g\tmax_proven_k\tstatement", "3\t2\tgonality >= 3"]
+    report = last_json(proc.stdout)
+    assert (report["subcommand"], report["verdict"]) == ("thresholds", "pass")
 
 
 def test_thresholds_requires_exactly_one(capsys):
@@ -311,6 +325,14 @@ def test_usage_errors(capsys):
         (["thresholds", "--k", "3", "--report", "{file}/r.json"], None),
         (["identities", "--kmax", "2", "--report", "{file}/r.json"], None),
         (["alpha", "--k", "3", "--report", "{file}/r.json"], None),
+        # argparse stores `--opt=--` as [] without calling the option's type
+        (["identities", "--kmax=--"], None),
+        (["thresholds", "--k=--"], None),
+        (["pair-lemma", "--k=--"], None),
+        (["mu-rank", "--k=--"], None),
+        (["search", "--k", "3", "--n=--", "--budget", "5"], None),
+        (["verify-relation", "--k=--", "--g", "1", "--out", "{dir}/x.json"], None),
+        (["verify-relation", "--k", "2", "--g", "1", "--out=--"], None),
     ],
     ids=["negative-dim", "zero-denominator", "exponent-entry", "exponent-pair-entry", "decimal-entry",
          "underscore-header", "arabic-indic-header", "underscore-dim",
@@ -318,7 +340,9 @@ def test_usage_errors(capsys):
          "pair-lemma-file-and-k", "mu-rank-file-and-k", "pair-lemma-no-source", "mu-rank-no-source",
          "pair-lemma-file-and-seed", "mu-rank-file-and-seed", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
          "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
-         "identities-report-missing-dir", "alpha-report-missing-dir"],
+         "identities-report-missing-dir", "alpha-report-missing-dir",
+         "identities-kmax-dashes", "thresholds-k-dashes", "pair-lemma-k-dashes", "mu-rank-k-dashes",
+         "search-n-dashes", "verify-relation-k-dashes", "verify-relation-out-dashes"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.txt"

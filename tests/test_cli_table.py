@@ -69,7 +69,7 @@ def test_json_text_matches_the_stdlib_on_mixed_bools_and_empties():
 @pytest.mark.parametrize("value", [
     float("nan"), float("inf"), -float("inf"), [1.0, float("nan")], {"a": {"b": float("inf")}},
     Fraction(1, 2), b"x", {1, 2}, object(), {1: "a"}, {"a": 1, None: 2}, [{"a": complex(1, 2)}],
-], ids=repr)
+], ids=lambda value: "object()" if type(value) is object else repr(value))
 def test_json_text_rejects_values_reports_do_not_hold(value):
     with pytest.raises((TypeError, ValueError)):
         cli._json_text(value)

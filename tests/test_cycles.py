@@ -388,12 +388,24 @@ def indented(text, depth):
     return text.replace("\n", "\n" + "  " * depth)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def draw_terms(data, rank, max_size=6):
+    """Terms of a rank-``rank`` cycle.  Half of the draws take coordinates,
+    numerators and denominators from pools of at most two values, so that
+    points share halves and terms share numerators."""
+    coord, numer, denom = COORD, NUMER, DENOM
+    if data.draw(st.booleans()):
+        coord, numer, denom = (st.sampled_from(data.draw(st.lists(s, min_size=1, max_size=2)))
+                               for s in (COORD, NUMER, DENOM))
+    pairs = data.draw(st.lists(st.tuples(st.tuples(*[coord] * rank), numer, denom), max_size=max_size))
+    return [(p, Fraction(n, d)) for p, n, d in pairs]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_write_json_matches_stdlib_layout(data):
-    rank = data.draw(st.integers(0, 4))
-    pairs = data.draw(st.lists(st.tuples(st.tuples(*[COORD] * rank), NUMER, DENOM), max_size=6))
-    terms = [(p, Fraction(n, d)) for p, n, d in pairs]
+    # ranks 0..9: rank 1 has an empty low half, odd ranks unequal halves
+    rank = data.draw(st.integers(0, 9))
+    terms = draw_terms(data, rank, max_size=8)
     if data.draw(st.booleans()):
         terms += [(p, -c) for p, c in terms]  # the zero cycle
     depth = data.draw(st.integers(0, 4))
@@ -404,6 +416,26 @@ def test_write_json_matches_stdlib_layout(data):
     assert fh.getvalue() == indented(stdlib, depth)
     oracle = json.loads(oracle_json(rank, oracle_reduce(terms)))
     assert stdlib == json.dumps(oracle, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_write_json_tables_shared_across_depths_and_ranks(data):
+    # one tables dict for every write, as a certificate passes it: the same
+    # cycle at depths 1 and 3, then cycles of other ranks, each part equal
+    # to its own stdlib text
+    rank = data.draw(st.integers(1, 9))
+    c = Cycle(rank, draw_terms(data, rank))
+    parts = [(c, 1), (c, 3)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        other = data.draw(st.integers(0, 9))
+        parts.append((Cycle(other, draw_terms(data, other)), data.draw(st.sampled_from([1, 3]))))
+    fh, tables = io.StringIO(), {}
+    for cycle, depth in parts:
+        cycle.write_json(fh, depth, tables)
+    assert fh.getvalue() == "".join(
+        indented(json.dumps(cycle.to_json_dict(), indent=2, sort_keys=True), depth)
+        for cycle, depth in parts)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -205,6 +205,27 @@ WINDOW_CERT_SHA256 = {
 }
 
 
+# SHA-256 of the Newton certificate text of `verify-relation --k K --g 2`
+# (method auto), pinned the same way as WINDOW_CERT_SHA256.
+NEWTON_CERT_SHA256 = {
+    9: "126ddcf39895464ac77ff41a52bfd853170f462069dd01bf1df9ccb105bb90b3",
+    10: "d082f5cebfc8a29abc0b0b9d49ac094a8f127b474b05cdcfa9b379b78d09a603",
+}
+
+
+@pytest.mark.parametrize("k", list(NEWTON_CERT_SHA256))
+def test_newton_certificate_bytes_pinned(k, tmp_path, capsys):
+    fh = io.StringIO()
+    verify_relation(k, 2).write_json(fh)
+    assert hashlib.sha256(fh.getvalue()[:-1].encode()).hexdigest() == NEWTON_CERT_SHA256[k]
+    out = tmp_path / "cert.json"
+    assert main(["verify-relation", "--k", str(k), "--g", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = out.read_bytes()
+    assert data.endswith(b"}\n")
+    assert hashlib.sha256(data[:-1]).hexdigest() == NEWTON_CERT_SHA256[k]
+
+
 @pytest.mark.parametrize("k, g, cap", list(WINDOW_CERT_SHA256))
 def test_window_certificate_bytes_pinned(k, g, cap):
     cert = verify_relation(k, g, cap=cap, method="window")
@@ -238,6 +259,7 @@ def written(cert):
     "k, g, j_max, cap, method",
     [(k, g, None, cap, "window") for k, g, cap in WINDOW_CERT_SHA256]
     + [(k, g, None, None, "newton") for k in range(2, 9) for g in range(1, 4)]
+    + [(k, 2, None, None, "newton") for k in (9, 10)]
     # k > g: a nilpotent term and no generator terms
     + [(3, 1, 1, 2, "window")],
 )
