@@ -21,8 +21,9 @@ Every other argv goes to argparse, built from the same table on first
 use: it alone prints help and usage errors and reads abbreviated flags
 and ``--opt=VALUE``.  Both give the same namespace.  ``pair-lemma`` and
 ``mu-rank`` take ``--seed`` only with ``--k``; with ``--file`` it is a
-usage error.  Reports and artifacts are written by ``_json_text``, which
-gives the bytes of ``json.dumps(value, indent=2, sort_keys=True)``.
+usage error.  Reports, the search artifact and certificates are all
+written by ``cycles.json_text``'s writer, which gives the bytes of
+``json.dumps(value, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import contextlib
 import dataclasses
 import functools
 import io
-import json
 import math
 import random
 import sys
@@ -51,6 +51,7 @@ from .cycles import (
     format_rational,
     gamma,
     gamma_factorization,
+    json_text,
     log_cycle,
     pontryagin,
     star_power,
@@ -79,7 +80,6 @@ from .tangent import (
 REPORT_VERSION = 1
 
 USAGE_ERROR = 1
-_encode_str = json.encoder.encode_basestring_ascii
 # every subcommand returns (verdict, witness); the exit code follows from the verdict
 EXIT_CODES = {"pass": 0, "inconclusive": 2, "fail": 3}
 
@@ -90,36 +90,6 @@ class _Parser(argparse.ArgumentParser):
     # as the one line every other usage error is.
     def error(self, message):
         self.exit(USAGE_ERROR, f"pontcalc: error: {message}\n")
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
-    values reports hold: dicts with str keys, lists, tuples, str, int, bool,
-    None and finite floats.  Any other value raises.  ``indent`` is the
-    newline and indentation that precede the value's closing bracket."""
-    kind = type(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is dict or kind is list or kind is tuple:
-        if not value:
-            return "{}" if kind is dict else "[]"
-        inner = indent + "  "
-        if kind is dict:
-            # _encode_str raises on a key that is not a str
-            items = [_encode_str(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
-            return "{" + inner + ("," + inner).join(items) + indent + "}"
-        # str items, the most common, skip the call
-        items = [_encode_str(item) if type(item) is str else _json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    raise TypeError(f"report value {value!r} is not JSON")
 
 
 def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float, table):
@@ -133,7 +103,7 @@ def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float,
         "exact_arithmetic": True,
         "wall_time_s": round(wall_time, 6),
     }
-    text = _json_text(report)
+    text = json_text(report)
     with open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout) as fh:
         sys.stdout.write(table.getvalue())
         fh.write(text + "\n")
@@ -145,6 +115,8 @@ def _emit_report(args, subcommand: str, verdict: str, witness, wall_time: float,
 
 
 def _cmd_identities(args):
+    if args.dmax is not None and args.dmax < 1:
+        raise ValueError("--dmax must be at least 1")
     kmax, dmax = args.kmax, args.dmax if args.dmax is not None else args.kmax
     values = kernel_table(kmax, dmax)
     header = "k\\d\t" + "\t".join(str(d) for d in range(dmax + 1))
@@ -183,8 +155,6 @@ def _threshold_row(k: int) -> dict:
 
 
 def _cmd_thresholds(args):
-    if (args.k is None) == (args.g is None):
-        raise ValueError("exactly one of --k or --g is required")
     if args.k is not None:
         row = _threshold_row(args.k)
         keys = ["k", "g_gonality", "g_orbit_all", "g_orbit_weierstrass", "g_orbit_countable"]
@@ -329,7 +299,7 @@ def _cmd_search(args):
     if not result.within_bound:
         artifact = args.artifact or "search_counterexample.json"
         with open(artifact, "w") as fh:
-            fh.write(_json_text({"k": args.k, "n": args.n, "config": result.counterexample}) + "\n")
+            fh.write(json_text({"k": args.k, "n": args.n, "config": result.counterexample}) + "\n")
         witness["counterexample_artifact"] = artifact
         return "fail", witness
     return "pass", witness
@@ -416,7 +386,7 @@ _COMMANDS = {
         _Opt("--kmax", int, 12), _Opt("--dmax", int)),
     "thresholds": _Command(
         _cmd_thresholds, "dimension thresholds for a degree, or the inverse lookup",
-        _Opt("--k", int), _Opt("--g", int)),
+        _Opt("--k", int, one_of=True), _Opt("--g", int, one_of=True)),
     "verify-relation": _Command(
         _cmd_verify_relation, "produce a re-verified membership certificate",
         _Opt("--k", int, required=True),

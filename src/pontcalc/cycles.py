@@ -19,6 +19,9 @@ not truncations: an operation that would produce a point above the cap
 raises ``SupportCapExceeded`` instead of dropping terms, so every identity
 reported by this module is an identity of the free group ring.
 
+``json_text`` is the package's one indent-2 JSON writer; it writes a
+``Cycle`` in a document straight from the packed keys, see ``_Layout``.
+
 The truncated logarithm / exponential / gamma series all stop at order
 ``geom_dim + 1`` (the nilpotency order of the degree-zero ideal in the
 modeled quotient).  No quotienting happens here; callers that reason
@@ -31,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isfinite
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import clear_denominators
@@ -352,29 +355,6 @@ class Cycle:
                       for key, p in zip(keys, _points(keys, self.rank))],
         }
 
-    def write_json(self, fh, depth: int = 0, tables: dict | None = None) -> None:
-        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
-        as the value ``depth`` levels deep in an ``indent=2`` document: every
-        line after the first is indented ``2 * depth`` more spaces, and no
-        newline follows the closing brace.
-
-        Each term fills one ``%`` template with three texts.  Its key, offset
-        by ``_HALF`` in every digit so that no digit borrows from the next, is
-        cut with one shift and one mask into a high half of ceil(rank/2)
-        digits and a low half of floor(rank/2) digits.  Each half's
-        coordinate text, separators included, is looked up in a table keyed
-        by the half and made only on a miss.  The coefficient text is looked
-        up by numerator, since all terms share ``den``.  The half tables hold
-        indentation, so ``tables`` keeps them, with the templates, per
-        (rank, depth): a caller writing several cycles may pass one dict for
-        all of them, else each call makes its own."""
-        if tables is None:
-            tables = {}
-        layout = tables.get((self.rank, depth))
-        if layout is None:
-            layout = tables[self.rank, depth] = _Layout(self.rank, depth)
-        layout.write(fh, self.num, self.den)
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
@@ -395,13 +375,15 @@ class Cycle:
 
 
 class _Layout:
-    """The templates and half-key text tables of ``Cycle.write_json`` for
-    the cycles of one rank written ``depth`` levels deep."""
+    """How ``_json_text`` writes the cycles of one rank whose closing brace
+    follows ``pad``: one ``%`` template per term, filled with the texts of
+    the coefficient, looked up by numerator, and of the high and the low
+    half of the key offset by ``_HALF`` in every digit, see ``_Texts``."""
 
     __slots__ = ("pad", "p2", "head", "term", "shift", "mask", "offset", "highs", "lows")
 
-    def __init__(self, rank: int, depth: int):
-        self.pad = pad = "\n" + "  " * depth
+    def __init__(self, rank: int, pad: str):
+        self.pad = pad
         self.p2 = p2 = pad + "    "
         p3 = p2 + "  "
         p4 = p3 + "  "
@@ -417,17 +399,16 @@ class _Layout:
         self.highs = _Texts(rank - low, p4, sep)
         self.lows = _Texts(low, sep, sep)
 
-    def write(self, fh, num: dict[int, int], den: int) -> None:
+    def text(self, num: dict[int, int], den: int) -> str:
         pad, p2 = self.pad, self.p2
         if not num:
-            fh.write(self.head + "[]" + pad + "}")
-            return
+            return self.head + "[]" + pad + "}"
         term, shift, mask, offset, highs, lows = (
             self.term, self.shift, self.mask, self.offset, self.highs, self.lows)
         coeffs = {n: _ratio(n, den) for n in set(num.values())}
         terms = [term % (coeffs[num[key]], highs[(half := key + offset) >> shift], lows[half & mask])
                  for key in sorted(num)]
-        fh.write("%s[%s%s%s  ]%s}" % (self.head, p2, ("," + p2).join(terms), pad, pad))
+        return "%s[%s%s%s  ]%s}" % (self.head, p2, ("," + p2).join(terms), pad, pad)
 
 
 class _Texts(dict):
@@ -445,6 +426,52 @@ class _Texts(dict):
         digits = [str(((half >> s) & _MASK) - _HALF) for s in self.shifts]
         text = self[half] = self.first + self.sep.join(digits) if digits else ""
         return text
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, bool, None, finite floats
+    and cycles, each standing for its ``to_json_dict()``; others raise."""
+    return _json_text(value, "\n", {})
+
+
+def _json_text(value, indent: str, tables: dict) -> str:
+    """``json_text(value)`` for a value whose closing bracket follows
+    ``indent``; ``tables`` maps (rank, indent) to the ``_Layout`` of such
+    cycles, and may be shared by the parts of one document."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            # one join, so that a value's text, a cycle's say, is copied once
+            parts = ["{"]
+            for key in sorted(value):
+                # _encode_str raises on a key that is not a str
+                parts += inner, _encode_str(key), ": ", _json_text(value[key], inner, tables), ","
+            parts[-1] = indent + "}"
+            return "".join(parts)
+        # str items, the most common, skip the call
+        items = [_encode_str(item) if type(item) is str else _json_text(item, inner, tables) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    if kind is Cycle:
+        layout = tables[value.rank, indent] = tables.get((value.rank, indent)) or _Layout(value.rank, indent)
+        return layout.text(value.num, value.den)
+    raise TypeError(f"value {value!r} is not JSON")
 
 
 def _ratio(n: int, d: int) -> str:

@@ -34,7 +34,6 @@ default, ``newton`` or ``window``) returns.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,10 +46,12 @@ from .cycles import (
     Cycle,
     GroupPoint,
     RingContext,
+    _json_text,
     _key,
     _orbit_cycle,
     _points,
     json_int,
+    json_text,
     pontryagin,
     pushforward,
     star_power,
@@ -264,7 +265,8 @@ class MembershipCertificate:
     def pushforward_indices(self) -> list[int]:
         return sorted({t.j for t in self.generators})
 
-    def to_json_dict(self) -> dict:
+    def _document(self, leaf) -> dict:
+        """The certificate's JSON layout, with ``leaf(c)`` for each cycle c."""
         return {
             "format": _CERT_FORMAT,
             "version": _CERT_VERSION,
@@ -272,13 +274,13 @@ class MembershipCertificate:
             "g": self.g,
             "j_max": self.j_max,
             "cap": self.cap,
-            "target": self.target.to_json_dict(),
+            "target": leaf(self.target),
             "generators": [
                 {
                     "label": t.label,
                     "j": t.j,
-                    "generator": t.generator.to_json_dict(),
-                    "multiplier": t.multiplier.to_json_dict(),
+                    "generator": leaf(t.generator),
+                    "multiplier": leaf(t.multiplier),
                 }
                 for t in self.generators
             ],
@@ -286,46 +288,42 @@ class MembershipCertificate:
                 {
                     "label": t.label,
                     "factors": list(t.factors),
-                    "multiplier": t.multiplier.to_json_dict(),
+                    "multiplier": leaf(t.multiplier),
                 }
                 for t in self.nilpotent_part
             ],
         }
 
+    def to_json_dict(self) -> dict:
+        return self._document(Cycle.to_json_dict)
+
     def write_json(self, fh) -> None:
-        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
-        and a newline, cycle by cycle, without building the dict tree.  The
-        keys are written in sorted order; every scalar and label goes
-        through ``json.dumps``.  All cycles share one set of text tables
-        (see ``Cycle.write_json``), made for this call."""
-        dump = json.dumps
+        """Write ``json_text(self.to_json_dict())`` and a newline, from the
+        cycles themselves and one set of text tables, one top-level key and
+        one list term at a time, so that at most one term's text is held."""
         tables = {}
-        fh.write('{\n  "cap": %s,\n  "format": %s,\n  "g": %s,\n  "generators": '
-                 % (dump(self.cap), dump(_CERT_FORMAT), dump(self.g)))
-        for i, t in enumerate(self.generators):
-            fh.write((",\n" if i else "[\n") + '    {\n      "generator": ')
-            t.generator.write_json(fh, 3, tables)
-            fh.write(',\n      "j": %s,\n      "label": %s,\n      "multiplier": '
-                     % (dump(t.j), dump(t.label)))
-            t.multiplier.write_json(fh, 3, tables)
-            fh.write("\n    }")
-        fh.write('\n  ],\n  "j_max": ' if self.generators else '[],\n  "j_max": ')
-        fh.write('%s,\n  "k": %s,\n  "nilpotent_part": ' % (dump(self.j_max), dump(self.k)))
-        for i, t in enumerate(self.nilpotent_part):
-            factors = dump(list(t.factors), indent=2).replace("\n", "\n      ")
-            fh.write((",\n" if i else "[\n") + '    {\n      "factors": %s,\n      "label": %s,\n'
-                     '      "multiplier": ' % (factors, dump(t.label)))
-            t.multiplier.write_json(fh, 3, tables)
-            fh.write("\n    }")
-        fh.write('\n  ],\n  "target": ' if self.nilpotent_part else '[],\n  "target": ')
-        self.target.write_json(fh, 1, tables)
-        fh.write(',\n  "version": %s\n}\n' % dump(_CERT_VERSION))
+        document = self._document(lambda cycle: cycle)
+        head = "{\n  "
+        for key in sorted(document):
+            fh.write(head + json_text(key) + ": ")
+            head, value = ",\n  ", document[key]
+            if type(value) is not list or not value:
+                fh.write(_json_text(value, "\n  ", tables))
+                continue
+            for i, term in enumerate(value):
+                fh.write(",\n    " if i else "[\n    ")
+                fh.write(_json_text(term, "\n    ", tables))
+            fh.write("\n  ]")
+        fh.write("\n}\n")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":
-        """Read ``to_json_dict`` output.  Every integer field must be a JSON
-        integer and every coefficient a ``p/q`` string; anything else
-        raises ``ValueError``."""
+        """Read ``to_json_dict`` output.  ``format`` must be ``_CERT_FORMAT``,
+        ``version`` the JSON integer ``_CERT_VERSION``, every other integer
+        field a JSON integer, every generator label a string and every
+        coefficient a ``p/q`` string; anything else raises ``ValueError``."""
+        if data.get("format") != _CERT_FORMAT or json_int(data.get("version")) != _CERT_VERSION:
+            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION}")
         gens = tuple(
             GeneratorTerm(
                 label=t["label"],
@@ -335,6 +333,8 @@ class MembershipCertificate:
             )
             for t in data["generators"]
         )
+        if any(type(t.label) is not str for t in gens):
+            raise ValueError("every generator label must be a string")
         nil = tuple(
             NilpotentTerm(
                 factors=tuple(json_int(i) for i in t["factors"]),

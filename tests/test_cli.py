@@ -93,8 +93,9 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_thresholds_requires_exactly_one(capsys):
-    assert main(["thresholds"]) == 1
-    assert main(["thresholds", "--k", "2", "--g", "3"]) == 1
+    # --k and --g are one argparse group, which exits instead of returning
+    assert exit_code(["thresholds"]) == 1
+    assert exit_code(["thresholds", "--k", "2", "--g", "3"]) == 1
 
 
 def test_verify_relation_writes_certificate(tmp_path, capsys):
@@ -333,6 +334,9 @@ def test_usage_errors(capsys):
         (["search", "--k", "3", "--n=--", "--budget", "5"], None),
         (["verify-relation", "--k=--", "--g", "1", "--out", "{dir}/x.json"], None),
         (["verify-relation", "--k", "2", "--g", "1", "--out=--"], None),
+        (["identities", "--kmax", "4", "--dmax", "0"], None),
+        (["thresholds"], None),
+        (["thresholds", "--k", "3", "--g", "2"], None),
     ],
     ids=["negative-dim", "zero-denominator", "exponent-entry", "exponent-pair-entry", "decimal-entry",
          "underscore-header", "arabic-indic-header", "underscore-dim",
@@ -342,7 +346,8 @@ def test_usage_errors(capsys):
          "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
          "identities-report-missing-dir", "alpha-report-missing-dir",
          "identities-kmax-dashes", "thresholds-k-dashes", "pair-lemma-k-dashes", "mu-rank-k-dashes",
-         "search-n-dashes", "verify-relation-k-dashes", "verify-relation-out-dashes"],
+         "search-n-dashes", "verify-relation-k-dashes", "verify-relation-out-dashes",
+         "identities-dmax-0", "thresholds-neither", "thresholds-both"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "input.txt"

@@ -4,9 +4,9 @@
 from the option table and must give argparse's namespace whenever it
 accepts; it may never accept an argv that argparse rejects.  The bench's
 argv all take that path, so argparse is never built for them.
-``cli._json_text`` must give the bytes of ``json.dumps(indent=2,
-sort_keys=True)`` for every value a report can hold, and raise for any
-other.
+``cycles.json_text``, which writes reports, must give the bytes of
+``json.dumps(indent=2, sort_keys=True)`` for every value a report can
+hold, and raise for any other.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pontcalc import cli
+from pontcalc import cli, cycles
 
 # ---------------------------------------------------------------------------
 # the report writer
@@ -58,12 +58,12 @@ json_value = st.recursive(
 @given(value=json_value)
 def test_json_text_matches_the_stdlib(value):
     with cli._unlimited_int_digits():
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert cycles.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_json_text_matches_the_stdlib_on_mixed_bools_and_empties():
     value = {"b": [True, 1, False, 0, None], "a": {}, "c": [[], (), {"": ()}], "é": {"x": [{}]}}
-    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert cycles.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [
@@ -72,7 +72,7 @@ def test_json_text_matches_the_stdlib_on_mixed_bools_and_empties():
 ], ids=lambda value: "object()" if type(value) is object else repr(value))
 def test_json_text_rejects_values_reports_do_not_hold(value):
     with pytest.raises((TypeError, ValueError)):
-        cli._json_text(value)
+        cycles.json_text(value)
 
 
 # ---------------------------------------------------------------------------

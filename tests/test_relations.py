@@ -586,6 +586,31 @@ def test_certificate_reader_takes_only_json_integers():
             MembershipCertificate.from_json_dict(bad)
 
 
+TAMPERED_HEADERS = {
+    "format-other": lambda data: data.update(format="not-a-certificate"),
+    "format-missing": lambda data: data.pop("format"),
+    "version-float": lambda data: data.update(version=7.5),
+    "version-float-one": lambda data: data.update(version=1.0),
+    "version-bool": lambda data: data.update(version=True),
+    "version-other": lambda data: data.update(version=2),
+    "version-missing": lambda data: data.pop("version"),
+    "format-and-version-missing": lambda data: (data.pop("format"), data.pop("version")),
+    # json.loads reads a bare NaN as a float
+    "label-nan": lambda data: data["generators"][0].update(label=float("nan")),
+    "label-int": lambda data: data["generators"][0].update(label=1),
+    "label-null": lambda data: data["generators"][0].update(label=None),
+}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERED_HEADERS.values()), ids=list(TAMPERED_HEADERS))
+def test_certificate_reader_checks_format_version_and_labels(tamper):
+    data = json.loads(json.dumps(verify_relation(3, 2).to_json_dict()))
+    assert verify_certificate(MembershipCertificate.from_json_dict(data))
+    tamper(data)
+    with pytest.raises(ValueError):
+        MembershipCertificate.from_json_dict(data)
+
+
 def test_trivial_nilpotent_certificate_k2_g1():
     # u^{*2} is itself a product of g+1 = 2 augmentation generators
     ctx = RingContext(rank=2, geom_dim=1, support_cap=100)
