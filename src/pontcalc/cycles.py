@@ -360,14 +360,23 @@ class Cycle:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cycle":
-        """Read ``to_json_dict`` output: the rank and the coordinates must be
-        JSON integers and each coefficient a ``p/q`` string, see
-        ``parse_rational``; anything else raises ``ValueError``."""
-        terms = [
-            (GroupPoint(json_int(x) for x in t["point"]), parse_rational(t["coeff"]))
-            for t in data["terms"]
-        ]
-        return cls(json_int(data["rank"]), terms)
+        """Read ``to_json_dict`` output: a dict of only a ``rank`` and a list
+        of ``terms``, each a dict of only a ``point`` and a ``coeff``.  The
+        rank and the coordinates must be JSON integers, each coefficient a
+        nonzero ``p/q`` string, see ``parse_rational``, and no point may be
+        listed twice; anything else raises ``ValueError``."""
+        try:
+            terms = [(GroupPoint(json_int(x) for x in t["point"]), parse_rational(t["coeff"]))
+                     for t in data["terms"]]
+            rank = json_int(data["rank"])
+            extra = len(data) != 2 or any(len(t) != 2 for t in data["terms"])
+        except (KeyError, TypeError):
+            raise ValueError("a cycle is a dict of rank and terms, a list of point and coeff dicts") from None
+        cycle = cls(rank, terms)
+        # terms at one point are added and zero coefficients dropped
+        if extra or len(cycle.num) != len(terms):
+            raise ValueError("a cycle has an extra key, a point listed twice or a zero coefficient")
+        return cycle
 
     @classmethod
     def from_json(cls, text: str) -> "Cycle":

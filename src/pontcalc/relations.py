@@ -15,7 +15,9 @@ reported as inconclusive, never as a refutation.  The verifier reads its
 proof from the certificate alone: multipliers that are all invariant
 under permuting x_2..x_k (a Newton certificate, built in memory or loaded
 from a file) are proved on orbit sums, any other certificate by
-brute-force expansion.
+brute-force expansion.  A certificate stores no target, no (m_j)_* h and
+no label: these follow from k, j and the factors, are derived where it is
+written or verified, and a file's copies of them are checked on read.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -217,10 +219,12 @@ def power_basis_change_inverse(beta) -> list[Fraction]:
 class GeneratorTerm:
     """One relation-ideal contribution: multiplier * (m_j)_* h."""
 
-    label: str
     j: int
-    generator: Cycle
     multiplier: Cycle
+
+    @property
+    def label(self) -> str:
+        return f"(m_{self.j})*h"
 
 
 @dataclass(frozen=True)
@@ -240,11 +244,17 @@ _CERT_FORMAT = "pontryagin-membership-certificate"
 _CERT_VERSION = 1
 
 
+def target_cycle(k: int) -> Cycle:
+    """u^{*k}, u = {x_1} - {0}, in closed form: sum_i C(k, i) (-1)^(k-i) {i x_1}."""
+    x_1 = GroupPoint.generator(k, 0)
+    return Cycle(k, {x_1.scale(i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)})
+
+
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """An explicit rational combination exhibiting the target.
+    """An explicit rational combination exhibiting the target u^{*k}.
 
-    target == sum multiplier * generator + sum multiplier * nilpotent
+    u^{*k} == sum multiplier * (m_j)_* h + sum multiplier * nilpotent
     product, as an exact identity of the free group ring; re-verifiable by
     ``verify_certificate``, independently of the builders.
     """
@@ -253,7 +263,6 @@ class MembershipCertificate:
     g: int
     j_max: int
     cap: int
-    target: Cycle
     generators: tuple[GeneratorTerm, ...]
     nilpotent_part: tuple[NilpotentTerm, ...]
 
@@ -274,12 +283,12 @@ class MembershipCertificate:
             "g": self.g,
             "j_max": self.j_max,
             "cap": self.cap,
-            "target": leaf(self.target),
+            "target": leaf(target_cycle(self.k)),
             "generators": [
                 {
                     "label": t.label,
                     "j": t.j,
-                    "generator": leaf(t.generator),
+                    "generator": leaf(pushed_hypothesis(self.k, t.j)),
                     "multiplier": leaf(t.multiplier),
                 }
                 for t in self.generators
@@ -318,39 +327,41 @@ class MembershipCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":
-        """Read ``to_json_dict`` output.  ``format`` must be ``_CERT_FORMAT``,
-        ``version`` the JSON integer ``_CERT_VERSION``, every other integer
-        field a JSON integer, every generator label a string and every
-        coefficient a ``p/q`` string; anything else raises ``ValueError``."""
-        if data.get("format") != _CERT_FORMAT or json_int(data.get("version")) != _CERT_VERSION:
-            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION}")
-        gens = tuple(
-            GeneratorTerm(
-                label=t["label"],
-                j=json_int(t["j"]),
-                generator=Cycle.from_json_dict(t["generator"]),
-                multiplier=Cycle.from_json_dict(t["multiplier"]),
+        """Read ``to_json_dict`` output.  The certificate is built from the
+        JSON integers k, g, j_max, cap, j and factors and the multipliers,
+        see ``Cycle.from_json_dict``; the document must then equal its
+        ``_document``, with the file's multiplier dicts in place, key for key
+        and JSON type for JSON type.  So the format, the version, the target,
+        every (m_j)_* h and every label are checked, and anything else, a
+        missing or an extra key included, raises ``ValueError``."""
+        try:
+            gens, nils = data["generators"], data["nilpotent_part"]
+            cert = cls(
+                *(json_int(data[key]) for key in ("k", "g", "j_max", "cap")),
+                tuple(GeneratorTerm(json_int(t["j"]), Cycle.from_json_dict(t["multiplier"])) for t in gens),
+                tuple(NilpotentTerm(tuple(map(json_int, t["factors"])), Cycle.from_json_dict(t["multiplier"]))
+                      for t in nils),
             )
-            for t in data["generators"]
-        )
-        if any(type(t.label) is not str for t in gens):
-            raise ValueError("every generator label must be a string")
-        nil = tuple(
-            NilpotentTerm(
-                factors=tuple(json_int(i) for i in t["factors"]),
-                multiplier=Cycle.from_json_dict(t["multiplier"]),
-            )
-            for t in data["nilpotent_part"]
-        )
-        return cls(
-            k=json_int(data["k"]),
-            g=json_int(data["g"]),
-            j_max=json_int(data["j_max"]),
-            cap=json_int(data["cap"]),
-            target=Cycle.from_json_dict(data["target"]),
-            generators=gens,
-            nilpotent_part=nil,
-        )
+            # the file's multiplier dicts, by the id of the cycle read from each
+            terms = zip(cert.generators + cert.nilpotent_part, [*gens, *nils])
+            own = {id(t.multiplier): d["multiplier"] for t, d in terms}
+        except (KeyError, TypeError):
+            raise ValueError(f"not a {_CERT_FORMAT}: a field is missing or of another JSON type") from None
+        if not _same_json(data, cert._document(lambda c: own.get(id(c)) or c.to_json_dict())):
+            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target, "
+                             "generators and labels are those of k, j and the factors")
+        return cert
+
+
+def _same_json(a, b) -> bool:
+    """``a == b`` for JSON values, with every JSON type equal too (``True == 1`` in Python)."""
+    if a is b or type(a) is not type(b):
+        return a is b
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(a[key], b[key]) for key in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
 
 
 def augmentation_generator(k: int, index: int) -> Cycle:
@@ -368,36 +379,31 @@ def nilpotent_product(k: int, factors: tuple[int, ...], ctx: RingContext) -> Cyc
 
 
 def verify_certificate(cert: MembershipCertificate) -> bool:
-    """Independent re-verification of the identity target == sum of terms.
+    """Independent re-verification of the identity u^{*k} == sum of terms.
 
-    The target must be u^{*k} expanded as sum_i C(k, i) (-1)^(k-i) {i x_1}.
-    Every multiplier must have rank k and height at most cap, every
-    generator must be (m_j)_* h with 1 <= j <= j_max, recomputed from j,
-    and every nilpotent product must have exactly g+1 factors in 1..k.
-    Malformed fields (k or g below 1, a j whose (m_j)_* h leaves the digit
-    range, a multiplier whose product with its generator does) give False,
-    not an exception.  Shares no state or code with the solvers.
+    Every multiplier must have rank k and height at most cap, every j must
+    lie in 1..j_max, and every nilpotent product must have exactly g+1
+    factors in 1..k; the target and each (m_j)_* h are recomputed from k
+    and j.  Malformed fields (k or g below 1, a j whose (m_j)_* h leaves the
+    digit range, a multiplier whose product with its generator does) give
+    False, not an exception.  Shares no state or code with the solvers.
 
     The proof is chosen from the certificate alone.  With no nilpotent term
     and every multiplier invariant under permuting x_2..x_k, as a Newton
     certificate's are whether built in memory or loaded from a file, the
     identity is proved on orbit sums, see ``_verify_on_orbits``.  Any other
-    certificate is proved by full expansion: each nilpotent product is
-    recomputed from its factor list, each term is convolved out, and the
-    exact sum is compared with the target.
+    certificate is proved by full expansion: each (m_j)_* h and each
+    nilpotent product is recomputed from j or its factor list, each term is
+    convolved out, and the exact sum is compared with the target.
     """
     k = cert.k
     if k < 1 or cert.g < 1:
         return False
-    x_1 = GroupPoint.generator(k, 0)
-    if cert.target != Cycle(k, {x_1.scale(i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)}):
-        return False
     for t in cert.generators + cert.nilpotent_part:
         if t.multiplier.rank != k or t.multiplier.max_height() > cert.cap:
             return False
-    for t in cert.generators:
-        if not 1 <= t.j <= min(cert.j_max, _LIMIT - 1) or t.generator != pushed_hypothesis(k, t.j):
-            return False
+    if any(not 1 <= t.j <= min(cert.j_max, _LIMIT - 1) for t in cert.generators):
+        return False
     for t in cert.nilpotent_part:
         if len(t.factors) != cert.g + 1 or any(not 1 <= i <= k for i in t.factors):
             return False
@@ -412,13 +418,13 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     total = Cycle.zero(k)
     try:
         for t in cert.generators:
-            total = total + pontryagin(t.multiplier, t.generator, ctx)
+            total = total + pontryagin(t.multiplier, pushed_hypothesis(k, t.j), ctx)
         for t in cert.nilpotent_part:
             total = total + pontryagin(t.multiplier, nilpotent_product(k, t.factors, ctx), ctx)
     except ValueError:
         # a product point left the digit range: the identity cannot be checked here
         return False
-    return total == cert.target
+    return total == target_cycle(k)
 
 
 def _verify_on_orbits(cert: MembershipCertificate) -> bool | None:
@@ -487,18 +493,13 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool | None:
                 sums[q] = sums.get(q, 0) + weight * c
         if met != len(num):
             return None
-    target = {i << shift: comb(k, i) * (-1) ** (k - i) * den for i in range(k + 1)}
+    target = {q: v * den for q, v in target_cycle(k).num.items()}
     return {q: v for q, v in sums.items() if v} == target
 
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
-
-
-def _target_power(k: int, ctx: RingContext) -> Cycle:
-    u = augmentation_generator(k, 1)
-    return star_power(u, k, ctx)
 
 
 def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate:
@@ -522,7 +523,6 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     the cofactors at step m are integer numerators over m!.  Each
     multiplier is expanded onto points once.
     """
-    ctx = RingContext(rank=k, geom_dim=g, support_cap=cap + j_max + k + 2)
     cof: list[dict[int, dict[tuple[int, ...], int]]] = [{} for _ in range(k + 1)]
     cof[1] = {1: {(0,) * k: 1}}
     for l in range(1, k):
@@ -552,34 +552,16 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
         orbits = cof[k][j]
         d = gcd(factorial(k), *orbits.values())
         orbits = {orbit: sign * n // d for orbit, n in orbits.items()}
-        den = factorial(k) // d
-        gens.append(
-            GeneratorTerm(
-                label=f"(m_{j})*h",
-                j=j,
-                generator=pushed_hypothesis(k, j),
-                multiplier=_orbit_cycle(k, den, orbits),
-            )
-        )
-    target = _target_power(k, ctx)
-    return MembershipCertificate(
-        k=k,
-        g=g,
-        j_max=j_max,
-        cap=cap,
-        target=target,
-        generators=tuple(gens),
-        nilpotent_part=(),
-    )
+        gens.append(GeneratorTerm(j, _orbit_cycle(k, factorial(k) // d, orbits)))
+    return MembershipCertificate(k, g, j_max, cap, tuple(gens), ())
 
 
 def _nilpotent_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate:
     """For k > g: u^{*k} is u_1^{*(k-g-1)} times the nilpotent product
     u_1^{*(g+1)}, one term with a multiplier of height k - g - 1."""
-    ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
+    ctx = RingContext(rank=k, geom_dim=g, support_cap=k - g - 1)
     u_power = star_power(augmentation_generator(k, 1), k - g - 1, ctx)
-    nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
-    return MembershipCertificate(k, g, j_max, cap, _target_power(k, ctx), (), nil_part)
+    return MembershipCertificate(k, g, j_max, cap, (), (NilpotentTerm((1,) * (g + 1), u_power),))
 
 
 def _certificate(k: int, g: int, j_max: int, cap: int, method: str) -> MembershipCertificate | None:

@@ -58,6 +58,6 @@ def test_convolution_work_counts(bench_run):
     of it fails here, whatever it does to the time."""
     run = bench_run.measure("convolution", 101, 0, True)
     assert run.failed == 0, run.summary
-    assert run.values["cycles.pontryagin.calls"] == 2019
-    assert run.values["cycles.pontryagin.pairs"] == 69056
+    assert run.values["cycles.pontryagin.calls"] == 1932
+    assert run.values["cycles.pontryagin.pairs"] == 68366
     assert run.values["cycles.max_support"] == 245

@@ -214,6 +214,29 @@ def test_reader_takes_only_json_integers_and_rational_strings(data):
         Cycle.from_json_dict(data)
 
 
+ORIGIN_TERM = {"point": [0, 0], "coeff": "1/1"}
+
+
+@pytest.mark.parametrize("data", [
+    5, None, [], "cycle", {"rank": 2}, {"terms": []},
+    {"rank": 2, "terms": 5}, {"rank": 2, "terms": [5]}, {"rank": 2, "terms": "ab"},
+    {"rank": 2, "terms": [["point", "coeff"]]},
+    {"rank": 2, "terms": [{"point": 5, "coeff": "1/1"}]},
+    {"rank": 2, "terms": [{"point": [0, 0]}]},
+    # an extra key
+    {"rank": 2, "terms": [], "den": 1},
+    {"rank": 2, "terms": [dict(ORIGIN_TERM, weight=1)]},
+    # a point listed twice, which would be summed, and a zero coefficient, which would be dropped
+    {"rank": 2, "terms": [ORIGIN_TERM, ORIGIN_TERM]},
+    {"rank": 2, "terms": [ORIGIN_TERM, {"point": [0, 0], "coeff": "-1/2"}]},
+    {"rank": 2, "terms": [{"point": [1, 0], "coeff": "0/1"}]},
+    {"rank": 2, "terms": [ORIGIN_TERM, {"point": [1, 0], "coeff": "0"}]},
+])
+def test_reader_rejects_other_shapes_repeated_points_and_zeros(data):
+    with pytest.raises(ValueError):
+        Cycle.from_json_dict(data)
+
+
 def test_cycles_are_immutable():
     c = Cycle.point(X)
     with pytest.raises(AttributeError):

@@ -165,7 +165,7 @@ def test_newton_certificates_small_range():
         assert first.max_multiplier_height() == k - 1, k
         for g, j_max, cap in [(2, 2 * k, 1), (k, k + 1, 2 * k), (k + 2, 3 * k, k)]:
             cert = _newton_certificate(k, g, j_max, cap)
-            assert (cert.generators, cert.target) == (first.generators, first.target), (k, g)
+            assert cert.generators == first.generators, (k, g)
 
 
 def test_window_method_agrees():
@@ -271,18 +271,19 @@ def test_write_json_matches_stdlib(k, g, j_max, cap, method):
 def test_write_json_edge_cases():
     x = Cycle.point(GroupPoint((1, 0)))
     cert = MembershipCertificate(
-        k=2, g=1, j_max=0, cap=0, target=Cycle.zero(2), generators=(),
+        k=2, g=1, j_max=0, cap=0, generators=(),
         nilpotent_part=(NilpotentTerm(factors=(), multiplier=x),
                         NilpotentTerm(factors=(2,), multiplier=Cycle.zero(2))),
     )
     assert written(cert) == stdlib_text(cert)
     assert '"factors": [],' in written(cert) and '"generators": [],' in written(cert)
-    labelled = replace(
+    negative_j = replace(
         verify_relation(2, 1, method="newton"), nilpotent_part=(),
-        generators=(GeneratorTerm(label='q"\\\u00e9\n', j=-1, generator=x, multiplier=-x),),
+        generators=(GeneratorTerm(j=-1, multiplier=-x),),
     )
-    assert written(labelled) == stdlib_text(labelled)
-    assert '"nilpotent_part": [],' in written(labelled)
+    assert written(negative_j) == stdlib_text(negative_j)
+    assert '"label": "(m_-1)*h",' in written(negative_j)
+    assert '"nilpotent_part": [],' in written(negative_j)
 
 
 @pytest.mark.parametrize(
@@ -482,9 +483,7 @@ def window_dispatch_oracle(k, g, j_max, cap):
         ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
         u_power = relations.nilpotent_product(k, (1,) * (k - g - 1), ctx)
         nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
-        cert = MembershipCertificate(
-            k, g, j_max, cap, star_power(augmentation_generator(k, 1), k, ctx), (), nil_part
-        )
+        cert = MembershipCertificate(k, g, j_max, cap, (), nil_part)
     elif j_max >= k:
         cert = _newton_certificate(k, g, j_max, cap)
     else:
@@ -549,27 +548,40 @@ def test_certificate_json_round_trip_and_tampering():
     data = json.loads(json.dumps(cert.to_json_dict(), sort_keys=True))
     again = MembershipCertificate.from_json_dict(data)
     assert verify_certificate(again)
-    assert again.target == cert.target
+    assert again == cert
 
     tampered = json.loads(json.dumps(cert.to_json_dict()))
     tampered["generators"][0]["multiplier"]["terms"][0]["coeff"] = "9/7"
     assert not verify_certificate(MembershipCertificate.from_json_dict(tampered))
 
+    # j = 5 with its own label and (m_5)_* h reads, and the identity fails
     wrong_gen = json.loads(json.dumps(cert.to_json_dict()))
-    wrong_gen["generators"][0]["j"] = 5
+    wrong_gen["generators"][0].update(j=5, label="(m_5)*h", generator=pushed_hypothesis(3, 5).to_json_dict())
     assert not verify_certificate(MembershipCertificate.from_json_dict(wrong_gen))
 
-    # a consistent identity for a target other than u^{*k} proves nothing
-    empty = MembershipCertificate(
-        k=2, g=1, j_max=1, cap=1, target=Cycle.zero(2), generators=(), nilpotent_part=()
-    )
+    # a consistent identity for a target other than u^{*k} proves nothing:
+    # no terms at all, or every multiplier doubled
+    empty = MembershipCertificate(k=2, g=1, j_max=1, cap=1, generators=(), nilpotent_part=())
     assert not verify_certificate(empty)
     doubled = replace(
-        cert,
-        target=cert.target.scale(2),
-        generators=tuple(replace(t, multiplier=t.multiplier.scale(2)) for t in cert.generators),
+        cert, generators=tuple(replace(t, multiplier=t.multiplier.scale(2)) for t in cert.generators)
     )
     assert not verify_certificate(doubled)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_written_certificates_read_back_equal(k):
+    certs = {}
+    for g, method in itertools.product(range(1, 4), ("auto", "newton", "window")):
+        try:
+            cert = verify_relation(k, g, method=method)
+        except NotFoundWithinCaps:
+            continue
+        certs[written(cert)] = cert
+    # g = 1 gives a nilpotent certificate, g = 3 >= k - 1 a Newton one
+    assert {bool(cert.nilpotent_part) for cert in certs.values()} == {True, False}
+    for text, cert in certs.items():
+        assert MembershipCertificate.from_json_dict(json.loads(text)) == cert
 
 
 def test_certificate_reader_takes_only_json_integers():
@@ -586,7 +598,27 @@ def test_certificate_reader_takes_only_json_integers():
             MembershipCertificate.from_json_dict(bad)
 
 
-TAMPERED_HEADERS = {
+def _set_coeff(cycle, index, coeff):
+    cycle["terms"][index]["coeff"] = coeff
+
+
+def _double(cycle):
+    for term in cycle["terms"]:
+        term["coeff"] = str(2 * Fraction(term["coeff"]))
+
+
+def _point(data, *path):
+    """The first point of the cycle at ``path`` in ``data``."""
+    for key in path:
+        data = data[key]
+    return data["terms"][0]["point"]
+
+
+# Each edit of a written certificate's document makes the reader raise
+# ValueError.  The document is the Newton certificate for k = 3, g = 2 with
+# a nilpotent term u_1*u_2*u_3 of multiplier zero added, so that it has both
+# kinds of term and still verifies.
+TAMPERED_DOCUMENTS = {
     "format-other": lambda data: data.update(format="not-a-certificate"),
     "format-missing": lambda data: data.pop("format"),
     "version-float": lambda data: data.update(version=7.5),
@@ -599,28 +631,93 @@ TAMPERED_HEADERS = {
     "label-nan": lambda data: data["generators"][0].update(label=float("nan")),
     "label-int": lambda data: data["generators"][0].update(label=1),
     "label-null": lambda data: data["generators"][0].update(label=None),
+    # labels, the target and the generator cycles follow from k, j and the factors
+    "label-other-j": lambda data: data["generators"][0].update(label="(m_2)*h"),
+    "nilpotent-label-other": lambda data: data["nilpotent_part"][0].update(label="anything"),
+    "nilpotent-label-missing": lambda data: data["nilpotent_part"][0].pop("label"),
+    "target-coeff": lambda data: _set_coeff(data["target"], 0, "2/1"),
+    "target-zero": lambda data: data.update(target={"rank": 3, "terms": []}),
+    # a consistent identity for 2 u^{*k}
+    "target-and-multipliers-doubled": lambda data: [
+        _double(cycle) for cycle in [data["target"]] + [t["multiplier"] for t in data["generators"]]
+    ],
+    "generator-coeff": lambda data: _set_coeff(data["generators"][0]["generator"], 0, "-2/1"),
+    "generator-scaled": lambda data: _double(data["generators"][0]["generator"]),
+    "generator-of-other-j": lambda data: data["generators"][0].update(
+        generator=pushed_hypothesis(3, 2).to_json_dict()
+    ),
+    "j-other": lambda data: data["generators"][0].update(j=2),
+    # missing and extra keys
+    "generators-missing": lambda data: data.pop("generators"),
+    "nilpotent-part-missing": lambda data: data.pop("nilpotent_part"),
+    "target-missing": lambda data: data.pop("target"),
+    "k-missing": lambda data: data.pop("k"),
+    "j-missing": lambda data: data["generators"][0].pop("j"),
+    "generator-missing": lambda data: data["generators"][0].pop("generator"),
+    "multiplier-missing": lambda data: data["generators"][0].pop("multiplier"),
+    "factors-missing": lambda data: data["nilpotent_part"][0].pop("factors"),
+    "coeff-missing": lambda data: data["generators"][0]["multiplier"]["terms"][0].pop("coeff"),
+    "rank-missing": lambda data: data["nilpotent_part"][0]["multiplier"].pop("rank"),
+    "key-extra": lambda data: data.update(note="extra"),
+    "term-key-extra": lambda data: data["generators"][0].update(note="extra"),
+    "nilpotent-key-extra": lambda data: data["nilpotent_part"][0].update(note="extra"),
+    "cycle-key-extra": lambda data: data["generators"][0]["multiplier"].update(note="extra"),
+    "cycle-term-key-extra": lambda data: data["generators"][0]["multiplier"]["terms"][0].update(note=0),
+    # a bool or a float in place of an int
+    "k-bool": lambda data: data.update(k=True),
+    "g-float": lambda data: data.update(g=2.0),
+    "j-bool": lambda data: data["generators"][0].update(j=True),
+    "factors-bool": lambda data: data["nilpotent_part"][0].update(factors=[True, 2, 3]),
+    "target-point-bool": lambda data: _point(data, "target").__setitem__(0, False),
+    "target-rank-float": lambda data: data["target"].update(rank=3.0),
+    "generator-point-bool": lambda data: _point(data, "generators", 0, "generator").__setitem__(0, False),
+    "multiplier-point-bool": lambda data: _point(data, "generators", 0, "multiplier").__setitem__(0, False),
+    # shapes that are not the certificate's
+    "generators-int": lambda data: data.update(generators=5),
+    "nilpotent-part-int": lambda data: data.update(nilpotent_part=5),
+    "generator-term-str": lambda data: data["generators"].__setitem__(0, "(m_1)*h"),
+    "factors-int": lambda data: data["nilpotent_part"][0].update(factors=3),
+    "terms-int": lambda data: data["generators"][0]["multiplier"].update(terms=5),
+    "terms-int-entry": lambda data: data["generators"][0]["multiplier"].update(terms=[5]),
+    "point-int": lambda data: data["generators"][0]["multiplier"]["terms"][0].update(point=5),
+    "multiplier-list": lambda data: data["generators"][0].update(multiplier=[]),
+    # a multiplier that lists a point twice or has a zero coefficient
+    "multiplier-point-twice": lambda data: data["generators"][0]["multiplier"]["terms"].append(
+        dict(data["generators"][0]["multiplier"]["terms"][0])
+    ),
+    "multiplier-zero-coeff": lambda data: _set_coeff(data["generators"][0]["multiplier"], 0, "0/1"),
 }
 
 
-@pytest.mark.parametrize("tamper", list(TAMPERED_HEADERS.values()), ids=list(TAMPERED_HEADERS))
+def tamper_base():
+    cert = verify_relation(3, 2)
+    return replace(cert, nilpotent_part=(NilpotentTerm((1, 2, 3), Cycle.zero(3)),))
+
+
+@pytest.mark.parametrize("tamper", list(TAMPERED_DOCUMENTS.values()), ids=list(TAMPERED_DOCUMENTS))
 def test_certificate_reader_checks_format_version_and_labels(tamper):
-    data = json.loads(json.dumps(verify_relation(3, 2).to_json_dict()))
-    assert verify_certificate(MembershipCertificate.from_json_dict(data))
+    cert = tamper_base()
+    data = json.loads(written(cert))
+    assert MembershipCertificate.from_json_dict(data) == cert
+    assert verify_certificate(cert)
     tamper(data)
     with pytest.raises(ValueError):
         MembershipCertificate.from_json_dict(data)
 
 
+@pytest.mark.parametrize("document", [5, None, "cert", [], [{}], {}])
+def test_certificate_reader_rejects_other_documents(document):
+    with pytest.raises(ValueError):
+        MembershipCertificate.from_json_dict(document)
+
+
 def test_trivial_nilpotent_certificate_k2_g1():
     # u^{*2} is itself a product of g+1 = 2 augmentation generators
-    ctx = RingContext(rank=2, geom_dim=1, support_cap=100)
-    u = augmentation_generator(2, 1)
     cert = MembershipCertificate(
         k=2,
         g=1,
         j_max=2,
         cap=2,
-        target=star_power(u, 2, ctx),
         generators=(),
         nilpotent_part=(NilpotentTerm(factors=(1, 1), multiplier=Cycle.unit(2)),),
     )
@@ -631,7 +728,6 @@ def test_trivial_nilpotent_certificate_k2_g1():
         g=2,
         j_max=2,
         cap=2,
-        target=star_power(u, 2, ctx),
         generators=(),
         nilpotent_part=(NilpotentTerm(factors=(1, 1), multiplier=Cycle.unit(2)),),
     )
@@ -639,8 +735,9 @@ def test_trivial_nilpotent_certificate_k2_g1():
 
 
 def wrong_rank(multiplier):
-    """A multiplier's JSON truncated from rank 3 to rank 2."""
-    return {"rank": 2, "terms": [{"coeff": t["coeff"], "point": t["point"][:2]}
+    """A multiplier's JSON padded from rank 3 to rank 4 (truncating would
+    list some points twice, which the cycle reader rejects)."""
+    return {"rank": 4, "terms": [{"coeff": t["coeff"], "point": t["point"] + [0]}
                                  for t in multiplier["terms"]]}
 
 
@@ -711,7 +808,7 @@ def expansion_oracle(cert):
     total = Cycle.zero(cert.k)
     for t in cert.generators:
         total = total + pontryagin(t.multiplier, pushed_hypothesis(cert.k, t.j), ctx)
-    return total == cert.target
+    return total == star_power(augmentation_generator(cert.k, 1), cert.k, ctx)
 
 
 @pytest.mark.parametrize("k", range(2, 10))
@@ -794,8 +891,8 @@ def test_valid_non_invariant_certificate_is_proved_by_expansion(k):
     z = Cycle.point(GroupPoint.generator(k, 1))
     a, b = cert.generators[:2]
     moved = (
-        replace(a, multiplier=a.multiplier + pontryagin(z, b.generator, ctx)),
-        replace(b, multiplier=b.multiplier - pontryagin(z, a.generator, ctx)),
+        replace(a, multiplier=a.multiplier + pontryagin(z, pushed_hypothesis(k, b.j), ctx)),
+        replace(b, multiplier=b.multiplier - pontryagin(z, pushed_hypothesis(k, a.j), ctx)),
     )
     mixed = replace(cert, generators=moved + cert.generators[2:])
     assert relations._verify_on_orbits(mixed) is None
@@ -815,13 +912,6 @@ def test_term_checks_reject_malformed_terms():
         assert verify_certificate(bad) is False
     # the multiplier of height 1 above a cap of 0
     assert verify_certificate(replace(nil, cap=0)) is False
-
-    newton = verify_relation(3, 3, method="newton")
-    assert newton.generators and not newton.nilpotent_part
-    t = newton.generators[0]
-    for generator in (t.generator.scale(2), pushed_hypothesis(3, t.j + 1)):
-        bad = replace(newton, generators=(replace(t, generator=generator),) + newton.generators[1:])
-        assert verify_certificate(bad) is False
 
 
 def test_malformed_fields_are_rejected_not_raised():
