@@ -34,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isfinite
+from math import factorial, gcd, isfinite, prod
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import clear_denominators
@@ -208,7 +208,6 @@ class Cycle:
                 hb = h
             key = _key(coords)
             if not isinstance(coeff, int):
-                coeff = _as_fraction(coeff)
                 integral = False
             acc[key] = acc.get(key, 0) + coeff
         if integral:
@@ -635,6 +634,39 @@ def _orbit_cycle(rank: int, den: int, orbits: Mapping[tuple[int, ...], int]) -> 
     out = Cycle._canonical(rank, den, num, hb)
     out._set_height(hb)
     return out
+
+
+def orbit_forms(cycles: Iterable[Cycle]) -> list[dict[tuple[int, ...], tuple[int, int]] | None]:
+    """The orbit form of each of ``cycles``, all of one rank r >= 1, under
+    permutations of x_2..x_r: a map from each orbit key (a_1, *tail), tail
+    sorted, to (n, |O|), the numerator over the cycle's ``den`` of every
+    point of the orbit O and its size (r-1)! / prod m_v!, m_v the tail's
+    multiplicities.  A cycle gets None if two points of an orbit differ or
+    an orbit is not whole.  A key's low ``_B * (r-1)`` bits name its tail
+    and its high bits a_1; each tail is sorted once per call, for all the
+    cycles."""
+    cycles = list(cycles)
+    rank = cycles[0].rank if cycles else 1
+    if rank < 1 or any(c.rank != rank for c in cycles):
+        raise ValueError("orbit forms need cycles of one rank r >= 1")
+    shift = _B * (rank - 1)
+    offset, mask = _key((_HALF,) * (rank - 1)), (1 << shift) - 1
+    tails: dict[int, tuple[tuple[int, ...], int]] = {}  # low bits -> (sorted tail, |O|)
+    forms = []
+    for cycle in cycles:
+        form: dict[tuple[int, ...], tuple[int, int]] = {}
+        for key, n in cycle.num.items():
+            tail = tails.get(key & mask)
+            if tail is None:
+                sorted_tail = tuple(sorted(next(_points((key,), rank))[1:]))
+                size = factorial(rank - 1) // prod(factorial(sorted_tail.count(v)) for v in set(sorted_tail))
+                tail = tails[key & mask] = sorted_tail, size
+            if form.setdefault(((key + offset) >> shift, *tail[0]), (n, tail[1]))[0] != n:
+                forms.append(None)
+                break
+        else:
+            forms.append(form if sum(size for _, size in form.values()) == len(cycle.num) else None)
+    return forms
 
 
 def degree(c: Cycle) -> Fraction:

@@ -4,21 +4,19 @@ Small, dependency-free routines used by the tangent-space checkers (and,
 for ``clear_denominators``, the cycle core): reduced row echelon form,
 rank, nullspace, linear solves and determinants.  They take integer rows
 and return integer rows; the only rational output is the solution of
-``solve_columns``.  Rationals are cleared where they enter, by the
-callers' constructors and by ``exact_rank``, the one rank that also
-accepts Fractions: scaling a row by a nonzero constant leaves the rank,
-the pivot columns and the row space unchanged.  All routines run one
-exact elimination over integer rows, ``_eliminate``.  Each of its updates
-is an integer combination of two rows by gcd-reduced factors, followed by
-division by the row's content, so every step is exact in the integers and
-every updated row is primitive; rows with a zero in the pivot column are
-skipped.
+``solve_columns``.  Rationals are cleared where they enter, by
+``clear_denominators``, which takes ints and Fractions only: scaling a
+row by a nonzero constant leaves the rank, the pivot columns and the row
+space unchanged.  All routines run one exact elimination over integer
+rows, ``_eliminate``.  Each of its updates is an integer combination of
+two rows by gcd-reduced factors, followed by division by the row's
+content, so every step is exact in the integers and every updated row is
+primitive; rows with a zero in the pivot column are skipped.
 
-``solve_columns`` and ``_back_substitute`` have no caller in the package
-since the window method decides membership by a rule.  They stay because
-the benchmark's tracer wraps ``solve_columns`` by name (and a test checks
-that it exists), and because the test-local oracle for the window rule
-re-runs the local-algebra solve through it.
+``solve_columns``, ``_back_substitute`` and ``exact_rank`` have no caller
+in the package.  They stay because the benchmark's tracer wraps
+``solve_columns`` and ``exact_rank`` by name (a test checks that they
+exist) and the window rule's test oracle solves through ``solve_columns``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,11 @@ from math import gcd, lcm, prod
 
 def clear_denominators(vec) -> tuple[int, list[int]]:
     """(d, d * vec) with d the least common multiple of the denominators of
-    the int or Fraction entries, so that d * vec is a list of ints."""
+    the int or Fraction entries, so that d * vec is a list of ints; any
+    other entry, a float, a Decimal or a str, raises ``TypeError``."""
+    for x in vec:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"entries must be ints or Fractions, got {x!r}")
     d = lcm(*[x.denominator for x in vec])
     return d, [x.numerator * (d // x.denominator) for x in vec]
 

@@ -15,9 +15,13 @@ reported as inconclusive, never as a refutation.  The verifier reads its
 proof from the certificate alone: multipliers that are all invariant
 under permuting x_2..x_k (a Newton certificate, built in memory or loaded
 from a file) are proved on orbit sums, any other certificate by
-brute-force expansion.  A certificate stores no target, no (m_j)_* h and
-no label: these follow from k, j and the factors, are derived where it is
-written or verified, and a file's copies of them are checked on read.
+brute-force expansion.  The orbit proof reads each multiplier Y_j with
+``cycles.orbit_forms`` as Y_j(r) and |O(r)| per orbit key r = (a_1,
+*sorted tail), and checks sum_j sum_r |O(r)| Y_j(r) sum_{g : r + g in Q}
+c_j(g) = u^{*k}(Q) on every orbit Q, c_j the coefficients of (m_j)_* h.
+A certificate stores no target, no (m_j)_* h and no label: these follow
+from k, j and the factors, are derived where it is written or verified,
+and a file's copies of them are checked on read.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -36,24 +40,20 @@ default, ``newton`` or ``window``) returns.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .cycles import (
-    _B,
-    _HALF,
     _LIMIT,
     Cycle,
     GroupPoint,
     RingContext,
     _json_text,
-    _key,
     _orbit_cycle,
-    _points,
     json_int,
     json_text,
+    orbit_forms,
     pontryagin,
     pushforward,
     star_power,
@@ -333,7 +333,9 @@ class MembershipCertificate:
         ``_document``, with the file's multiplier dicts in place, key for key
         and JSON type for JSON type.  So the format, the version, the target,
         every (m_j)_* h and every label are checked, and anything else, a
-        missing or an extra key included, raises ``ValueError``."""
+        missing or an extra key included, raises ``ValueError``.  Multipliers
+        of rank k, and a target and generators of rank k with k + 1 terms, are
+        required before anything is derived from k, which the file bounds."""
         try:
             gens, nils = data["generators"], data["nilpotent_part"]
             cert = cls(
@@ -345,6 +347,10 @@ class MembershipCertificate:
             # the file's multiplier dicts, by the id of the cycle read from each
             terms = zip(cert.generators + cert.nilpotent_part, [*gens, *nils])
             own = {id(t.multiplier): d["multiplier"] for t, d in terms}
+            k, derived = cert.k, [data["target"]] + [t["generator"] for t in gens]
+            if any(t.multiplier.rank != k for t in cert.generators + cert.nilpotent_part) or any(
+                    d["rank"] != k or len(d["terms"]) != k + 1 for d in derived):
+                raise ValueError(f"a cycle is not of rank k = {k}, or a derived one has not k + 1 terms")
         except (KeyError, TypeError):
             raise ValueError(f"not a {_CERT_FORMAT}: a field is missing or of another JSON type") from None
         if not _same_json(data, cert._document(lambda c: own.get(id(c)) or c.to_json_dict())):
@@ -431,70 +437,33 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool | None:
     """Prove an all-generator certificate on orbits of S_{k-1}, or return
     None if some multiplier is not invariant under permuting x_2..x_k.
 
-    The orbit of a point (a_1, *tail) is read from its packed key: the
-    digit offset splits a_1 from the tail's key exactly (stored digits
-    have |d| < 2**46), and each tail key is mapped once to the key of its
-    sorted tail, which names the orbit, and to the orbit size |O|, the
-    multinomial (k-1)! / prod m_v! of the tail's multiplicities.  A
-    multiplier Y is invariant iff every point of an orbit carries the same
-    numerator and sum |O| over the orbits met is len(Y.num): the points
-    met are then whole orbits.
-
-    Each (m_j)_* h is invariant, so with every Y invariant the difference
-    of the two sides is invariant, and an invariant cycle is zero iff
-    every orbit sum is.  The orbit sum over Q of Y * (m_j)_* h is
-    sum_r |O(r)| Y(r) sum_{g : r + g in Q} c(g), over one representative r
-    per orbit of Y.  All sums are integers over the lcm of the multiplier
-    denominators, keyed by the packed key of (a_1, sorted tail).
-    """
-    k = cert.k
-    shift = _B * (k - 1)
-    offset, mask = _key((_HALF,) * (k - 1)), (1 << shift) - 1
+    Each (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i} is invariant,
+    so with every multiplier Y invariant so is the difference of the two
+    sides, which is zero iff every orbit sum is.  The orbit sum over Q of
+    Y * (m_j)_* h is sum_r |O(r)| Y(r) sum_{g : r + g in Q} c(g), over the
+    orbit keys r = (a_1, *tail) of ``orbit_forms``; r + g lies in the orbit
+    of (a_1 + j, *tail) for g = j x_1, of r for g = 0, and of (a_1, *tail
+    with one v raised to v + j) for the m_v points j x_i of tail value v.
+    These moves depend on the tail and j alone.  The sums are integers
+    over the lcm of the multiplier denominators."""
+    *forms, target = orbit_forms([t.multiplier for t in cert.generators] + [target_cycle(cert.k)])
+    if None in forms:
+        return None
     den = lcm(*(t.multiplier.den for t in cert.generators))
-    # tail key -> key change to its sorted tail; sorted tail key -> (tail, |O|)
-    to_sorted: dict[int, int] = {}
-    tails: dict[int, tuple[tuple[int, ...], int]] = {}
-    sums: dict[int, int] = {}
-    for t in cert.generators:
-        num = t.multiplier.num
-        orbits: dict[int, int] = {}
-        for key, n in num.items():
-            tail = ((key + offset) & mask) - offset
-            change = to_sorted.get(tail)
-            if change is None:
-                sorted_tail = tuple(sorted(next(_points((tail,), k - 1))))
-                rep = _key(sorted_tail)
-                change = to_sorted[tail] = rep - tail
-                if rep not in tails:
-                    size = factorial(k - 1)
-                    for m in Counter(sorted_tail).values():
-                        size //= factorial(m)
-                    tails[rep] = sorted_tail, size
-            if orbits.setdefault(key + change, n) != n:
-                return None
-        met = 0
-        scale = den // t.multiplier.den
-        moves: dict[int, list[tuple[int, int]]] = {}
-        for orbit, n in orbits.items():
-            tail = ((orbit + offset) & mask) - offset
-            sorted_tail, size = tails[tail]
-            met += size
-            step = moves.get(tail)
-            if step is None:
-                # (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i}, as
-                # (key change of the orbit, coefficient) pairs
-                step = moves[tail] = [(t.j << shift, 1), (0, -k)] + [
-                    (_key(sorted(sorted_tail[:i] + (v + t.j,) + sorted_tail[i + 1:])) - tail, 1)
-                    for i, v in enumerate(sorted_tail)
-                ]
-            weight = size * n * scale
-            for move, c in step:
-                q = orbit + move
-                sums[q] = sums.get(q, 0) + weight * c
-        if met != len(num):
-            return None
-    target = {q: v * den for q, v in target_cycle(k).num.items()}
-    return {q: v for q, v in sums.items() if v} == target
+    sums = {orbit: -n * size * den for orbit, (n, size) in target.items()}
+    for t, form in zip(cert.generators, forms):
+        j, scale = t.j, den // t.multiplier.den
+        moves = {}  # tail -> [(change of a_1, tail moved to, coefficient)]
+        for orbit, (n, size) in form.items():
+            a_1, tail = orbit[0], orbit[1:]
+            if tail not in moves:
+                moves[tail] = [(j, tail, 1), (0, tail, -cert.k)] + [
+                    (0, tuple(sorted(tail[:i] + (v + j,) + tail[i + 1:])), tail.count(v))
+                    for i, v in enumerate(tail) if i == 0 or v != tail[i - 1]]
+            for change, moved, c in moves[tail]:
+                q = (a_1 + change, *moved)
+                sums[q] = sums.get(q, 0) + size * n * scale * c
+    return not any(sums.values())
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import parse_rational
-from .linalg import clear_denominators, det, exact_rank, int_rank, nullspace, rref
+from .linalg import clear_denominators, det, int_rank, nullspace, rref
 
 
 class DimensionMismatch(Exception):
@@ -63,20 +63,20 @@ class PreconditionViolated(Exception):
 class Subspace:
     """A linear subspace of Q^ambient_dim given by an independent row basis,
     stored as integer rows ``basis`` over one common denominator ``den`` > 0
-    with gcd(den, entries) == 1.  The constructor takes ints or anything
-    ``Fraction()`` accepts; ``rows()`` gives the basis vectors as Fractions."""
+    with gcd(den, entries) == 1.  The constructor and ``span`` take ints
+    and Fractions only; ``rows()`` gives the basis vectors as Fractions."""
 
     __slots__ = ("ambient_dim", "basis", "den")
 
     def __init__(self, ambient_dim: int, rows=()):
-        rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
+        rows = [list(row) for row in rows]
         for row in rows:
             if len(row) != ambient_dim:
                 raise DimensionMismatch(
                     f"basis row has length {len(row)}, ambient is {ambient_dim}"
                 )
-        den = math.lcm(*[x.denominator for row in rows for x in row])
-        basis = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        den, entries = clear_denominators([x for row in rows for x in row])
+        basis = tuple(tuple(entries[i * ambient_dim:(i + 1) * ambient_dim]) for i in range(len(rows)))
         if basis and int_rank(basis) != len(basis):
             raise ValueError("basis rows are not linearly independent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -277,15 +277,12 @@ def pair_lemma_check(A: Subspace, B: Subspace) -> tuple[int, int, bool]:
 
 def mu_rank_at(A: Subspace, B: Subspace, a, b) -> int:
     """Rank of the differential (alpha, beta) -> alpha o b + a o beta of the
-    coordinatewise multiplication map at the point (a, b)."""
-    columns = []
-    for alpha in A.basis:
-        columns.append([alpha[j] * b[j] for j in range(A.ambient_dim)])
-    for beta in B.basis:
-        columns.append([a[j] * beta[j] for j in range(B.ambient_dim)])
-    if not columns:
-        return 0
-    return exact_rank(columns)
+    coordinatewise multiplication map at the point (a, b).  The points are
+    cleared of denominators, which scales every alpha column by one factor
+    and every beta column by another, so the rank does not change."""
+    a, b = clear_denominators(a)[1], clear_denominators(b)[1]
+    return int_rank([[x * y for x, y in zip(alpha, b, strict=True)] for alpha in A.basis]
+                    + [[x * y for x, y in zip(a, beta, strict=True)] for beta in B.basis])
 
 
 def mu_generic_rank(A: Subspace, B: Subspace) -> int:

@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, rref, nullspace, solve, determinant."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, prod
 
@@ -61,6 +62,14 @@ def test_rank_known_cases():
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[1, 0], [0, 1]]) == 2
     assert exact_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+
+
+def test_clear_denominators_takes_only_ints_and_fractions():
+    assert clear_denominators([Fraction(1, 2), 3, Fraction(-2, 3)]) == (6, [3, 18, -4])
+    assert clear_denominators([]) == (1, [])
+    for entry in (0.5, Decimal("1.5"), "1/2"):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            clear_denominators([1, entry])
 
 
 def test_rref_idempotent_and_pivots():

@@ -14,7 +14,16 @@ import pytest
 
 from pontcalc import relations
 from pontcalc.cli import main
-from pontcalc.cycles import Cycle, GroupPoint, RingContext, pontryagin, pushforward, star_power
+from pontcalc.cycles import (
+    Cycle,
+    GroupPoint,
+    RingContext,
+    _orbit_cycle,
+    orbit_forms,
+    pontryagin,
+    pushforward,
+    star_power,
+)
 from pontcalc.linalg import solve_columns
 from pontcalc.relations import (
     GeneratorTerm,
@@ -637,6 +646,8 @@ TAMPERED_DOCUMENTS = {
     "nilpotent-label-missing": lambda data: data["nilpotent_part"][0].pop("label"),
     "target-coeff": lambda data: _set_coeff(data["target"], 0, "2/1"),
     "target-zero": lambda data: data.update(target={"rank": 3, "terms": []}),
+    "target-rank-other": lambda data: data["target"].update(rank=4),
+    "generator-terms-short": lambda data: data["generators"][0]["generator"]["terms"].pop(),
     # a consistent identity for 2 u^{*k}
     "target-and-multipliers-doubled": lambda data: [
         _double(cycle) for cycle in [data["target"]] + [t["multiplier"] for t in data["generators"]]
@@ -705,6 +716,29 @@ def test_certificate_reader_checks_format_version_and_labels(tamper):
         MembershipCertificate.from_json_dict(data)
 
 
+BIG_K_EDITS = {
+    "with-generators": lambda data: None,
+    "no-generators": lambda data: data.update(generators=[]),
+    # a target of rank k but without its k + 1 terms
+    "empty-target-of-rank-k": lambda data: data.update(generators=[], target={"rank": 2000, "terms": []}),
+}
+
+
+@pytest.mark.parametrize("edit", list(BIG_K_EDITS.values()), ids=list(BIG_K_EDITS))
+def test_certificate_reader_is_bounded_by_the_file(edit, monkeypatch):
+    # the k = 3 Newton document with k = 2000 is rejected before u^{*k} or
+    # any (m_j)_* h is built from its k
+    data = dict(json.loads(written(verify_relation(3, 2))), k=2000)
+    edit(data)
+    calls = []
+    for name in ("target_cycle", "pushed_hypothesis"):
+        derive = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda *args, derive=derive: calls.append(args) or derive(*args))
+    with pytest.raises(ValueError, match="rank k = 2000"):
+        MembershipCertificate.from_json_dict(data)
+    assert calls == []
+
+
 @pytest.mark.parametrize("document", [5, None, "cert", [], [{}], {}])
 def test_certificate_reader_rejects_other_documents(document):
     with pytest.raises(ValueError):
@@ -742,15 +776,19 @@ def wrong_rank(multiplier):
 
 
 def test_wrong_rank_multipliers_are_rejected():
+    # the reader rejects a file's multiplier of another rank than k
     data = verify_relation(3, 2, method="newton").to_json_dict()
     data["generators"][0]["multiplier"] = wrong_rank(data["generators"][0]["multiplier"])
-    assert verify_certificate(MembershipCertificate.from_json_dict(data)) is False
+    with pytest.raises(ValueError, match="rank k = 3"):
+        MembershipCertificate.from_json_dict(data)
 
     data = verify_relation(3, 1, j_max=1, cap=2, method="window").to_json_dict()
     assert data["nilpotent_part"] and not data["generators"]
     data["nilpotent_part"][0]["multiplier"] = wrong_rank(data["nilpotent_part"][0]["multiplier"])
-    assert verify_certificate(MembershipCertificate.from_json_dict(data)) is False
+    with pytest.raises(ValueError, match="rank k = 3"):
+        MembershipCertificate.from_json_dict(data)
 
+    # and the verifier a certificate built in memory with one
     cert = verify_relation(3, 2, method="newton")
     t = cert.generators[0]
     short = replace(cert, generators=(replace(t, multiplier=Cycle.unit(2)),) + cert.generators[1:])
@@ -796,9 +834,13 @@ def orbit_form(multiplier):
     form = {}
     for p, c in multiplier.items():
         assert form.setdefault(orbit_of(p.coords), c) == c
-    sizes = [factorial(len(o) - 1) // prod(map(factorial, Counter(o[1:]).values())) for o in form]
-    assert sum(sizes) == multiplier.support_size()
+    assert sum(orbit_sizes(form).values()) == multiplier.support_size()
     return form
+
+
+def orbit_sizes(form):
+    """{orbit: |O|} from the multiplicities of each sorted tail."""
+    return {o: factorial(len(o) - 1) // prod(map(factorial, Counter(o[1:]).values())) for o in form}
 
 
 def expansion_oracle(cert):
@@ -840,9 +882,43 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
         assert verify_certificate(MembershipCertificate.from_json_dict(cert.to_json_dict()))
 
 
+@pytest.mark.parametrize("k", range(2, 10))
+def test_orbit_forms_match_the_oracle(k):
+    newton = [t.multiplier for t in _newton_certificate(k, 1, k, k - 1).generators]
+    nilpotent = [verify_relation(k, g, method="window").nilpotent_part[0].multiplier for g in range(1, k)]
+    multipliers = newton + nilpotent
+    forms = orbit_forms(multipliers)
+    assert len(forms) == len(multipliers)
+    for m, form in zip(multipliers, forms):
+        assert {o: Fraction(n, m.den) for o, (n, _) in form.items()} == orbit_form(m)
+        assert {o: size for o, (_, size) in form.items()} == orbit_sizes(form)
+        # the form stands for the multiplier again
+        assert _orbit_cycle(k, m.den, {o: n for o, (n, _) in form.items()}) == m
+    # one call or one call per cycle: the shared tail table changes nothing
+    assert forms == [orbit_forms([m])[0] for m in multipliers]
+
+
+def test_orbit_forms_edge_cases():
+    assert orbit_forms([]) == []
+    # rank 1 has empty tails: every point is its own orbit
+    assert orbit_forms([Cycle(1, {GroupPoint((2,)): Fraction(1, 3)})]) == [{(2,): (1, 1)}]
+    assert orbit_forms([Cycle.zero(3)]) == [{}]
+    # negative digits: every key splits into a_1 and its tail exactly
+    c = _orbit_cycle(3, 2, {(-2, -5, 3): 1, (4, -1, -1): -3, (0, -7, 0): 5})
+    assert orbit_forms([c]) == [{(-2, -5, 3): (1, 2), (4, -1, -1): (-3, 1), (0, -7, 0): (5, 2)}]
+    with pytest.raises(ValueError):
+        orbit_forms([Cycle.unit(2), Cycle.unit(3)])
+    with pytest.raises(ValueError):
+        orbit_forms([Cycle.unit(0)])
+
+
 def test_orbit_proof_shares_no_code_with_the_builder():
     names = relations._verify_on_orbits.__code__.co_names
     assert "_orbit_cycle" not in names and "_newton_certificate" not in names
+    # the proof reads multipliers through orbit_forms, which builds nothing
+    assert "orbit_forms" in names
+    reader = orbit_forms.__code__.co_names
+    assert "_orbit_cycle" not in reader and "_newton_certificate" not in reader
     # the verifier recomputes nilpotent products with ``nilpotent_product``,
     # so the nilpotent builder must not use it
     assert "nilpotent_product" not in relations._nilpotent_certificate.__code__.co_names
@@ -874,6 +950,7 @@ def test_orbit_path_rejects_tampering(k):
     assert scaled.generators[index].multiplier.den == t.multiplier.den
     for bad in (one_point, dropped):
         assert relations._verify_on_orbits(bad) is None
+        assert orbit_forms([bad.generators[index].multiplier]) == [None]
     assert relations._verify_on_orbits(scaled) is False
     for bad in (one_point, dropped, scaled):
         assert verify_certificate(bad) is False
@@ -933,4 +1010,5 @@ def test_malformed_fields_are_rejected_not_raised():
     far = Cycle.point(GroupPoint((0, 2**46 - 1, 0)))
     far_product = replace(cert, cap=2**47, generators=(replace(t, multiplier=t.multiplier + far),) + rest)
     assert relations._verify_on_orbits(far_product) is None
+    assert orbit_forms([t.multiplier for t in far_product.generators])[0] is None
     assert verify_certificate(far_product) is False

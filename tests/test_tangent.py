@@ -3,12 +3,13 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from pontcalc import tangent
-from pontcalc.linalg import int_rank, nullspace
+from pontcalc.linalg import exact_rank, int_rank, nullspace
 from pontcalc.tangent import (
     DimensionMismatch,
     DoubleStarViolation,
@@ -750,8 +751,34 @@ def test_star_and_mu_rank_on_rational_rows_match_oracle():
                 assert mu_generic_rank(X, Y) == _oracle_mu_rank(X, Y) == 2, (q, r)
 
 
+@pytest.mark.parametrize("entry", [0.5, Decimal("0.5"), "1/2", "1.5"],
+                         ids=["float", "Decimal", "ratio-str", "decimal-str"])
+def test_subspace_takes_only_ints_and_fractions(entry):
+    # the contract has no floats: nothing but ints and Fractions is read
+    for make in (Subspace, Subspace.span):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            make(2, [[entry, -1]])
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        mu_rank_at(Subspace(2, [[1, -1]]), Subspace.zero(2), [1, 1], [entry, 1])
+
+
+def test_mu_rank_at_fraction_points_match_cleared_points():
+    rng = random.Random(17)
+    for _ in range(200):
+        k = rng.randint(2, 6)
+        A, B = random_admissible_pair(k, rng)
+        a = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+        b = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+        da, db = math.lcm(*(x.denominator for x in a)), math.lcm(*(x.denominator for x in b))
+        rank = mu_rank_at(A, B, [int(x * da) for x in a], [int(x * db) for x in b])
+        # the rank of the Fraction columns themselves
+        columns = [[x * y for x, y in zip(alpha, b)] for alpha in A.rows()]
+        columns += [[x * y for x, y in zip(a, beta)] for beta in B.rows()]
+        assert mu_rank_at(A, B, a, b) == rank == exact_rank(columns)
+
+
 def test_every_constructor_path_stores_integer_rows():
-    _assert_integer_rows(Subspace(3, [[Fraction(1, 2), -1, Fraction(1, 2)], ["2/3", 0, "-2/3"]]))
+    _assert_integer_rows(Subspace(3, [[Fraction(1, 2), -1, Fraction(1, 2)], [Fraction(2, 3), 0, Fraction(-2, 3)]]))
     _assert_integer_rows(Subspace.span(3, [[Fraction(3, 4), Fraction(-3, 4), 0], [1, 1, -2]]))
     _assert_integer_rows(Subspace(4))
     _assert_integer_rows(kernel_of_sum_subspace(5))
