@@ -8,10 +8,9 @@ and return integer rows; the only rational output is the solution of
 ``clear_denominators``, which takes ints and Fractions only: scaling a
 row by a nonzero constant leaves the rank, the pivot columns and the row
 space unchanged.  All routines run one exact elimination over integer
-rows, ``_eliminate``.  Each of its updates is an integer combination of
-two rows by gcd-reduced factors, followed by division by the row's
-content, so every step is exact in the integers and every updated row is
-primitive; rows with a zero in the pivot column are skipped.
+rows, ``_eliminate``: Bareiss's fraction-free elimination, in which each
+update is an integer combination of two rows divided exactly by an earlier
+pivot, and rows with a zero in the pivot column are skipped.
 
 ``solve_columns``, ``_back_substitute`` and ``exact_rank`` have no caller
 in the package.  They stay because the benchmark's tracer wraps
@@ -22,7 +21,7 @@ exist) and the window rule's test oracle solves through ``solve_columns``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 def clear_denominators(vec) -> tuple[int, list[int]]:
@@ -36,63 +35,76 @@ def clear_denominators(vec) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
-def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[list[int], int, int]:
-    """Exact elimination of the integer rows ``m`` over their first
+def _eliminate(m: list[list[int]], ncols: int, reduce: bool = False) -> tuple[list[int], int]:
+    """Bareiss elimination of the integer rows ``m`` over their first
     ``ncols`` columns; further columns (a right-hand side) are carried along.
 
     At each pivot ``piv`` (the first nonzero entry at or below the current
     row, columns in order) every other row with a nonzero ``f`` in the pivot
-    column becomes ``(piv//g)*row - (f//g)*pivot_row``, ``g = gcd(piv, f)``,
-    divided by its content (the gcd of its entries).  Every update is exact
-    in the integers: both factors are integers, the pivot-column entry
-    becomes ``(piv*f - f*piv)//g == 0`` and the content divides each entry;
-    ``piv//g != 0`` keeps the row space.  Rows with a zero in the pivot
+    column becomes ``[(piv*x - f*y) // d_i for x, y in zip(row, pivot_row)]``,
+    where ``d_i`` is the pivot that last divided row i (1 at the start); the
+    row then records ``piv`` as its ``d_i``, and so does the pivot row.
+    ``piv != 0``, so the row space is kept.  Rows with a zero in the pivot
     column are skipped, so the cost follows the nonzeros of sparse input.
+    Plain Bareiss would multiply a skipped row by ``piv / prev`` at every
+    pivot; the row owes the product instead, ``prev / d_i`` with ``prev``
+    the last pivot, applied in one pass, ``x * prev // d_i``, only if the
+    row becomes the pivot row.  An update settles the debt by itself, as it
+    divides by the row's own ``d_i``.
 
-    Returns (pivot columns, num, den).  Afterwards row i of ``m`` has its
-    pivot at column pivots[i], and rows past the pivot rows are zero in the
-    first ``ncols`` columns.  With ``reduce`` the rows above each pivot are
-    eliminated as well, and each pivot row is its RREF row times its own
-    pivot, not one common d times its RREF row.  For square input,
-    det(input) is num / den times the product of the diagonal of the
-    result: num is the swap sign times the contents divided out, den the
-    product of the ``piv//g`` factors.
+    Every division is exact, because every stored entry is a minor of the
+    input (Sylvester's identity).  After the pivots p_1..p_k on rows
+    R_1..R_k and columns c_1..c_k, a row i below them with ``d_i == p_k``
+    holds in column j the determinant on rows R_1..R_k, i and columns
+    c_1..c_k, j; with ``reduce``, a row above with ``d_i == p_k``,
+    the pivot row included, holds p_k times its reduced row, whose entries
+    are minors by Cramer's rule.  A row skipped since ``d_i`` holds these
+    minors as of ``d_i``; times ``prev / d_i`` they are the minors as of
+    ``prev``, and ``(piv*x - f*y) // d_i`` is the Bareiss step from those,
+    so both results are minors, hence integers.
+
+    Returns (pivot columns, sign of the row swaps).  Afterwards row i of
+    ``m`` has its pivot at column pivots[i], and rows past the pivot rows
+    are zero in the first ``ncols`` columns.  With ``reduce`` the rows above
+    each pivot are eliminated as well, and each pivot row is its RREF row
+    times the pivot it records, not one common multiple.  For square input
+    of full rank the last diagonal entry is the last pivot: the
+    determinant of the input with its rows swapped, i.e. sign times
+    det(input).
 
     ``m`` is reordered and its rows are replaced, never modified in place,
-    so it may share row lists with the caller's input.
+    so it may share rows, lists or tuples, with the caller's input.
     """
     pivots: list[int] = []
-    num, den = 1, 1
+    sign, prev = 1, 1
+    d = [1] * len(m)
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
             break
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
+        for pr in range(r, len(m)):
+            if m[pr][c]:
+                break
+        else:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            num = -num
-        piv = m[r][c]
-        # below the pivot rows, columns before c are already zero
-        start = 0 if reduce else c
-        pivot_tail = m[r][start:]
+            d[r], d[pr] = d[pr], d[r]
+            sign = -sign
+        pivot_row = m[r]
+        if d[r] != prev:
+            pivot_row = m[r] = [x * prev // d[r] for x in pivot_row]
+        piv = pivot_row[c]
         for i in range(0 if reduce else r + 1, len(m)):
             row = m[i]
             f = row[c]
-            if not f or i == r:
-                continue
-            g = gcd(piv, f)
-            a, b = piv // g, f // g
-            tail = [a * x - b * y for x, y in zip(row[start:], pivot_tail)]
-            content = gcd(*tail)
-            if content > 1:
-                tail = [x // content for x in tail]
-                num *= content
-            m[i] = row[:start] + tail
-            den *= a
+            if f and i != r:
+                di = d[i]
+                m[i] = [(piv * x - f * y) // di for x, y in zip(row, pivot_row)]
+                d[i] = piv
+        d[r] = prev = piv
         pivots.append(c)
-    return pivots, num, den
+    return pivots, sign
 
 
 def _primitive(row: list[int], c: int) -> list[int]:
@@ -105,16 +117,16 @@ def rref(rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of integer rows; returns (rows, pivot
     column indices).  Each row is its RREF row scaled to the primitive
     integer row with a positive pivot, a canonical form of the row space."""
-    m = [list(row) for row in rows]
+    m = list(rows)
     if not m:
         return [], []
-    pivots, _, _ = _eliminate(m, len(m[0]), reduce=True)
+    pivots, _ = _eliminate(m, len(m[0]), reduce=True)
     return [_primitive(row, c) for row, c in zip(m, pivots)], pivots
 
 
 def int_rank(rows) -> int:
     """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(row) for row in rows]
+    m = list(rows)
     return len(_eliminate(m, len(m[0]))[0]) if m else 0
 
 
@@ -145,16 +157,17 @@ def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
 
 
 def det(rows) -> int:
-    """Exact determinant of a square integer matrix: the product of the
-    eliminated diagonal times num / den as ``_eliminate`` reports them."""
-    m = [list(row) for row in rows]
+    """Exact determinant of a square integer matrix: Bareiss elimination
+    leaves the determinant of the row-swapped matrix in the last diagonal
+    entry, so it is that entry times the swap sign at full rank, else 0."""
+    m = list(rows)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    pivots, num, den = _eliminate(m, n)
-    if len(pivots) < n:
-        return 0
-    return prod(row[i] for i, row in enumerate(m)) * num // den
+    if not m:
+        return 1
+    pivots, sign = _eliminate(m, n)
+    return sign * m[-1][-1] if len(pivots) == n else 0
 
 
 def solve_columns(columns, target):
@@ -168,7 +181,7 @@ def solve_columns(columns, target):
     ncols = len(columns)
     order = sorted(range(ncols), key=lambda j: (len(columns[j]) - columns[j].count(0), j))
     m = [list(row) for row in zip(*[columns[j] for j in order], target)]
-    pivots, _, _ = _eliminate(m, ncols)
+    pivots, _ = _eliminate(m, ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     sol = [Fraction(0)] * ncols

@@ -58,6 +58,7 @@ from .cycles import (
     pushforward,
     star_power,
 )
+from .linalg import clear_denominators
 
 
 class NotFoundWithinCaps(Exception):
@@ -194,18 +195,21 @@ def power_basis_change(coeffs) -> list[Fraction]:
     over the convolution-power basis u^{*0}, u, u^{*2}, ... (u = {x} - {0}).
 
     Uses {j x} = sum_i C(j, i) u^{*i}; unitriangular, hence exact both ways.
+    The coefficients are ints or Fractions; any other entry raises
+    ``TypeError``, as in ``clear_denominators``.
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    n = len(coeffs)
-    return [sum((coeffs[j] * comb(j, i) for j in range(i, n)), Fraction(0)) for i in range(n)]
+    den, nums = clear_denominators(coeffs)
+    n = len(nums)
+    return [Fraction(sum(nums[j] * comb(j, i) for j in range(i, n)), den) for i in range(n)]
 
 
 def power_basis_change_inverse(beta) -> list[Fraction]:
-    """Inverse change: u^{*i} = sum_j (-1)^{i-j} C(i, j) {j x}."""
-    beta = [Fraction(b) for b in beta]
-    n = len(beta)
+    """Inverse change: u^{*i} = sum_j (-1)^{i-j} C(i, j) {j x}.  The
+    coefficients are ints or Fractions, as in ``power_basis_change``."""
+    den, nums = clear_denominators(beta)
+    n = len(nums)
     return [
-        sum((beta[i] * ((-1) ** (i - j)) * comb(i, j) for i in range(j, n)), Fraction(0))
+        Fraction(sum(nums[i] * (-1) ** (i - j) * comb(i, j) for i in range(j, n)), den)
         for j in range(n)
     ]
 

@@ -1,5 +1,7 @@
 """Exact linear algebra: rank, rref, nullspace, solve, determinant."""
 
+import copy
+import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -306,3 +308,76 @@ def test_single_core_matches_fraction_oracle():
             solved[expected is not None] += 1
     assert solved[True] and solved[False]
 
+
+# ---------------------------------------------------------------------------
+# rows skipped at earlier pivots that later become pivot rows
+# ---------------------------------------------------------------------------
+
+
+def block_diagonal_permuted(rng, square):
+    """Random blocks, zeros allowed inside them, set on the diagonal with the
+    rows shuffled: at each pivot the rows of the other blocks are skipped,
+    and most of them become pivot rows later."""
+    shapes = []
+    for _ in range(rng.randint(2, 4)):
+        n = rng.randint(1, 3)
+        shapes.append((n, n if square else rng.randint(1, 3)))
+    ncols = sum(w for _, w in shapes)
+    m, col = [], 0
+    for h, w in shapes:
+        for _ in range(h):
+            row = [0] * ncols
+            row[col:col + w] = [rng.choice((0, 1, -2, 3, 7, -12)) for _ in range(w)]
+            m.append(row)
+        col += w
+    rng.shuffle(m)
+    return m
+
+
+def assert_matches_oracle(m):
+    red, pivots, oracle_det = oracle_gauss_jordan(m)
+    ncols = len(m[0])
+    assert rref(m) == (integer_rows(red), pivots), m
+    assert int_rank(m) == exact_rank(m) == len(pivots), m
+    assert nullspace(m) == integer_rows(oracle_nullspace(red, pivots, ncols)), m
+    if len(m) == ncols:
+        assert det(m) == oracle_det and det_rational(m) == oracle_det, m
+
+
+def test_skipped_rows_that_become_pivots():
+    # rows 1 and 2 are skipped at the pivot 2; row 2 is swapped up and is
+    # the next pivot row, owing 2, and row 1 the last one, owing 2 * 5
+    assert det([[2, 0, 1], [0, 0, 3], [0, 5, 1]]) == -30
+    for m in (
+        [[2, 0, 1], [0, 0, 3], [0, 5, 1]],
+        [[3, 0, 0, 1], [0, 0, 4, 2], [0, 0, 0, 5], [0, 6, 1, 0]],
+        [[0, 0, 7], [5, 0, 0], [0, 3, 0], [2, 0, 0]],
+        [[4, 2, 0, 0], [0, 0, 6, 3], [2, 1, 0, 0], [0, 0, 0, 9]],
+    ):
+        assert_matches_oracle(m)
+    rng = random.Random(27)
+    for trial in range(300):
+        assert_matches_oracle(block_diagonal_permuted(rng, square=trial % 2 == 0))
+
+
+def test_det_of_permutation_matrices_is_their_sign():
+    for n in (3, 4):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+            m = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            assert det(m) == (-1) ** inversions, perm
+
+
+def test_inputs_are_not_mutated():
+    rng = random.Random(28)
+    matrices = [awkward_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), False) for _ in range(40)]
+    matrices += [block_diagonal_permuted(rng, square=True) for _ in range(20)]
+    for m in matrices:
+        results = {}
+        for kind, rows in (("lists", m), ("tuples", [tuple(row) for row in m])):
+            before = copy.deepcopy(rows)
+            results[kind] = [int_rank(rows), exact_rank(rows), rref(rows), nullspace(rows)]
+            if len(rows) == len(rows[0]):
+                results[kind].append(det(rows))
+            assert rows == before, before
+        assert results["lists"] == results["tuples"], m

@@ -7,6 +7,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -103,6 +104,13 @@ def test_power_basis_change_examples():
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         assert power_basis_change_inverse(power_basis_change(coeffs)) == coeffs
         assert power_basis_change(power_basis_change_inverse(coeffs)) == coeffs
+
+
+def test_power_basis_change_takes_only_ints_and_fractions():
+    for entry in (0.1, "1/3", Decimal("0.5")):
+        for change in (power_basis_change, power_basis_change_inverse):
+            with pytest.raises(TypeError, match="ints or Fractions"):
+                change([1, entry])
 
 
 def test_power_basis_change_matches_cycle_expansion():
