@@ -224,8 +224,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _require_nonzero(spaces):
+    # a run that checks nothing must not report pass; the library checks
+    # keep their vacuous True for such input
+    if not any(sp.dim for sp in spaces):
+        raise ValueError("nothing to check: every block is empty")
+
+
 def _cmd_check_star(args):
     k, n, V = parse_star_file(_read_text(args.file))
+    _require_nonzero([V])
     outcome = check_condition_star(V, n, k)
     witness = {"k": k, "n": n, "dim": V.dim, "violation": None}
     if outcome is True:
@@ -241,6 +249,7 @@ def _cmd_check_star(args):
 
 def _cmd_check_doublestar(args):
     k, n, spaces = parse_doublestar_file(_read_text(args.file))
+    _require_nonzero(spaces)
     outcome = check_condition_doublestar(spaces)
     witness = {"k": k, "n": n, "dims": [sp.dim for sp in spaces], "violation": None}
     if outcome is True:
@@ -262,6 +271,7 @@ def _pair_from_args(args):
         k, n, spaces = parse_doublestar_file(_read_text(args.file))
         if n != 2 or len(spaces) != 2:
             raise ValueError("pair input file must declare exactly 2 blocks")
+        _require_nonzero(spaces)
         return spaces[0], spaces[1]
     return random_admissible_pair(args.k, args.seed)
 

@@ -27,7 +27,12 @@ from math import gcd, lcm
 def clear_denominators(vec) -> tuple[int, list[int]]:
     """(d, d * vec) with d the least common multiple of the denominators of
     the int or Fraction entries, so that d * vec is a list of ints; any
-    other entry, a float, a Decimal or a str, raises ``TypeError``."""
+    other entry, a float, a Decimal or a str, raises ``TypeError``.  An
+    all-int ``vec`` (bools are not ints here) is returned as a new list
+    with d = 1."""
+    vec = list(vec)  # read once: ``vec`` may be an iterator
+    if {*map(type, vec)} <= {int}:
+        return 1, vec
     for x in vec:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"entries must be ints or Fractions, got {x!r}")

@@ -27,15 +27,21 @@ fixed-size record of random bytes.  A record is first chosen by its row
 count, then screened on its first pair from the bytes, and only then
 built and walked.  A pair (A, B) is admissible exactly
 when it satisfies condition (**), and is checked by the same walk; the
-left side of the span inequality is one exact rank of the product rows
-stacked on both bases.
+left side of the span inequality is one exact rank of both bases stacked
+on the product rows.  Work the inputs already decide is skipped: if A or
+B is zero the left side is dim A + dim B, with no elimination, since a
+basis is independent by construction; and the random pair sampler takes
+the dimension of B's space, the sum-zero complement of A, as
+k - 1 - dim A, computing a basis of it only when B is nonzero.
 
 A ``Subspace`` is stored like a ``Cycle``: integer basis rows over one
 positive common denominator ``den``.  Checks run on the integer rows, as
-ranks and vanishing ignore row scaling.  ``Fraction`` is cleared in the
-constructor and in ``Subspace.span``, and appears otherwise only in the
-file parser, ``Subspace.rows()`` and the two witness values.  All verdicts
-are exact; randomness only chooses where to look.
+ranks and vanishing ignore row scaling.  Integer input stays integer:
+the constructor keeps int rows as they are, and the file parser reads an
+integer token with ``int``.  ``Fraction`` appears only for ``p/q`` file
+tokens (cleared in the constructor), in ``Subspace.rows()`` and in the two
+witness values.  All verdicts are exact; randomness only chooses where to
+look.
 """
 
 from __future__ import annotations
@@ -69,14 +75,17 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "den")
 
     def __init__(self, ambient_dim: int, rows=()):
-        rows = [list(row) for row in rows]
-        for row in rows:
+        cleared = [clear_denominators(row) for row in rows]
+        for _, row in cleared:
             if len(row) != ambient_dim:
                 raise DimensionMismatch(
                     f"basis row has length {len(row)}, ambient is {ambient_dim}"
                 )
-        den, entries = clear_denominators([x for row in rows for x in row])
-        basis = tuple(tuple(entries[i * ambient_dim:(i + 1) * ambient_dim]) for i in range(len(rows)))
+        # den is the lcm of the rows' own denominators d; a row with
+        # d == den, such as any int row when den is 1, is kept as it is
+        den = math.lcm(*[d for d, _ in cleared])
+        basis = tuple(tuple(row) if d == den else tuple(x * (den // d) for x in row)
+                      for d, row in cleared)
         if basis and int_rank(basis) != len(basis):
             raise ValueError("basis rows are not linearly independent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -265,13 +274,15 @@ def pair_lemma_check(A: Subspace, B: Subspace) -> tuple[int, int, bool]:
 
     Admissible means (**) holds on (A, B): every basis row sums to zero and
     the two bases are orthogonal under the standard pairing; violations
-    raise.  The left side is one rank, of the product rows stacked on both
-    bases.  A False verdict would contradict the span inequality and is
-    surfaced by callers as a counterexample finding.
+    raise.  The left side is one rank, of both bases stacked on the product
+    rows.  If A or B is zero there are no product rows, and the other basis
+    is independent by construction, so the left side is dim A + dim B with
+    no elimination.  A False verdict would contradict the span inequality
+    and is surfaced by callers as a counterexample finding.
     """
     _check_pair_preconditions(A, B)
-    lhs = int_rank(_product_rows(A, B) + list(A.basis) + list(B.basis))
     rhs = A.dim + B.dim
+    lhs = int_rank([*A.basis, *B.basis, *_product_rows(A, B)]) if A.basis and B.basis else rhs
     return lhs, rhs, lhs >= rhs
 
 
@@ -340,26 +351,36 @@ def random_admissible_pair(
 
     A is sampled inside the sum-zero hyperplane; B inside the intersection
     of the hyperplane with the orthogonal complement of A, which enforces
-    both conditions by construction.
+    both conditions by construction.  That intersection has dimension
+    k - 1 - dim A, since the all-ones row and A's sum-zero basis are
+    independent; its basis is computed only when B is nonzero.
+
+    A given ``dim_a`` must lie in 0..k-1 and a given ``dim_b`` in
+    0..k-1-dim_a; with ``dim_a`` drawn, ``dim_b`` must fit the largest
+    draw, min(3, k - 1).  Other values raise ``ValueError`` before any draw.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     if k < 2:
         raise ValueError("k must be at least 2")
+    if dim_a is not None and not 0 <= dim_a <= k - 1:
+        raise ValueError(f"dim_a must lie in 0..{k - 1}, got {dim_a}")
+    room = k - 1 - (min(3, k - 1) if dim_a is None else dim_a)
+    if dim_b is not None and not 0 <= dim_b <= room:
+        raise ValueError(f"dim_b must lie in 0..{room}, got {dim_b}")
     if dim_a is None:
         dim_a = rng.randint(1, min(3, k - 1))
     A = _random_subspace_in_sum_zero(k, dim_a, rng)
-    constraint = [[1] * k, *A.basis]
-    comp_rows = nullspace(constraint, k)
-    comp_dim = len(comp_rows)
+    comp_dim = k - 1 - dim_a
     if dim_b is None:
         dim_b = rng.randint(0, min(3, comp_dim))
+    if dim_b == 0:
+        return A, Subspace.zero(k)
+    comp_columns = list(zip(*nullspace([[1] * k, *A.basis], k)))
     for _ in range(200):
         rows = []
         for _ in range(dim_b):
             coeffs = [rng.randint(-3, 3) for _ in range(comp_dim)]
-            rows.append(
-                [sum(c * comp_rows[t][j] for t, c in enumerate(coeffs)) for j in range(k)]
-            )
+            rows.append([sum(map(operator.mul, coeffs, col)) for col in comp_columns])
         try:
             return A, Subspace(k, rows)
         except ValueError:  # dependent rows: draw again
@@ -544,8 +565,9 @@ class _TokenReader:
         rows = [[self.entry() for _ in range(width)] for _ in range(dim)]
         return Subspace(width, rows)
 
-    def entry(self) -> Fraction:
-        return parse_rational(self.take())
+    def entry(self) -> int | Fraction:
+        tok = self.take()
+        return int(tok) if _INTEGER.fullmatch(tok) else parse_rational(tok)
 
 
 def parse_star_file(text: str) -> tuple[int, int, Subspace]:

@@ -61,3 +61,16 @@ def test_convolution_work_counts(bench_run):
     assert run.values["cycles.pontryagin.calls"] == 1932
     assert run.values["cycles.pontryagin.pairs"] == 68366
     assert run.values["cycles.max_support"] == 245
+
+
+def test_tangent_work_counts(bench_run):
+    """One traced ``tangent`` pass at seed 101 runs the pinned number of
+    exact eliminations, so a change that adds back work its inputs already
+    decide (a complement basis no pair uses, a rank of a zero side) fails
+    here, whatever it does to the time."""
+    run = bench_run.measure("tangent", 101, 0, True)
+    assert run.failed == 0, run.summary
+    assert run.values["linalg.nullspace.calls"] == 735
+    assert run.values["linalg.rref.calls"] == 742
+    assert run.values["linalg.int_rank.calls"] == 3298
+    assert run.values["linalg.det.calls"] == 2740

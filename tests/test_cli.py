@@ -581,3 +581,28 @@ def test_fractional_input_reports_are_pinned(tmp_path, monkeypatch, capsys, argv
     else:
         assert captured.err == ""
         assert _report_sha256(captured.out) == pinned
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check-star", "--file", "{file}"], "3 1\n0\n"),
+    (["check-doublestar", "--file", "{file}"], "3 2\n0\n0\n"),
+    (["pair-lemma", "--file", "{file}"], "3 2\n0\n0\n"),
+    (["mu-rank", "--file", "{file}"], "3 2\n0\n0\n"),
+], ids=["check-star", "check-doublestar", "pair-lemma", "mu-rank"])
+def test_input_with_nothing_to_check_is_a_usage_error(tmp_path, capsys, argv, text):
+    # every library check holds vacuously here, but a run that checked
+    # nothing does not pass
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    assert main([arg.replace("{file}", str(path)) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", "pontcalc: error: nothing to check: every block is empty\n")
+
+
+def test_one_empty_block_is_still_checked(tmp_path, capsys):
+    path = tmp_path / "half.txt"
+    path.write_text("3 2\n1\n1 -1 0\n0\n")
+    for sub, code in (("check-doublestar", 0), ("pair-lemma", 0), ("mu-rank", 0)):
+        assert main([sub, "--file", str(path)]) == code, sub
+        assert last_json(capsys.readouterr().out)["verdict"] == "pass"
+    path.write_text("3 2\n0\n1\n1 0 0\n")
+    assert main(["check-doublestar", "--file", str(path)]) == 3

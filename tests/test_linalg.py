@@ -381,3 +381,18 @@ def test_inputs_are_not_mutated():
                 results[kind].append(det(rows))
             assert rows == before, before
         assert results["lists"] == results["tuples"], m
+
+
+def test_clear_denominators_int_path_returns_a_new_list():
+    for vec in ([3, -1, 0], (3, -1, 0), []):
+        den, out = clear_denominators(vec)
+        assert (den, out) == (1, list(vec)) and type(out) is list
+        out.append(7)
+        assert 7 not in vec
+    # an iterator is read once, on either path
+    assert clear_denominators(x for x in [1, 2]) == (1, [1, 2])
+    assert clear_denominators(x for x in [Fraction(1, 2), 2]) == (2, [1, 4])
+    # bools are not ints here: they take the Fraction path and come out 1 and 0
+    den, out = clear_denominators([True, False, 2])
+    assert (den, out) == (1, [1, 0, 2])
+    assert [type(x) for x in out] == [int, int, int]

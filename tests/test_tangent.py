@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pontcalc import tangent
+from pontcalc.cycles import parse_rational
 from pontcalc.linalg import exact_rank, int_rank, nullspace
 from pontcalc.tangent import (
     DimensionMismatch,
@@ -793,3 +794,92 @@ def test_every_constructor_path_stores_integer_rows():
     sp = Subspace(2, [[Fraction(2, 4), Fraction(-6, 4)]])
     assert (sp.basis, sp.den) == (((1, -3),), 2)
     assert sp.rows() == [[Fraction(1, 2), Fraction(-3, 2)]]
+
+
+# ---------------------------------------------------------------------------
+# work the inputs already decide: zero sides, the complement, integer tokens
+# ---------------------------------------------------------------------------
+
+
+def _stacked_rank(A, B):
+    """Oracle: the span-inequality side as the dimension of the spanned sum."""
+    products = [[x * y for x, y in zip(ra, rb)] for ra in A.basis for rb in B.basis]
+    return Subspace.span(A.ambient_dim, products + list(A.basis) + list(B.basis)).dim
+
+
+def test_pair_lemma_zero_sides_match_stacked_rank():
+    cases = []
+    for text in ("3 2\n0\n1\n1 -1 0\n", "3 2\n1\n1/2 -1/2 0\n0\n", "3 2\n0\n0\n",
+                 "4 2\n2\n1 -1 0 0\n0 0 1 -1\n0\n", "4 2\n0\n3\n1 -1 0 0\n0 1 -1 0\n0 0 1 -1\n"):
+        cases.append(tuple(parse_doublestar_file(text)[2]))
+    rng = random.Random(31)
+    for _ in range(200):
+        k = rng.randint(2, 7)
+        A, B = random_admissible_pair(k, rng)
+        cases += [(A, B), (B, A), (A, Subspace.zero(k)), (Subspace.zero(k), B)]
+    zero_sides = 0
+    for A, B in cases:
+        rhs = A.dim + B.dim
+        lhs = _stacked_rank(A, B)
+        assert pair_lemma_check(A, B) == (lhs, rhs, lhs >= rhs), (A.basis, B.basis)
+        zero_sides += not (A.dim and B.dim)
+    assert zero_sides >= 400
+
+
+@pytest.mark.parametrize("k, dim_a, dim_b", [
+    (4, -1, None), (4, None, -2), (4, 1, -1), (4, 4, None), (4, 1, 3), (3, 2, 1),
+    (5, None, 2), (2, 2, 0), (6, 0, 6),
+])
+def test_random_admissible_pair_rejects_out_of_range_dims(k, dim_a, dim_b):
+    rng = random.Random(8)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="must lie in"):
+        random_admissible_pair(k, rng, dim_a, dim_b)
+    assert rng.getstate() == state  # rejected before any draw
+
+
+def test_random_admissible_pair_edge_dims():
+    # every dim in range is sampled, the zero ones included
+    for k in range(2, 7):
+        for dim_a in range(k):
+            for dim_b in range(k - dim_a):
+                A, B = random_admissible_pair(k, 3, dim_a, dim_b)
+                assert (A.dim, B.dim) == (dim_a, dim_b)
+                assert _naive_admissible(A, B) == (True, True)
+        # with dim_a drawn, dim_b must fit the largest draw
+        A, B = random_admissible_pair(k, 3, None, k - 1 - min(3, k - 1))
+        assert B.dim == k - 1 - min(3, k - 1)
+
+
+@pytest.mark.parametrize("tok", ["+3", "-0", "007", "6/3", "-4/6", "12", "-5", "+2/8", "0/7"])
+def test_file_entries_match_parse_rational(tok):
+    # integer tokens are read with int, p/q tokens with parse_rational; the
+    # subspaces equal those of parsing every token with parse_rational
+    blocks = [[[tok, "1", "-1"]], [["1", tok, "2"], ["-" + tok.lstrip("+-"), "0", "1/3"]]]
+    text = "3 2\n" + "".join(f"{len(b)}\n" + "".join(" ".join(r) + "\n" for r in b) for b in blocks)
+    spaces = parse_doublestar_file(text)[2]
+    expected = [Subspace(3, [[parse_rational(t) for t in row] for row in b]) for b in blocks]
+    assert [(sp.basis, sp.den) for sp in spaces] == [(sp.basis, sp.den) for sp in expected]
+    _assert_integer_rows(spaces[0])
+    assert type(tangent._TokenReader(tok).entry()) is (Fraction if "/" in tok else int)
+
+
+@pytest.mark.parametrize("tok", ["1/0", "0.5", "1_0", "٣", "-٣", "1/٣"])
+def test_file_entries_still_rejected(tok):
+    with pytest.raises(ValueError, match="entry"):
+        parse_doublestar_file(f"2 1\n1\n{tok} 0\n")
+
+
+def test_subspace_keeps_integer_rows_and_maps_bools():
+    rows = [(1, -1, 0), [0, 2, -2]]
+    sp = Subspace(3, rows)
+    assert (sp.basis, sp.den) == (((1, -1, 0), (0, 2, -2)), 1)
+    assert rows == [(1, -1, 0), [0, 2, -2]]
+    flags = Subspace(3, [[True, False, False], [0, True, Fraction(1, 2)]])
+    assert (flags.basis, flags.den) == (((2, 0, 0), (0, 2, 1)), 2)
+    _assert_integer_rows(flags)
+    assert Subspace(2, [[True, False]]).basis == ((1, 0),)
+    _assert_integer_rows(Subspace(2, [[True, False]]))
+    assert Subspace(2, [(x for x in (1, -1))]).basis == ((1, -1),)
+    with pytest.raises(DimensionMismatch):
+        Subspace(3, [[1, -1, 0], [1, -1]])
