@@ -14,7 +14,6 @@ from .bounds import (
 from .cycles import (
     Cycle,
     DegreeError,
-    GroupPoint,
     RingContext,
     SupportCapExceeded,
     degree,

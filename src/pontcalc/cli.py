@@ -43,7 +43,6 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from .cycles import (
     Cycle,
-    GroupPoint,
     RingContext,
     SupportCapExceeded,
     _ratio,
@@ -331,7 +330,7 @@ def _cmd_gamma_check(args):
         coords = [rng.randint(-2, 2) for _ in range(args.rank)]
         if all(c == 0 for c in coords):
             coords[0] = 1
-        x = GroupPoint(coords)
+        x = tuple(coords)
         gamma_x = gamma(x, ctx)
         if gamma_x != -log_cycle(Cycle.point(x), ctx):
             failures.append({"check": "gamma_vs_log", "point": coords})

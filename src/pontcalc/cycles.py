@@ -13,8 +13,8 @@ significant first (Kronecker substitution).  Adding two keys adds the
 points, so a convolved pair costs one integer addition, and numeric key
 order is lexicographic point order.  Coordinates are limited to
 ``|c| < 2**46``; a point outside that range raises ``ValueError`` where it
-would enter or arise, and is never wrapped.  Tuples, ``GroupPoint`` and
-``Fraction`` appear only at the API boundary.  Support caps are guards,
+would enter or arise, and is never wrapped.  Points are int tuples and
+coefficients ``Fraction``s at the API boundary.  Support caps are guards,
 not truncations: an operation that would produce a point above the cap
 raises ``SupportCapExceeded`` instead of dropping terms, so every identity
 reported by this module is an identity of the free group ring.
@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isfinite, prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import clear_denominators
 
@@ -43,72 +43,17 @@ from .linalg import clear_denominators
 class SupportCapExceeded(Exception):
     """A convolution would involve a point above the declared support cap."""
 
-    def __init__(self, point: "GroupPoint", cap: int, where: str = "product"):
+    def __init__(self, point: tuple[int, ...], cap: int, where: str = "product"):
         self.point = point
         self.cap = cap
         self.where = where
         super().__init__(
-            f"{where} point {point} has height {point.height()} > support cap {cap}"
+            f"{where} point {point} has height {sum(map(abs, point))} > support cap {cap}"
         )
 
 
 class DegreeError(Exception):
     """A series operation received a cycle of the wrong degree."""
-
-
-class GroupPoint:
-    """A point of the ambient group: an integer coordinate vector."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Iterable[int]):
-        coords = tuple(coords)
-        for c in coords:
-            if not isinstance(c, int):
-                raise TypeError(f"point coordinates must be integers, got {c!r}")
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def origin(cls, rank: int) -> "GroupPoint":
-        return cls((0,) * rank)
-
-    @classmethod
-    def generator(cls, rank: int, index: int) -> "GroupPoint":
-        """The index-th designated generator (0-based)."""
-        if not 0 <= index < rank:
-            raise ValueError(f"generator index {index} out of range for rank {rank}")
-        return cls(tuple(1 if i == index else 0 for i in range(rank)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def height(self) -> int:
-        """Total monomial height: sum of absolute coordinates."""
-        return sum(abs(c) for c in self.coords)
-
-    def is_origin(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "GroupPoint") -> "GroupPoint":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch between points")
-        return GroupPoint(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, n: int) -> "GroupPoint":
-        return GroupPoint(tuple(n * c for c in self.coords))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupPoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupPoint is immutable")
-
-    def __repr__(self) -> str:
-        return f"GroupPoint({self.coords})"
 
 
 def _as_fraction(value) -> Fraction:
@@ -130,6 +75,17 @@ _B = 48
 _LIMIT = 1 << (_B - 2)
 _HALF = 1 << (_B - 1)
 _MASK = (1 << _B) - 1
+
+
+def _coords(point: Sequence[int], rank: int) -> tuple[int, ...]:
+    """A point of rank ``rank`` given at the API boundary, as a tuple."""
+    coords = tuple(point)
+    for c in coords:
+        if not isinstance(c, int):
+            raise TypeError(f"point coordinates must be integers, got {c!r}")
+    if len(coords) != rank:
+        raise ValueError(f"point {coords} has rank {len(coords)}, expected rank {rank}")
+    return coords
 
 
 def _key(coords: Iterable[int]) -> int:
@@ -168,7 +124,7 @@ def _scan(keys: Iterable[int], rank: int, cap: int, where: str) -> int:
     points = list(_points(keys, rank))
     for p in points:
         if sum(map(abs, p)) > cap:
-            raise SupportCapExceeded(GroupPoint(p), cap, where=where)
+            raise SupportCapExceeded(p, cap, where=where)
     return max(map(_height, points), default=0)
 
 
@@ -196,13 +152,7 @@ class Cycle:
         hb = 0
         integral = True
         for point, coeff in items:
-            if not isinstance(point, GroupPoint):
-                point = GroupPoint(point)
-            coords = point.coords
-            if len(coords) != rank:
-                raise ValueError(
-                    f"point {point} has rank {point.rank}, cycle has rank {rank}"
-                )
+            coords = _coords(point, rank)
             h = _height(coords)
             if h > hb:
                 hb = h
@@ -259,29 +209,24 @@ class Cycle:
         return out
 
     @classmethod
-    def point(cls, point: GroupPoint, coeff=1) -> "Cycle":
-        return cls(point.rank, {point: coeff})
+    def point(cls, point: Sequence[int], coeff=1) -> "Cycle":
+        return cls(len(point), [(point, coeff)])
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, point: GroupPoint) -> Fraction:
-        if point.rank != self.rank:
-            raise ValueError(f"point {point} has rank {point.rank}, cycle has rank {self.rank}")
-        if max(map(abs, point.coords), default=0) >= _LIMIT:
+    def coeff(self, point: Sequence[int]) -> Fraction:
+        coords = _coords(point, self.rank)
+        if max(map(abs, coords), default=0) >= _LIMIT:
             return Fraction(0)
-        return Fraction(self.num.get(_key(point.coords), 0), self.den)
+        return Fraction(self.num.get(_key(coords), 0), self.den)
 
-    def items(self) -> Iterator[tuple[GroupPoint, Fraction]]:
-        return ((GroupPoint(p), c) for p, c in self._terms(self.num))
-
-    def sorted_items(self) -> list[tuple[GroupPoint, Fraction]]:
-        """Terms in lexicographic point order (the canonical output order)."""
-        return [(GroupPoint(p), c) for p, c in self._terms(sorted(self.num))]
-
-    def _terms(self, keys) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """(coordinates, coefficient) for each key, in the order given."""
+    def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         num, den = self.num, self.den
-        return ((p, Fraction(num[key], den)) for key, p in zip(keys, _points(keys, self.rank)))
+        return ((p, Fraction(num[key], den)) for key, p in zip(num, _points(num, self.rank)))
+
+    def sorted_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Terms in lexicographic point order (the canonical output order)."""
+        return sorted(self.items())
 
     def support_size(self) -> int:
         return len(self.num)
@@ -340,7 +285,7 @@ class Cycle:
     def __repr__(self) -> str:
         if self.is_zero():
             return f"Cycle({self.rank}, 0)"
-        parts = [f"{c}*{{{p.coords}}}" for p, c in self.sorted_items()]
+        parts = [f"{c}*{{{p}}}" for p, c in self.sorted_items()]
         return f"Cycle({self.rank}, {' + '.join(parts)})"
 
     # -- serialization -------------------------------------------------------
@@ -365,7 +310,7 @@ class Cycle:
         nonzero ``p/q`` string, see ``parse_rational``, and no point may be
         listed twice; anything else raises ``ValueError``."""
         try:
-            terms = [(GroupPoint(json_int(x) for x in t["point"]), parse_rational(t["coeff"]))
+            terms = [(tuple(json_int(x) for x in t["point"]), parse_rational(t["coeff"]))
                      for t in data["terms"]]
             rank = json_int(data["rank"])
             extra = len(data) != 2 or any(len(t) != 2 for t in data["terms"])
@@ -709,26 +654,26 @@ def exp_cycle(c: Cycle, ctx: RingContext) -> Cycle:
     return _power_sum(c, coeffs, ctx)
 
 
-def gamma(x: GroupPoint, ctx: RingContext) -> Cycle:
+def gamma(x: Sequence[int], ctx: RingContext) -> Cycle:
     """The gamma cycle of a point: sum_{j=1}^{g+1} ({0} - {x})^{*j} / j.
 
     Runs to the truncation order g + 1, so that gamma(x) == -log_cycle({x})
     holds exactly in the free ring (both series stop at the same order).
     gamma(0_A) is the zero cycle.
     """
-    v = Cycle.unit(ctx.rank) - Cycle.point(x)
+    v = Cycle.unit(ctx.rank) - Cycle.point(_coords(x, ctx.rank))
     coeffs = [Fraction(0)] + [Fraction(1, j) for j in range(1, ctx.series_order + 1)]
     return _power_sum(v, coeffs, ctx)
 
 
-def gamma_factorization(x: GroupPoint, ctx: RingContext) -> Cycle:
+def gamma_factorization(x: Sequence[int], ctx: RingContext) -> Cycle:
     """Degree-1 cofactor w with gamma(x) == -(({x} - {0}) * w) exactly.
 
     w = {0} - u/2 + u^{*2}/3 - ... +- u^{*g}/(g+1) with u = {x} - {0}.
     Convolving -u against w reproduces every gamma term through order g+1,
     which makes gamma(x)^{*k} == (-1)^k u^{*k} * w^{*k} an exact identity.
     """
-    if x.is_origin():
+    if not any(_coords(x, ctx.rank)):
         raise ValueError("gamma_factorization requires a nonzero point")
     u = Cycle.point(x) - Cycle.unit(ctx.rank)
     coeffs = [Fraction((-1) ** j, j + 1) for j in range(ctx.geom_dim + 1)]

@@ -47,7 +47,6 @@ from math import comb, factorial, gcd, lcm
 from .cycles import (
     _LIMIT,
     Cycle,
-    GroupPoint,
     RingContext,
     _json_text,
     _orbit_cycle,
@@ -93,15 +92,17 @@ def subset_sum_cycle(rank: int, indices: list[int], size: int) -> Cycle:
         coords = [0] * rank
         for i in combo:
             coords[i] += 1
-        terms.append((GroupPoint(coords), 1))
+        terms.append((coords, 1))
     return Cycle(rank, terms)
+
+
+def _generator(rank: int, index: int) -> tuple[int, ...]:
+    return tuple(int(i == index) for i in range(rank))  # x_{index + 1}
 
 
 def hypothesis_cycle(k: int) -> Cycle:
     """h = {x_1} + ... + {x_k} - k{0} in rank k."""
-    terms = [(GroupPoint.generator(k, i), 1) for i in range(k)]
-    terms.append((GroupPoint.origin(k), -k))
-    return Cycle(k, terms)
+    return Cycle(k, [(_generator(k, i), 1) for i in range(k)] + [((0,) * k, -k)])
 
 
 def pushed_hypothesis(k: int, j: int) -> Cycle:
@@ -171,19 +172,18 @@ def alpha_coefficients(k: int) -> AlphaMatrix:
     if k < 2:
         raise ValueError("k must be at least 2")
     ctx = RingContext(rank=1, geom_dim=1, support_cap=k * (k + 2))
-    x = GroupPoint((1,))
     gam: list[Cycle] = [Cycle.unit(1)]
-    gam.append(Cycle(1, {GroupPoint((0,)): k, x: -1}))
+    gam.append(Cycle(1, {(0,): k, (1,): -1}))
     for l in range(1, k):
         acc = Cycle.zero(1)
         for i in range(0, l + 1):
-            pushed = Cycle(1, {GroupPoint((0,)): k, GroupPoint(((i + 1),)): -1})
+            pushed = Cycle(1, {(0,): k, (i + 1,): -1})
             acc = acc + pontryagin(pushed, gam[l - i], ctx).scale((-1) ** i)
         gam.append(acc.scale(Fraction(1, l + 1)))
     rows = []
     zeros = []
     for l in range(0, k + 1):
-        row = tuple(gam[l].coeff(GroupPoint((i,))) for i in range(l + 1))
+        row = tuple(gam[l].coeff((i,)) for i in range(l + 1))
         rows.append(row)
         if l >= 1:
             zeros.extend((l, i) for i, c in enumerate(row) if c == 0)
@@ -250,8 +250,7 @@ _CERT_VERSION = 1
 
 def target_cycle(k: int) -> Cycle:
     """u^{*k}, u = {x_1} - {0}, in closed form: sum_i C(k, i) (-1)^(k-i) {i x_1}."""
-    x_1 = GroupPoint.generator(k, 0)
-    return Cycle(k, {x_1.scale(i): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)})
+    return Cycle(k, {(i,) + (0,) * (k - 1): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)})
 
 
 @dataclass(frozen=True)
@@ -378,7 +377,7 @@ def augmentation_generator(k: int, index: int) -> Cycle:
     """u_index = {x_index} - {0}, 1-based index."""
     if not 1 <= index <= k:
         raise ValueError(f"generator index {index} out of range 1..{k}")
-    return Cycle.point(GroupPoint.generator(k, index - 1)) - Cycle.unit(k)
+    return Cycle.point(_generator(k, index - 1)) - Cycle.unit(k)
 
 
 def nilpotent_product(k: int, factors: tuple[int, ...], ctx: RingContext) -> Cycle:

@@ -196,28 +196,28 @@ def check_condition_doublestar(spaces):
 
 
 def _doublestar_violation(bases):
-    """The first failure of (**) on raw basis rows, or None.
-
-    ``bases`` holds each component's integer basis rows, all of one
-    length.  Choices are walked by subset size, then by subset, then
-    by rows, and the first with a nonzero product sum is returned as
-    (component indices, row indices, value).  Row indices are recovered
-    only then, by equality: rows of one basis are distinct.
+    """The first failure of (**) on integer basis rows of one length, or
+    None: choices are walked by subset size, then subset, then rows, and the
+    first with a nonzero product sum is returned as (component indices, row
+    indices, value).  Only choices with a nonzero product are extended.
     """
-    active = [(idx, rows) for idx, rows in enumerate(bases) if rows]
-    for idx, rows in active:
-        for r, row in enumerate(rows):
-            total = sum(row)
-            if total:
-                return (idx,), (r,), total
-    for size in range(2, len(active) + 1):
-        for chosen in itertools.combinations(active, size):
-            for pick in itertools.product(*[rows for _, rows in chosen]):
-                total = sum(map(math.prod, zip(*pick)))
-                if total:
-                    components = tuple(idx for idx, _ in chosen)
-                    row_indices = tuple(rows.index(vec) for (_, rows), vec in zip(chosen, pick))
-                    return components, row_indices, total
+    level = {(c,): [((r,), row) for r, row in enumerate(rows)] for c, rows in enumerate(bases) if rows}
+    for components, picks in level.items():
+        for row_indices, row in picks:
+            if total := sum(row):
+                return components, row_indices, total
+    while level:
+        grown = {}
+        for components, picks in level.items():
+            for c in range(components[-1] + 1, len(bases)):
+                longer = grown[components + (c,)] = []
+                for row_indices, product in picks:
+                    for r, row in enumerate(bases[c]):
+                        if total := sum(map(operator.mul, product, row)):
+                            return components + (c,), row_indices + (r,), total
+                        if c + 1 < len(bases) and any(p := list(map(operator.mul, product, row))):
+                            longer.append((row_indices + (r,), p))
+        level = {components: picks for components, picks in grown.items() if picks}
     return None
 
 

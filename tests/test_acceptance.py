@@ -18,7 +18,6 @@ from pontcalc.bounds import (
 )
 from pontcalc.cycles import (
     Cycle,
-    GroupPoint,
     RingContext,
     exp_cycle,
     gamma,
@@ -67,15 +66,15 @@ def test_criterion_1_binomial_kernels():
 
 def test_criterion_2_alternating_expansion():
     rng = random.Random(0)
-    cases = [(1, GroupPoint((1,)))]
-    cases += [(2, GroupPoint((rng.randint(-2, 2), rng.randint(1, 2)))) for _ in range(3)]
+    cases = [(1, (1,))]
+    cases += [(2, (rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(3)]
     for rank, x in cases:
         ctx = RingContext(rank=rank, geom_dim=1, support_cap=10**6)
         u = Cycle.point(x) - Cycle.unit(rank)
         for k in range(1, 9):
             expected = Cycle(
                 rank,
-                {x.scale(i): (-1) ** (k - i) * comb(k, i) for i in range(k + 1)},
+                {tuple(i * c for c in x): (-1) ** (k - i) * comb(k, i) for i in range(k + 1)},
             )
             assert star_power(u, k, ctx) == expected, (rank, x, k)
     _passed(2, "star powers of {x}-{0} equal the alternating binomial expansion, k <= 8")
@@ -88,7 +87,7 @@ def _random_degree_one_cycle(rng, rank, npoints):
         if any(p):
             pts.add(p)
     terms = {
-        GroupPoint(p): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for p in pts
+        p: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for p in pts
     }
     c = Cycle(rank, terms)
     return c + Cycle.unit(rank).scale(1 - c.degree())
@@ -99,7 +98,7 @@ def test_criterion_3_gamma_calculus():
     for g in range(1, 7):
         ctx = RingContext(rank=1, geom_dim=g, support_cap=10**6)
         for coord in (1, 2, -1):
-            x = GroupPoint((coord,))
+            x = (coord,)
             assert gamma(x, ctx) == -log_cycle(Cycle.point(x), ctx)
 
     # exp/log inverse identities on 100 random cycles: the composite of the
@@ -128,7 +127,7 @@ def test_criterion_3_gamma_calculus():
         checked += 1
 
     # gamma power factorization, k <= 5, g <= 6
-    x = GroupPoint((1,))
+    x = (1,)
     for g in range(1, 7):
         ctx = RingContext(rank=1, geom_dim=g, support_cap=10**6)
         u = Cycle.point(x) - Cycle.unit(1)

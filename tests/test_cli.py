@@ -13,7 +13,7 @@ import pytest
 
 from pontcalc import cli
 from pontcalc.cli import main
-from pontcalc.cycles import GroupPoint, SupportCapExceeded
+from pontcalc.cycles import SupportCapExceeded
 from pontcalc.tangent import SearchResult
 
 
@@ -81,15 +81,33 @@ def test_thresholds_inverse_table(capsys):
     assert last_json(out)["witness"]["statement"] == "gonality >= 2"
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def python_m(tmp_path, *argv, timeout=60):
+    """``python -m pontcalc argv`` in a subprocess, importing this package."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "pontcalc", "thresholds", "--g", "3"],
-                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "pontcalc", *argv],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=timeout)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = python_m(tmp_path, "thresholds", "--g", "3")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[:2] == ["g\tmax_proven_k\tstatement", "3\t2\tgonality >= 3"]
     report = last_json(proc.stdout)
     assert (report["subcommand"], report["verdict"]) == ("thresholds", "pass")
+
+
+def test_check_doublestar_on_many_disjoint_blocks(tmp_path):
+    # 30 one-row blocks on disjoint coordinate pairs pass (**): every product
+    # of two or more rows is zero, so a walk over all 2^30 subsets would run
+    # for hours
+    n = 30
+    rows = ["0 " * 2 * i + "1 -1" + " 0" * 2 * (n - 1 - i) for i in range(n)]
+    f = tmp_path / "pairs.txt"
+    f.write_text(f"{2 * n} {n}\n" + "".join(f"1\n{row}\n" for row in rows))
+    proc = python_m(tmp_path, "check-doublestar", "--file", str(f), timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert last_json(proc.stdout)["verdict"] == "pass"
 
 
 def test_thresholds_requires_exactly_one(capsys):
@@ -428,7 +446,7 @@ def test_gamma_check_fail_verdicts(capsys, monkeypatch):
 
 def test_support_cap_exceeded_maps_to_inconclusive(capsys, monkeypatch):
     def over_cap(x, ctx):
-        raise SupportCapExceeded(GroupPoint([3, 0]), 2)
+        raise SupportCapExceeded((3, 0), 2)
 
     monkeypatch.setattr(cli, "gamma", over_cap)
     code, out = run(capsys, "gamma-check", "--g", "3", "--trials", "1")
@@ -437,7 +455,7 @@ def test_support_cap_exceeded_maps_to_inconclusive(capsys, monkeypatch):
     assert report["verdict"] == "inconclusive"
     assert report["witness"] == {
         "error": "support cap exceeded",
-        "detail": "product point GroupPoint((3, 0)) has height 3 > support cap 2",
+        "detail": "product point (3, 0) has height 3 > support cap 2",
     }
 
 

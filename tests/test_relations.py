@@ -17,7 +17,6 @@ from pontcalc import relations
 from pontcalc.cli import main
 from pontcalc.cycles import (
     Cycle,
-    GroupPoint,
     RingContext,
     _orbit_cycle,
     orbit_forms,
@@ -58,7 +57,7 @@ def test_recursion_identity_k2_by_hand():
     assert subset_sum_cycle(1, [0], 2).is_zero()
     lhs = pontryagin(g1, g1, ctx)
     rhs = pontryagin(pushforward(g1, 2), subset_sum_cycle(1, [0], 0), ctx)
-    assert lhs == rhs == Cycle.point(GroupPoint((2,)))
+    assert lhs == rhs == Cycle.point((2,))
 
 
 def test_recursion_identity_argument_checks():
@@ -116,13 +115,13 @@ def test_power_basis_change_takes_only_ints_and_fractions():
 def test_power_basis_change_matches_cycle_expansion():
     # u^{*j} expanded through cycles agrees with the inverse basis change
     ctx = RingContext(rank=1, geom_dim=1, support_cap=100)
-    x = GroupPoint((1,))
+    x = (1,)
     u = Cycle.point(x) - Cycle.unit(1)
     for j in range(5):
         beta = [Fraction(0)] * 5
         beta[j] = Fraction(1)
         coeffs = power_basis_change_inverse(beta)
-        cyc = Cycle(1, {GroupPoint((i,)): coeffs[i] for i in range(5)})
+        cyc = Cycle(1, {(i,): coeffs[i] for i in range(5)})
         assert cyc == star_power(u, j, ctx)
 
 
@@ -137,10 +136,10 @@ def test_alpha_row_k_in_power_basis():
 def test_hypothesis_cycles():
     h = hypothesis_cycle(3)
     assert h.degree() == 0
-    assert h.coeff(GroupPoint.origin(3)) == -3
+    assert h.coeff((0, 0, 0)) == -3
     ph = pushed_hypothesis(3, 2)
-    assert ph.coeff(GroupPoint((2, 0, 0))) == 1
-    assert ph.coeff(GroupPoint.origin(3)) == -3
+    assert ph.coeff((2, 0, 0)) == 1
+    assert ph.coeff((0, 0, 0)) == -3
 
 
 def test_k2_certificate_matches_hand_expansion():
@@ -148,9 +147,9 @@ def test_k2_certificate_matches_hand_expansion():
     # direct convolution without the engine
     k = 2
     ctx = RingContext(rank=2, geom_dim=3, support_cap=100)
-    x1, x2 = GroupPoint((1, 0)), GroupPoint((0, 1))
+    x1, x2 = (1, 0), (0, 1)
     u = Cycle.point(x1) - Cycle.unit(2)
-    mult1 = Cycle(2, {x1: Fraction(1, 2), x2: Fraction(-1, 2), GroupPoint.origin(2): -1})
+    mult1 = Cycle(2, {x1: Fraction(1, 2), x2: Fraction(-1, 2), (0, 0): -1})
     lhs = star_power(u, 2, ctx)
     rhs = pushed_hypothesis(2, 2).scale(Fraction(1, 2)) + pontryagin(
         mult1, hypothesis_cycle(2), ctx
@@ -286,7 +285,7 @@ def test_write_json_matches_stdlib(k, g, j_max, cap, method):
 
 
 def test_write_json_edge_cases():
-    x = Cycle.point(GroupPoint((1, 0)))
+    x = Cycle.point((1, 0))
     cert = MembershipCertificate(
         k=2, g=1, j_max=0, cap=0, generators=(),
         nilpotent_part=(NilpotentTerm(factors=(), multiplier=x),
@@ -815,7 +814,7 @@ def point_keyed_newton_multipliers(k):
     free_indices = list(range(1, k))
     gamma_free = [subset_sum_cycle(k, free_indices, s) for s in range(k)]
     t_subst = [None] + [
-        Cycle(k, {GroupPoint.origin(k): k, GroupPoint.generator(k, 0).scale(j): -1})
+        Cycle(k, {(0,) * k: k, (j,) + (0,) * (k - 1): -1})
         for j in range(1, k + 1)
     ]
     cof = [dict() for _ in range(k + 1)]
@@ -841,7 +840,7 @@ def orbit_form(multiplier):
     each orbit carries one coefficient and is present whole."""
     form = {}
     for p, c in multiplier.items():
-        assert form.setdefault(orbit_of(p.coords), c) == c
+        assert form.setdefault(orbit_of(p), c) == c
     assert sum(orbit_sizes(form).values()) == multiplier.support_size()
     return form
 
@@ -909,7 +908,7 @@ def test_orbit_forms_match_the_oracle(k):
 def test_orbit_forms_edge_cases():
     assert orbit_forms([]) == []
     # rank 1 has empty tails: every point is its own orbit
-    assert orbit_forms([Cycle(1, {GroupPoint((2,)): Fraction(1, 3)})]) == [{(2,): (1, 1)}]
+    assert orbit_forms([Cycle(1, {(2,): Fraction(1, 3)})]) == [{(2,): (1, 1)}]
     assert orbit_forms([Cycle.zero(3)]) == [{}]
     # negative digits: every key splits into a_1 and its tail exactly
     c = _orbit_cycle(3, 2, {(-2, -5, 3): 1, (4, -1, -1): -3, (0, -7, 0): 5})
@@ -944,7 +943,7 @@ def test_orbit_path_rejects_tampering(k):
     assert verify_certificate(cert)
     index = 0
     t = cert.generators[index]
-    coeffs = {p.coords: c for p, c in t.multiplier.items()}
+    coeffs = dict(t.multiplier.items())
     # an orbit with more than one point, and one of its points
     big = next(o for o in orbit_form(t.multiplier) if len(set(o[1:])) > 1)
     point = next(p for p in coeffs if orbit_of(p) == big and p != big)
@@ -973,7 +972,7 @@ def test_valid_non_invariant_certificate_is_proved_by_expansion(k):
     # Z; Z = {x_2} breaks the symmetry in x_2..x_k
     cert = verify_relation(k, k, method="newton")
     ctx = RingContext(rank=k, geom_dim=1, support_cap=4 * k)
-    z = Cycle.point(GroupPoint.generator(k, 1))
+    z = Cycle.point((0, 1) + (0,) * (k - 2))
     a, b = cert.generators[:2]
     moved = (
         replace(a, multiplier=a.multiplier + pontryagin(z, pushed_hypothesis(k, b.j), ctx)),
@@ -1009,13 +1008,13 @@ def test_malformed_fields_are_rejected_not_raised():
     big_j = replace(cert, j_max=2**47, generators=(replace(t, j=2**46),) + rest)
     assert verify_certificate(big_j) is False
     # a multiplier that is not invariant sends g = 0 to the expansion path
-    x_2 = Cycle.point(GroupPoint.generator(3, 1))
+    x_2 = Cycle.point((0, 1, 0))
     no_g = replace(cert, g=0, generators=(replace(t, multiplier=t.multiplier + x_2),) + rest)
     assert relations._verify_on_orbits(no_g) is None
     assert verify_certificate(no_g) is False
     # a multiplier point within the cap whose product with (m_j)_* h has
     # the coordinate 2**46 - 1 + j, outside the digit range
-    far = Cycle.point(GroupPoint((0, 2**46 - 1, 0)))
+    far = Cycle.point((0, 2**46 - 1, 0))
     far_product = replace(cert, cap=2**47, generators=(replace(t, multiplier=t.multiplier + far),) + rest)
     assert relations._verify_on_orbits(far_product) is None
     assert orbit_forms([t.multiplier for t in far_product.generators])[0] is None

@@ -105,6 +105,55 @@ def test_doublestar_examples():
     assert bad.value == 1
 
 
+def subset_walk(bases):
+    """The (**) walk over every choice of every subset of the nonempty
+    bases, by subset size, then subset, then rows; row indices are
+    recovered by equality, which finds the first of equal rows."""
+    active = [(idx, rows) for idx, rows in enumerate(bases) if rows]
+    for size in range(1, len(active) + 1):
+        for chosen in itertools.combinations(active, size):
+            for pick in itertools.product(*[rows for _, rows in chosen]):
+                total = sum(map(math.prod, zip(*pick)))
+                if total:
+                    components = tuple(idx for idx, _ in chosen)
+                    return components, tuple(rows.index(vec) for (_, rows), vec in zip(chosen, pick)), total
+    return None
+
+
+def test_level_walk_matches_subset_walk():
+    # sparse sum-zero rows, drawn with repeats from a small pool, make many
+    # zero products; three Hadamard rows are sum-zero and pairwise
+    # orthogonal with a triple product sum of 4, a violation of size 3, and
+    # a row on the other two coordinates has zero product with each of them
+    rng = random.Random(29)
+    hadamard = [[1, -1, 1, -1, 0, 0], [1, 1, -1, -1, 0, 0], [1, -1, -1, 1, 0, 0]]
+    sizes = set()
+    for trial in range(600):
+        if trial % 4 == 0:
+            bases = [[h] * rng.randint(1, 2) for h in rng.sample(hadamard, 3)]
+            bases.insert(rng.randint(0, 3), [[0, 0, 0, 0, 1, -1]] * rng.randint(0, 1))
+        else:
+            k = rng.randint(2, 6)
+            pool = []
+            for _ in range(rng.randint(1, 4)):
+                row = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(k)]
+                if rng.random() < 0.85:
+                    row[rng.randrange(k)] -= sum(row)
+                pool.append(row)
+            bases = [[list(rng.choice(pool)) for _ in range(rng.randint(0, 3))]
+                     for _ in range(rng.randint(1, 5))]
+        found = tangent._doublestar_violation(bases)
+        assert found == subset_walk(bases), bases
+        sizes.add(found and len(found[0]))
+    assert sizes == {None, 1, 2, 3}
+    # rows before later rows of the first component: (0, 1), not (1, 0)
+    a, b = [1, -1, 0, 0], [0, 0, 1, -1]
+    assert tangent._doublestar_violation([[a, b], [b, a]]) == ((0, 1), (0, 1), 2)
+    # subset (0, 3) before (1, 2), each the only nonzero pair product
+    rows = [[1, -1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0], [0, 0, 0, 1, 0, -1], [1, 0, -1, 0, 0, 0]]
+    assert tangent._doublestar_violation([[row] for row in rows]) == ((0, 3), (0, 0), 1)
+
+
 def test_split_subspace_dimensions_and_n1_case():
     a1 = kernel_of_sum_subspace(4)
     V = split_subspace([a1])
