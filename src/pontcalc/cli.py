@@ -317,6 +317,8 @@ def _cmd_search(args):
 def _cmd_gamma_check(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.kmax < 1:
+        raise ValueError("--kmax must be at least 1")
     rng = random.Random(args.seed)
     g = args.g
     ctx = RingContext(rank=args.rank, geom_dim=g, support_cap=1_000_000)

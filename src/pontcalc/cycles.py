@@ -34,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isfinite, prod
+from math import factorial, gcd, isfinite, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import clear_denominators
@@ -175,10 +175,11 @@ class Cycle:
         dropped and the gcd of den and the numerators is divided out."""
         if not all(num.values()):
             num = {p: v for p, v in num.items() if v}
-        g = gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            num = {p: v // g for p, v in num.items()}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {p: v // g for p, v in num.items()}
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
@@ -251,7 +252,7 @@ class Cycle:
             raise ValueError("rank mismatch between cycles")
         g = gcd(self.den, other.den)
         m1, m2 = other.den // g, self.den // g
-        acc = {p: v * m1 for p, v in self.num.items()}
+        acc = dict(self.num) if m1 == 1 else {p: v * m1 for p, v in self.num.items()}
         for p, v in other.num.items():
             acc[p] = acc.get(p, 0) + v * m2
         return Cycle._canonical(self.rank, self.den * m1, acc, max(self.hb, other.hb))
@@ -494,12 +495,17 @@ class RingContext:
 def pontryagin(c1: Cycle, c2: Cycle, ctx: RingContext) -> Cycle:
     """Convolution product: coeff of p is the sum over p1 + p2 = p.
 
+    The operand with more terms runs in the inner loop, and the first
+    outer term seeds the accumulator in one comprehension.
+
     Raises ``SupportCapExceeded`` if an input point or a product point
     exceeds the cap, and ``ValueError`` if a product point leaves the digit
     range.  Points are decoded only when the height bounds allow either:
     then every product point is checked after the products are accumulated
     and before zero coefficients are dropped, so cancellation can never
-    mask an overflow.
+    mask an overflow.  Either error names the first offending product
+    point in c1-major pair order (p1 of c1 outer, p2 of c2 inner), whichever
+    operand ran inside.
     """
     rank = ctx.rank
     if c1.rank != rank or c2.rank != rank:
@@ -508,16 +514,26 @@ def pontryagin(c1: Cycle, c2: Cycle, ctx: RingContext) -> Cycle:
     for c in (c1, c2):
         if c.hb > cap:
             c._set_height(_scan(c.num, rank, cap, "input"))
+    outer, inner = (c2.num, c1.num) if len(c1.num) > len(c2.num) else (c1.num, c2.num)
+    items = inner.items()
+    rows = iter(outer.items())
     acc: dict[int, int] = {}
+    for p1, a in rows:
+        acc = {p1 + p2: a * b for p2, b in items}
+        break
     get = acc.get
-    items2 = c2.num.items()
-    for p1, a in c1.num.items():
-        for p2, b in items2:
+    for p1, a in rows:
+        for p2, b in items:
             p = p1 + p2
             acc[p] = get(p, 0) + a * b
     hb = c1.hb + c2.hb
     if hb > cap or hb >= _LIMIT:
-        hb = _scan(acc, rank, cap, "product")
+        try:
+            hb = _scan(acc, rank, cap, "product")
+        except (SupportCapExceeded, ValueError):
+            # the same point set, scanned in c1-major first-occurrence order
+            _scan(dict.fromkeys(p1 + p2 for p1 in c1.num for p2 in c2.num), rank, cap, "product")
+            raise
     return Cycle._canonical(rank, c1.den * c2.den, acc, hb)
 
 
@@ -620,14 +636,28 @@ def degree(c: Cycle) -> Fraction:
 
 
 def _power_sum(base: Cycle, coeffs: list[Fraction], ctx: RingContext) -> Cycle:
-    """sum_j coeffs[j] * base^{*j}, one convolution per power above 0."""
-    acc = Cycle.zero(ctx.rank)
+    """sum_j coeffs[j] * base^{*j}, one convolution per power above 0.
+
+    The terms are added up once: each power with a nonzero coefficient adds
+    its numerators, rescaled, into one integer dict over ``den``, the lcm of
+    the terms' ``power.den * coeff.denominator``, and the sum is made
+    canonical once at the end.
+    """
+    terms = []
     power = Cycle.unit(ctx.rank)
     for j, coeff in enumerate(coeffs):
         if j:
             power = pontryagin(power, base, ctx)
-        acc = acc + power.scale(coeff)
-    return acc
+        if coeff:
+            terms.append((power, coeff))
+    den = lcm(*(p.den * c.denominator for p, c in terms))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for p, c in terms:
+        m = c.numerator * (den // (p.den * c.denominator))
+        for key, v in p.num.items():
+            acc[key] = get(key, 0) + v * m
+    return Cycle._canonical(ctx.rank, den, acc, max((p.hb for p, _ in terms), default=0))
 
 
 def log_cycle(c: Cycle, ctx: RingContext) -> Cycle:

@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers.
 
 Small, dependency-free routines used by the tangent-space checkers (and,
-for ``clear_denominators``, the cycle core): reduced row echelon form,
-rank, nullspace, linear solves and determinants.  They take integer rows
-and return integer rows; the only rational output is the solution of
-``solve_columns``.  Rationals are cleared where they enter, by
+for ``clear_denominators``, the cycle core and the series model): reduced
+row echelon form, rank, nullspace, linear solves and determinants.  They
+take integer rows and return integer rows; the only rational output is the
+solution of ``solve_columns``.  Rationals are cleared where they enter, by
 ``clear_denominators``, which takes ints and Fractions only: scaling a
 row by a nonzero constant leaves the rank, the pivot columns and the row
 space unchanged.  All routines run one exact elimination over integer

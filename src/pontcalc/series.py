@@ -4,7 +4,11 @@ The truncated log/exp cycle operations are polynomial expressions in a
 single ring element, so their composites can be predicted by ordinary
 polynomial arithmetic over Q.  These helpers provide that independent
 path: coefficient lists (index = power) with Fraction entries, plus a
-Horner evaluator that substitutes a cycle for the variable.
+Horner evaluator that substitutes a cycle for the variable.  Composition
+and Horner's rule run on integer numerators, the coefficients cleared to
+one common denominator, and divide by it once at the end.  The model uses
+only public ``Cycle`` operations and ``pontryagin``, never the power sums
+of ``cycles`` (``_power_sum``) or any other private name there.
 
 Composing the truncated series shows exactly what "exp and log are
 inverse" means here: exp_after_log(g) equals 1 + T up to order g + 1,
@@ -18,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cycles import Cycle, RingContext, pontryagin
+from .linalg import clear_denominators
 
 
 def log_series_coeffs(order: int) -> list[Fraction]:
@@ -35,10 +40,10 @@ def exp_series_coeffs(order: int) -> list[Fraction]:
     return coeffs
 
 
-def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -48,16 +53,22 @@ def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def poly_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Fraction]:
-    """Full composition outer(inner(T)), no truncation (Horner)."""
-    result = [Fraction(0)]
-    for c in reversed(outer):
-        result = poly_mul(result, inner)
-        if not result:
-            result = [Fraction(0)]
-        result[0] += c
+    """Full composition outer(inner(T)), no truncation (Horner).
+
+    With outer = O / d_o and inner = I / d_i for integer lists O and I,
+    outer(inner) = sum_j O_j * d_i^(n-j) * I^j / (d_o * d_i^n), n the degree
+    of outer: Horner's rule runs on the integer lists and divides once.
+    """
+    d_o, num_o = clear_denominators(outer)
+    d_i, num_i = clear_denominators(inner)
+    result = [0]
+    for e, c in enumerate(reversed(num_o)):
+        result = poly_mul(result, num_i) or [0]
+        result[0] += c * d_i**e
     while len(result) > 1 and result[-1] == 0:
         result.pop()
-    return result
+    den = d_o * d_i ** max(len(num_o) - 1, 0)
+    return [Fraction(n, den) for n in result]
 
 
 def exp_after_log(g: int) -> list[Fraction]:
@@ -75,9 +86,11 @@ def log_after_exp(g: int) -> list[Fraction]:
 
 
 def poly_eval_at_cycle(coeffs: list[Fraction], base: Cycle, ctx: RingContext) -> Cycle:
-    """Evaluate sum coeffs[j] * base^{*j} by Horner's rule in the cycle ring."""
+    """Evaluate sum coeffs[j] * base^{*j} by Horner's rule in the cycle ring,
+    on the coefficients cleared to integers, scaled once at the end."""
+    den, nums = clear_denominators(coeffs)
     result = Cycle.zero(ctx.rank)
     unit = Cycle.unit(ctx.rank)
-    for c in reversed(coeffs):
-        result = pontryagin(result, base, ctx) + unit.scale(c)
-    return result
+    for n in reversed(nums):
+        result = pontryagin(result, base, ctx) + unit.scale(n)
+    return result.scale(Fraction(1, den))

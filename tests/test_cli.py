@@ -337,6 +337,8 @@ def test_usage_errors(capsys):
         (["mu-rank", "--seed=3", "--fi", "{file}"], "3 2\n1\n1 -1 0\n1\n1 1 -2\n"),
         (["gamma-check", "--trials", "0"], None),
         (["gamma-check", "--trials", "-3"], None),
+        (["gamma-check", "--kmax", "0"], None),
+        (["gamma-check", "--kmax", "-3"], None),
         (["recursion-check", "--k", "1"], None),
         (["recursion-check", "--k", "0"], None),
         (["pair-lemma", "--k", "3", "--report", "{file}/r.json"], None),
@@ -360,7 +362,7 @@ def test_usage_errors(capsys):
          "underscore-header", "arabic-indic-header", "underscore-dim",
          "zero-n", "negative-budget", "kmax-0", "negative-cap", "samples-unknown-flag",
          "pair-lemma-file-and-k", "mu-rank-file-and-k", "pair-lemma-no-source", "mu-rank-no-source",
-         "pair-lemma-file-and-seed", "mu-rank-file-and-seed", "trials-0", "negative-trials", "recursion-k-1", "recursion-k-0",
+         "pair-lemma-file-and-seed", "mu-rank-file-and-seed", "trials-0", "negative-trials", "gamma-kmax-0", "gamma-negative-kmax", "recursion-k-1", "recursion-k-0",
          "report-missing-dir", "report-is-dir", "thresholds-report-missing-dir",
          "identities-report-missing-dir", "alpha-report-missing-dir",
          "identities-kmax-dashes", "thresholds-k-dashes", "pair-lemma-k-dashes", "mu-rank-k-dashes",

@@ -356,6 +356,10 @@ def test_integer_core_matches_fraction_oracle():
             with pytest.raises(SupportCapExceeded) as info:
                 pontryagin(a, b, small)
             assert info.value.where == ("input" if over_input else "product")
+            if not over_input:
+                # the first product point above the cap in c1-major pair order
+                pairs = (tuple(x + y for x, y in zip(p, q)) for p, _ in a.items() for q, _ in b.items())
+                assert info.value.point == next(s for s in pairs if sum(map(abs, s)) > cap)
         else:
             assert pontryagin(a, b, small) == pontryagin(a, b, ctx)
 
@@ -418,6 +422,21 @@ def test_pontryagin_at_the_digit_limit():
     u = Cycle.point((L - 1, 0)) - Cycle.point((L - 2, 0))
     with pytest.raises(ValueError):
         pontryagin(u, Cycle.point(X) + Cycle.unit(2), wide)
+
+
+def test_overflow_names_the_first_point_in_c1_major_order():
+    # c1 has more terms, so it runs inside; the first product point above
+    # the cap is a1 + b2 in c1-major pair order and a2 + b1 in c2-major
+    c1 = Cycle(1, {(2,): 1, (-2,): 1, (0,): 1})
+    c2 = Cycle(1, {(-2,): 1, (1,): 1})
+    with pytest.raises(SupportCapExceeded) as info:
+        pontryagin(c1, c2, RingContext(rank=1, geom_dim=1, support_cap=2))
+    assert info.value.where == "product" and info.value.point == (3,)
+    # the same for a product point outside the digit range
+    c1 = Cycle(1, {(L - 1,): 1, (1 - L,): 1, (0,): 1})
+    c2 = Cycle(1, {(1 - L,): 1, (1,): 1})
+    with pytest.raises(ValueError, match=rf"point \({L},\) has a coordinate"):
+        pontryagin(c1, c2, RingContext(rank=1, geom_dim=1, support_cap=4 * L))
 
 
 COORD = st.one_of(st.sampled_from([0, 1, -1, L - 1, 1 - L]), st.integers(1 - L, L - 1))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -158,3 +159,120 @@ def test_exp_of_minus_gamma_recovers_point_modulo_residual():
         # the defect against {x} sits entirely in powers >= g+2 of u
         residual_coeffs = [Fraction(0)] * (g + 2) + exp_after_log(g)[g + 2 :]
         assert got - Cycle.point(X1) == poly_eval_at_cycle(residual_coeffs, u, c)
+
+
+# ---------------------------------------------------------------------------
+# the integer paths against Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def fraction_poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def fraction_poly_compose(outer, inner):
+    """outer(inner(T)) by Horner's rule on Fraction lists, trailing zeros
+    dropped."""
+    result = [Fraction(0)]
+    for c in reversed(outer):
+        result = fraction_poly_mul(result, inner) or [Fraction(0)]
+        result[0] += c
+    while len(result) > 1 and result[-1] == 0:
+        result.pop()
+    return result
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_composites_match_fraction_horner(g):
+    log, exp = log_series_coeffs(g + 1), exp_series_coeffs(g + 1)
+    assert exp_after_log(g) == fraction_poly_compose(exp, log)
+    assert log_after_exp(g) == fraction_poly_compose(log, [Fraction(0)] + exp[1:])
+
+
+def test_poly_compose_matches_fraction_horner():
+    rng = random.Random(7)
+    for _ in range(200):
+        outer = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))]
+        inner = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(0, 4))]
+        got = poly_compose(outer, inner)
+        assert got == fraction_poly_compose(outer, inner)
+        assert all(type(c) is Fraction for c in got)
+
+
+# A cycle oracle: dict[point, Fraction] with zero coefficients dropped.
+
+
+def oracle_mul(a, b):
+    out = {}
+    for p, c in a.items():
+        for q, d in b.items():
+            s = tuple(x + y for x, y in zip(p, q))
+            out[s] = out.get(s, Fraction(0)) + c * d
+    return {p: c for p, c in out.items() if c}
+
+
+def oracle_series(coeffs, base, rank):
+    """sum_j coeffs[j] * base^j, the powers multiplied out one by one."""
+    total, power = {}, {(0,) * rank: Fraction(1)}
+    for j, c in enumerate(coeffs):
+        if j:
+            power = oracle_mul(power, base)
+        for p, v in power.items():
+            total[p] = total.get(p, Fraction(0)) + c * v
+    return {p: c for p, c in total.items() if c}
+
+
+def oracle_add(a, b, s=1):
+    out = dict(a)
+    for p, c in b.items():
+        out[p] = out.get(p, Fraction(0)) + s * c
+    return {p: c for p, c in out.items() if c}
+
+
+def random_coeff(rng, big):
+    if big:
+        # numerators and denominators near 2**64
+        return Fraction(rng.choice((-1, 1)) * (2**64 - rng.randint(0, 2**20)), 2**64 - rng.randint(1, 2**20))
+    return Fraction(rng.randint(-7, 7), rng.randint(2, 9))
+
+
+def random_terms(rng, rank, big):
+    points = {tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 4))}
+    terms = {p: random_coeff(rng, big) for p in points}
+    return {p: c for p, c in terms.items() if c}
+
+
+def test_series_operations_match_fraction_oracle():
+    rng = random.Random(2024)
+    for trial in range(60):
+        rank, g, big = rng.randint(1, 3), rng.randint(1, 3), trial % 3 == 0
+        c = RingContext(rank=rank, geom_dim=g, support_cap=10**6)
+        unit = {(0,) * rank: Fraction(1)}
+        terms = random_terms(rng, rank, big)
+        # d has degree 0 and d + {0} degree 1; both have non-unit denominators
+        d = oracle_add(terms, unit, -sum(terms.values()))
+        one = oracle_add(d, unit)
+        order = c.series_order
+        want_exp = oracle_series([Fraction(1, factorial(j)) for j in range(order + 1)], d, rank)
+        assert exp_cycle(Cycle(rank, d), c) == Cycle(rank, want_exp)
+        want_log = oracle_series([Fraction(0)] + [Fraction((-1) ** (j + 1), j) for j in range(1, order + 1)], d, rank)
+        assert log_cycle(Cycle(rank, one), c) == Cycle(rank, want_log)
+
+        x = tuple(rng.randint(-2, 2) for _ in range(rank))
+        if not any(x):
+            x = (1,) + x[1:]
+        v = {(0,) * rank: Fraction(1), x: Fraction(-1)}
+        assert gamma(x, c) == Cycle(rank, oracle_series([Fraction(0)] + [Fraction(1, j) for j in range(1, order + 1)], v, rank))
+        u = {p: -coeff for p, coeff in v.items()}
+        want_w = oracle_series([Fraction((-1) ** j, j + 1) for j in range(g + 1)], u, rank)
+        assert gamma_factorization(x, c) == Cycle(rank, want_w)
+
+        coeffs = [random_coeff(rng, big) if rng.random() < 0.8 else Fraction(0) for _ in range(rng.randint(0, 5))]
+        base = random_terms(rng, rank, big)
+        assert poly_eval_at_cycle(coeffs, Cycle(rank, base), c) == Cycle(rank, oracle_series(coeffs, base, rank))
