@@ -40,6 +40,7 @@ from .relations import (
     MembershipCertificate,
     NilpotentTerm,
     NotFoundWithinCaps,
+    OrbitTable,
     alpha_coefficients,
     augmentation_generator,
     check_recursion_identity,

@@ -19,8 +19,8 @@ not truncations: an operation that would produce a point above the cap
 raises ``SupportCapExceeded`` instead of dropping terms, so every identity
 reported by this module is an identity of the free group ring.
 
-``json_text`` is the package's one indent-2 JSON writer; it writes a
-``Cycle`` in a document straight from the packed keys, see ``_Layout``.
+``json_text`` is the package's one indent-2 JSON writer.  It writes JSON
+values only: a document holds a cycle as its ``to_json_dict()``.
 
 The truncated logarithm / exponential / gamma series all stop at order
 ``geom_dim + 1`` (the nilpotency order of the degree-zero ideal in the
@@ -34,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isfinite, lcm, prod
+from math import factorial, gcd, isfinite, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import clear_denominators
@@ -328,74 +328,19 @@ class Cycle:
         return cls.from_json_dict(json.loads(text))
 
 
-class _Layout:
-    """How ``_json_text`` writes the cycles of one rank whose closing brace
-    follows ``pad``: one ``%`` template per term, filled with the texts of
-    the coefficient, looked up by numerator, and of the high and the low
-    half of the key offset by ``_HALF`` in every digit, see ``_Texts``."""
-
-    __slots__ = ("pad", "p2", "head", "term", "shift", "mask", "offset", "highs", "lows")
-
-    def __init__(self, rank: int, pad: str):
-        self.pad = pad
-        self.p2 = p2 = pad + "    "
-        p3 = p2 + "  "
-        p4 = p3 + "  "
-        self.head = "{" + pad + '  "rank": %d,' % rank + pad + '  "terms": '
-        # rank 0: both halves have no digits and their texts are empty
-        point = "[%s%s" + p3 + "]" if rank else "[]%s%s"
-        self.term = "{" + p3 + '"coeff": "%s",' + p3 + '"point": ' + point + p2 + "}"
-        low = rank // 2
-        self.shift = shift = _B * low
-        self.mask = (1 << shift) - 1
-        self.offset = _key((_HALF,) * rank)
-        sep = "," + p4
-        self.highs = _Texts(rank - low, p4, sep)
-        self.lows = _Texts(low, sep, sep)
-
-    def text(self, num: dict[int, int], den: int) -> str:
-        pad, p2 = self.pad, self.p2
-        if not num:
-            return self.head + "[]" + pad + "}"
-        term, shift, mask, offset, highs, lows = (
-            self.term, self.shift, self.mask, self.offset, self.highs, self.lows)
-        coeffs = {n: _ratio(n, den) for n in set(num.values())}
-        terms = [term % (coeffs[num[key]], highs[(half := key + offset) >> shift], lows[half & mask])
-                 for key in sorted(num)]
-        return "%s[%s%s%s  ]%s}" % (self.head, p2, ("," + p2).join(terms), pad, pad)
-
-
-class _Texts(dict):
-    """Coordinate texts of the ``n``-digit halves of offset keys, made on
-    first lookup: the first digit after ``first``, each other after
-    ``sep``, and the empty text for no digits."""
-
-    __slots__ = ("shifts", "first", "sep")
-
-    def __init__(self, n: int, first: str, sep: str):
-        self.shifts = range(_B * (n - 1), -1, -_B)
-        self.first, self.sep = first, sep
-
-    def __missing__(self, half: int) -> str:
-        digits = [str(((half >> s) & _MASK) - _HALF) for s in self.shifts]
-        text = self[half] = self.first + self.sep.join(digits) if digits else ""
-        return text
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def json_text(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    dicts with str keys, lists, tuples, str, int, bool, None, finite floats
-    and cycles, each standing for its ``to_json_dict()``; others raise."""
-    return _json_text(value, "\n", {})
+    dicts with str keys, lists, tuples, str, int, bool, None and finite
+    floats; others, a ``Cycle`` included, raise."""
+    return _json_text(value, "\n")
 
 
-def _json_text(value, indent: str, tables: dict) -> str:
+def _json_text(value, indent: str) -> str:
     """``json_text(value)`` for a value whose closing bracket follows
-    ``indent``; ``tables`` maps (rank, indent) to the ``_Layout`` of such
-    cycles, and may be shared by the parts of one document."""
+    ``indent``."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -404,15 +349,15 @@ def _json_text(value, indent: str, tables: dict) -> str:
             return "{}" if kind is dict else "[]"
         inner = indent + "  "
         if kind is dict:
-            # one join, so that a value's text, a cycle's say, is copied once
+            # one join, so that a value's text is copied once
             parts = ["{"]
             for key in sorted(value):
                 # _encode_str raises on a key that is not a str
-                parts += inner, _encode_str(key), ": ", _json_text(value[key], inner, tables), ","
+                parts += inner, _encode_str(key), ": ", _json_text(value[key], inner), ","
             parts[-1] = indent + "}"
             return "".join(parts)
         # str items, the most common, skip the call
-        items = [_encode_str(item) if type(item) is str else _json_text(item, inner, tables) for item in value]
+        items = [_encode_str(item) if type(item) is str else _json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is int:
         return int.__repr__(value)
@@ -422,9 +367,6 @@ def _json_text(value, indent: str, tables: dict) -> str:
         return "null"
     if kind is float and isfinite(value):
         return float.__repr__(value)
-    if kind is Cycle:
-        layout = tables[value.rank, indent] = tables.get((value.rank, indent)) or _Layout(value.rank, indent)
-        return layout.text(value.num, value.den)
     raise TypeError(f"value {value!r} is not JSON")
 
 
@@ -561,73 +503,6 @@ def pushforward(c: Cycle, n: int) -> Cycle:
         q = n * p
         acc[q] = acc.get(q, 0) + v
     return Cycle._canonical(c.rank, c.den, acc, hb)
-
-
-def _orbit_cycle(rank: int, den: int, orbits: Mapping[tuple[int, ...], int]) -> Cycle:
-    """The cycle that an orbit form stands for.
-
-    Each orbit key (a_1, *tail), tail sorted, maps to the numerator n over
-    ``den`` shared by every point (a_1, sigma(tail)), sigma a permutation of
-    x_2..x_r.  The keys of a tail's orderings are its distinct first values
-    v, each placed before the orderings of the rest of the tail (memoized),
-    so every key costs one shift and one addition.
-    """
-    memo: dict[tuple[int, ...], list[int]] = {(): [0]}
-
-    def orderings(tail: tuple[int, ...]) -> list[int]:
-        keys = memo.get(tail)
-        if keys is None:
-            shift = _B * (len(tail) - 1)
-            keys = memo[tail] = [
-                (v << shift) + key
-                for i, v in enumerate(tail) if i == 0 or v != tail[i - 1]
-                for key in orderings(tail[:i] + tail[i + 1:])
-            ]
-        return keys
-
-    num: dict[int, int] = {}
-    hb = 0
-    for orbit, n in orbits.items():
-        hb = max(hb, _height(orbit))
-        head = orbit[0] << _B * (rank - 1)
-        for key in orderings(orbit[1:]):
-            num[head + key] = n
-    out = Cycle._canonical(rank, den, num, hb)
-    out._set_height(hb)
-    return out
-
-
-def orbit_forms(cycles: Iterable[Cycle]) -> list[dict[tuple[int, ...], tuple[int, int]] | None]:
-    """The orbit form of each of ``cycles``, all of one rank r >= 1, under
-    permutations of x_2..x_r: a map from each orbit key (a_1, *tail), tail
-    sorted, to (n, |O|), the numerator over the cycle's ``den`` of every
-    point of the orbit O and its size (r-1)! / prod m_v!, m_v the tail's
-    multiplicities.  A cycle gets None if two points of an orbit differ or
-    an orbit is not whole.  A key's low ``_B * (r-1)`` bits name its tail
-    and its high bits a_1; each tail is sorted once per call, for all the
-    cycles."""
-    cycles = list(cycles)
-    rank = cycles[0].rank if cycles else 1
-    if rank < 1 or any(c.rank != rank for c in cycles):
-        raise ValueError("orbit forms need cycles of one rank r >= 1")
-    shift = _B * (rank - 1)
-    offset, mask = _key((_HALF,) * (rank - 1)), (1 << shift) - 1
-    tails: dict[int, tuple[tuple[int, ...], int]] = {}  # low bits -> (sorted tail, |O|)
-    forms = []
-    for cycle in cycles:
-        form: dict[tuple[int, ...], tuple[int, int]] = {}
-        for key, n in cycle.num.items():
-            tail = tails.get(key & mask)
-            if tail is None:
-                sorted_tail = tuple(sorted(next(_points((key,), rank))[1:]))
-                size = factorial(rank - 1) // prod(factorial(sorted_tail.count(v)) for v in set(sorted_tail))
-                tail = tails[key & mask] = sorted_tail, size
-            if form.setdefault(((key + offset) >> shift, *tail[0]), (n, tail[1]))[0] != n:
-                forms.append(None)
-                break
-        else:
-            forms.append(form if sum(size for _, size in form.values()) == len(cycle.num) else None)
-    return forms
 
 
 def degree(c: Cycle) -> Fraction:

@@ -12,16 +12,19 @@ g+1 augmentation-ideal generators (the nilpotency span).  Any certificate
 it returns is re-verified through an independent code path, so a
 returned certificate is a proof; failure to find one within the caps is
 reported as inconclusive, never as a refutation.  The verifier reads its
-proof from the certificate alone: multipliers that are all invariant
-under permuting x_2..x_k (a Newton certificate, built in memory or loaded
-from a file) are proved on orbit sums, any other certificate by
-brute-force expansion.  The orbit proof reads each multiplier Y_j with
-``cycles.orbit_forms`` as Y_j(r) and |O(r)| per orbit key r = (a_1,
-*sorted tail), and checks sum_j sum_r |O(r)| Y_j(r) sum_{g : r + g in Q}
-c_j(g) = u^{*k}(Q) on every orbit Q, c_j the coefficients of (m_j)_* h.
-A certificate stores no target, no (m_j)_* h and no label: these follow
-from k, j and the factors, are derived where it is written or verified,
-and a file's copies of them are checked on read.
+proof from the certificate alone: a certificate with only generator
+terms (a Newton certificate, built in memory or loaded from a file) is
+proved on orbit sums read straight from its multipliers, each an
+``OrbitTable`` of S_{k-1}, the permutations of x_2..x_k; any other
+certificate by brute-force expansion.  The orbit proof checks
+sum_j sum_R |R| Y_j(R) sum_{g : r + g in Q} c_j(g) = u^{*k}(Q) on every
+orbit Q, R running over the orbits of Y_j, r one point of R and c_j the
+coefficients of (m_j)_* h.  A certificate stores no target, no (m_j)_* h
+and no label: these follow from k, j and the factors, are derived where
+it is written or verified, and a file's copies of them are checked on
+read.  The file (version 2) holds each generator multiplier as its table,
+``{"den": D, "orbits": [[a_1, s, n], ...]}``, and every cycle as its
+``to_json_dict()``: ``json_text`` writes JSON values only.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -48,11 +51,8 @@ from .cycles import (
     _LIMIT,
     Cycle,
     RingContext,
-    _json_text,
-    _orbit_cycle,
     json_int,
     json_text,
-    orbit_forms,
     pontryagin,
     pushforward,
     star_power,
@@ -220,11 +220,50 @@ def power_basis_change_inverse(beta) -> list[Fraction]:
 
 
 @dataclass(frozen=True)
+class OrbitTable:
+    """A multiplier invariant under permuting x_2..x_k, as one number per orbit.
+
+    ``orbits`` maps (a_1, s) to a nonzero integer n: the coefficient n / den
+    sits at each of the C(k-1, s) points whose first coordinate is a_1 and
+    whose other k - 1 coordinates are s ones and k - 1 - s zeros, and every
+    other point has 0.  Every orbit of a Newton multiplier has this form.
+    The table is canonical (den > 0, gcd(den, *n) = 1), so equality
+    compares the fields; s outside 0..k-1, |a_1| >= 2**46 (the ``Cycle``
+    coordinate limit) or a table that is not canonical raises ``ValueError``.
+    """
+
+    k: int
+    den: int
+    orbits: dict[tuple[int, int], int]
+
+    def __post_init__(self):
+        if self.k < 1 or self.den < 1 or gcd(self.den, *self.orbits.values()) != 1:
+            raise ValueError(f"a table needs k >= 1 and den >= 1 in lowest terms with its numerators, "
+                             f"got k = {self.k}, den = {self.den}")
+        for (a_1, s), n in self.orbits.items():
+            if not 0 <= s < self.k or abs(a_1) >= _LIMIT or not n:
+                raise ValueError(f"({a_1}, {s}): {n} is not an orbit entry of a table with k = {self.k}")
+
+    def max_height(self) -> int:
+        return max((abs(a_1) + s for a_1, s in self.orbits), default=0)
+
+    def expand(self) -> Cycle:
+        """The multiplier on points: n / den at every point of each orbit."""
+        rest = range(1, self.k)
+        terms = [((a_1, *(int(i in ones) for i in rest)), n)
+                 for (a_1, s), n in self.orbits.items() for ones in itertools.combinations(rest, s)]
+        return Cycle(self.k, terms).scale(Fraction(1, self.den))
+
+    def to_json_dict(self) -> dict:
+        return {"den": self.den, "orbits": [[a_1, s, n] for (a_1, s), n in sorted(self.orbits.items())]}
+
+
+@dataclass(frozen=True)
 class GeneratorTerm:
     """One relation-ideal contribution: multiplier * (m_j)_* h."""
 
     j: int
-    multiplier: Cycle
+    multiplier: OrbitTable
 
     @property
     def label(self) -> str:
@@ -245,7 +284,7 @@ class NilpotentTerm:
 
 
 _CERT_FORMAT = "pontryagin-membership-certificate"
-_CERT_VERSION = 1
+_CERT_VERSION = 2
 
 
 def target_cycle(k: int) -> Cycle:
@@ -277,8 +316,7 @@ class MembershipCertificate:
     def pushforward_indices(self) -> list[int]:
         return sorted({t.j for t in self.generators})
 
-    def _document(self, leaf) -> dict:
-        """The certificate's JSON layout, with ``leaf(c)`` for each cycle c."""
+    def to_json_dict(self) -> dict:
         return {
             "format": _CERT_FORMAT,
             "version": _CERT_VERSION,
@@ -286,13 +324,13 @@ class MembershipCertificate:
             "g": self.g,
             "j_max": self.j_max,
             "cap": self.cap,
-            "target": leaf(target_cycle(self.k)),
+            "target": target_cycle(self.k).to_json_dict(),
             "generators": [
                 {
                     "label": t.label,
                     "j": t.j,
-                    "generator": leaf(pushed_hypothesis(self.k, t.j)),
-                    "multiplier": leaf(t.multiplier),
+                    "generator": pushed_hypothesis(self.k, t.j).to_json_dict(),
+                    "multiplier": t.multiplier.to_json_dict(),
                 }
                 for t in self.generators
             ],
@@ -300,65 +338,49 @@ class MembershipCertificate:
                 {
                     "label": t.label,
                     "factors": list(t.factors),
-                    "multiplier": leaf(t.multiplier),
+                    "multiplier": t.multiplier.to_json_dict(),
                 }
                 for t in self.nilpotent_part
             ],
         }
 
-    def to_json_dict(self) -> dict:
-        return self._document(Cycle.to_json_dict)
-
     def write_json(self, fh) -> None:
-        """Write ``json_text(self.to_json_dict())`` and a newline, from the
-        cycles themselves and one set of text tables, one top-level key and
-        one list term at a time, so that at most one term's text is held."""
-        tables = {}
-        document = self._document(lambda cycle: cycle)
-        head = "{\n  "
-        for key in sorted(document):
-            fh.write(head + json_text(key) + ": ")
-            head, value = ",\n  ", document[key]
-            if type(value) is not list or not value:
-                fh.write(_json_text(value, "\n  ", tables))
-                continue
-            for i, term in enumerate(value):
-                fh.write(",\n    " if i else "[\n    ")
-                fh.write(_json_text(term, "\n    ", tables))
-            fh.write("\n  ]")
-        fh.write("\n}\n")
+        fh.write(json_text(self.to_json_dict()) + "\n")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":
         """Read ``to_json_dict`` output.  The certificate is built from the
-        JSON integers k, g, j_max, cap, j and factors and the multipliers,
-        see ``Cycle.from_json_dict``; the document must then equal its
-        ``_document``, with the file's multiplier dicts in place, key for key
-        and JSON type for JSON type.  So the format, the version, the target,
-        every (m_j)_* h and every label are checked, and anything else, a
-        missing or an extra key included, raises ``ValueError``.  Multipliers
-        of rank k, and a target and generators of rank k with k + 1 terms, are
-        required before anything is derived from k, which the file bounds."""
+        JSON integers k, g, j_max, cap, j, factors and table entries, and
+        the nilpotent multipliers, see ``Cycle.from_json_dict``; the
+        document must then equal its ``to_json_dict``, key for key and JSON
+        type for JSON type.  So the format, the version (2), the target,
+        every (m_j)_* h, every label and every table's canonical form and
+        (a_1, s) order are checked, and anything else, a missing or an extra
+        key or a version-1 document included, raises ``ValueError``.
+        Nilpotent multipliers of rank k, and a target and generators of rank
+        k with k + 1 terms, are required before anything is derived from k,
+        which the file bounds."""
         try:
+            k = json_int(data["k"])
             gens, nils = data["generators"], data["nilpotent_part"]
             cert = cls(
-                *(json_int(data[key]) for key in ("k", "g", "j_max", "cap")),
-                tuple(GeneratorTerm(json_int(t["j"]), Cycle.from_json_dict(t["multiplier"])) for t in gens),
+                k, *(json_int(data[key]) for key in ("g", "j_max", "cap")),
+                tuple(GeneratorTerm(json_int(t["j"]), OrbitTable(k, json_int(t["multiplier"]["den"]), {
+                    (json_int(a_1), json_int(s)): json_int(n) for a_1, s, n in t["multiplier"]["orbits"]}))
+                      for t in gens),
                 tuple(NilpotentTerm(tuple(map(json_int, t["factors"])), Cycle.from_json_dict(t["multiplier"]))
                       for t in nils),
             )
-            # the file's multiplier dicts, by the id of the cycle read from each
-            terms = zip(cert.generators + cert.nilpotent_part, [*gens, *nils])
-            own = {id(t.multiplier): d["multiplier"] for t, d in terms}
-            k, derived = cert.k, [data["target"]] + [t["generator"] for t in gens]
-            if any(t.multiplier.rank != k for t in cert.generators + cert.nilpotent_part) or any(
+            derived = [data["target"]] + [t["generator"] for t in gens]
+            if any(t.multiplier.rank != k for t in cert.nilpotent_part) or any(
                     d["rank"] != k or len(d["terms"]) != k + 1 for d in derived):
                 raise ValueError(f"a cycle is not of rank k = {k}, or a derived one has not k + 1 terms")
         except (KeyError, TypeError):
-            raise ValueError(f"not a {_CERT_FORMAT}: a field is missing or of another JSON type") from None
-        if not _same_json(data, cert._document(lambda c: own.get(id(c)) or c.to_json_dict())):
-            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target, "
-                             "generators and labels are those of k, j and the factors")
+            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION}: "
+                             "a field is missing or of another JSON type") from None
+        if not _same_json(data, cert.to_json_dict()):
+            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target, generators, "
+                             "labels and tables are those of k, j, the factors and the entries")
         return cert
 
 
@@ -397,29 +419,29 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     digit range, a multiplier whose product with its generator does) give
     False, not an exception.  Shares no state or code with the solvers.
 
-    The proof is chosen from the certificate alone.  With no nilpotent term
-    and every multiplier invariant under permuting x_2..x_k, as a Newton
-    certificate's are whether built in memory or loaded from a file, the
-    identity is proved on orbit sums, see ``_verify_on_orbits``.  Any other
-    certificate is proved by full expansion: each (m_j)_* h and each
+    The proof is chosen from the certificate alone.  With no nilpotent
+    term, as in a Newton certificate whether built in memory or loaded from
+    a file, the identity is proved on orbit sums read from the tables, see
+    ``_verify_on_orbits``.  Any other certificate is proved by full
+    expansion: each table is expanded onto points, each (m_j)_* h and each
     nilpotent product is recomputed from j or its factor list, each term is
     convolved out, and the exact sum is compared with the target.
     """
     k = cert.k
     if k < 1 or cert.g < 1:
         return False
-    for t in cert.generators + cert.nilpotent_part:
-        if t.multiplier.rank != k or t.multiplier.max_height() > cert.cap:
+    for t in cert.generators:
+        if t.multiplier.k != k or t.multiplier.max_height() > cert.cap:
             return False
     if any(not 1 <= t.j <= min(cert.j_max, _LIMIT - 1) for t in cert.generators):
         return False
     for t in cert.nilpotent_part:
+        if t.multiplier.rank != k or t.multiplier.max_height() > cert.cap:
+            return False
         if len(t.factors) != cert.g + 1 or any(not 1 <= i <= k for i in t.factors):
             return False
     if not cert.nilpotent_part:
-        proved = _verify_on_orbits(cert)
-        if proved is not None:
-            return proved
+        return _verify_on_orbits(cert)
     heights = [k]
     heights += [t.multiplier.max_height() + t.j for t in cert.generators]
     heights += [t.multiplier.max_height() + len(t.factors) for t in cert.nilpotent_part]
@@ -427,7 +449,7 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     total = Cycle.zero(k)
     try:
         for t in cert.generators:
-            total = total + pontryagin(t.multiplier, pushed_hypothesis(k, t.j), ctx)
+            total = total + pontryagin(t.multiplier.expand(), pushed_hypothesis(k, t.j), ctx)
         for t in cert.nilpotent_part:
             total = total + pontryagin(t.multiplier, nilpotent_product(k, t.factors, ctx), ctx)
     except ValueError:
@@ -436,36 +458,33 @@ def verify_certificate(cert: MembershipCertificate) -> bool:
     return total == target_cycle(k)
 
 
-def _verify_on_orbits(cert: MembershipCertificate) -> bool | None:
-    """Prove an all-generator certificate on orbits of S_{k-1}, or return
-    None if some multiplier is not invariant under permuting x_2..x_k.
+def _verify_on_orbits(cert: MembershipCertificate) -> bool:
+    """Prove a certificate with generator terms only on orbits of S_{k-1}.
 
-    Each (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i} is invariant,
-    so with every multiplier Y invariant so is the difference of the two
-    sides, which is zero iff every orbit sum is.  The orbit sum over Q of
-    Y * (m_j)_* h is sum_r |O(r)| Y(r) sum_{g : r + g in Q} c(g), over the
-    orbit keys r = (a_1, *tail) of ``orbit_forms``; r + g lies in the orbit
-    of (a_1 + j, *tail) for g = j x_1, of r for g = 0, and of (a_1, *tail
-    with one v raised to v + j) for the m_v points j x_i of tail value v.
-    These moves depend on the tail and j alone.  The sums are integers
-    over the lcm of the multiplier denominators."""
-    *forms, target = orbit_forms([t.multiplier for t in cert.generators] + [target_cycle(cert.k)])
-    if None in forms:
-        return None
+    Each table Y and each (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i}
+    is invariant under permuting x_2..x_k, so the difference of the two
+    sides is too, and it is zero iff every orbit sum is.  The orbit sum
+    over Q of Y * (m_j)_* h is sum_R |R| Y(R) sum_{g : r + g in Q} c(g),
+    over the table's orbits R = (a_1, s), |R| = C(k-1, s), r one point of R
+    with s ones and k-1-s zeros after a_1.  Then r + g lies in (a_1 + j, s)
+    for g = j x_1, in R for g = 0, in the orbit whose tail has one zero
+    raised to j for the k-1-s points g = j x_i at a zero, and in the orbit
+    whose tail has one 1 raised to 1 + j for the s points at a one.  Orbits
+    are keyed (a_1, s, v): s ones, one coordinate v >= 2 if v is nonzero,
+    zeros elsewhere; a zero raised to j = 1 is one more one.  The target's
+    orbits are the points (i, 0, 0).  The sums are integers over the lcm of
+    the table denominators."""
+    k = cert.k
     den = lcm(*(t.multiplier.den for t in cert.generators))
-    sums = {orbit: -n * size * den for orbit, (n, size) in target.items()}
-    for t, form in zip(cert.generators, forms):
+    sums = {(i, 0, 0): -comb(k, i) * (-1) ** (k - i) * den for i in range(k + 1)}
+    for t in cert.generators:
         j, scale = t.j, den // t.multiplier.den
-        moves = {}  # tail -> [(change of a_1, tail moved to, coefficient)]
-        for orbit, (n, size) in form.items():
-            a_1, tail = orbit[0], orbit[1:]
-            if tail not in moves:
-                moves[tail] = [(j, tail, 1), (0, tail, -cert.k)] + [
-                    (0, tuple(sorted(tail[:i] + (v + j,) + tail[i + 1:])), tail.count(v))
-                    for i, v in enumerate(tail) if i == 0 or v != tail[i - 1]]
-            for change, moved, c in moves[tail]:
-                q = (a_1 + change, *moved)
-                sums[q] = sums.get(q, 0) + size * n * scale * c
+        for (a_1, s), n in t.multiplier.orbits.items():
+            w = comb(k - 1, s) * n * scale
+            zero_raised = (a_1, s + 1, 0) if j == 1 else (a_1, s, j)
+            for q, c in (((a_1 + j, s, 0), 1), ((a_1, s, 0), -k), (zero_raised, k - 1 - s), ((a_1, s - 1, 1 + j), s)):
+                if c:
+                    sums[q] = sums.get(q, 0) + w * c
     return not any(sums.values())
 
 
@@ -489,30 +508,28 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     express u^{*k} over the (m_j)_* h, j = 1..k, at height k - 1; g, j_max
     and cap are only recorded.
 
-    Every cofactor is invariant under permuting x_2..x_k, so the recursion
-    runs on orbit keys (a_1, *sorted tail): gamma_s is the single orbit
-    (0, 0^(k-1-s), 1^s), t_j * c is k c minus c with a_1 shifted by j, and
-    the cofactors at step m are integer numerators over m!.  Each
-    multiplier is expanded onto points once.
+    Every cofactor is invariant under permuting x_2..x_k, and the recursion
+    runs on the orbit keys (a_1, s) of ``OrbitTable``: gamma_s is the orbit
+    (0, s), t_j * c is k c minus c with a_1 raised by j, and the cofactors
+    at step m are integer numerators over m!.  Each multiplier is returned
+    as its table.
     """
-    cof: list[dict[int, dict[tuple[int, ...], int]]] = [{} for _ in range(k + 1)]
-    cof[1] = {1: {(0,) * k: 1}}
+    cof: list[dict[int, dict[tuple[int, int], int]]] = [{} for _ in range(k + 1)]
+    cof[1] = {1: {(0, 0): 1}}
     for l in range(1, k):
-        new: dict[int, dict[tuple[int, ...], int]] = {}
+        new: dict[int, dict[tuple[int, int], int]] = {}
         for i in range(0, l + 1):
             # weight (-1)^i / (l+1): over (l+1)! a gamma term gets (-1)^i l!
             # and a numerator over (l-i)! gets (-1)^i l! / (l-i)!
             sign = (-1) ** i
             acc = new.setdefault(i + 1, {})
-            gamma_orbit = (0,) * (k - l + i) + (1,) * (l - i)
-            acc[gamma_orbit] = acc.get(gamma_orbit, 0) + sign * factorial(l)
+            acc[0, l - i] = acc.get((0, l - i), 0) + sign * factorial(l)
             f = sign * factorial(l) // factorial(l - i)
             for jj, c in cof[l - i].items():
                 acc = new.setdefault(jj, {})
-                for orbit, n in c.items():
-                    acc[orbit] = acc.get(orbit, 0) + k * f * n
-                    moved = (orbit[0] + i + 1, *orbit[1:])
-                    acc[moved] = acc.get(moved, 0) - f * n
+                for (a_1, s), n in c.items():
+                    acc[a_1, s] = acc.get((a_1, s), 0) + k * f * n
+                    acc[a_1 + i + 1, s] = acc.get((a_1 + i + 1, s), 0) - f * n
         for j, c in new.items():
             c = {orbit: n for orbit, n in c.items() if n}
             if c:
@@ -523,8 +540,7 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     for j in sorted(cof[k]):
         orbits = cof[k][j]
         d = gcd(factorial(k), *orbits.values())
-        orbits = {orbit: sign * n // d for orbit, n in orbits.items()}
-        gens.append(GeneratorTerm(j, _orbit_cycle(k, factorial(k) // d, orbits)))
+        gens.append(GeneratorTerm(j, OrbitTable(k, factorial(k) // d, {o: sign * n // d for o, n in orbits.items()})))
     return MembershipCertificate(k, g, j_max, cap, tuple(gens), ())
 
 

@@ -87,10 +87,14 @@ def log_after_exp(g: int) -> list[Fraction]:
 
 def poly_eval_at_cycle(coeffs: list[Fraction], base: Cycle, ctx: RingContext) -> Cycle:
     """Evaluate sum coeffs[j] * base^{*j} by Horner's rule in the cycle ring,
-    on the coefficients cleared to integers, scaled once at the end."""
+    on the coefficients cleared to integers, scaled once at the end.  Horner
+    starts from the top nonzero coefficient times the unit, so that no
+    convolution has a zero operand."""
     den, nums = clear_denominators(coeffs)
-    result = Cycle.zero(ctx.rank)
+    while nums and not nums[-1]:
+        nums.pop()
     unit = Cycle.unit(ctx.rank)
+    result = unit.scale(nums.pop()) if nums else Cycle.zero(ctx.rank)
     for n in reversed(nums):
         result = pontryagin(result, base, ctx) + unit.scale(n)
     return result.scale(Fraction(1, den))

@@ -16,8 +16,8 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 DIGESTS = {
-    "window": "617de0c8aca648e782eb3532bea8b1e48b29b6515daf067017cc558ad1801c52",
-    "convolution": "f1163e45f4254a0d4f0937a582e7d9bc06c64d88d7a9bc272ee4481fd96e9d23",
+    "window": "3f448f95f26591739237c61abb6dd460330716b92a6a54f4939b797253fd2e87",
+    "convolution": "9271a139331986bb5e05a3e9bc252d40af4cdc7846844277ec88e7c5800dfc74",
     "tangent": "6a7e48cbf8c1295fdf42dbf4dd647a7eb9222632c94cc06f2598a62527a383ba",
 }
 
@@ -58,8 +58,8 @@ def test_convolution_work_counts(bench_run):
     of it fails here, whatever it does to the time."""
     run = bench_run.measure("convolution", 101, 0, True)
     assert run.failed == 0, run.summary
-    assert run.values["cycles.pontryagin.calls"] == 1932
-    assert run.values["cycles.pontryagin.pairs"] == 68366
+    assert run.values["cycles.pontryagin.calls"] == 1467
+    assert run.values["cycles.pontryagin.pairs"] == 58886
     assert run.values["cycles.max_support"] == 245
 
 

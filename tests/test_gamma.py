@@ -276,3 +276,25 @@ def test_series_operations_match_fraction_oracle():
         coeffs = [random_coeff(rng, big) if rng.random() < 0.8 else Fraction(0) for _ in range(rng.randint(0, 5))]
         base = random_terms(rng, rank, big)
         assert poly_eval_at_cycle(coeffs, Cycle(rank, base), c) == Cycle(rank, oracle_series(coeffs, base, rank))
+
+
+@pytest.mark.parametrize("coeffs", [[], [0], [0, 0], [3], [0, 1], [1, 2, 0, 0], [Fraction(1, 2), 0, Fraction(-2, 3)], [0, 0, 5, 0]])
+def test_horner_convolves_no_zero_operand(coeffs, monkeypatch):
+    # Horner starts from the top nonzero coefficient times the unit: one
+    # convolution per power below it, and never one with a zero operand
+    from pontcalc import series
+
+    c = ctx1(2)
+    base = Cycle(1, {(0,): Fraction(-1, 2), (1,): 3})
+    calls = []
+
+    def counted(c1, c2, ctx):
+        assert not c1.is_zero() and not c2.is_zero()
+        calls.append(1)
+        return pontryagin(c1, c2, ctx)
+
+    monkeypatch.setattr(series, "pontryagin", counted)
+    got = poly_eval_at_cycle(coeffs, base, c)
+    degree = max((j for j, a in enumerate(coeffs) if a), default=0)
+    assert len(calls) == degree
+    assert got == Cycle(1, oracle_series([Fraction(a) for a in coeffs], dict(base.items()), 1))

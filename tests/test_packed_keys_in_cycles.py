@@ -1,6 +1,6 @@
 """Only ``cycles`` reads packed point keys: ``relations`` imports none of the
-key layout's names, and its orbit proof reads multipliers through
-``cycles.orbit_forms`` as (a_1, *sorted tail) tuples."""
+key layout's names.  Its orbit tables expand onto points through the public
+``Cycle`` constructor."""
 
 import ast
 import pathlib
@@ -25,4 +25,3 @@ def test_relations_uses_no_key_layout_name():
         )
     }
     assert used & KEY_LAYOUT == set()
-    assert "orbit_forms" in used

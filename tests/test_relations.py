@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -18,8 +18,6 @@ from pontcalc.cli import main
 from pontcalc.cycles import (
     Cycle,
     RingContext,
-    _orbit_cycle,
-    orbit_forms,
     pontryagin,
     pushforward,
     star_power,
@@ -30,6 +28,7 @@ from pontcalc.relations import (
     MembershipCertificate,
     NilpotentTerm,
     NotFoundWithinCaps,
+    OrbitTable,
     _newton_certificate,
     alpha_coefficients,
     augmentation_generator,
@@ -160,8 +159,10 @@ def test_k2_certificate_matches_hand_expansion():
     assert verify_certificate(cert)
     assert cert.nilpotent_part == ()
     mults = {t.j: t.multiplier for t in cert.generators}
-    assert mults[1] == mult1
-    assert mults[2] == Cycle.unit(2).scale(Fraction(1, 2))
+    assert mults[1].expand() == mult1
+    assert mults[2].expand() == Cycle.unit(2).scale(Fraction(1, 2))
+    # on orbits (a_1, s): x_1 is (1, 0), x_2 is (0, 1) and 0 is (0, 0)
+    assert mults[1] == OrbitTable(2, 2, {(1, 0): 1, (0, 1): -1, (0, 0): -2})
 
 
 def test_newton_certificates_small_range():
@@ -214,18 +215,20 @@ def test_not_found_within_caps():
 # k > g pins are nilpotent certificates; (2, 3) is the Newton certificate
 # the window rule returns for j_max >= k.
 WINDOW_CERT_SHA256 = {
-    (2, 3, None): "048bd0ad23acc5cb16b6fec88938e5f5d3b2b21f49cd3f7192786b1fcb7ec62a",
-    (3, 1, 4): "cd4c31af14f5ae4b1917e181b1bcdd350076175a795f58738a1867d33d5c78a0",
-    (4, 1, 2): "ae3652e5177eb550fc0444f980792ec90a3789073eb3a92ba96e538c8289db04",
-    (4, 2, 1): "178551b471ed73cb7b590bd3419ca63eb9bfc609edf84d6eef5ebad5b4bd20f4",
+    (2, 3, None): "eb17ac1b329255150d1d1fb31601ffdecd81299e67801e19c41657f91673fd2a",
+    (3, 1, 4): "2b95ed0ef8350c4ca1cd0ce15992d13fc91a77196b91bc5b2190d31a516a75f2",
+    (4, 1, 2): "4e2aef5b8a4a53206448d5e311a04f2c9842f66b2c3e5fc12b4869b58e581cf2",
+    (4, 2, 1): "22199552f356fc6ad91928148de35df5068615cf532961abe2332080b0cc4965",
 }
 
 
 # SHA-256 of the Newton certificate text of `verify-relation --k K --g 2`
-# (method auto), pinned the same way as WINDOW_CERT_SHA256.
+# (method auto), pinned the same way as WINDOW_CERT_SHA256.  The file at
+# k = 24 holds C(26, 3) = 2600 table entries.
 NEWTON_CERT_SHA256 = {
-    9: "126ddcf39895464ac77ff41a52bfd853170f462069dd01bf1df9ccb105bb90b3",
-    10: "d082f5cebfc8a29abc0b0b9d49ac094a8f127b474b05cdcfa9b379b78d09a603",
+    9: "c2e2b0dbdd9fadec3a40094b850d8fd8f60ea299c84d65e32f223707cd6b33e5",
+    10: "a7dc6d0cb33b595d1cec523a972787a26059bd597561967efdc204355466641b",
+    24: "5c2b333763e112b5316c81e74b1542e405211602738eab0c687f0390993dcce5",
 }
 
 
@@ -240,6 +243,7 @@ def test_newton_certificate_bytes_pinned(k, tmp_path, capsys):
     data = out.read_bytes()
     assert data.endswith(b"}\n")
     assert hashlib.sha256(data[:-1]).hexdigest() == NEWTON_CERT_SHA256[k]
+    assert verify_certificate(MembershipCertificate.from_json_dict(json.loads(data)))
 
 
 @pytest.mark.parametrize("k, g, cap", list(WINDOW_CERT_SHA256))
@@ -295,7 +299,7 @@ def test_write_json_edge_cases():
     assert '"factors": [],' in written(cert) and '"generators": [],' in written(cert)
     negative_j = replace(
         verify_relation(2, 1, method="newton"), nilpotent_part=(),
-        generators=(GeneratorTerm(j=-1, multiplier=-x),),
+        generators=(GeneratorTerm(j=-1, multiplier=OrbitTable(2, 1, {(1, 0): -1})),),
     )
     assert written(negative_j) == stdlib_text(negative_j)
     assert '"label": "(m_-1)*h",' in written(negative_j)
@@ -567,7 +571,8 @@ def test_certificate_json_round_trip_and_tampering():
     assert again == cert
 
     tampered = json.loads(json.dumps(cert.to_json_dict()))
-    tampered["generators"][0]["multiplier"]["terms"][0]["coeff"] = "9/7"
+    assert tampered["generators"][0]["multiplier"]["orbits"][0] == [0, 0, 3]
+    tampered["generators"][0]["multiplier"]["orbits"][0][2] = 5
     assert not verify_certificate(MembershipCertificate.from_json_dict(tampered))
 
     # j = 5 with its own label and (m_5)_* h reads, and the identity fails
@@ -580,12 +585,12 @@ def test_certificate_json_round_trip_and_tampering():
     empty = MembershipCertificate(k=2, g=1, j_max=1, cap=1, generators=(), nilpotent_part=())
     assert not verify_certificate(empty)
     doubled = replace(
-        cert, generators=tuple(replace(t, multiplier=t.multiplier.scale(2)) for t in cert.generators)
+        cert, generators=tuple(replace(t, multiplier=scaled(t.multiplier, 2)) for t in cert.generators)
     )
     assert not verify_certificate(doubled)
 
 
-@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("k", range(2, 11))
 def test_written_certificates_read_back_equal(k):
     certs = {}
     for g, method in itertools.product(range(1, 4), ("auto", "newton", "window")):
@@ -597,14 +602,15 @@ def test_written_certificates_read_back_equal(k):
     # g = 1 gives a nilpotent certificate, g = 3 >= k - 1 a Newton one
     assert {bool(cert.nilpotent_part) for cert in certs.values()} == {True, False}
     for text, cert in certs.items():
-        assert MembershipCertificate.from_json_dict(json.loads(text)) == cert
+        again = MembershipCertificate.from_json_dict(json.loads(text))
+        assert again == cert and verify_certificate(again)
 
 
 def test_certificate_reader_takes_only_json_integers():
     data = verify_relation(3, 2).to_json_dict()
     assert verify_certificate(MembershipCertificate.from_json_dict(data))
     half_point = json.loads(json.dumps(data))
-    half_point["generators"][0]["multiplier"]["terms"][0]["point"] = [0.5, 0, 0]
+    half_point["generators"][0]["multiplier"]["orbits"][0][0] = 0.5
     fractional_k = dict(data, k=3.9)
     bool_cap = dict(data, cap=True)
     float_j = json.loads(json.dumps(data))
@@ -623,6 +629,15 @@ def _double(cycle):
         term["coeff"] = str(2 * Fraction(term["coeff"]))
 
 
+def _double_table(table):
+    """Twice the table's values, still in lowest terms."""
+    if table["den"] % 2:
+        for entry in table["orbits"]:
+            entry[2] *= 2
+    else:
+        table["den"] //= 2
+
+
 def _point(data, *path):
     """The first point of the cycle at ``path`` in ``data``."""
     for key in path:
@@ -630,19 +645,45 @@ def _point(data, *path):
     return data["terms"][0]["point"]
 
 
+def _table(data):
+    """The first generator table of a certificate document."""
+    return data["generators"][0]["multiplier"]
+
+
+def _nil(data):
+    """The first nilpotent multiplier of a certificate document."""
+    return data["nilpotent_part"][0]["multiplier"]
+
+
+def _entry(data, index, position, value):
+    _table(data)["orbits"][index][position] = value
+
+
+def _as_version_1(data):
+    """The document as version 1 wrote it: every multiplier a cycle."""
+    data["version"] = 1
+    for t in data["generators"]:
+        table = t["multiplier"]
+        orbits = {(a_1, s): n for a_1, s, n in table["orbits"]}
+        t["multiplier"] = OrbitTable(data["k"], table["den"], orbits).expand().to_json_dict()
+
+
 # Each edit of a written certificate's document makes the reader raise
-# ValueError.  The document is the Newton certificate for k = 3, g = 2 with
-# a nilpotent term u_1*u_2*u_3 of multiplier zero added, so that it has both
-# kinds of term and still verifies.
+# ValueError.  The document is the Newton certificate for k = 3, g = 2 at
+# half weight plus half of u_1^{*3} as the nilpotent term u_1*u_1*u_1, so
+# that it has both kinds of term and still verifies.
 TAMPERED_DOCUMENTS = {
     "format-other": lambda data: data.update(format="not-a-certificate"),
     "format-missing": lambda data: data.pop("format"),
     "version-float": lambda data: data.update(version=7.5),
     "version-float-one": lambda data: data.update(version=1.0),
     "version-bool": lambda data: data.update(version=True),
-    "version-other": lambda data: data.update(version=2),
+    "version-other": lambda data: data.update(version=3),
     "version-missing": lambda data: data.pop("version"),
     "format-and-version-missing": lambda data: (data.pop("format"), data.pop("version")),
+    # version 1 listed every point of a multiplier, and is not read
+    "version-one": lambda data: data.update(version=1),
+    "version-1-document": _as_version_1,
     # json.loads reads a bare NaN as a float
     "label-nan": lambda data: data["generators"][0].update(label=float("nan")),
     "label-int": lambda data: data["generators"][0].update(label=1),
@@ -656,9 +697,9 @@ TAMPERED_DOCUMENTS = {
     "target-rank-other": lambda data: data["target"].update(rank=4),
     "generator-terms-short": lambda data: data["generators"][0]["generator"]["terms"].pop(),
     # a consistent identity for 2 u^{*k}
-    "target-and-multipliers-doubled": lambda data: [
-        _double(cycle) for cycle in [data["target"]] + [t["multiplier"] for t in data["generators"]]
-    ],
+    "target-and-multipliers-doubled": lambda data: (
+        _double(data["target"]), _double(_nil(data)), [_double_table(t["multiplier"]) for t in data["generators"]]
+    ),
     "generator-coeff": lambda data: _set_coeff(data["generators"][0]["generator"], 0, "-2/1"),
     "generator-scaled": lambda data: _double(data["generators"][0]["generator"]),
     "generator-of-other-j": lambda data: data["generators"][0].update(
@@ -674,48 +715,98 @@ TAMPERED_DOCUMENTS = {
     "generator-missing": lambda data: data["generators"][0].pop("generator"),
     "multiplier-missing": lambda data: data["generators"][0].pop("multiplier"),
     "factors-missing": lambda data: data["nilpotent_part"][0].pop("factors"),
-    "coeff-missing": lambda data: data["generators"][0]["multiplier"]["terms"][0].pop("coeff"),
-    "rank-missing": lambda data: data["nilpotent_part"][0]["multiplier"].pop("rank"),
+    "coeff-missing": lambda data: _nil(data)["terms"][0].pop("coeff"),
+    "rank-missing": lambda data: _nil(data).pop("rank"),
+    "den-missing": lambda data: _table(data).pop("den"),
+    "orbits-missing": lambda data: _table(data).pop("orbits"),
     "key-extra": lambda data: data.update(note="extra"),
     "term-key-extra": lambda data: data["generators"][0].update(note="extra"),
     "nilpotent-key-extra": lambda data: data["nilpotent_part"][0].update(note="extra"),
-    "cycle-key-extra": lambda data: data["generators"][0]["multiplier"].update(note="extra"),
-    "cycle-term-key-extra": lambda data: data["generators"][0]["multiplier"]["terms"][0].update(note=0),
+    "cycle-key-extra": lambda data: _nil(data).update(note="extra"),
+    "cycle-term-key-extra": lambda data: _nil(data)["terms"][0].update(note=0),
+    "table-key-extra": lambda data: _table(data).update(note="extra"),
     # a bool or a float in place of an int
     "k-bool": lambda data: data.update(k=True),
     "g-float": lambda data: data.update(g=2.0),
     "j-bool": lambda data: data["generators"][0].update(j=True),
-    "factors-bool": lambda data: data["nilpotent_part"][0].update(factors=[True, 2, 3]),
+    "factors-bool": lambda data: data["nilpotent_part"][0].update(factors=[True, 1, 1]),
     "target-point-bool": lambda data: _point(data, "target").__setitem__(0, False),
     "target-rank-float": lambda data: data["target"].update(rank=3.0),
     "generator-point-bool": lambda data: _point(data, "generators", 0, "generator").__setitem__(0, False),
-    "multiplier-point-bool": lambda data: _point(data, "generators", 0, "multiplier").__setitem__(0, False),
+    "multiplier-point-bool": lambda data: _point(data, "nilpotent_part", 0, "multiplier").__setitem__(0, False),
+    "entry-a1-float": lambda data: _entry(data, 0, 0, 0.0),
+    "entry-a1-bool": lambda data: _entry(data, 0, 0, False),
+    "entry-s-float": lambda data: _entry(data, 1, 1, 1.0),
+    "entry-s-bool": lambda data: _entry(data, 1, 1, True),
+    "entry-n-float": lambda data: _entry(data, 0, 2, 6.0),
+    "entry-n-bool": lambda data: _entry(data, 4, 2, True),
+    "den-float": lambda data: _table(data).update(den=12.0),
+    "den-bool": lambda data: _table(data).update(den=True),
     # shapes that are not the certificate's
     "generators-int": lambda data: data.update(generators=5),
     "nilpotent-part-int": lambda data: data.update(nilpotent_part=5),
     "generator-term-str": lambda data: data["generators"].__setitem__(0, "(m_1)*h"),
     "factors-int": lambda data: data["nilpotent_part"][0].update(factors=3),
-    "terms-int": lambda data: data["generators"][0]["multiplier"].update(terms=5),
-    "terms-int-entry": lambda data: data["generators"][0]["multiplier"].update(terms=[5]),
-    "point-int": lambda data: data["generators"][0]["multiplier"]["terms"][0].update(point=5),
+    "terms-int": lambda data: _nil(data).update(terms=5),
+    "terms-int-entry": lambda data: _nil(data).update(terms=[5]),
+    "point-int": lambda data: _nil(data)["terms"][0].update(point=5),
     "multiplier-list": lambda data: data["generators"][0].update(multiplier=[]),
+    "orbits-int": lambda data: _table(data).update(orbits=5),
+    "orbits-int-entry": lambda data: _table(data).update(orbits=[5]),
+    "orbits-dict": lambda data: _table(data).update(orbits={"0": [0, 3]}),
+    "entry-short": lambda data: _table(data)["orbits"][0].pop(),
+    "entry-long": lambda data: _table(data)["orbits"][0].append(0),
+    "entry-dict": lambda data: _table(data)["orbits"].__setitem__(0, {"a_1": 0, "s": 0, "n": 3}),
     # a multiplier that lists a point twice or has a zero coefficient
-    "multiplier-point-twice": lambda data: data["generators"][0]["multiplier"]["terms"].append(
-        dict(data["generators"][0]["multiplier"]["terms"][0])
+    "multiplier-point-twice": lambda data: _nil(data)["terms"].append(dict(_nil(data)["terms"][0])),
+    "multiplier-zero-coeff": lambda data: _set_coeff(_nil(data), 0, "0/1"),
+    # a table that is not canonical: every (a_1, s) once, in order, with a
+    # nonzero n over a positive den in lowest terms, s in 0..k-1, |a_1| < 2**46
+    "entry-twice": lambda data: _table(data)["orbits"].append(list(_table(data)["orbits"][0])),
+    "entry-twice-other-n": lambda data: _table(data)["orbits"].insert(1, [0, 0, 1]),
+    "entries-unsorted": lambda data: _table(data)["orbits"].reverse(),
+    "entries-swapped": lambda data: _table(data)["orbits"].insert(0, _table(data)["orbits"].pop(1)),
+    "entry-n-zero": lambda data: _entry(data, 0, 2, 0),
+    "entry-s-negative": lambda data: _entry(data, 0, 1, -1),
+    "entry-s-k": lambda data: _entry(data, 5, 1, 3),
+    "entry-a1-limit": lambda data: _entry(data, 5, 0, 2**46),
+    "entry-a1-minus-limit": lambda data: _entry(data, 0, 0, -(2**46)),
+    "den-zero": lambda data: _table(data).update(den=0),
+    "den-negative": lambda data: _table(data).update(den=-12),
+    "den-not-lowest": lambda data: (
+        _table(data).update(den=24), [entry.__setitem__(2, 2 * entry[2]) for entry in _table(data)["orbits"]]
     ),
-    "multiplier-zero-coeff": lambda data: _set_coeff(data["generators"][0]["multiplier"], 0, "0/1"),
 }
+
+
+def scaled(table, factor):
+    """``table`` times ``factor``, in canonical form."""
+    values = {o: Fraction(n, table.den) * factor for o, n in table.orbits.items()}
+    return canonical(table.k, values)
+
+
+def canonical(k, values):
+    """The ``OrbitTable`` of {(a_1, s): value}, zero values dropped."""
+    values = {o: Fraction(c) for o, c in values.items() if c}
+    den = lcm(*(c.denominator for c in values.values()))
+    return OrbitTable(k, den, {o: int(c * den) for o, c in values.items()})
 
 
 def tamper_base():
     cert = verify_relation(3, 2)
-    return replace(cert, nilpotent_part=(NilpotentTerm((1, 2, 3), Cycle.zero(3)),))
+    half = Fraction(1, 2)
+    return replace(
+        cert,
+        generators=tuple(replace(t, multiplier=scaled(t.multiplier, half)) for t in cert.generators),
+        nilpotent_part=(NilpotentTerm((1, 1, 1), Cycle.unit(3).scale(half)),),
+    )
 
 
 @pytest.mark.parametrize("tamper", list(TAMPERED_DOCUMENTS.values()), ids=list(TAMPERED_DOCUMENTS))
 def test_certificate_reader_checks_format_version_and_labels(tamper):
     cert = tamper_base()
     data = json.loads(written(cert))
+    assert _table(data) == {"den": 12, "orbits": [[0, 0, 3], [0, 1, 3], [0, 2, 2], [1, 0, -6], [1, 1, -1], [2, 0, 3]]}
     assert MembershipCertificate.from_json_dict(data) == cert
     assert verify_certificate(cert)
     tamper(data)
@@ -783,10 +874,10 @@ def wrong_rank(multiplier):
 
 
 def test_wrong_rank_multipliers_are_rejected():
-    # the reader rejects a file's multiplier of another rank than k
+    # the reader rejects a file's table with an orbit of another rank than k
     data = verify_relation(3, 2, method="newton").to_json_dict()
-    data["generators"][0]["multiplier"] = wrong_rank(data["generators"][0]["multiplier"])
-    with pytest.raises(ValueError, match="rank k = 3"):
+    data["generators"][0]["multiplier"]["orbits"].append([0, 3, 1])
+    with pytest.raises(ValueError, match="k = 3"):
         MembershipCertificate.from_json_dict(data)
 
     data = verify_relation(3, 1, j_max=1, cap=2, method="window").to_json_dict()
@@ -798,7 +889,7 @@ def test_wrong_rank_multipliers_are_rejected():
     # and the verifier a certificate built in memory with one
     cert = verify_relation(3, 2, method="newton")
     t = cert.generators[0]
-    short = replace(cert, generators=(replace(t, multiplier=Cycle.unit(2)),) + cert.generators[1:])
+    short = replace(cert, generators=(replace(t, multiplier=OrbitTable(2, 1, {(0, 0): 1})),) + cert.generators[1:])
     assert verify_certificate(short) is False
 
 
@@ -851,12 +942,17 @@ def orbit_sizes(form):
 
 
 def expansion_oracle(cert):
-    """Every generator term convolved out on points and summed: the full
-    expansion, kept here as an oracle for the orbit proof."""
+    """Every term convolved out on points and summed: the full expansion,
+    kept here as an oracle for both proofs."""
     ctx = RingContext(rank=cert.k, geom_dim=1, support_cap=4 * cert.k)
     total = Cycle.zero(cert.k)
     for t in cert.generators:
-        total = total + pontryagin(t.multiplier, pushed_hypothesis(cert.k, t.j), ctx)
+        total = total + pontryagin(t.multiplier.expand(), pushed_hypothesis(cert.k, t.j), ctx)
+    for t in cert.nilpotent_part:
+        product = Cycle.unit(cert.k)
+        for i in t.factors:
+            product = pontryagin(product, augmentation_generator(cert.k, i), ctx)
+        total = total + pontryagin(t.multiplier, product, ctx)
     return total == star_power(augmentation_generator(cert.k, 1), cert.k, ctx)
 
 
@@ -864,9 +960,9 @@ def expansion_oracle(cert):
 def test_orbit_builder_matches_point_keyed_builder(k):
     cert = _newton_certificate(k, 1, k, k - 1)
     oracle = point_keyed_newton_multipliers(k)
-    assert {t.j: t.multiplier for t in cert.generators} == oracle
-    # every multiplier is invariant, with C(k+2, 3) orbits in all
-    assert sum(len(orbit_form(t.multiplier)) for t in cert.generators) == comb(k + 2, 3)
+    assert {t.j: t.multiplier.expand() for t in cert.generators} == oracle
+    # C(k+2, 3) orbit entries in all
+    assert sum(len(t.multiplier.orbits) for t in cert.generators) == comb(k + 2, 3)
 
 
 @pytest.mark.parametrize("k", range(2, 10))
@@ -879,11 +975,19 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
     for cert, again in zip(certs, reloaded):
         assert again == cert
         assert verify_certificate(cert) and verify_certificate(again)
-    for cert in newton:
+    for cert in certs:
         assert expansion_oracle(cert)
+    # one entry of one table changed: both proofs reject it
+    t = newton[0].generators[-1]
+    (a_1, s), n = next(iter(t.multiplier.orbits.items()))
+    bad = replace(newton[0], generators=newton[0].generators[:-1] + (
+        replace(t, multiplier=canonical(k, {**t.multiplier.orbits, (a_1, s): n + 1})),))
+    assert relations._verify_on_orbits(bad) is False
+    assert not expansion_oracle(bad)
     # a Newton certificate is proved on orbits, built in memory or loaded:
-    # the orbit proof convolves nothing
+    # the orbit proof convolves nothing and expands no table
     monkeypatch.setattr(relations, "pontryagin", None)
+    monkeypatch.setattr(OrbitTable, "expand", None)
     for cert in newton:
         assert verify_certificate(cert)
         assert verify_certificate(MembershipCertificate.from_json_dict(cert.to_json_dict()))
@@ -891,50 +995,49 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
 
 @pytest.mark.parametrize("k", range(2, 10))
 def test_orbit_forms_match_the_oracle(k):
-    newton = [t.multiplier for t in _newton_certificate(k, 1, k, k - 1).generators]
-    nilpotent = [verify_relation(k, g, method="window").nilpotent_part[0].multiplier for g in range(1, k)]
-    multipliers = newton + nilpotent
-    forms = orbit_forms(multipliers)
-    assert len(forms) == len(multipliers)
-    for m, form in zip(multipliers, forms):
-        assert {o: Fraction(n, m.den) for o, (n, _) in form.items()} == orbit_form(m)
-        assert {o: size for o, (_, size) in form.items()} == orbit_sizes(form)
-        # the form stands for the multiplier again
-        assert _orbit_cycle(k, m.den, {o: n for o, (n, _) in form.items()}) == m
-    # one call or one call per cycle: the shared tail table changes nothing
-    assert forms == [orbit_forms([m])[0] for m in multipliers]
+    # each table is the orbit form of the point-keyed multiplier: (a_1, s)
+    # stands for the orbit (a_1, 0^(k-1-s), 1^s), of C(k-1, s) points
+    oracle = point_keyed_newton_multipliers(k)
+    for t in _newton_certificate(k, 1, k, k - 1).generators:
+        form = orbit_form(oracle[t.j])
+        keys = {(a_1, s): (a_1,) + (0,) * (k - 1 - s) + (1,) * s for a_1, s in t.multiplier.orbits}
+        assert {keys[o]: Fraction(n, t.multiplier.den) for o, n in t.multiplier.orbits.items()} == form
+        assert {keys[o]: comb(k - 1, o[1]) for o in keys} == orbit_sizes(form)
+        assert t.multiplier.max_height() == oracle[t.j].max_height()
 
 
-def test_orbit_forms_edge_cases():
-    assert orbit_forms([]) == []
-    # rank 1 has empty tails: every point is its own orbit
-    assert orbit_forms([Cycle(1, {(2,): Fraction(1, 3)})]) == [{(2,): (1, 1)}]
-    assert orbit_forms([Cycle.zero(3)]) == [{}]
-    # negative digits: every key splits into a_1 and its tail exactly
-    c = _orbit_cycle(3, 2, {(-2, -5, 3): 1, (4, -1, -1): -3, (0, -7, 0): 5})
-    assert orbit_forms([c]) == [{(-2, -5, 3): (1, 2), (4, -1, -1): (-3, 1), (0, -7, 0): (5, 2)}]
-    with pytest.raises(ValueError):
-        orbit_forms([Cycle.unit(2), Cycle.unit(3)])
-    with pytest.raises(ValueError):
-        orbit_forms([Cycle.unit(0)])
+def test_orbit_table_edge_cases():
+    # k = 1 has empty tails: every point is its own orbit
+    assert OrbitTable(1, 3, {(2, 0): 1}).expand() == Cycle(1, {(2,): Fraction(1, 3)})
+    zero = OrbitTable(3, 1, {})
+    assert zero.expand() == Cycle.zero(3) and zero.max_height() == 0
+    assert zero.to_json_dict() == {"den": 1, "orbits": []}
+    # negative a_1, and entries written in (a_1, s) order
+    table = OrbitTable(3, 2, {(4, 0): -3, (-2, 2): 1, (-2, 1): 5})
+    assert table.expand() == Cycle(3, {(-2, 1, 1): Fraction(1, 2), (-2, 1, 0): Fraction(5, 2),
+                                       (-2, 0, 1): Fraction(5, 2), (4, 0, 0): Fraction(-3, 2)})
+    assert table.max_height() == 4
+    assert table.to_json_dict() == {"den": 2, "orbits": [[-2, 1, 5], [-2, 2, 1], [4, 0, -3]]}
+    assert OrbitTable(2, 1, {(2**46 - 1, 1): 1}).max_height() == 2**46
+    for k, den, orbits in [
+        (0, 1, {}), (3, 0, {}), (3, -1, {(0, 0): 1}), (3, 2, {(0, 0): 2}), (3, 2, {}),
+        (3, 1, {(0, 0): 0}), (3, 1, {(0, 3): 1}), (3, 1, {(0, -1): 1}),
+        (3, 1, {(2**46, 0): 1}), (3, 1, {(-(2**46), 0): 1}),
+    ]:
+        with pytest.raises(ValueError):
+            OrbitTable(k, den, orbits)
 
 
 def test_orbit_proof_shares_no_code_with_the_builder():
+    # the builder returns tables and builds no point; the orbit proof reads
+    # the tables and expands none
+    builder = relations._newton_certificate.__code__.co_names
+    assert "Cycle" not in builder and "expand" not in builder
     names = relations._verify_on_orbits.__code__.co_names
-    assert "_orbit_cycle" not in names and "_newton_certificate" not in names
-    # the proof reads multipliers through orbit_forms, which builds nothing
-    assert "orbit_forms" in names
-    reader = orbit_forms.__code__.co_names
-    assert "_orbit_cycle" not in reader and "_newton_certificate" not in reader
+    assert "_newton_certificate" not in names and "expand" not in names
     # the verifier recomputes nilpotent products with ``nilpotent_product``,
     # so the nilpotent builder must not use it
     assert "nilpotent_product" not in relations._nilpotent_certificate.__code__.co_names
-
-
-def rebuilt(cert, index, coeffs):
-    """``cert`` with generator term ``index`` given new point coefficients."""
-    t = replace(cert.generators[index], multiplier=Cycle(cert.k, coeffs))
-    return replace(cert, generators=cert.generators[:index] + (t,) + cert.generators[index + 1:])
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -943,23 +1046,20 @@ def test_orbit_path_rejects_tampering(k):
     assert verify_certificate(cert)
     index = 0
     t = cert.generators[index]
-    coeffs = dict(t.multiplier.items())
-    # an orbit with more than one point, and one of its points
-    big = next(o for o in orbit_form(t.multiplier) if len(set(o[1:])) > 1)
-    point = next(p for p in coeffs if orbit_of(p) == big and p != big)
+    # an orbit with more than one point
+    big = next((a_1, s) for a_1, s in t.multiplier.orbits if 0 < s < k - 1)
+    values = {o: Fraction(n, t.multiplier.den) for o, n in t.multiplier.orbits.items()}
 
-    # not invariant: the expansion decides, and the identity fails
-    one_point = rebuilt(cert, index, {**coeffs, point: coeffs[point] + 1})
-    dropped = rebuilt(cert, index, {p: c for p, c in coeffs.items() if p != point})
-    # invariant, but the orbit sums no longer add up to the target
-    scaled = rebuilt(cert, index, {p: 2 * c if orbit_of(p) == big else c
-                                   for p, c in coeffs.items()})
-    assert scaled.generators[index].multiplier.den == t.multiplier.den
-    for bad in (one_point, dropped):
-        assert relations._verify_on_orbits(bad) is None
-        assert orbit_forms([bad.generators[index].multiplier]) == [None]
-    assert relations._verify_on_orbits(scaled) is False
-    for bad in (one_point, dropped, scaled):
+    def rebuilt(values):
+        term = replace(t, multiplier=canonical(k, values))
+        return replace(cert, generators=cert.generators[:index] + (term,) + cert.generators[index + 1:])
+
+    # the orbit sums no longer add up to the target
+    dropped = rebuilt({o: c for o, c in values.items() if o != big})
+    doubled = rebuilt({**values, big: 2 * values[big]})
+    moved = rebuilt({**{o: c for o, c in values.items() if o != big}, (big[0], big[1] + 1): values[big]})
+    for bad in (dropped, doubled, moved):
+        assert relations._verify_on_orbits(bad) is False
         assert verify_certificate(bad) is False
         assert not expansion_oracle(bad)
     for bad in (replace(cert, cap=k - 2), replace(cert, j_max=k - 1)):
@@ -967,23 +1067,28 @@ def test_orbit_path_rejects_tampering(k):
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
-def test_valid_non_invariant_certificate_is_proved_by_expansion(k):
-    # Y_a + Z * G_b and Y_b - Z * G_a leave sum Y_j * G_j unchanged for any
-    # Z; Z = {x_2} breaks the symmetry in x_2..x_k
-    cert = verify_relation(k, k, method="newton")
-    ctx = RingContext(rank=k, geom_dim=1, support_cap=4 * k)
+def test_valid_non_invariant_certificate_is_proved_by_expansion(k, monkeypatch):
+    # half the Newton certificate plus half the nilpotent one, u_1^{*(k-2)}
+    # times u_1 * u_1 at g = 1, and Z * u_1 * u_2 - Z * u_2 * u_1, which is
+    # zero for any Z; Z = {x_2} breaks the symmetry in x_2..x_k
+    half = Fraction(1, 2)
+    newton = verify_relation(k, 1, method="newton")
+    nilpotent = verify_relation(k, 1, method="window").nilpotent_part[0]
     z = Cycle.point((0, 1) + (0,) * (k - 2))
-    a, b = cert.generators[:2]
-    moved = (
-        replace(a, multiplier=a.multiplier + pontryagin(z, pushed_hypothesis(k, b.j), ctx)),
-        replace(b, multiplier=b.multiplier - pontryagin(z, pushed_hypothesis(k, a.j), ctx)),
+    mixed = replace(
+        newton,
+        generators=tuple(replace(t, multiplier=scaled(t.multiplier, half)) for t in newton.generators),
+        nilpotent_part=(replace(nilpotent, multiplier=nilpotent.multiplier.scale(half)),
+                        NilpotentTerm((1, 2), z), NilpotentTerm((2, 1), -z)),
     )
-    mixed = replace(cert, generators=moved + cert.generators[2:])
-    assert relations._verify_on_orbits(mixed) is None
     assert expansion_oracle(mixed)
+    assert not expansion_oracle(replace(mixed, nilpotent_part=mixed.nilpotent_part[:2]))
+    monkeypatch.setattr(relations, "_verify_on_orbits", None)
     assert verify_certificate(mixed) is True
-    reloaded = MembershipCertificate.from_json_dict(mixed.to_json_dict())
+    reloaded = MembershipCertificate.from_json_dict(json.loads(written(mixed)))
+    assert reloaded == mixed
     assert verify_certificate(reloaded) is True
+    assert verify_certificate(replace(mixed, nilpotent_part=mixed.nilpotent_part[:2])) is False
 
 
 def test_term_checks_reject_malformed_terms():
@@ -1002,20 +1107,20 @@ def test_malformed_fields_are_rejected_not_raised():
     cert = verify_relation(3, 2)
     t, rest = cert.generators[0], cert.generators[1:]
     assert verify_certificate(cert)
-    # k = 0 has no x_1 to build the target from
+    # k = 0 has no x_1 to build the target from; g = 0 has no nilpotency order
     assert verify_certificate(replace(cert, k=0)) is False
+    assert verify_certificate(replace(cert, g=0)) is False
     # j within j_max, but (m_j)_* h leaves the digit range |c| < 2**46
     big_j = replace(cert, j_max=2**47, generators=(replace(t, j=2**46),) + rest)
     assert verify_certificate(big_j) is False
-    # a multiplier that is not invariant sends g = 0 to the expansion path
-    x_2 = Cycle.point((0, 1, 0))
-    no_g = replace(cert, g=0, generators=(replace(t, multiplier=t.multiplier + x_2),) + rest)
-    assert relations._verify_on_orbits(no_g) is None
-    assert verify_certificate(no_g) is False
-    # a multiplier point within the cap whose product with (m_j)_* h has
-    # the coordinate 2**46 - 1 + j, outside the digit range
-    far = Cycle.point((0, 2**46 - 1, 0))
-    far_product = replace(cert, cap=2**47, generators=(replace(t, multiplier=t.multiplier + far),) + rest)
-    assert relations._verify_on_orbits(far_product) is None
-    assert orbit_forms([t.multiplier for t in far_product.generators])[0] is None
+    # an orbit within the cap whose product with (m_j)_* h has the
+    # coordinate 2**46 - 1 + j, outside the digit range: the orbit proof
+    # rejects it, and with a nilpotent term of multiplier zero added so
+    # does the expansion, without raising
+    far = canonical(3, {**{o: Fraction(n, t.multiplier.den) for o, n in t.multiplier.orbits.items()},
+                        (2**46 - 1, 0): 1})
+    far_product = replace(cert, cap=2**47, generators=(replace(t, multiplier=far),) + rest)
+    assert relations._verify_on_orbits(far_product) is False
     assert verify_certificate(far_product) is False
+    mixed = replace(far_product, nilpotent_part=(NilpotentTerm((1, 2, 3), Cycle.zero(3)),))
+    assert verify_certificate(mixed) is False
