@@ -356,8 +356,13 @@ def _json_text(value, indent: str) -> str:
                 parts += inner, _encode_str(key), ": ", _json_text(value[key], inner), ","
             parts[-1] = indent + "}"
             return "".join(parts)
-        # str items, the most common, skip the call
-        items = [_encode_str(item) if type(item) is str else _json_text(item, inner) for item in value]
+        # str and int items, the most common, skip the call
+        items = [
+            _encode_str(item) if type(item) is str
+            else int.__repr__(item) if type(item) is int
+            else _json_text(item, inner)
+            for item in value
+        ]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is int:
         return int.__repr__(value)

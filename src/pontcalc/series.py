@@ -3,12 +3,16 @@
 The truncated log/exp cycle operations are polynomial expressions in a
 single ring element, so their composites can be predicted by ordinary
 polynomial arithmetic over Q.  These helpers provide that independent
-path: coefficient lists (index = power) with Fraction entries, plus a
-Horner evaluator that substitutes a cycle for the variable.  Composition
-and Horner's rule run on integer numerators, the coefficients cleared to
-one common denominator, and divide by it once at the end.  The model uses
-only public ``Cycle`` operations and ``pontryagin``, never the power sums
-of ``cycles`` (``_power_sum``) or any other private name there.
+path: coefficient lists (index = power) with Fraction entries, and two
+evaluators that substitute a ring element for the variable.
+``poly_eval_at_cycle`` runs Horner's rule at any cycle; ``poly_eval_at_point``
+evaluates at a point {x} in closed form, sum_i q_i {i x}, since
+{x}^{*i} = {i x}, with no convolution.  A polynomial p at u = {x} - {0}
+is q = p(S - 1) at {x}.  Composition and both evaluators run on integer
+numerators, the coefficients cleared to one common denominator, and divide
+by it once at the end.  The model uses only public ``Cycle`` operations and
+``pontryagin``, never the power sums of ``cycles`` (``_power_sum``) or any
+other private name there.
 
 Composing the truncated series shows exactly what "exp and log are
 inverse" means here: exp_after_log(g) equals 1 + T up to order g + 1,
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cycles import Cycle, RingContext, pontryagin
+from .cycles import Cycle, RingContext, SupportCapExceeded, pontryagin
 from .linalg import clear_denominators
 
 
@@ -98,3 +102,19 @@ def poly_eval_at_cycle(coeffs: list[Fraction], base: Cycle, ctx: RingContext) ->
     for n in reversed(nums):
         result = pontryagin(result, base, ctx) + unit.scale(n)
     return result.scale(Fraction(1, den))
+
+
+def poly_eval_at_point(coeffs: list[Fraction], x: tuple[int, ...], ctx: RingContext) -> Cycle:
+    """Evaluate sum coeffs[i] * {x}^{*i} = sum coeffs[i] * {i x} in closed
+    form, on the coefficients cleared to integers, scaled once at the end.
+    Terms that land on one point (x = 0) are added.  Raises
+    ``SupportCapExceeded`` when deg * |x|_1 exceeds the cap, the highest
+    point Horner's rule would reach."""
+    den, nums = clear_denominators(coeffs)
+    while nums and not nums[-1]:
+        nums.pop()
+    top = len(nums) - 1
+    if top * sum(map(abs, x)) > ctx.support_cap:
+        raise SupportCapExceeded(tuple(top * c for c in x), ctx.support_cap)
+    terms = [(tuple(i * c for c in x), n) for i, n in enumerate(nums) if n]
+    return Cycle(ctx.rank, terms).scale(Fraction(1, den))

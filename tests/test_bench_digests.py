@@ -58,8 +58,8 @@ def test_convolution_work_counts(bench_run):
     of it fails here, whatever it does to the time."""
     run = bench_run.measure("convolution", 101, 0, True)
     assert run.failed == 0, run.summary
-    assert run.values["cycles.pontryagin.calls"] == 1467
-    assert run.values["cycles.pontryagin.pairs"] == 58886
+    assert run.values["cycles.pontryagin.calls"] == 792
+    assert run.values["cycles.pontryagin.pairs"] == 33476
     assert run.values["cycles.max_support"] == 245
 
 

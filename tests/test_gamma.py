@@ -10,6 +10,7 @@ from pontcalc.cycles import (
     Cycle,
     DegreeError,
     RingContext,
+    SupportCapExceeded,
     exp_cycle,
     gamma,
     gamma_factorization,
@@ -24,6 +25,7 @@ from pontcalc.series import (
     log_series_coeffs,
     poly_compose,
     poly_eval_at_cycle,
+    poly_eval_at_point,
     poly_mul,
 )
 
@@ -298,3 +300,62 @@ def test_horner_convolves_no_zero_operand(coeffs, monkeypatch):
     degree = max((j for j, a in enumerate(coeffs) if a), default=0)
     assert len(calls) == degree
     assert got == Cycle(1, oracle_series([Fraction(a) for a in coeffs], dict(base.items()), 1))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form evaluator at a point against Horner's rule
+# ---------------------------------------------------------------------------
+
+POINTS = [(1,), (-2,), (0,), (2, -1), (0, 0), (-1, 0, 2), (0, 0, 0), (1, -1, -1)]
+POLYS = [
+    [],
+    [0],
+    [0, 0, 0],
+    [5],
+    [1, 1],
+    [0, 0, 3, 0, 0],
+    [Fraction(1, 2), -2, Fraction(-7, 3)],
+    [Fraction(2), Fraction(0), Fraction(5, 6), Fraction(0)],
+]
+
+
+@pytest.mark.parametrize("x", POINTS)
+@pytest.mark.parametrize("q", POLYS)
+def test_point_evaluator_matches_horner_at_the_point(q, x):
+    c = RingContext(rank=len(x), geom_dim=2, support_cap=10**6)
+    assert poly_eval_at_point(q, x, c) == poly_eval_at_cycle(q, Cycle.point(x), c)
+
+
+@pytest.mark.parametrize("x", POINTS)
+@pytest.mark.parametrize("p", POLYS)
+def test_shifted_point_evaluator_matches_horner_at_u(p, x):
+    # p(u) for u = {x} - {0} is q({x}) with q(S) = p(S - 1)
+    c = RingContext(rank=len(x), geom_dim=2, support_cap=10**6)
+    u = Cycle.point(x) - Cycle.unit(len(x))
+    assert poly_eval_at_point(poly_compose(p, [-1, 1]), x, c) == poly_eval_at_cycle(p, u, c)
+
+
+def test_point_evaluator_matches_the_exp_log_model():
+    rng = random.Random(5)
+    for g in range(1, 5):
+        shifted = poly_compose(exp_after_log(g), [-1, 1])
+        for rank in (1, 2, 3):
+            c = RingContext(rank=rank, geom_dim=g, support_cap=10**6)
+            x = tuple(rng.randint(-2, 2) for _ in range(rank))
+            u = Cycle.point(x) - Cycle.unit(rank)
+            want = exp_cycle(log_cycle(Cycle.point(x), c), c)
+            assert poly_eval_at_point(shifted, x, c) == want == poly_eval_at_cycle(exp_after_log(g), u, c)
+
+
+@pytest.mark.parametrize("x", [(2,), (-1, 2), (1, 0, -1)])
+def test_point_evaluator_cap_is_degree_times_height(x):
+    q = [1, 0, Fraction(1, 3), 2, 0]  # degree 3 once the trailing zero is dropped
+    reach = 3 * sum(map(abs, x))
+    at_cap = RingContext(rank=len(x), geom_dim=2, support_cap=reach)
+    assert poly_eval_at_point(q, x, at_cap) == poly_eval_at_cycle(q, Cycle.point(x), at_cap)
+    below = RingContext(rank=len(x), geom_dim=2, support_cap=reach - 1)
+    with pytest.raises(SupportCapExceeded):
+        poly_eval_at_point(q, x, below)
+    # Horner's rule at the same point raises at the same cap
+    with pytest.raises(SupportCapExceeded):
+        poly_eval_at_cycle(q, Cycle.point(x), below)

@@ -38,3 +38,10 @@ def test_poly_compose_multiplies_through_poly_mul():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert "poly_mul" in calls
+
+
+def test_point_evaluator_convolves_nothing():
+    defs = {node.name: node for node in TREE.body if isinstance(node, ast.FunctionDef)}
+    names = {node.id for node in ast.walk(defs["poly_eval_at_point"]) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(defs["poly_eval_at_point"]) if isinstance(node, ast.Attribute)}
+    assert "pontryagin" not in names | attrs
