@@ -42,7 +42,6 @@ from .relations import (
     NotFoundWithinCaps,
     OrbitTable,
     alpha_coefficients,
-    augmentation_generator,
     check_recursion_identity,
     hypothesis_cycle,
     power_basis_change,

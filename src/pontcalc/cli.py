@@ -192,7 +192,7 @@ def _cmd_verify_relation(args):
         "nilpotent_terms": len(cert.nilpotent_part),
         "pushforward_indices": cert.pushforward_indices(),
         "max_multiplier_height": cert.max_multiplier_height(),
-        "re_verified_by_expansion": True,
+        "re_verified_on_orbits": True,
     }
     return "pass", witness
 

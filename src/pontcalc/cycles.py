@@ -323,10 +323,6 @@ class Cycle:
             raise ValueError("a cycle has an extra key, a point listed twice or a zero coefficient")
         return cycle
 
-    @classmethod
-    def from_json(cls, text: str) -> "Cycle":
-        return cls.from_json_dict(json.loads(text))
-
 
 _encode_str = json.encoder.encode_basestring_ascii
 

@@ -7,24 +7,25 @@ Setting: k free generators x_1, ..., x_k and the hypothesis cycle
 whose vanishing in the modeled quotient expresses "the k points sum to k
 times the origin".  The engine exhibits u^{*k}, u = {x_1} - {0}, as an
 exact combination of monomial multiples of the pushforwards (m_j)_* h
-(the relation ideal) plus, when needed, monomial multiples of products of
-g+1 augmentation-ideal generators (the nilpotency span).  Any certificate
-it returns is re-verified through an independent code path, so a
-returned certificate is a proof; failure to find one within the caps is
-reported as inconclusive, never as a refutation.  The verifier reads its
-proof from the certificate alone: a certificate with only generator
-terms (a Newton certificate, built in memory or loaded from a file) is
-proved on orbit sums read straight from its multipliers, each an
-``OrbitTable`` of S_{k-1}, the permutations of x_2..x_k; any other
-certificate by brute-force expansion.  The orbit proof checks
-sum_j sum_R |R| Y_j(R) sum_{g : r + g in Q} c_j(g) = u^{*k}(Q) on every
-orbit Q, R running over the orbits of Y_j, r one point of R and c_j the
-coefficients of (m_j)_* h.  A certificate stores no target, no (m_j)_* h
-and no label: these follow from k, j and the factors, are derived where
-it is written or verified, and a file's copies of them are checked on
-read.  The file (version 2) holds each generator multiplier as its table,
-``{"den": D, "orbits": [[a_1, s, n], ...]}``, and every cycle as its
-``to_json_dict()``: ``json_text`` writes JSON values only.
+(the relation ideal) plus, when needed, monomial multiples of the
+product u_1^{*(g+1)} of g+1 augmentation generators u_1 = {x_1} - {0}
+(the nilpotency span).  Any certificate it returns is re-verified through
+an independent code path, so a returned certificate is a proof; failure
+to find one within the caps is reported as inconclusive, never as a
+refutation.  Every multiplier, of a generator term and of a nilpotent
+term alike, is an ``OrbitTable`` of S_{k-1}, the permutations of
+x_2..x_k, and the verifier proves every certificate, built in memory or
+loaded from a file, on orbit sums read straight from the tables: it
+checks sum_t sum_R |R| Y_t(R) sum_{p : r + p in Q} c_t(p) = u^{*k}(Q) on
+every orbit Q, R running over the orbits of Y_t, r one point of R and
+c_t the coefficients of the term's (m_j)_* h or u_1^{*(g+1)}.  A
+certificate stores no target, no (m_j)_* h, no factor list and no label:
+these follow from k, j and g, are derived where it is written or
+verified, and a file's copies of them are checked on read.  The file
+(version 3) holds each multiplier as its table,
+``{"den": D, "orbits": [[a_1, s, n], ...]}``, and the target and each
+(m_j)_* h as their ``Cycle.to_json_dict()``: ``json_text`` writes JSON
+values only.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -33,8 +34,8 @@ decided from (k, g, j_max, cap) before anything is built:
   recursion satisfied by the subset-sum cycles gamma_l, which yields
   explicit cofactors with multiplier monomials of height k - 1 over the
   pushforwards with j = 1..k, and no nilpotency term;
-* the nilpotent certificate (k > g) writes the target as one multiple of
-  a product of g+1 augmentation generators.
+* the nilpotent certificate (k > g) writes the target as u_1^{*(k-g-1)}
+  times u_1^{*(g+1)}, one nilpotent term with a closed-form table.
 
 ``verify_relation`` tabulates which one each ``method`` (``auto``, the
 default, ``newton`` or ``window``) returns.
@@ -55,7 +56,6 @@ from .cycles import (
     json_text,
     pontryagin,
     pushforward,
-    star_power,
 )
 from .linalg import clear_denominators
 
@@ -226,7 +226,9 @@ class OrbitTable:
     ``orbits`` maps (a_1, s) to a nonzero integer n: the coefficient n / den
     sits at each of the C(k-1, s) points whose first coordinate is a_1 and
     whose other k - 1 coordinates are s ones and k - 1 - s zeros, and every
-    other point has 0.  Every orbit of a Newton multiplier has this form.
+    other point has 0.  Every multiplier has this form: each orbit of a
+    Newton multiplier, and u_1^{*m} of the nilpotent certificate, whose
+    entries are (i, 0).
     The table is canonical (den > 0, gcd(den, *n) = 1), so equality
     compares the fields; s outside 0..k-1, |a_1| >= 2**46 (the ``Cycle``
     coordinate limit) or a table that is not canonical raises ``ValueError``.
@@ -247,13 +249,6 @@ class OrbitTable:
     def max_height(self) -> int:
         return max((abs(a_1) + s for a_1, s in self.orbits), default=0)
 
-    def expand(self) -> Cycle:
-        """The multiplier on points: n / den at every point of each orbit."""
-        rest = range(1, self.k)
-        terms = [((a_1, *(int(i in ones) for i in rest)), n)
-                 for (a_1, s), n in self.orbits.items() for ones in itertools.combinations(rest, s)]
-        return Cycle(self.k, terms).scale(Fraction(1, self.den))
-
     def to_json_dict(self) -> dict:
         return {"den": self.den, "orbits": [[a_1, s, n] for (a_1, s), n in sorted(self.orbits.items())]}
 
@@ -272,19 +267,15 @@ class GeneratorTerm:
 
 @dataclass(frozen=True)
 class NilpotentTerm:
-    """One nilpotency-span contribution: multiplier * product of
-    augmentation generators u_i = {x_i} - {0} (1-based factor indices)."""
+    """One nilpotency-span contribution: multiplier * u_1^{*(g+1)}, the
+    product of g+1 augmentation generators u_1 = {x_1} - {0}.  Its factors
+    follow from the certificate's g."""
 
-    factors: tuple[int, ...]
-    multiplier: Cycle
-
-    @property
-    def label(self) -> str:
-        return "*".join(f"u_{i}" for i in self.factors)
+    multiplier: OrbitTable
 
 
 _CERT_FORMAT = "pontryagin-membership-certificate"
-_CERT_VERSION = 2
+_CERT_VERSION = 3
 
 
 def target_cycle(k: int) -> Cycle:
@@ -296,8 +287,8 @@ def target_cycle(k: int) -> Cycle:
 class MembershipCertificate:
     """An explicit rational combination exhibiting the target u^{*k}.
 
-    u^{*k} == sum multiplier * (m_j)_* h + sum multiplier * nilpotent
-    product, as an exact identity of the free group ring; re-verifiable by
+    u^{*k} == sum multiplier * (m_j)_* h + sum multiplier * u_1^{*(g+1)},
+    as an exact identity of the free group ring; re-verifiable by
     ``verify_certificate``, independently of the builders.
     """
 
@@ -309,9 +300,7 @@ class MembershipCertificate:
     nilpotent_part: tuple[NilpotentTerm, ...]
 
     def max_multiplier_height(self) -> int:
-        heights = [t.multiplier.max_height() for t in self.generators]
-        heights += [t.multiplier.max_height() for t in self.nilpotent_part]
-        return max(heights, default=0)
+        return max((t.multiplier.max_height() for t in (*self.generators, *self.nilpotent_part)), default=0)
 
     def pushforward_indices(self) -> list[int]:
         return sorted({t.j for t in self.generators})
@@ -336,8 +325,8 @@ class MembershipCertificate:
             ],
             "nilpotent_part": [
                 {
-                    "label": t.label,
-                    "factors": list(t.factors),
+                    "label": "*".join(["u_1"] * (self.g + 1)),
+                    "factors": [1] * (self.g + 1),
                     "multiplier": t.multiplier.to_json_dict(),
                 }
                 for t in self.nilpotent_part
@@ -350,31 +339,33 @@ class MembershipCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":
         """Read ``to_json_dict`` output.  The certificate is built from the
-        JSON integers k, g, j_max, cap, j, factors and table entries, and
-        the nilpotent multipliers, see ``Cycle.from_json_dict``; the
-        document must then equal its ``to_json_dict``, key for key and JSON
-        type for JSON type.  So the format, the version (2), the target,
-        every (m_j)_* h, every label and every table's canonical form and
-        (a_1, s) order are checked, and anything else, a missing or an extra
-        key or a version-1 document included, raises ``ValueError``.
-        Nilpotent multipliers of rank k, and a target and generators of rank
-        k with k + 1 terms, are required before anything is derived from k,
-        which the file bounds."""
+        JSON integers k, g, j_max, cap, j and table entries; the document
+        must then equal its ``to_json_dict``, key for key and JSON type for
+        JSON type.  So the format, the version (3), the target, every
+        (m_j)_* h, every factor list, every label and every table's
+        canonical form and (a_1, s) order are checked, and anything else, a
+        missing or an extra key or a version-1 or version-2 document
+        included, raises ``ValueError``.  A target and generators of rank k
+        with k + 1 terms, and factor lists of length g + 1, are required
+        before anything is derived from k or g, which the file bounds."""
+
+        def table(d):
+            return OrbitTable(k, json_int(d["den"]), {
+                (json_int(a_1), json_int(s)): json_int(n) for a_1, s, n in d["orbits"]})
+
         try:
-            k = json_int(data["k"])
+            k, g = json_int(data["k"]), json_int(data["g"])
             gens, nils = data["generators"], data["nilpotent_part"]
             cert = cls(
-                k, *(json_int(data[key]) for key in ("g", "j_max", "cap")),
-                tuple(GeneratorTerm(json_int(t["j"]), OrbitTable(k, json_int(t["multiplier"]["den"]), {
-                    (json_int(a_1), json_int(s)): json_int(n) for a_1, s, n in t["multiplier"]["orbits"]}))
-                      for t in gens),
-                tuple(NilpotentTerm(tuple(map(json_int, t["factors"])), Cycle.from_json_dict(t["multiplier"]))
-                      for t in nils),
+                k, g, json_int(data["j_max"]), json_int(data["cap"]),
+                tuple(GeneratorTerm(json_int(t["j"]), table(t["multiplier"])) for t in gens),
+                tuple(NilpotentTerm(table(t["multiplier"])) for t in nils),
             )
             derived = [data["target"]] + [t["generator"] for t in gens]
-            if any(t.multiplier.rank != k for t in cert.nilpotent_part) or any(
+            if any(len(t["factors"]) != g + 1 for t in nils) or any(
                     d["rank"] != k or len(d["terms"]) != k + 1 for d in derived):
-                raise ValueError(f"a cycle is not of rank k = {k}, or a derived one has not k + 1 terms")
+                raise ValueError(f"a cycle is not of rank k = {k}, or a derived one has not k + 1 terms, "
+                                 f"or a factor list is not g + 1 = {g + 1} long")
         except (KeyError, TypeError):
             raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION}: "
                              "a field is missing or of another JSON type") from None
@@ -395,96 +386,63 @@ def _same_json(a, b) -> bool:
     return a == b
 
 
-def augmentation_generator(k: int, index: int) -> Cycle:
-    """u_index = {x_index} - {0}, 1-based index."""
-    if not 1 <= index <= k:
-        raise ValueError(f"generator index {index} out of range 1..{k}")
-    return Cycle.point(_generator(k, index - 1)) - Cycle.unit(k)
-
-
-def nilpotent_product(k: int, factors: tuple[int, ...], ctx: RingContext) -> Cycle:
-    prod = Cycle.unit(k)
-    for i in factors:
-        prod = pontryagin(prod, augmentation_generator(k, i), ctx)
-    return prod
-
-
 def verify_certificate(cert: MembershipCertificate) -> bool:
     """Independent re-verification of the identity u^{*k} == sum of terms.
 
-    Every multiplier must have rank k and height at most cap, every j must
-    lie in 1..j_max, and every nilpotent product must have exactly g+1
-    factors in 1..k; the target and each (m_j)_* h are recomputed from k
-    and j.  Malformed fields (k or g below 1, a j whose (m_j)_* h leaves the
-    digit range, a multiplier whose product with its generator does) give
-    False, not an exception.  Shares no state or code with the solvers.
-
-    The proof is chosen from the certificate alone.  With no nilpotent
-    term, as in a Newton certificate whether built in memory or loaded from
-    a file, the identity is proved on orbit sums read from the tables, see
-    ``_verify_on_orbits``.  Any other certificate is proved by full
-    expansion: each table is expanded onto points, each (m_j)_* h and each
-    nilpotent product is recomputed from j or its factor list, each term is
-    convolved out, and the exact sum is compared with the target.
+    Every multiplier must be a table of the certificate's k with height at
+    most cap, and every j must lie in 1..j_max; the target, each (m_j)_* h
+    and u_1^{*(g+1)} are recomputed from k, j and g.  Malformed fields (k or
+    g below 1, a j whose (m_j)_* h leaves the digit range) give False, not
+    an exception.  Shares no state or code with the solvers.  The identity
+    is proved on orbit sums read from the tables, see ``_verify_on_orbits``,
+    for a certificate built in memory or loaded from a file alike.
     """
     k = cert.k
     if k < 1 or cert.g < 1:
         return False
-    for t in cert.generators:
+    for t in (*cert.generators, *cert.nilpotent_part):
         if t.multiplier.k != k or t.multiplier.max_height() > cert.cap:
             return False
     if any(not 1 <= t.j <= min(cert.j_max, _LIMIT - 1) for t in cert.generators):
         return False
-    for t in cert.nilpotent_part:
-        if t.multiplier.rank != k or t.multiplier.max_height() > cert.cap:
-            return False
-        if len(t.factors) != cert.g + 1 or any(not 1 <= i <= k for i in t.factors):
-            return False
-    if not cert.nilpotent_part:
-        return _verify_on_orbits(cert)
-    heights = [k]
-    heights += [t.multiplier.max_height() + t.j for t in cert.generators]
-    heights += [t.multiplier.max_height() + len(t.factors) for t in cert.nilpotent_part]
-    ctx = RingContext(rank=k, geom_dim=cert.g, support_cap=max(heights) + 1)
-    total = Cycle.zero(k)
-    try:
-        for t in cert.generators:
-            total = total + pontryagin(t.multiplier.expand(), pushed_hypothesis(k, t.j), ctx)
-        for t in cert.nilpotent_part:
-            total = total + pontryagin(t.multiplier, nilpotent_product(k, t.factors, ctx), ctx)
-    except ValueError:
-        # a product point left the digit range: the identity cannot be checked here
-        return False
-    return total == target_cycle(k)
+    return _verify_on_orbits(cert)
 
 
 def _verify_on_orbits(cert: MembershipCertificate) -> bool:
-    """Prove a certificate with generator terms only on orbits of S_{k-1}.
+    """Prove a certificate on orbits of S_{k-1}.
 
-    Each table Y and each (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i}
-    is invariant under permuting x_2..x_k, so the difference of the two
-    sides is too, and it is zero iff every orbit sum is.  The orbit sum
-    over Q of Y * (m_j)_* h is sum_R |R| Y(R) sum_{g : r + g in Q} c(g),
-    over the table's orbits R = (a_1, s), |R| = C(k-1, s), r one point of R
-    with s ones and k-1-s zeros after a_1.  Then r + g lies in (a_1 + j, s)
-    for g = j x_1, in R for g = 0, in the orbit whose tail has one zero
-    raised to j for the k-1-s points g = j x_i at a zero, and in the orbit
-    whose tail has one 1 raised to 1 + j for the s points at a one.  Orbits
-    are keyed (a_1, s, v): s ones, one coordinate v >= 2 if v is nonzero,
-    zeros elsewhere; a zero raised to j = 1 is one more one.  The target's
-    orbits are the points (i, 0, 0).  The sums are integers over the lcm of
-    the table denominators."""
-    k = cert.k
-    den = lcm(*(t.multiplier.den for t in cert.generators))
+    Each table Y, each (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i}
+    and u_1^{*(g+1)} = sum_i C(g+1, i) (-1)^(g+1-i) {i x_1} is invariant
+    under permuting x_2..x_k, so the difference of the two sides is too,
+    and it is zero iff every orbit sum is.  The orbit sum over Q of a term
+    Y * c is sum_R |R| Y(R) sum_{p : r + p in Q} c(p), over the table's
+    orbits R = (a_1, s), |R| = C(k-1, s), r one point of R with s ones and
+    k-1-s zeros after a_1.  For c = (m_j)_* h, r + p lies in (a_1 + j, s)
+    for p = j x_1, in R for p = 0, in the orbit whose tail has one zero
+    raised to j for the k-1-s points p = j x_i at a zero, and in the orbit
+    whose tail has one 1 raised to 1 + j for the s points at a one.  For
+    c = u_1^{*(g+1)}, r + i x_1 lies in (a_1 + i, s).  Orbits are keyed
+    (a_1, s, v): s ones, one coordinate v >= 2 if v is nonzero, zeros
+    elsewhere; a zero raised to j = 1 is one more one.  The target's orbits
+    are the points (i, 0, 0).  The sums are integers over the lcm of the
+    table denominators."""
+    k, g = cert.k, cert.g
+    den = lcm(*(t.multiplier.den for t in (*cert.generators, *cert.nilpotent_part)))
     sums = {(i, 0, 0): -comb(k, i) * (-1) ** (k - i) * den for i in range(k + 1)}
-    for t in cert.generators:
-        j, scale = t.j, den // t.multiplier.den
+
+    def add(t, moves):
+        scale = den // t.multiplier.den
         for (a_1, s), n in t.multiplier.orbits.items():
             w = comb(k - 1, s) * n * scale
-            zero_raised = (a_1, s + 1, 0) if j == 1 else (a_1, s, j)
-            for q, c in (((a_1 + j, s, 0), 1), ((a_1, s, 0), -k), (zero_raised, k - 1 - s), ((a_1, s - 1, 1 + j), s)):
+            for q, c in moves(a_1, s):
                 if c:
                     sums[q] = sums.get(q, 0) + w * c
+
+    for t in cert.generators:
+        add(t, lambda a_1, s, j=t.j: (((a_1 + j, s, 0), 1), ((a_1, s, 0), -k),
+                                      ((a_1, s + 1, 0) if j == 1 else (a_1, s, j), k - 1 - s), ((a_1, s - 1, 1 + j), s)))
+    for t in cert.nilpotent_part:
+        add(t, lambda a_1, s: [((a_1 + i, s, 0), comb(g + 1, i) * (-1) ** (g + 1 - i)) for i in range(g + 2)])
     return not any(sums.values())
 
 
@@ -513,6 +471,10 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     (0, s), t_j * c is k c minus c with a_1 raised by j, and the cofactors
     at step m are integer numerators over m!.  Each multiplier is returned
     as its table.
+
+    Tested for k = 2..20, not proved: every multiplier is a signed shift of
+    the first, Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), with the same
+    support.
     """
     cof: list[dict[int, dict[tuple[int, int], int]]] = [{} for _ in range(k + 1)]
     cof[1] = {1: {(0, 0): 1}}
@@ -545,11 +507,13 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
 
 
 def _nilpotent_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate:
-    """For k > g: u^{*k} is u_1^{*(k-g-1)} times the nilpotent product
-    u_1^{*(g+1)}, one term with a multiplier of height k - g - 1."""
-    ctx = RingContext(rank=k, geom_dim=g, support_cap=k - g - 1)
-    u_power = star_power(augmentation_generator(k, 1), k - g - 1, ctx)
-    return MembershipCertificate(k, g, j_max, cap, (), (NilpotentTerm((1,) * (g + 1), u_power),))
+    """For k > g: u^{*k} is u_1^{*m}, m = k - g - 1, times the nilpotent
+    product u_1^{*(g+1)}, one term with a multiplier of height m.  The
+    multiplier is the closed form u_1^{*m} = sum_i C(m, i) (-1)^(m-i) {i x_1},
+    the table {(i, 0): C(m, i) (-1)^(m-i)} over den 1."""
+    m = k - g - 1
+    u_power = OrbitTable(k, 1, {(i, 0): comb(m, i) * (-1) ** (m - i) for i in range(m + 1)})
+    return MembershipCertificate(k, g, j_max, cap, (), (NilpotentTerm(u_power),))
 
 
 def _certificate(k: int, g: int, j_max: int, cap: int, method: str) -> MembershipCertificate | None:

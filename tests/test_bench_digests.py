@@ -16,8 +16,8 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 DIGESTS = {
-    "window": "3f448f95f26591739237c61abb6dd460330716b92a6a54f4939b797253fd2e87",
-    "convolution": "9271a139331986bb5e05a3e9bc252d40af4cdc7846844277ec88e7c5800dfc74",
+    "window": "e3c7b5b25bb20091f39d8827b161d558fb99d523fd4af484d2b8852ddbb13077",
+    "convolution": "29a1a9743a04e2b88b72d40e55d0ffee1ff0cad935cb025204f6ecc36ce8da1e",
     "tangent": "6a7e48cbf8c1295fdf42dbf4dd647a7eb9222632c94cc06f2598a62527a383ba",
 }
 
@@ -50,6 +50,17 @@ def test_workload_known_answers_and_digest(bench_run, workload):
     run = bench_run.measure(workload, 101, 0, False)
     assert run.failed == 0, run.summary
     assert run.digest == DIGESTS[workload]
+
+
+def test_window_work_counts(bench_run):
+    """One traced ``window`` pass at seed 101 builds and proves its six
+    certificates with no convolution: the nilpotent multiplier is a table in
+    closed form, and every certificate is proved on orbit sums."""
+    run = bench_run.measure("window", 101, 0, True)
+    assert run.failed == 0, run.summary
+    assert run.values["cycles.pontryagin.calls"] == 0
+    assert run.values["cycles.star_power.calls"] == 0
+    assert run.values["relations.verify_certificate.calls"] == run.values["relations.certificates"] == 6
 
 
 def test_convolution_work_counts(bench_run):

@@ -122,7 +122,7 @@ def test_verify_relation_writes_certificate(tmp_path, capsys):
     assert code == 0
     report = last_json(out)
     assert report["verdict"] == "pass"
-    assert report["witness"]["re_verified_by_expansion"] is True
+    assert report["witness"]["re_verified_on_orbits"] is True
     data = json.loads(cert_path.read_text())
     assert data["format"] == "pontryagin-membership-certificate"
     assert data["k"] == 2 and data["g"] == 3

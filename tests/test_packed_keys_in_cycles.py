@@ -1,6 +1,6 @@
 """Only ``cycles`` reads packed point keys: ``relations`` imports none of the
-key layout's names.  Its orbit tables expand onto points through the public
-``Cycle`` constructor."""
+key layout's names.  Its cycles are built through the public ``Cycle``
+constructor, and its orbit tables never become points."""
 
 import ast
 import pathlib

@@ -31,7 +31,6 @@ from pontcalc.relations import (
     OrbitTable,
     _newton_certificate,
     alpha_coefficients,
-    augmentation_generator,
     check_recursion_identity,
     hypothesis_cycle,
     power_basis_change,
@@ -41,6 +40,20 @@ from pontcalc.relations import (
     verify_certificate,
     verify_relation,
 )
+
+
+def expand(table):
+    """The multiplier on points: n / den at every point of each orbit of
+    ``table``, the oracle's reading of an ``OrbitTable``."""
+    rest = range(1, table.k)
+    terms = [((a_1, *(int(i in ones) for i in rest)), n)
+             for (a_1, s), n in table.orbits.items() for ones in itertools.combinations(rest, s)]
+    return Cycle(table.k, terms).scale(Fraction(1, table.den))
+
+
+def augmentation_generator(k, index):
+    """u_index = {x_index} - {0}, 1-based index."""
+    return Cycle.point(tuple(int(i == index - 1) for i in range(k))) - Cycle.unit(k)
 
 
 def test_recursion_identity_small_cases():
@@ -159,8 +172,8 @@ def test_k2_certificate_matches_hand_expansion():
     assert verify_certificate(cert)
     assert cert.nilpotent_part == ()
     mults = {t.j: t.multiplier for t in cert.generators}
-    assert mults[1].expand() == mult1
-    assert mults[2].expand() == Cycle.unit(2).scale(Fraction(1, 2))
+    assert expand(mults[1]) == mult1
+    assert expand(mults[2]) == Cycle.unit(2).scale(Fraction(1, 2))
     # on orbits (a_1, s): x_1 is (1, 0), x_2 is (0, 1) and 0 is (0, 0)
     assert mults[1] == OrbitTable(2, 2, {(1, 0): 1, (0, 1): -1, (0, 0): -2})
 
@@ -196,8 +209,8 @@ def test_window_uses_nilpotent_span_when_ideal_insufficient():
     cert = verify_relation(3, 1, j_max=1, cap=2, method="window")
     assert verify_certificate(cert)
     assert cert.nilpotent_part
-    for term in cert.nilpotent_part:
-        assert len(term.factors) == 2
+    for term in cert.to_json_dict()["nilpotent_part"]:
+        assert term["factors"] == [1, 1] and term["label"] == "u_1*u_1"
 
 
 def test_not_found_within_caps():
@@ -215,10 +228,10 @@ def test_not_found_within_caps():
 # k > g pins are nilpotent certificates; (2, 3) is the Newton certificate
 # the window rule returns for j_max >= k.
 WINDOW_CERT_SHA256 = {
-    (2, 3, None): "eb17ac1b329255150d1d1fb31601ffdecd81299e67801e19c41657f91673fd2a",
-    (3, 1, 4): "2b95ed0ef8350c4ca1cd0ce15992d13fc91a77196b91bc5b2190d31a516a75f2",
-    (4, 1, 2): "4e2aef5b8a4a53206448d5e311a04f2c9842f66b2c3e5fc12b4869b58e581cf2",
-    (4, 2, 1): "22199552f356fc6ad91928148de35df5068615cf532961abe2332080b0cc4965",
+    (2, 3, None): "276c94a76987df0a5f9a14f64b8201de97b85bfd800ce1dcbdda08d7b2bff1ea",
+    (3, 1, 4): "f353e247030a635d6cadd682f4bb5fd8baf48fa596ade06d2297b8ec4dadd452",
+    (4, 1, 2): "03a6f319bd7e78d974cf986dcc9223111ad57fd346746a70b218a4e51931fd7f",
+    (4, 2, 1): "4dd8f85ad813ec87d6d043fecd80da451e7e52a434990c3402f442ddfa150f08",
 }
 
 
@@ -226,9 +239,9 @@ WINDOW_CERT_SHA256 = {
 # (method auto), pinned the same way as WINDOW_CERT_SHA256.  The file at
 # k = 24 holds C(26, 3) = 2600 table entries.
 NEWTON_CERT_SHA256 = {
-    9: "c2e2b0dbdd9fadec3a40094b850d8fd8f60ea299c84d65e32f223707cd6b33e5",
-    10: "a7dc6d0cb33b595d1cec523a972787a26059bd597561967efdc204355466641b",
-    24: "5c2b333763e112b5316c81e74b1542e405211602738eab0c687f0390993dcce5",
+    9: "c07700f15a4da2ea73b6ec352bb078eb4c3e6fe4fc26df2a8667d84d643b0a77",
+    10: "ef29cdb09a311bc831a4720e8040165dc6a6d3aab0aa66f63910adb446daec91",
+    24: "7ed159ce677c6606775fb26e6398f24f97bdda277b813d5260f6ec8fe71089d9",
 }
 
 
@@ -289,14 +302,14 @@ def test_write_json_matches_stdlib(k, g, j_max, cap, method):
 
 
 def test_write_json_edge_cases():
-    x = Cycle.point((1, 0))
+    # g = -1 gives empty factor lists and labels, and a zero table no entries
     cert = MembershipCertificate(
-        k=2, g=1, j_max=0, cap=0, generators=(),
-        nilpotent_part=(NilpotentTerm(factors=(), multiplier=x),
-                        NilpotentTerm(factors=(2,), multiplier=Cycle.zero(2))),
+        k=2, g=-1, j_max=0, cap=0, generators=(),
+        nilpotent_part=(NilpotentTerm(OrbitTable(2, 1, {(1, 0): 1})), NilpotentTerm(OrbitTable(2, 1, {}))),
     )
     assert written(cert) == stdlib_text(cert)
     assert '"factors": [],' in written(cert) and '"generators": [],' in written(cert)
+    assert '"label": "",' in written(cert) and '"orbits": []' in written(cert)
     negative_j = replace(
         verify_relation(2, 1, method="newton"), nilpotent_part=(),
         generators=(GeneratorTerm(j=-1, multiplier=OrbitTable(2, 1, {(1, 0): -1})),),
@@ -451,10 +464,8 @@ def test_window_certificate_structure():
                     # the target u_1^{*k} already lies in J^{g+1}
                     ctx = RingContext(rank=k, geom_dim=g, support_cap=k)
                     u = augmentation_generator(k, 1)
-                    assert cert.generators == ()
-                    assert cert.nilpotent_part == (
-                        NilpotentTerm(factors=(1,) * (g + 1), multiplier=star_power(u, k - g - 1, ctx)),
-                    )
+                    assert cert.generators == () and len(cert.nilpotent_part) == 1
+                    assert expand(cert.nilpotent_part[0].multiplier) == star_power(u, k - g - 1, ctx)
                 else:
                     # j_max >= k: the window certificate is the Newton one
                     assert cert.nilpotent_part == ()
@@ -501,8 +512,8 @@ def window_dispatch_oracle(k, g, j_max, cap):
     its height, with no height formula."""
     if k > g:
         ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
-        u_power = relations.nilpotent_product(k, (1,) * (k - g - 1), ctx)
-        nil_part = (NilpotentTerm(factors=(1,) * (g + 1), multiplier=u_power),)
+        u_power = star_power(augmentation_generator(k, 1), k - g - 1, ctx)
+        nil_part = (NilpotentTerm(table_of(u_power)),)
         cert = MembershipCertificate(k, g, j_max, cap, (), nil_part)
     elif j_max >= k:
         cert = _newton_certificate(k, g, j_max, cap)
@@ -559,8 +570,6 @@ def test_argument_validation():
         verify_relation(2, 0)
     with pytest.raises(ValueError):
         verify_relation(2, 2, method="magic")
-    with pytest.raises(ValueError):
-        augmentation_generator(3, 4)
 
 
 def test_certificate_json_round_trip_and_tampering():
@@ -645,13 +654,18 @@ def _point(data, *path):
     return data["terms"][0]["point"]
 
 
+def _term(data):
+    """The first term of the target cycle of a certificate document."""
+    return data["target"]["terms"][0]
+
+
 def _table(data):
     """The first generator table of a certificate document."""
     return data["generators"][0]["multiplier"]
 
 
 def _nil(data):
-    """The first nilpotent multiplier of a certificate document."""
+    """The first nilpotent table of a certificate document."""
     return data["nilpotent_part"][0]["multiplier"]
 
 
@@ -659,31 +673,46 @@ def _entry(data, index, position, value):
     _table(data)["orbits"][index][position] = value
 
 
+def _as_cycle(k, table):
+    """A table's JSON as the JSON of its multiplier on points."""
+    return expand(OrbitTable(k, table["den"], {(a_1, s): n for a_1, s, n in table["orbits"]})).to_json_dict()
+
+
+def _as_version_2(data):
+    """The document as version 2 wrote it: every nilpotent multiplier a cycle."""
+    data["version"] = 2
+    for t in data["nilpotent_part"]:
+        t["multiplier"] = _as_cycle(data["k"], t["multiplier"])
+
+
 def _as_version_1(data):
     """The document as version 1 wrote it: every multiplier a cycle."""
+    _as_version_2(data)
     data["version"] = 1
     for t in data["generators"]:
-        table = t["multiplier"]
-        orbits = {(a_1, s): n for a_1, s, n in table["orbits"]}
-        t["multiplier"] = OrbitTable(data["k"], table["den"], orbits).expand().to_json_dict()
+        t["multiplier"] = _as_cycle(data["k"], t["multiplier"])
 
 
 # Each edit of a written certificate's document makes the reader raise
 # ValueError.  The document is the Newton certificate for k = 3, g = 2 at
 # half weight plus half of u_1^{*3} as the nilpotent term u_1*u_1*u_1, so
-# that it has both kinds of term and still verifies.
+# that it has both kinds of term and still verifies.  Every multiplier is a
+# table; the cycle cases edit the target.
 TAMPERED_DOCUMENTS = {
     "format-other": lambda data: data.update(format="not-a-certificate"),
     "format-missing": lambda data: data.pop("format"),
     "version-float": lambda data: data.update(version=7.5),
     "version-float-one": lambda data: data.update(version=1.0),
     "version-bool": lambda data: data.update(version=True),
-    "version-other": lambda data: data.update(version=3),
+    "version-other": lambda data: data.update(version=4),
     "version-missing": lambda data: data.pop("version"),
     "format-and-version-missing": lambda data: (data.pop("format"), data.pop("version")),
     # version 1 listed every point of a multiplier, and is not read
     "version-one": lambda data: data.update(version=1),
     "version-1-document": _as_version_1,
+    # version 2 listed every point of a nilpotent multiplier, and is not read
+    "version-two": lambda data: data.update(version=2),
+    "version-2-document": _as_version_2,
     # json.loads reads a bare NaN as a float
     "label-nan": lambda data: data["generators"][0].update(label=float("nan")),
     "label-int": lambda data: data["generators"][0].update(label=1),
@@ -692,13 +721,17 @@ TAMPERED_DOCUMENTS = {
     "label-other-j": lambda data: data["generators"][0].update(label="(m_2)*h"),
     "nilpotent-label-other": lambda data: data["nilpotent_part"][0].update(label="anything"),
     "nilpotent-label-missing": lambda data: data["nilpotent_part"][0].pop("label"),
+    # the factors are u_1 taken g + 1 times, with the label to match
+    "factors-other": lambda data: data["nilpotent_part"][0].update(factors=[1, 2, 1], label="u_1*u_2*u_1"),
+    "factors-short": lambda data: data["nilpotent_part"][0].update(factors=[1, 1], label="u_1*u_1"),
+    "factors-long": lambda data: data["nilpotent_part"][0].update(factors=[1] * 4, label="u_1*u_1*u_1*u_1"),
     "target-coeff": lambda data: _set_coeff(data["target"], 0, "2/1"),
     "target-zero": lambda data: data.update(target={"rank": 3, "terms": []}),
     "target-rank-other": lambda data: data["target"].update(rank=4),
     "generator-terms-short": lambda data: data["generators"][0]["generator"]["terms"].pop(),
     # a consistent identity for 2 u^{*k}
     "target-and-multipliers-doubled": lambda data: (
-        _double(data["target"]), _double(_nil(data)), [_double_table(t["multiplier"]) for t in data["generators"]]
+        _double(data["target"]), _double_table(_nil(data)), [_double_table(t["multiplier"]) for t in data["generators"]]
     ),
     "generator-coeff": lambda data: _set_coeff(data["generators"][0]["generator"], 0, "-2/1"),
     "generator-scaled": lambda data: _double(data["generators"][0]["generator"]),
@@ -715,16 +748,17 @@ TAMPERED_DOCUMENTS = {
     "generator-missing": lambda data: data["generators"][0].pop("generator"),
     "multiplier-missing": lambda data: data["generators"][0].pop("multiplier"),
     "factors-missing": lambda data: data["nilpotent_part"][0].pop("factors"),
-    "coeff-missing": lambda data: _nil(data)["terms"][0].pop("coeff"),
-    "rank-missing": lambda data: _nil(data).pop("rank"),
+    "coeff-missing": lambda data: _term(data).pop("coeff"),
+    "rank-missing": lambda data: data["target"].pop("rank"),
     "den-missing": lambda data: _table(data).pop("den"),
     "orbits-missing": lambda data: _table(data).pop("orbits"),
     "key-extra": lambda data: data.update(note="extra"),
     "term-key-extra": lambda data: data["generators"][0].update(note="extra"),
     "nilpotent-key-extra": lambda data: data["nilpotent_part"][0].update(note="extra"),
-    "cycle-key-extra": lambda data: _nil(data).update(note="extra"),
-    "cycle-term-key-extra": lambda data: _nil(data)["terms"][0].update(note=0),
+    "cycle-key-extra": lambda data: data["target"].update(note="extra"),
+    "cycle-term-key-extra": lambda data: _term(data).update(note=0),
     "table-key-extra": lambda data: _table(data).update(note="extra"),
+    "nilpotent-table-key-extra": lambda data: _nil(data).update(note="extra"),
     # a bool or a float in place of an int
     "k-bool": lambda data: data.update(k=True),
     "g-float": lambda data: data.update(g=2.0),
@@ -733,7 +767,7 @@ TAMPERED_DOCUMENTS = {
     "target-point-bool": lambda data: _point(data, "target").__setitem__(0, False),
     "target-rank-float": lambda data: data["target"].update(rank=3.0),
     "generator-point-bool": lambda data: _point(data, "generators", 0, "generator").__setitem__(0, False),
-    "multiplier-point-bool": lambda data: _point(data, "nilpotent_part", 0, "multiplier").__setitem__(0, False),
+    "multiplier-point-bool": lambda data: _nil(data)["orbits"][0].__setitem__(0, False),
     "entry-a1-float": lambda data: _entry(data, 0, 0, 0.0),
     "entry-a1-bool": lambda data: _entry(data, 0, 0, False),
     "entry-s-float": lambda data: _entry(data, 1, 1, 1.0),
@@ -742,14 +776,16 @@ TAMPERED_DOCUMENTS = {
     "entry-n-bool": lambda data: _entry(data, 4, 2, True),
     "den-float": lambda data: _table(data).update(den=12.0),
     "den-bool": lambda data: _table(data).update(den=True),
+    "nilpotent-den-float": lambda data: _nil(data).update(den=2.0),
     # shapes that are not the certificate's
     "generators-int": lambda data: data.update(generators=5),
     "nilpotent-part-int": lambda data: data.update(nilpotent_part=5),
     "generator-term-str": lambda data: data["generators"].__setitem__(0, "(m_1)*h"),
     "factors-int": lambda data: data["nilpotent_part"][0].update(factors=3),
-    "terms-int": lambda data: _nil(data).update(terms=5),
-    "terms-int-entry": lambda data: _nil(data).update(terms=[5]),
-    "point-int": lambda data: _nil(data)["terms"][0].update(point=5),
+    "terms-int": lambda data: data["target"].update(terms=5),
+    "terms-int-entry": lambda data: data["target"].update(terms=[5]),
+    "point-int": lambda data: _term(data).update(point=5),
+    "nilpotent-multiplier-cycle": lambda data: data["nilpotent_part"][0].update(multiplier=_as_cycle(3, _nil(data))),
     "multiplier-list": lambda data: data["generators"][0].update(multiplier=[]),
     "orbits-int": lambda data: _table(data).update(orbits=5),
     "orbits-int-entry": lambda data: _table(data).update(orbits=[5]),
@@ -757,9 +793,10 @@ TAMPERED_DOCUMENTS = {
     "entry-short": lambda data: _table(data)["orbits"][0].pop(),
     "entry-long": lambda data: _table(data)["orbits"][0].append(0),
     "entry-dict": lambda data: _table(data)["orbits"].__setitem__(0, {"a_1": 0, "s": 0, "n": 3}),
-    # a multiplier that lists a point twice or has a zero coefficient
-    "multiplier-point-twice": lambda data: _nil(data)["terms"].append(dict(_nil(data)["terms"][0])),
-    "multiplier-zero-coeff": lambda data: _set_coeff(_nil(data), 0, "0/1"),
+    # a nilpotent table that lists an orbit twice, has a zero entry or an s of k
+    "multiplier-point-twice": lambda data: _nil(data)["orbits"].append(list(_nil(data)["orbits"][0])),
+    "multiplier-zero-coeff": lambda data: _nil(data)["orbits"][0].__setitem__(2, 0),
+    "nilpotent-entry-s-k": lambda data: _nil(data)["orbits"].append([0, 3, 1]),
     # a table that is not canonical: every (a_1, s) once, in order, with a
     # nonzero n over a positive den in lowest terms, s in 0..k-1, |a_1| < 2**46
     "entry-twice": lambda data: _table(data)["orbits"].append(list(_table(data)["orbits"][0])),
@@ -798,7 +835,7 @@ def tamper_base():
     return replace(
         cert,
         generators=tuple(replace(t, multiplier=scaled(t.multiplier, half)) for t in cert.generators),
-        nilpotent_part=(NilpotentTerm((1, 1, 1), Cycle.unit(3).scale(half)),),
+        nilpotent_part=(NilpotentTerm(OrbitTable(3, 2, {(0, 0): 1})),),
     )
 
 
@@ -807,6 +844,8 @@ def test_certificate_reader_checks_format_version_and_labels(tamper):
     cert = tamper_base()
     data = json.loads(written(cert))
     assert _table(data) == {"den": 12, "orbits": [[0, 0, 3], [0, 1, 3], [0, 2, 2], [1, 0, -6], [1, 1, -1], [2, 0, 3]]}
+    assert data["nilpotent_part"] == [{"factors": [1, 1, 1], "label": "u_1*u_1*u_1",
+                                       "multiplier": {"den": 2, "orbits": [[0, 0, 1]]}}]
     assert MembershipCertificate.from_json_dict(data) == cert
     assert verify_certificate(cert)
     tamper(data)
@@ -851,26 +890,11 @@ def test_trivial_nilpotent_certificate_k2_g1():
         j_max=2,
         cap=2,
         generators=(),
-        nilpotent_part=(NilpotentTerm(factors=(1, 1), multiplier=Cycle.unit(2)),),
+        nilpotent_part=(NilpotentTerm(OrbitTable(2, 1, {(0, 0): 1})),),
     )
     assert verify_certificate(cert)
-    # wrong factor count must be rejected
-    bad = MembershipCertificate(
-        k=2,
-        g=2,
-        j_max=2,
-        cap=2,
-        generators=(),
-        nilpotent_part=(NilpotentTerm(factors=(1, 1), multiplier=Cycle.unit(2)),),
-    )
-    assert not verify_certificate(bad)
-
-
-def wrong_rank(multiplier):
-    """A multiplier's JSON padded from rank 3 to rank 4 (truncating would
-    list some points twice, which the cycle reader rejects)."""
-    return {"rank": 4, "terms": [{"coeff": t["coeff"], "point": t["point"] + [0]}
-                                 for t in multiplier["terms"]]}
+    # at g = 2 the same multiplier times u_1^{*3} is not u^{*2}
+    assert not verify_certificate(replace(cert, g=2))
 
 
 def test_wrong_rank_multipliers_are_rejected():
@@ -880,10 +904,11 @@ def test_wrong_rank_multipliers_are_rejected():
     with pytest.raises(ValueError, match="k = 3"):
         MembershipCertificate.from_json_dict(data)
 
-    data = verify_relation(3, 1, j_max=1, cap=2, method="window").to_json_dict()
+    nil = verify_relation(3, 1, j_max=1, cap=2, method="window")
+    data = nil.to_json_dict()
     assert data["nilpotent_part"] and not data["generators"]
-    data["nilpotent_part"][0]["multiplier"] = wrong_rank(data["nilpotent_part"][0]["multiplier"])
-    with pytest.raises(ValueError, match="rank k = 3"):
+    data["nilpotent_part"][0]["multiplier"]["orbits"].append([0, 3, 1])
+    with pytest.raises(ValueError, match="k = 3"):
         MembershipCertificate.from_json_dict(data)
 
     # and the verifier a certificate built in memory with one
@@ -891,6 +916,8 @@ def test_wrong_rank_multipliers_are_rejected():
     t = cert.generators[0]
     short = replace(cert, generators=(replace(t, multiplier=OrbitTable(2, 1, {(0, 0): 1})),) + cert.generators[1:])
     assert verify_certificate(short) is False
+    other_k = replace(nil, nilpotent_part=(NilpotentTerm(OrbitTable(4, 1, {(1, 0): 1, (0, 0): -1})),))
+    assert verify_certificate(other_k) is False
 
 
 # ---------------------------------------------------------------------------
@@ -941,18 +968,27 @@ def orbit_sizes(form):
     return {o: factorial(len(o) - 1) // prod(map(factorial, Counter(o[1:]).values())) for o in form}
 
 
+def table_of(cycle):
+    """The ``OrbitTable`` of an S_{k-1}-invariant cycle whose points have
+    tails of zeros and ones."""
+    form = orbit_form(cycle)
+    assert all(set(o[1:]) <= {0, 1} for o in form)
+    return canonical(cycle.rank, {(o[0], sum(o[1:])): c for o, c in form.items()})
+
+
 def expansion_oracle(cert):
     """Every term convolved out on points and summed: the full expansion,
-    kept here as an oracle for both proofs."""
+    kept here as an oracle for the orbit proof.  Each table is expanded onto
+    points and each nilpotent product u_1^{*(g+1)} built from its factors."""
     ctx = RingContext(rank=cert.k, geom_dim=1, support_cap=4 * cert.k)
     total = Cycle.zero(cert.k)
     for t in cert.generators:
-        total = total + pontryagin(t.multiplier.expand(), pushed_hypothesis(cert.k, t.j), ctx)
+        total = total + pontryagin(expand(t.multiplier), pushed_hypothesis(cert.k, t.j), ctx)
     for t in cert.nilpotent_part:
         product = Cycle.unit(cert.k)
-        for i in t.factors:
-            product = pontryagin(product, augmentation_generator(cert.k, i), ctx)
-        total = total + pontryagin(t.multiplier, product, ctx)
+        for _ in range(cert.g + 1):
+            product = pontryagin(product, augmentation_generator(cert.k, 1), ctx)
+        total = total + pontryagin(expand(t.multiplier), product, ctx)
     return total == star_power(augmentation_generator(cert.k, 1), cert.k, ctx)
 
 
@@ -960,9 +996,15 @@ def expansion_oracle(cert):
 def test_orbit_builder_matches_point_keyed_builder(k):
     cert = _newton_certificate(k, 1, k, k - 1)
     oracle = point_keyed_newton_multipliers(k)
-    assert {t.j: t.multiplier.expand() for t in cert.generators} == oracle
+    assert {t.j: expand(t.multiplier) for t in cert.generators} == oracle
     # C(k+2, 3) orbit entries in all
     assert sum(len(t.multiplier.orbits) for t in cert.generators) == comb(k + 2, 3)
+
+
+def with_entry_raised(table):
+    """``table`` with its first entry's value raised by 1 / den."""
+    (a_1, s), n = next(iter(table.orbits.items()))
+    return canonical(table.k, {o: Fraction(c, table.den) for o, c in {**table.orbits, (a_1, s): n + 1}.items()})
 
 
 @pytest.mark.parametrize("k", range(2, 10))
@@ -970,7 +1012,8 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
     certs = [verify_relation(k, g, method=method)
              for g, method in itertools.product(range(1, 4), ("auto", "newton", "window"))]
     newton = [cert for cert in certs if not cert.nilpotent_part]
-    assert newton
+    nilpotent = [cert for cert in certs if cert.nilpotent_part]
+    assert newton and nilpotent
     reloaded = [MembershipCertificate.from_json_dict(cert.to_json_dict()) for cert in certs]
     for cert, again in zip(certs, reloaded):
         assert again == cert
@@ -979,18 +1022,19 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
         assert expansion_oracle(cert)
     # one entry of one table changed: both proofs reject it
     t = newton[0].generators[-1]
-    (a_1, s), n = next(iter(t.multiplier.orbits.items()))
-    bad = replace(newton[0], generators=newton[0].generators[:-1] + (
-        replace(t, multiplier=canonical(k, {**t.multiplier.orbits, (a_1, s): n + 1})),))
-    assert relations._verify_on_orbits(bad) is False
-    assert not expansion_oracle(bad)
-    # a Newton certificate is proved on orbits, built in memory or loaded:
-    # the orbit proof convolves nothing and expands no table
+    bad = [replace(newton[0], generators=newton[0].generators[:-1] + (replace(t, multiplier=with_entry_raised(t.multiplier)),))]
+    bad += [replace(cert, nilpotent_part=(NilpotentTerm(with_entry_raised(cert.nilpotent_part[0].multiplier)),))
+            for cert in nilpotent]
+    for cert in bad:
+        assert relations._verify_on_orbits(cert) is False
+        assert not expansion_oracle(cert)
+    # every certificate is proved on orbits, built in memory or loaded: the
+    # proof convolves nothing
     monkeypatch.setattr(relations, "pontryagin", None)
-    monkeypatch.setattr(OrbitTable, "expand", None)
-    for cert in newton:
-        assert verify_certificate(cert)
-        assert verify_certificate(MembershipCertificate.from_json_dict(cert.to_json_dict()))
+    monkeypatch.setattr(relations, "star_power", None, raising=False)
+    for cert, again in zip(certs, reloaded):
+        assert verify_certificate(cert) and verify_certificate(again)
+    assert not any(map(verify_certificate, bad))
 
 
 @pytest.mark.parametrize("k", range(2, 10))
@@ -1008,13 +1052,13 @@ def test_orbit_forms_match_the_oracle(k):
 
 def test_orbit_table_edge_cases():
     # k = 1 has empty tails: every point is its own orbit
-    assert OrbitTable(1, 3, {(2, 0): 1}).expand() == Cycle(1, {(2,): Fraction(1, 3)})
+    assert expand(OrbitTable(1, 3, {(2, 0): 1})) == Cycle(1, {(2,): Fraction(1, 3)})
     zero = OrbitTable(3, 1, {})
-    assert zero.expand() == Cycle.zero(3) and zero.max_height() == 0
+    assert expand(zero) == Cycle.zero(3) and zero.max_height() == 0
     assert zero.to_json_dict() == {"den": 1, "orbits": []}
     # negative a_1, and entries written in (a_1, s) order
     table = OrbitTable(3, 2, {(4, 0): -3, (-2, 2): 1, (-2, 1): 5})
-    assert table.expand() == Cycle(3, {(-2, 1, 1): Fraction(1, 2), (-2, 1, 0): Fraction(5, 2),
+    assert expand(table) == Cycle(3, {(-2, 1, 1): Fraction(1, 2), (-2, 1, 0): Fraction(5, 2),
                                        (-2, 0, 1): Fraction(5, 2), (4, 0, 0): Fraction(-3, 2)})
     assert table.max_height() == 4
     assert table.to_json_dict() == {"den": 2, "orbits": [[-2, 1, 5], [-2, 2, 1], [4, 0, -3]]}
@@ -1028,16 +1072,28 @@ def test_orbit_table_edge_cases():
             OrbitTable(k, den, orbits)
 
 
+def code_names(code):
+    """The global and attribute names a code object and its nested
+    functions and lambdas refer to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= code_names(const)
+    return names
+
+
 def test_orbit_proof_shares_no_code_with_the_builder():
-    # the builder returns tables and builds no point; the orbit proof reads
-    # the tables and expands none
-    builder = relations._newton_certificate.__code__.co_names
-    assert "Cycle" not in builder and "expand" not in builder
-    names = relations._verify_on_orbits.__code__.co_names
-    assert "_newton_certificate" not in names and "expand" not in names
-    # the verifier recomputes nilpotent products with ``nilpotent_product``,
-    # so the nilpotent builder must not use it
-    assert "nilpotent_product" not in relations._nilpotent_certificate.__code__.co_names
+    # the builders return tables and build no point; the proof reads the
+    # tables, calls no builder, convolves nothing and expands nothing
+    for builder in (relations._newton_certificate, relations._nilpotent_certificate):
+        assert not {"Cycle", "expand", "pontryagin", "star_power"} & code_names(builder.__code__)
+    for proof in (relations.verify_certificate, relations._verify_on_orbits):
+        names = code_names(proof.__code__)
+        assert not {"pontryagin", "star_power", "expand", "Cycle"} & names
+        assert not {"_newton_certificate", "_nilpotent_certificate", "_certificate"} & names
+    # and no expansion routine is left beside it
+    for name in ("expand", "nilpotent_product", "augmentation_generator"):
+        assert not hasattr(relations, name) and not hasattr(OrbitTable, name)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -1067,38 +1123,40 @@ def test_orbit_path_rejects_tampering(k):
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
-def test_valid_non_invariant_certificate_is_proved_by_expansion(k, monkeypatch):
+def test_other_factor_lists_are_rejected_by_the_reader(k):
     # half the Newton certificate plus half the nilpotent one, u_1^{*(k-2)}
-    # times u_1 * u_1 at g = 1, and Z * u_1 * u_2 - Z * u_2 * u_1, which is
-    # zero for any Z; Z = {x_2} breaks the symmetry in x_2..x_k
+    # times u_1 * u_1 at g = 1, is proved on orbits; the same document with
+    # Z * u_1 * u_2 - Z * u_2 * u_1 added, which is zero for any Z, is not a
+    # certificate: a nilpotent term's factors are u_1 taken g + 1 times
     half = Fraction(1, 2)
     newton = verify_relation(k, 1, method="newton")
     nilpotent = verify_relation(k, 1, method="window").nilpotent_part[0]
-    z = Cycle.point((0, 1) + (0,) * (k - 2))
     mixed = replace(
         newton,
         generators=tuple(replace(t, multiplier=scaled(t.multiplier, half)) for t in newton.generators),
-        nilpotent_part=(replace(nilpotent, multiplier=nilpotent.multiplier.scale(half)),
-                        NilpotentTerm((1, 2), z), NilpotentTerm((2, 1), -z)),
+        nilpotent_part=(NilpotentTerm(scaled(nilpotent.multiplier, half)),),
     )
-    assert expansion_oracle(mixed)
-    assert not expansion_oracle(replace(mixed, nilpotent_part=mixed.nilpotent_part[:2]))
-    monkeypatch.setattr(relations, "_verify_on_orbits", None)
-    assert verify_certificate(mixed) is True
-    reloaded = MembershipCertificate.from_json_dict(json.loads(written(mixed)))
-    assert reloaded == mixed
-    assert verify_certificate(reloaded) is True
-    assert verify_certificate(replace(mixed, nilpotent_part=mixed.nilpotent_part[:2])) is False
+    assert expansion_oracle(mixed) and verify_certificate(mixed) is True
+    assert not expansion_oracle(replace(mixed, nilpotent_part=()))
+    assert verify_certificate(replace(mixed, nilpotent_part=())) is False
+    data = json.loads(written(mixed))
+    assert MembershipCertificate.from_json_dict(data) == mixed
+    z = {"den": 1, "orbits": [[0, 1, 1]]}
+    data["nilpotent_part"] += [{"factors": [1, 2], "label": "u_1*u_2", "multiplier": z},
+                               {"factors": [2, 1], "label": "u_2*u_1", "multiplier": dict(z, orbits=[[0, 1, -1]])}]
+    with pytest.raises(ValueError):
+        MembershipCertificate.from_json_dict(data)
 
 
 def test_term_checks_reject_malformed_terms():
     nil = verify_relation(3, 1, j_max=1, cap=2, method="window")
     assert nil.nilpotent_part and not nil.generators
     term = nil.nilpotent_part[0]
-    assert term.multiplier.max_height() == 1
-    for factors in ((1, 4), (0, 1)):
-        bad = replace(nil, nilpotent_part=(replace(term, factors=factors),))
-        assert verify_certificate(bad) is False
+    assert term.multiplier == OrbitTable(3, 1, {(0, 0): -1, (1, 0): 1})
+    # the factors follow from g: u_1^{*2} at g = 0 (no nilpotency order),
+    # u_1^{*4} at g = 3
+    for g in (0, 3):
+        assert verify_certificate(replace(nil, g=g)) is False
     # the multiplier of height 1 above a cap of 0
     assert verify_certificate(replace(nil, cap=0)) is False
 
@@ -1115,12 +1173,68 @@ def test_malformed_fields_are_rejected_not_raised():
     assert verify_certificate(big_j) is False
     # an orbit within the cap whose product with (m_j)_* h has the
     # coordinate 2**46 - 1 + j, outside the digit range: the orbit proof
-    # rejects it, and with a nilpotent term of multiplier zero added so
-    # does the expansion, without raising
+    # rejects it, with a nilpotent term of multiplier zero added too,
+    # without raising
     far = canonical(3, {**{o: Fraction(n, t.multiplier.den) for o, n in t.multiplier.orbits.items()},
                         (2**46 - 1, 0): 1})
     far_product = replace(cert, cap=2**47, generators=(replace(t, multiplier=far),) + rest)
     assert relations._verify_on_orbits(far_product) is False
     assert verify_certificate(far_product) is False
-    mixed = replace(far_product, nilpotent_part=(NilpotentTerm((1, 2, 3), Cycle.zero(3)),))
+    mixed = replace(far_product, nilpotent_part=(NilpotentTerm(OrbitTable(3, 1, {})),))
     assert verify_certificate(mixed) is False
+
+
+def test_certificate_reader_bounds_g_by_the_factor_lists():
+    # a nilpotent document whose g is far above its factor lists is rejected
+    # before a factor list or a label is derived from g
+    data = dict(json.loads(written(verify_relation(3, 1, j_max=1, cap=2, method="window"))), g=2**40)
+    with pytest.raises(ValueError, match="g \\+ 1 = "):
+        MembershipCertificate.from_json_dict(data)
+    # with no nilpotent term nothing is derived from g: the Newton
+    # certificate holds for every g, and reads and verifies at this one
+    newton = dict(json.loads(written(verify_relation(3, 2))), g=2**40)
+    assert verify_certificate(MembershipCertificate.from_json_dict(newton)) is True
+
+
+def test_mixed_certificates_cost_their_tables_not_their_points(monkeypatch):
+    # a certificate with both kinds of term is proved on orbits too, and
+    # builds no point: one zero nilpotent table next to the k = 14 Newton
+    # certificate, and a k = 30 table whose one entry (0, 14) stands for
+    # C(29, 14) = 77558760 points
+    cert = replace(verify_relation(14, 14), nilpotent_part=(NilpotentTerm(OrbitTable(14, 1, {})),))
+    far = MembershipCertificate(30, 1, 30, 30, (GeneratorTerm(1, OrbitTable(30, 1, {(0, 14): 1})),),
+                                (NilpotentTerm(OrbitTable(30, 1, {})),))
+    monkeypatch.setattr(relations, "Cycle", None)
+    monkeypatch.setattr(relations, "pontryagin", None)
+    assert verify_certificate(cert) is True
+    assert verify_certificate(far) is False
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_newton_multipliers_are_signed_shifts_of_the_first(k):
+    # Y_j(a, s) = (-1)^(j-1) Y_1(a, s + j - 1), with the same support
+    tables = {t.j: t.multiplier for t in _newton_certificate(k, 1, k, k - 1).generators}
+    assert sorted(tables) == list(range(1, k + 1))
+    values = {j: {o: Fraction(n, t.den) for o, n in t.orbits.items()} for j, t in tables.items()}
+    for j in tables:
+        shifted = {(a, s - j + 1): (-1) ** (j - 1) * c for (a, s), c in values[1].items() if s >= j - 1}
+        assert values[j] == shifted, (k, j)
+
+
+# SHA-256 of the version-2 text of the WINDOW_CERT_SHA256 certificates, as
+# the parent format wrote it: a version-3 document with its version set to
+# 2 and each nilpotent table expanded onto points is that text.
+WINDOW_CERT_V2_SHA256 = {
+    (2, 3, None): "eb17ac1b329255150d1d1fb31601ffdecd81299e67801e19c41657f91673fd2a",
+    (3, 1, 4): "2b95ed0ef8350c4ca1cd0ce15992d13fc91a77196b91bc5b2190d31a516a75f2",
+    (4, 1, 2): "4e2aef5b8a4a53206448d5e311a04f2c9842f66b2c3e5fc12b4869b58e581cf2",
+    (4, 2, 1): "22199552f356fc6ad91928148de35df5068615cf532961abe2332080b0cc4965",
+}
+
+
+@pytest.mark.parametrize("k, g, cap", list(WINDOW_CERT_V2_SHA256))
+def test_version_3_is_version_2_with_nilpotent_tables(k, g, cap):
+    data = verify_relation(k, g, cap=cap, method="window").to_json_dict()
+    _as_version_2(data)
+    text = json.dumps(data, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_CERT_V2_SHA256[k, g, cap]
