@@ -42,6 +42,7 @@ from .relations import (
     NotFoundWithinCaps,
     OrbitTable,
     alpha_coefficients,
+    check_recursion_identities,
     check_recursion_identity,
     hypothesis_cycle,
     power_basis_change,

@@ -37,25 +37,26 @@ def binomial_kernel(k: int, d: int) -> int:
     return total
 
 
-def derivative_oracle(k: int, d: int) -> int:
+def derivative_oracle(k: int) -> list[int]:
     """Independent cross-check path via exact polynomial differentiation.
 
-    Expands (X - 1)^k by repeated multiplication, differentiates d times
-    formally, and evaluates at X = 1.  The result equals
+    Expands (X - 1)^k once by repeated multiplication, then differentiates
+    it formally one step at a time, and returns the d-th derivative at
+    X = 1 for d = 0..k.  Entry d equals
     sum (-1)^{k-i} C(k,i) i(i-1)...(i-d+1), the falling-factorial analogue
     of ``binomial_kernel``: 0 for d < k and k! for d = k.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not 0 <= d <= k:
-        raise ValueError(f"derivative order d={d} out of range 0..{k}")
     poly = [1]
     for _ in range(k):
         # multiply by (X - 1)
         poly = [-poly[0]] + [poly[i - 1] - poly[i] for i in range(1, len(poly))] + [poly[-1]]
-    for _ in range(d):
+    row = []
+    for _ in range(k + 1):
+        row.append(sum(poly))
         poly = [i * poly[i] for i in range(1, len(poly))]
-    return sum(poly)
+    return row
 
 
 def pont_pullback_coefficient(k: int, d: int) -> int:

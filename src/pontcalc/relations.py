@@ -24,8 +24,8 @@ these follow from k, j and g, are derived where it is written or
 verified, and a file's copies of them are checked on read.  The file
 (version 3) holds each multiplier as its table,
 ``{"den": D, "orbits": [[a_1, s, n], ...]}``, and the target and each
-(m_j)_* h as their ``Cycle.to_json_dict()``: ``json_text`` writes JSON
-values only.
+(m_j)_* h as their ``Cycle.to_json_dict()``, written from their closed
+forms: ``json_text`` writes JSON values only.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -120,21 +120,34 @@ def check_recursion_identity(k: int, l: int) -> bool:
 
     over the free generators, with no hypothesis imposed.
     """
+    return check_recursion_identities(k, [l])[l]
+
+
+def check_recursion_identities(k: int, ls) -> dict[int, bool]:
+    """``check_recursion_identity(k, l)`` for each l in ``ls``, in one pass:
+    gamma_0..gamma_{max l + 1} and each (m_j)_* gamma_1 are built once and
+    shared by every l, with the same convolutions as separate calls."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    if not 1 <= l <= k - 1:
-        raise ValueError(f"l={l} out of range 1..{k - 1}")
+    ls = list(ls)
+    for l in ls:
+        if not 1 <= l <= k - 1:
+            raise ValueError(f"l={l} out of range 1..{k - 1}")
+    top = max(ls, default=0) + 1
     rank = k - 1
     ctx = RingContext(rank=rank, geom_dim=1, support_cap=2 * k * (k + 2))
     indices = list(range(rank))
-    gam = [subset_sum_cycle(rank, indices, s) for s in range(l + 2)]
-    lhs = pontryagin(gam[1], gam[l], ctx)
-    rhs = gam[l + 1].scale(l + 1)
-    for i in range(1, l + 1):
-        pushed = pushforward(gam[1], i + 1)
-        term = pontryagin(pushed, gam[l - i], ctx)
-        rhs = rhs + term.scale((-1) ** (i + 1))
-    return lhs == rhs
+    gam = [subset_sum_cycle(rank, indices, s) for s in range(top + 1)]
+    pushed = {j: pushforward(gam[1], j) for j in range(2, top + 1)}
+    results = {}
+    for l in ls:
+        lhs = pontryagin(gam[1], gam[l], ctx)
+        rhs = gam[l + 1].scale(l + 1)
+        for i in range(1, l + 1):
+            term = pontryagin(pushed[i + 1], gam[l - i], ctx)
+            rhs = rhs + term.scale((-1) ** (i + 1))
+        results[l] = lhs == rhs
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +291,39 @@ _CERT_FORMAT = "pontryagin-membership-certificate"
 _CERT_VERSION = 3
 
 
-def target_cycle(k: int) -> Cycle:
-    """u^{*k}, u = {x_1} - {0}, in closed form: sum_i C(k, i) (-1)^(k-i) {i x_1}."""
-    return Cycle(k, {(i,) + (0,) * (k - 1): comb(k, i) * (-1) ** (k - i) for i in range(k + 1)})
+def _signed_binomials(n: int) -> list[int]:
+    """C(n, i) (-1)^(n-i) for i = 0..n: u^{*n} = sum_i C(n, i) (-1)^(n-i) {i x}
+    for u = {x} - {0}.  Built by C(n, i+1) = C(n, i) (n-i) / (i+1)."""
+    row = [(-1) ** n]
+    for i in range(n):
+        row.append(-row[-1] * (n - i) // (i + 1))
+    return row
+
+
+def _target_json(k: int) -> dict:
+    """``Cycle.to_json_dict()`` of the target u^{*k}, u = {x_1} - {0},
+    written from its closed form: the points (i, 0, ..., 0) for i = 0..k in
+    order, with coefficients C(k, i) (-1)^(k-i)."""
+    if k < 1:
+        raise ValueError(f"a target needs k >= 1, got k = {k}")
+    tail = [0] * (k - 1)
+    return {"rank": k, "terms": [{"point": [i, *tail], "coeff": f"{c}/1"}
+                                 for i, c in enumerate(_signed_binomials(k))]}
+
+
+def _generator_json(k: int, j: int) -> dict:
+    """``pushed_hypothesis(k, j).to_json_dict()``: for 1 <= j < 2**46 it is
+    written from the closed form {j x_1} + ... + {j x_k} - k{0}, whose points
+    in order are 0, j x_k, ..., j x_1; any other j goes through the cycle,
+    which is empty at j = 0 and raises ``ValueError`` past the digit range."""
+    if not 1 <= j < _LIMIT:
+        return pushed_hypothesis(k, j).to_json_dict()
+    terms = [{"point": [0] * k, "coeff": f"{-k}/1"}]
+    for i in reversed(range(k)):
+        point = [0] * k
+        point[i] = j
+        terms.append({"point": point, "coeff": "1/1"})
+    return {"rank": k, "terms": terms}
 
 
 @dataclass(frozen=True)
@@ -306,6 +349,12 @@ class MembershipCertificate:
         return sorted({t.j for t in self.generators})
 
     def to_json_dict(self) -> dict:
+        """The file's JSON value.  The target u^{*k} and each (m_j)_* h are
+        written from their closed forms (``_target_json``,
+        ``_generator_json``) with the bytes of their ``Cycle.to_json_dict()``,
+        and each nilpotent term's factors and label from g, so no cycle is
+        built; each multiplier is its ``OrbitTable.to_json_dict()``.  A k
+        below 1 raises ``ValueError``."""
         return {
             "format": _CERT_FORMAT,
             "version": _CERT_VERSION,
@@ -313,12 +362,12 @@ class MembershipCertificate:
             "g": self.g,
             "j_max": self.j_max,
             "cap": self.cap,
-            "target": target_cycle(self.k).to_json_dict(),
+            "target": _target_json(self.k),
             "generators": [
                 {
                     "label": t.label,
                     "j": t.j,
-                    "generator": pushed_hypothesis(self.k, t.j).to_json_dict(),
+                    "generator": _generator_json(self.k, t.j),
                     "multiplier": t.multiplier.to_json_dict(),
                 }
                 for t in self.generators
@@ -428,7 +477,7 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool:
     table denominators."""
     k, g = cert.k, cert.g
     den = lcm(*(t.multiplier.den for t in (*cert.generators, *cert.nilpotent_part)))
-    sums = {(i, 0, 0): -comb(k, i) * (-1) ** (k - i) * den for i in range(k + 1)}
+    sums = {(i, 0, 0): -c * den for i, c in enumerate(_signed_binomials(k))}
 
     def add(t, moves):
         scale = den // t.multiplier.den
@@ -441,8 +490,11 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool:
     for t in cert.generators:
         add(t, lambda a_1, s, j=t.j: (((a_1 + j, s, 0), 1), ((a_1, s, 0), -k),
                                       ((a_1, s + 1, 0) if j == 1 else (a_1, s, j), k - 1 - s), ((a_1, s - 1, 1 + j), s)))
+    # the row of u_1^{*(g+1)}, built once and only for a nilpotent term:
+    # with none, a file bounds no g
+    u_power = list(enumerate(_signed_binomials(g + 1))) if cert.nilpotent_part else ()
     for t in cert.nilpotent_part:
-        add(t, lambda a_1, s: [((a_1 + i, s, 0), comb(g + 1, i) * (-1) ** (g + 1 - i)) for i in range(g + 2)])
+        add(t, lambda a_1, s: [((a_1 + i, s, 0), c) for i, c in u_power])
     return not any(sums.values())
 
 
@@ -512,7 +564,7 @@ def _nilpotent_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCe
     multiplier is the closed form u_1^{*m} = sum_i C(m, i) (-1)^(m-i) {i x_1},
     the table {(i, 0): C(m, i) (-1)^(m-i)} over den 1."""
     m = k - g - 1
-    u_power = OrbitTable(k, 1, {(i, 0): comb(m, i) * (-1) ** (m - i) for i in range(m + 1)})
+    u_power = OrbitTable(k, 1, {(i, 0): c for i, c in enumerate(_signed_binomials(m))})
     return MembershipCertificate(k, g, j_max, cap, (), (NilpotentTerm(u_power),))
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from pontcalc import cli
+from pontcalc import cli, relations
 from pontcalc.cli import main
 from pontcalc.cycles import SupportCapExceeded
 from pontcalc.tangent import SearchResult
@@ -384,7 +384,7 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, argv, text):
 def test_identities_fail_verdicts(capsys, monkeypatch):
     # an oracle one off everywhere disagrees on and below the diagonal
     oracle = cli.derivative_oracle
-    monkeypatch.setattr(cli, "derivative_oracle", lambda k, d: oracle(k, d) + 1)
+    monkeypatch.setattr(cli, "derivative_oracle", lambda k: [x + 1 for x in oracle(k)])
     code, out = run(capsys, "identities", "--kmax", "3")
     assert code == 3
     assert last_json(out)["verdict"] == "fail"
@@ -413,6 +413,36 @@ def test_identities_fail_verdicts(capsys, monkeypatch):
         {"k": 2, "d": 2, "oracle": "2"},
         {"k": 3, "d": 1, "value": "5", "expected": "0"},
     ]
+
+
+@pytest.mark.parametrize("kmax, dmax", [(1, None), (5, None), (20, None), (8, 2)])
+def test_identities_expands_each_power_once(capsys, monkeypatch, kmax, dmax):
+    # one derivative row per k, however many of its entries are checked
+    calls = []
+    oracle = cli.derivative_oracle
+    monkeypatch.setattr(cli, "derivative_oracle", lambda k: calls.append(k) or oracle(k))
+    argv = ["identities", "--kmax", str(kmax)] + ([] if dmax is None else ["--dmax", str(dmax)])
+    code, out = run(capsys, *argv)
+    assert code == 0 and last_json(out)["witness"]["problems"] == []
+    assert calls == list(range(1, kmax + 1))
+
+
+def test_recursion_check_builds_each_cycle_once(capsys, monkeypatch):
+    # k = 8: gamma_0..gamma_8 and (m_j)_* gamma_1 for j = 2..8 once each,
+    # and the 2 + 3 + ... + 8 = 35 convolutions of the seven identities
+    counts = {"subset_sum_cycle": 0, "pushforward": 0, "pontryagin": 0}
+    for name in counts:
+        original = getattr(relations, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(relations, name, counted)
+    code, out = run(capsys, "recursion-check", "--k", "8")
+    assert code == 0
+    assert last_json(out)["witness"]["results"] == {str(l): True for l in range(1, 8)}
+    assert counts == {"subset_sum_cycle": 9, "pushforward": 7, "pontryagin": 35}
 
 
 def test_gamma_check_fail_verdicts(capsys, monkeypatch):

@@ -45,20 +45,17 @@ def test_values_above_diagonal_are_exact_but_unconstrained():
 
 
 def test_derivative_oracle():
-    assert derivative_oracle(4, 2) == 0
-    assert derivative_oracle(4, 4) == 24
-    assert derivative_oracle(1, 1) == 1
-    for k in range(1, 13):
-        for d in range(0, k):
-            assert derivative_oracle(k, d) == 0, (k, d)
-        assert derivative_oracle(k, k) == math.factorial(k)
+    # the whole row d = 0..k: zero below the diagonal, k! on it
+    assert derivative_oracle(1) == [0, 1]
+    assert derivative_oracle(4) == [0, 0, 0, 0, 24]
+    for k in range(1, 31):
+        assert derivative_oracle(k) == [0] * k + [math.factorial(k)], k
 
 
 def test_derivative_oracle_range_errors():
-    with pytest.raises(ValueError):
-        derivative_oracle(3, 4)
-    with pytest.raises(ValueError):
-        derivative_oracle(0, 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            derivative_oracle(k)
     with pytest.raises(ValueError):
         binomial_kernel(0, 1)
     with pytest.raises(ValueError):
@@ -71,7 +68,7 @@ def test_recovery_from_falling_factorials():
     # i^d = sum_m S(d, m) * falling(i, m) turns oracle values into kernels
     for k in range(1, 9):
         for d in range(0, k + 1):
-            recovered = sum(stirling2(d, m) * derivative_oracle(k, m) for m in range(d + 1))
+            recovered = sum(stirling2(d, m) * derivative_oracle(k)[m] for m in range(d + 1))
             assert recovered == binomial_kernel(k, d), (k, d)
 
 

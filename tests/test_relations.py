@@ -31,6 +31,7 @@ from pontcalc.relations import (
     OrbitTable,
     _newton_certificate,
     alpha_coefficients,
+    check_recursion_identities,
     check_recursion_identity,
     hypothesis_cycle,
     power_basis_change,
@@ -60,6 +61,14 @@ def test_recursion_identity_small_cases():
     for k in range(2, 6):
         for l in range(1, k):
             assert check_recursion_identity(k, l), (k, l)
+        assert check_recursion_identities(k, range(1, k)) == dict.fromkeys(range(1, k), True)
+
+
+def test_recursion_identities_see_a_wrong_pushforward(monkeypatch):
+    # the one pass shares its cycles between the l, and still checks each
+    monkeypatch.setattr(relations, "pushforward", lambda c, n: pushforward(c, n + 1))
+    assert check_recursion_identities(5, [1, 2, 3, 4]) == dict.fromkeys(range(1, 5), False)
+    assert check_recursion_identity(5, 2) is False
 
 
 def test_recursion_identity_k2_by_hand():
@@ -77,6 +86,10 @@ def test_recursion_identity_argument_checks():
         check_recursion_identity(1, 1)
     with pytest.raises(ValueError):
         check_recursion_identity(3, 3)
+    with pytest.raises(ValueError):
+        check_recursion_identities(3, [1, 3])
+    with pytest.raises(ValueError):
+        check_recursion_identities(1, [])
 
 
 def test_alpha_k2_rows():
@@ -599,6 +612,37 @@ def test_certificate_json_round_trip_and_tampering():
     assert not verify_certificate(doubled)
 
 
+CLOSED_FORM_JS = [2**46 - 1, 1 - 2**46]
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_closed_form_writer_matches_the_cycles(k):
+    # target and (m_j)_* h are written from closed forms; they must be the
+    # cycles' own JSON, for every j a document can name
+    ctx = RingContext(rank=k, geom_dim=1, support_cap=k)
+    js = list(range(-3, 2 * k + 1)) + CLOSED_FORM_JS
+    cert = MembershipCertificate(k, 1, 2**46, 1, tuple(GeneratorTerm(j, OrbitTable(k, 1, {})) for j in js), ())
+    data = cert.to_json_dict()
+    assert data["target"] == star_power(augmentation_generator(k, 1), k, ctx).to_json_dict()
+    assert [t["generator"] for t in data["generators"]] == [pushed_hypothesis(k, j).to_json_dict() for j in js]
+    for j in (2**46, -(2**46), 2**80):
+        with pytest.raises(ValueError):
+            pushed_hypothesis(k, j)
+        with pytest.raises(ValueError):
+            replace(cert, generators=(GeneratorTerm(j, OrbitTable(k, 1, {})),)).to_json_dict()
+
+
+def test_closed_form_writer_builds_no_cycle(monkeypatch):
+    certs = [verify_relation(9, 2), verify_relation(6, 2, cap=2, method="window")]
+    texts = [written(cert) for cert in certs]
+    monkeypatch.setattr(relations, "Cycle", None)
+    monkeypatch.setattr(relations, "pushforward", None)
+    assert [written(cert) for cert in certs] == texts
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            MembershipCertificate(k, 1, 1, 1, (), ()).to_json_dict()
+
+
 @pytest.mark.parametrize("k", range(2, 11))
 def test_written_certificates_read_back_equal(k):
     certs = {}
@@ -868,7 +912,7 @@ def test_certificate_reader_is_bounded_by_the_file(edit, monkeypatch):
     data = dict(json.loads(written(verify_relation(3, 2))), k=2000)
     edit(data)
     calls = []
-    for name in ("target_cycle", "pushed_hypothesis"):
+    for name in ("_target_json", "_generator_json", "pushed_hypothesis"):
         derive = getattr(relations, name)
         monkeypatch.setattr(relations, name, lambda *args, derive=derive: calls.append(args) or derive(*args))
     with pytest.raises(ValueError, match="rank k = 2000"):
@@ -1194,6 +1238,22 @@ def test_certificate_reader_bounds_g_by_the_factor_lists():
     # certificate holds for every g, and reads and verifies at this one
     newton = dict(json.loads(written(verify_relation(3, 2))), g=2**40)
     assert verify_certificate(MembershipCertificate.from_json_dict(newton)) is True
+
+
+def test_nilpotent_binomial_rows_are_built_once(monkeypatch):
+    # the signed rows of u_1^{*(g+1)} and u^{*k} come from a recurrence, so
+    # g leaves the number of binomials computed unchanged
+    calls = []
+    monkeypatch.setattr(relations, "comb", lambda n, i: calls.append((n, i)) or comb(n, i))
+    counts = []
+    for g in (50, 500):
+        calls.clear()
+        cert = MembershipCertificate(3, g, 3, 3, (), (NilpotentTerm(OrbitTable(3, 1, {(0, 0): 1})),))
+        assert verify_certificate(cert) is False
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
+    # one multiplier u_1^{*m} with m = k - g - 1 still proves u^{*k}
+    assert verify_certificate(verify_relation(12, 3, cap=8, method="window"))
 
 
 def test_mixed_certificates_cost_their_tables_not_their_points(monkeypatch):
