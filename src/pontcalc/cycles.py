@@ -435,6 +435,16 @@ class RingContext:
         return self.geom_dim + 1
 
 
+def _check_inputs(ctx: RingContext, *cycles: Cycle) -> None:
+    """Raise ``ValueError`` if a cycle is not of the context's rank, then
+    ``SupportCapExceeded`` for the first input point above the cap."""
+    if any(c.rank != ctx.rank for c in cycles):
+        raise ValueError("cycle rank does not match context rank")
+    for c in cycles:
+        if c.hb > ctx.support_cap:
+            c._set_height(_scan(c.num, ctx.rank, ctx.support_cap, "input"))
+
+
 def pontryagin(c1: Cycle, c2: Cycle, ctx: RingContext) -> Cycle:
     """Convolution product: coeff of p is the sum over p1 + p2 = p.
 
@@ -450,13 +460,8 @@ def pontryagin(c1: Cycle, c2: Cycle, ctx: RingContext) -> Cycle:
     point in c1-major pair order (p1 of c1 outer, p2 of c2 inner), whichever
     operand ran inside.
     """
-    rank = ctx.rank
-    if c1.rank != rank or c2.rank != rank:
-        raise ValueError("cycle rank does not match context rank")
-    cap = ctx.support_cap
-    for c in (c1, c2):
-        if c.hb > cap:
-            c._set_height(_scan(c.num, rank, cap, "input"))
+    _check_inputs(ctx, c1, c2)
+    rank, cap = ctx.rank, ctx.support_cap
     outer, inner = (c2.num, c1.num) if len(c1.num) > len(c2.num) else (c1.num, c2.num)
     items = inner.items()
     rows = iter(outer.items())
@@ -512,18 +517,22 @@ def degree(c: Cycle) -> Fraction:
 
 
 def _power_sum(base: Cycle, coeffs: list[Fraction], ctx: RingContext) -> Cycle:
-    """sum_j coeffs[j] * base^{*j}, one convolution per power above 0.
+    """sum_j coeffs[j] * base^{*j}, one convolution per power above 1.
 
-    The terms are added up once: each power with a nonzero coefficient adds
-    its numerators, rescaled, into one integer dict over ``den``, the lcm of
-    the terms' ``power.den * coeff.denominator``, and the sum is made
-    canonical once at the end.
+    base^{*1} is the base itself, checked as ``pontryagin`` checks an input
+    (rank, then cap) whenever coeffs reaches j = 1.  The terms are added up
+    once: each power with a nonzero coefficient adds its numerators,
+    rescaled, into one integer dict over ``den``, the lcm of the terms'
+    ``power.den * coeff.denominator``, and the sum is made canonical once at
+    the end.
     """
+    if len(coeffs) > 1:
+        _check_inputs(ctx, base)
     terms = []
     power = Cycle.unit(ctx.rank)
     for j, coeff in enumerate(coeffs):
         if j:
-            power = pontryagin(power, base, ctx)
+            power = pontryagin(power, base, ctx) if j > 1 else base
         if coeff:
             terms.append((power, coeff))
     den = lcm(*(p.den * c.denominator for p, c in terms))

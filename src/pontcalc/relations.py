@@ -20,12 +20,14 @@ checks sum_t sum_R |R| Y_t(R) sum_{p : r + p in Q} c_t(p) = u^{*k}(Q) on
 every orbit Q, R running over the orbits of Y_t, r one point of R and
 c_t the coefficients of the term's (m_j)_* h or u_1^{*(g+1)}.  A
 certificate stores no target, no (m_j)_* h, no factor list and no label:
-these follow from k, j and g, are derived where it is written or
-verified, and a file's copies of them are checked on read.  The file
-(version 3) holds each multiplier as its table,
-``{"den": D, "orbits": [[a_1, s, n], ...]}``, and the target and each
-(m_j)_* h as their ``Cycle.to_json_dict()``, written from their closed
-forms: ``json_text`` writes JSON values only.
+these follow from k, j and g and are derived where they are used.  The
+file (version 4) holds each multiplier as its table,
+``{"den": D, "orbits": [[a_1, s, n], ...]}``, each generator term's j and
+label, each nilpotent term's factor list and label, and the target as
+its ``Cycle.to_json_dict()``, written from its closed form; it lists no
+(m_j)_* h, which j fixes as {j x_1} + ... + {j x_k} - k{0}.  The target,
+labels and factor lists a file holds are checked on read.  ``json_text``
+writes JSON values only.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
@@ -126,7 +128,8 @@ def check_recursion_identity(k: int, l: int) -> bool:
 def check_recursion_identities(k: int, ls) -> dict[int, bool]:
     """``check_recursion_identity(k, l)`` for each l in ``ls``, in one pass:
     gamma_0..gamma_{max l + 1} and each (m_j)_* gamma_1 are built once and
-    shared by every l, with the same convolutions as separate calls."""
+    shared by every l, with the same convolutions as separate calls.  The
+    i = l term is (m_{l+1})_* gamma_1 itself, as gamma_0 = {0} is the unit."""
     if k < 2:
         raise ValueError("k must be at least 2")
     ls = list(ls)
@@ -144,7 +147,7 @@ def check_recursion_identities(k: int, ls) -> dict[int, bool]:
         lhs = pontryagin(gam[1], gam[l], ctx)
         rhs = gam[l + 1].scale(l + 1)
         for i in range(1, l + 1):
-            term = pontryagin(pushed[i + 1], gam[l - i], ctx)
+            term = pontryagin(pushed[i + 1], gam[l - i], ctx) if i < l else pushed[i + 1]
             rhs = rhs + term.scale((-1) ** (i + 1))
         results[l] = lhs == rhs
     return results
@@ -180,7 +183,8 @@ def alpha_coefficients(k: int) -> AlphaMatrix:
     """Run the substituted recursion and collect exact alpha coefficients.
 
     Works in rank 1: after substituting the hypothesis, every gamma_l is
-    supported on multiples of x_1.
+    supported on multiples of x_1.  The i = l term is the pushed cycle
+    itself, as gamma_0 = {0} is the unit.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -191,7 +195,8 @@ def alpha_coefficients(k: int) -> AlphaMatrix:
         acc = Cycle.zero(1)
         for i in range(0, l + 1):
             pushed = Cycle(1, {(0,): k, (i + 1,): -1})
-            acc = acc + pontryagin(pushed, gam[l - i], ctx).scale((-1) ** i)
+            term = pontryagin(pushed, gam[l - i], ctx) if i < l else pushed
+            acc = acc + term.scale((-1) ** i)
         gam.append(acc.scale(Fraction(1, l + 1)))
     rows = []
     zeros = []
@@ -288,7 +293,7 @@ class NilpotentTerm:
 
 
 _CERT_FORMAT = "pontryagin-membership-certificate"
-_CERT_VERSION = 3
+_CERT_VERSION = 4
 
 
 def _signed_binomials(n: int) -> list[int]:
@@ -309,21 +314,6 @@ def _target_json(k: int) -> dict:
     tail = [0] * (k - 1)
     return {"rank": k, "terms": [{"point": [i, *tail], "coeff": f"{c}/1"}
                                  for i, c in enumerate(_signed_binomials(k))]}
-
-
-def _generator_json(k: int, j: int) -> dict:
-    """``pushed_hypothesis(k, j).to_json_dict()``: for 1 <= j < 2**46 it is
-    written from the closed form {j x_1} + ... + {j x_k} - k{0}, whose points
-    in order are 0, j x_k, ..., j x_1; any other j goes through the cycle,
-    which is empty at j = 0 and raises ``ValueError`` past the digit range."""
-    if not 1 <= j < _LIMIT:
-        return pushed_hypothesis(k, j).to_json_dict()
-    terms = [{"point": [0] * k, "coeff": f"{-k}/1"}]
-    for i in reversed(range(k)):
-        point = [0] * k
-        point[i] = j
-        terms.append({"point": point, "coeff": "1/1"})
-    return {"rank": k, "terms": terms}
 
 
 @dataclass(frozen=True)
@@ -349,12 +339,12 @@ class MembershipCertificate:
         return sorted({t.j for t in self.generators})
 
     def to_json_dict(self) -> dict:
-        """The file's JSON value.  The target u^{*k} and each (m_j)_* h are
-        written from their closed forms (``_target_json``,
-        ``_generator_json``) with the bytes of their ``Cycle.to_json_dict()``,
-        and each nilpotent term's factors and label from g, so no cycle is
-        built; each multiplier is its ``OrbitTable.to_json_dict()``.  A k
-        below 1 raises ``ValueError``."""
+        """The file's JSON value.  The target u^{*k} is written from its
+        closed form (``_target_json``) with the bytes of its
+        ``Cycle.to_json_dict()``, each generator term as its label, j and
+        table, with no (m_j)_* h, and each nilpotent term's factors and label
+        from g, so no cycle is built; each multiplier is its
+        ``OrbitTable.to_json_dict()``.  A k below 1 raises ``ValueError``."""
         return {
             "format": _CERT_FORMAT,
             "version": _CERT_VERSION,
@@ -367,7 +357,6 @@ class MembershipCertificate:
                 {
                     "label": t.label,
                     "j": t.j,
-                    "generator": _generator_json(self.k, t.j),
                     "multiplier": t.multiplier.to_json_dict(),
                 }
                 for t in self.generators
@@ -390,17 +379,22 @@ class MembershipCertificate:
         """Read ``to_json_dict`` output.  The certificate is built from the
         JSON integers k, g, j_max, cap, j and table entries; the document
         must then equal its ``to_json_dict``, key for key and JSON type for
-        JSON type.  So the format, the version (3), the target, every
-        (m_j)_* h, every factor list, every label and every table's
-        canonical form and (a_1, s) order are checked, and anything else, a
-        missing or an extra key or a version-1 or version-2 document
-        included, raises ``ValueError``.  A target and generators of rank k
-        with k + 1 terms, and factor lists of length g + 1, are required
-        before anything is derived from k or g, which the file bounds."""
+        JSON type.  So the format, the version (4), the target, every
+        factor list, every label and every table's canonical form and
+        (a_1, s) order are checked, and anything else, a missing or an extra
+        key, a (m_j)_* h cycle or a version-1, -2 or -3 document included,
+        raises ``ValueError``.  A target of rank k with k + 1 terms, and
+        factor lists of length g + 1, are required before anything is
+        derived from k or g, which the file bounds."""
 
         def table(d):
-            return OrbitTable(k, json_int(d["den"]), {
-                (json_int(a_1), json_int(s)): json_int(n) for a_1, s, n in d["orbits"]})
+            entries = d["orbits"]
+            # one type scan of every entry value; json_int names the first
+            # that is not an integer
+            if not {*map(type, itertools.chain(*entries))} <= {int}:
+                for value in itertools.chain(*entries):
+                    json_int(value)
+            return OrbitTable(k, json_int(d["den"]), {(a_1, s): n for a_1, s, n in entries})
 
         try:
             k, g = json_int(data["k"]), json_int(data["g"])
@@ -410,27 +404,35 @@ class MembershipCertificate:
                 tuple(GeneratorTerm(json_int(t["j"]), table(t["multiplier"])) for t in gens),
                 tuple(NilpotentTerm(table(t["multiplier"])) for t in nils),
             )
-            derived = [data["target"]] + [t["generator"] for t in gens]
-            if any(len(t["factors"]) != g + 1 for t in nils) or any(
-                    d["rank"] != k or len(d["terms"]) != k + 1 for d in derived):
-                raise ValueError(f"a cycle is not of rank k = {k}, or a derived one has not k + 1 terms, "
+            target = data["target"]
+            if target["rank"] != k or len(target["terms"]) != k + 1 or any(
+                    len(t["factors"]) != g + 1 for t in nils):
+                raise ValueError(f"the target is not of rank k = {k} with k + 1 terms, "
                                  f"or a factor list is not g + 1 = {g + 1} long")
         except (KeyError, TypeError):
             raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION}: "
                              "a field is missing or of another JSON type") from None
         if not _same_json(data, cert.to_json_dict()):
-            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target, generators, "
+            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target, "
                              "labels and tables are those of k, j, the factors and the entries")
         return cert
 
 
 def _same_json(a, b) -> bool:
-    """``a == b`` for JSON values, with every JSON type equal too (``True == 1`` in Python)."""
+    """``a == b`` for JSON values, with every JSON type equal too (``True == 1`` in Python).
+    Two lists of ints, such as points, or of lists of ints, such as a
+    table's entries, take one type scan and one ``==``; a bool or a float
+    in either fails the scan and is compared item by item."""
     if a is b or type(a) is not type(b):
         return a is b
     if type(a) is dict:
         return a.keys() == b.keys() and all(_same_json(a[key], b[key]) for key in a)
     if type(a) is list:
+        types = {*map(type, a), *map(type, b)}
+        if types == {list}:
+            types = {*map(type, itertools.chain(*a, *b))}
+        if types <= {int}:
+            return a == b
         return len(a) == len(b) and all(map(_same_json, a, b))
     return a == b
 

@@ -429,7 +429,8 @@ def test_identities_expands_each_power_once(capsys, monkeypatch, kmax, dmax):
 
 def test_recursion_check_builds_each_cycle_once(capsys, monkeypatch):
     # k = 8: gamma_0..gamma_8 and (m_j)_* gamma_1 for j = 2..8 once each,
-    # and the 2 + 3 + ... + 8 = 35 convolutions of the seven identities
+    # and the 1 + 2 + ... + 7 = 28 convolutions of the seven identities: the
+    # i = l term of each is (m_{l+1})_* gamma_1 itself, as gamma_0 is {0}
     counts = {"subset_sum_cycle": 0, "pushforward": 0, "pontryagin": 0}
     for name in counts:
         original = getattr(relations, name)
@@ -442,7 +443,7 @@ def test_recursion_check_builds_each_cycle_once(capsys, monkeypatch):
     code, out = run(capsys, "recursion-check", "--k", "8")
     assert code == 0
     assert last_json(out)["witness"]["results"] == {str(l): True for l in range(1, 8)}
-    assert counts == {"subset_sum_cycle": 9, "pushforward": 7, "pontryagin": 35}
+    assert counts == {"subset_sum_cycle": 9, "pushforward": 7, "pontryagin": 28}
 
 
 def test_gamma_check_fail_verdicts(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from pontcalc import cycles
 from pontcalc.cycles import (
     Cycle,
     DegreeError,
@@ -359,3 +360,29 @@ def test_point_evaluator_cap_is_degree_times_height(x):
     # Horner's rule at the same point raises at the same cap
     with pytest.raises(SupportCapExceeded):
         poly_eval_at_cycle(q, Cycle.point(x), below)
+
+
+def test_power_sums_convolve_no_unit(monkeypatch):
+    # base^{*1} is the base itself: at g = 3, gamma, log and exp convolve
+    # for the powers 2..4 and gamma_factorization for 2..3
+    calls = []
+    original = cycles.pontryagin
+    monkeypatch.setattr(cycles, "pontryagin", lambda *args: calls.append(args) or original(*args))
+    c = ctx1(3)
+    for series, arg, count in [(gamma, X1, 3), (log_cycle, Cycle.point(X1), 3),
+                               (exp_cycle, Cycle.point(X1) - Cycle.unit(1), 3), (gamma_factorization, X1, 2)]:
+        calls.clear()
+        series(arg, c)
+        assert len(calls) == count, series
+        assert all(a != Cycle.unit(1) for args in calls for a in args[:2])
+
+
+def test_power_sum_base_is_checked_as_a_convolution_input():
+    # gamma_factorization at g = 1 uses only base^{*1} = {x} - {0}, which no
+    # convolution checks: a point above the cap still raises, as an input
+    with pytest.raises(SupportCapExceeded) as info:
+        gamma_factorization((3,), ctx1(1, cap=2))
+    assert info.value.where == "input" and info.value.point == (3,)
+    # and a cycle of another rank than the context's raises ValueError
+    with pytest.raises(ValueError, match="rank"):
+        exp_cycle(Cycle.point((1, 0)) - Cycle.point((0, 1)), ctx1(1))

@@ -119,6 +119,18 @@ def test_alpha_entries_nonzero_and_match_oracle():
                 assert c == Fraction((-1) ** i * comb(k, l - i)), (k, l, i)
 
 
+def test_alpha_convolves_no_unit(monkeypatch):
+    # row l sums l + 1 terms, and the one against gamma_0 = {0} is the
+    # pushed cycle itself: 2 + 3 + ... + 12 = 77 terms at k = 12, 66 of them
+    # convolutions
+    calls = []
+    original = relations.pontryagin
+    monkeypatch.setattr(relations, "pontryagin", lambda *args: calls.append(args) or original(*args))
+    alpha_coefficients(12)
+    assert len(calls) == 66
+    assert all(a != Cycle.unit(1) for args in calls for a in args[:2])
+
+
 def test_power_basis_change_examples():
     assert power_basis_change([1, -2, 1]) == [0, 0, 1]
     assert power_basis_change([1, 0, 0, 0]) == [1, 0, 0, 0]
@@ -241,20 +253,20 @@ def test_not_found_within_caps():
 # k > g pins are nilpotent certificates; (2, 3) is the Newton certificate
 # the window rule returns for j_max >= k.
 WINDOW_CERT_SHA256 = {
-    (2, 3, None): "276c94a76987df0a5f9a14f64b8201de97b85bfd800ce1dcbdda08d7b2bff1ea",
-    (3, 1, 4): "f353e247030a635d6cadd682f4bb5fd8baf48fa596ade06d2297b8ec4dadd452",
-    (4, 1, 2): "03a6f319bd7e78d974cf986dcc9223111ad57fd346746a70b218a4e51931fd7f",
-    (4, 2, 1): "4dd8f85ad813ec87d6d043fecd80da451e7e52a434990c3402f442ddfa150f08",
+    (2, 3, None): "abea508d6831d1d208d5ebc8046c39d5a250c35abeac2c6f1ce6aa21de38edbd",
+    (3, 1, 4): "d2d7ce204fbe4ecfc970b038862860d6217d50feddc4ebf605543b1cc0b09d39",
+    (4, 1, 2): "3ac33e7da1961dbfe093a17f5ce6ac2e699d84876e9f4e6c58829e9ffb9582ed",
+    (4, 2, 1): "bf72783fdf20012d8814ccfdc90b9603d1a793594ec69fe37df2e75451a61e38",
 }
 
 
 # SHA-256 of the Newton certificate text of `verify-relation --k K --g 2`
 # (method auto), pinned the same way as WINDOW_CERT_SHA256.  The file at
-# k = 24 holds C(26, 3) = 2600 table entries.
+# k = 24 holds C(26, 3) = 2600 table entries in 212,257 bytes.
 NEWTON_CERT_SHA256 = {
-    9: "c07700f15a4da2ea73b6ec352bb078eb4c3e6fe4fc26df2a8667d84d643b0a77",
-    10: "ef29cdb09a311bc831a4720e8040165dc6a6d3aab0aa66f63910adb446daec91",
-    24: "7ed159ce677c6606775fb26e6398f24f97bdda277b813d5260f6ec8fe71089d9",
+    9: "9ebc769646f1ba49f7b1cb4adc2be25b2da421453a23d02faaa20409b8b95758",
+    10: "4fc7db6c4ce41b1401a1287d0c2e9c2958c4ef870acf8b66cd5884f5335f4539",
+    24: "127ff3d84c9ba3abbf7c54d23409e5d34e1ac08450e0188d27f660647a1a03f4",
 }
 
 
@@ -597,9 +609,9 @@ def test_certificate_json_round_trip_and_tampering():
     tampered["generators"][0]["multiplier"]["orbits"][0][2] = 5
     assert not verify_certificate(MembershipCertificate.from_json_dict(tampered))
 
-    # j = 5 with its own label and (m_5)_* h reads, and the identity fails
+    # j = 5 with its own label reads, and the identity fails
     wrong_gen = json.loads(json.dumps(cert.to_json_dict()))
-    wrong_gen["generators"][0].update(j=5, label="(m_5)*h", generator=pushed_hypothesis(3, 5).to_json_dict())
+    wrong_gen["generators"][0].update(j=5, label="(m_5)*h")
     assert not verify_certificate(MembershipCertificate.from_json_dict(wrong_gen))
 
     # a consistent identity for a target other than u^{*k} proves nothing:
@@ -612,24 +624,33 @@ def test_certificate_json_round_trip_and_tampering():
     assert not verify_certificate(doubled)
 
 
-CLOSED_FORM_JS = [2**46 - 1, 1 - 2**46]
-
-
 @pytest.mark.parametrize("k", range(2, 13))
 def test_closed_form_writer_matches_the_cycles(k):
-    # target and (m_j)_* h are written from closed forms; they must be the
-    # cycles' own JSON, for every j a document can name
+    # the target is written from its closed form; it must be the cycle's own
+    # JSON.  A generator term is its label, j and table, for every j a
+    # document can name: no (m_j)_* h is written, so none is built
     ctx = RingContext(rank=k, geom_dim=1, support_cap=k)
-    js = list(range(-3, 2 * k + 1)) + CLOSED_FORM_JS
+    js = list(range(-3, 2 * k + 1)) + [2**46 - 1, 1 - 2**46, 2**46, -(2**46), 2**80]
     cert = MembershipCertificate(k, 1, 2**46, 1, tuple(GeneratorTerm(j, OrbitTable(k, 1, {})) for j in js), ())
     data = cert.to_json_dict()
     assert data["target"] == star_power(augmentation_generator(k, 1), k, ctx).to_json_dict()
-    assert [t["generator"] for t in data["generators"]] == [pushed_hypothesis(k, j).to_json_dict() for j in js]
-    for j in (2**46, -(2**46), 2**80):
-        with pytest.raises(ValueError):
-            pushed_hypothesis(k, j)
-        with pytest.raises(ValueError):
-            replace(cert, generators=(GeneratorTerm(j, OrbitTable(k, 1, {})),)).to_json_dict()
+    assert data["generators"] == [{"label": f"(m_{j})*h", "j": j, "multiplier": {"den": 1, "orbits": []}} for j in js]
+    assert MembershipCertificate.from_json_dict(json.loads(written(cert))) == cert
+
+
+def test_j_past_the_digit_range_reads_and_fails_to_verify():
+    # (m_j)_* h at j = 2**80 leaves the digit range; the file does not list
+    # it, so the document reads, and the verifier, which bounds j by
+    # min(j_max, 2**46 - 1), rejects it
+    cert = verify_relation(3, 2)
+    data = json.loads(written(cert))
+    data["j_max"] = 2**81
+    data["generators"][0].update(j=2**80, label=f"(m_{2**80})*h")
+    with pytest.raises(ValueError):
+        pushed_hypothesis(3, 2**80)
+    big_j = MembershipCertificate.from_json_dict(data)
+    assert big_j.generators[0].j == 2**80
+    assert verify_certificate(big_j) is False
 
 
 def test_closed_form_writer_builds_no_cycle(monkeypatch):
@@ -691,13 +712,6 @@ def _double_table(table):
         table["den"] //= 2
 
 
-def _point(data, *path):
-    """The first point of the cycle at ``path`` in ``data``."""
-    for key in path:
-        data = data[key]
-    return data["terms"][0]["point"]
-
-
 def _term(data):
     """The first term of the target cycle of a certificate document."""
     return data["target"]["terms"][0]
@@ -722,8 +736,17 @@ def _as_cycle(k, table):
     return expand(OrbitTable(k, table["den"], {(a_1, s): n for a_1, s, n in table["orbits"]})).to_json_dict()
 
 
+def _as_version_3(data):
+    """The document as version 3 wrote it: every generator term with its
+    (m_j)_* h under ``"generator"``."""
+    data["version"] = 3
+    for t in data["generators"]:
+        t["generator"] = pushed_hypothesis(data["k"], t["j"]).to_json_dict()
+
+
 def _as_version_2(data):
     """The document as version 2 wrote it: every nilpotent multiplier a cycle."""
+    _as_version_3(data)
     data["version"] = 2
     for t in data["nilpotent_part"]:
         t["multiplier"] = _as_cycle(data["k"], t["multiplier"])
@@ -748,7 +771,7 @@ TAMPERED_DOCUMENTS = {
     "version-float": lambda data: data.update(version=7.5),
     "version-float-one": lambda data: data.update(version=1.0),
     "version-bool": lambda data: data.update(version=True),
-    "version-other": lambda data: data.update(version=4),
+    "version-other": lambda data: data.update(version=5),
     "version-missing": lambda data: data.pop("version"),
     "format-and-version-missing": lambda data: (data.pop("format"), data.pop("version")),
     # version 1 listed every point of a multiplier, and is not read
@@ -757,11 +780,16 @@ TAMPERED_DOCUMENTS = {
     # version 2 listed every point of a nilpotent multiplier, and is not read
     "version-two": lambda data: data.update(version=2),
     "version-2-document": _as_version_2,
+    # version 3 listed every (m_j)_* h, and is not read
+    "version-3-document": _as_version_3,
+    # nor is a version-4 document with an (m_j)_* h added back, of its own j or another
+    "generator-cycle-extra": lambda data: data["generators"][0].update(generator=pushed_hypothesis(3, 1).to_json_dict()),
+    "generator-of-other-j": lambda data: data["generators"][0].update(generator=pushed_hypothesis(3, 2).to_json_dict()),
     # json.loads reads a bare NaN as a float
     "label-nan": lambda data: data["generators"][0].update(label=float("nan")),
     "label-int": lambda data: data["generators"][0].update(label=1),
     "label-null": lambda data: data["generators"][0].update(label=None),
-    # labels, the target and the generator cycles follow from k, j and the factors
+    # labels and the target follow from k, j and the factors
     "label-other-j": lambda data: data["generators"][0].update(label="(m_2)*h"),
     "nilpotent-label-other": lambda data: data["nilpotent_part"][0].update(label="anything"),
     "nilpotent-label-missing": lambda data: data["nilpotent_part"][0].pop("label"),
@@ -772,15 +800,9 @@ TAMPERED_DOCUMENTS = {
     "target-coeff": lambda data: _set_coeff(data["target"], 0, "2/1"),
     "target-zero": lambda data: data.update(target={"rank": 3, "terms": []}),
     "target-rank-other": lambda data: data["target"].update(rank=4),
-    "generator-terms-short": lambda data: data["generators"][0]["generator"]["terms"].pop(),
     # a consistent identity for 2 u^{*k}
     "target-and-multipliers-doubled": lambda data: (
         _double(data["target"]), _double_table(_nil(data)), [_double_table(t["multiplier"]) for t in data["generators"]]
-    ),
-    "generator-coeff": lambda data: _set_coeff(data["generators"][0]["generator"], 0, "-2/1"),
-    "generator-scaled": lambda data: _double(data["generators"][0]["generator"]),
-    "generator-of-other-j": lambda data: data["generators"][0].update(
-        generator=pushed_hypothesis(3, 2).to_json_dict()
     ),
     "j-other": lambda data: data["generators"][0].update(j=2),
     # missing and extra keys
@@ -789,7 +811,6 @@ TAMPERED_DOCUMENTS = {
     "target-missing": lambda data: data.pop("target"),
     "k-missing": lambda data: data.pop("k"),
     "j-missing": lambda data: data["generators"][0].pop("j"),
-    "generator-missing": lambda data: data["generators"][0].pop("generator"),
     "multiplier-missing": lambda data: data["generators"][0].pop("multiplier"),
     "factors-missing": lambda data: data["nilpotent_part"][0].pop("factors"),
     "coeff-missing": lambda data: _term(data).pop("coeff"),
@@ -808,9 +829,8 @@ TAMPERED_DOCUMENTS = {
     "g-float": lambda data: data.update(g=2.0),
     "j-bool": lambda data: data["generators"][0].update(j=True),
     "factors-bool": lambda data: data["nilpotent_part"][0].update(factors=[True, 1, 1]),
-    "target-point-bool": lambda data: _point(data, "target").__setitem__(0, False),
+    "target-point-bool": lambda data: _term(data)["point"].__setitem__(0, False),
     "target-rank-float": lambda data: data["target"].update(rank=3.0),
-    "generator-point-bool": lambda data: _point(data, "generators", 0, "generator").__setitem__(0, False),
     "multiplier-point-bool": lambda data: _nil(data)["orbits"][0].__setitem__(0, False),
     "entry-a1-float": lambda data: _entry(data, 0, 0, 0.0),
     "entry-a1-bool": lambda data: _entry(data, 0, 0, False),
@@ -908,11 +928,11 @@ BIG_K_EDITS = {
 @pytest.mark.parametrize("edit", list(BIG_K_EDITS.values()), ids=list(BIG_K_EDITS))
 def test_certificate_reader_is_bounded_by_the_file(edit, monkeypatch):
     # the k = 3 Newton document with k = 2000 is rejected before u^{*k} or
-    # any (m_j)_* h is built from its k
+    # any (m_j)_* h is built from its k: its target has not rank k
     data = dict(json.loads(written(verify_relation(3, 2))), k=2000)
     edit(data)
     calls = []
-    for name in ("_target_json", "_generator_json", "pushed_hypothesis"):
+    for name in ("_target_json", "pushed_hypothesis"):
         derive = getattr(relations, name)
         monkeypatch.setattr(relations, name, lambda *args, derive=derive: calls.append(args) or derive(*args))
     with pytest.raises(ValueError, match="rank k = 2000"):
@@ -1281,9 +1301,39 @@ def test_newton_multipliers_are_signed_shifts_of_the_first(k):
         assert values[j] == shifted, (k, j)
 
 
-# SHA-256 of the version-2 text of the WINDOW_CERT_SHA256 certificates, as
-# the parent format wrote it: a version-3 document with its version set to
-# 2 and each nilpotent table expanded onto points is that text.
+# SHA-256 of the version-3 text of the WINDOW_CERT_SHA256 and
+# NEWTON_CERT_SHA256 certificates: a version-4 document with each
+# (m_j)_* h added back under "generator" and its version set to 3 is that
+# text.
+WINDOW_CERT_V3_SHA256 = {
+    (2, 3, None): "276c94a76987df0a5f9a14f64b8201de97b85bfd800ce1dcbdda08d7b2bff1ea",
+    (3, 1, 4): "f353e247030a635d6cadd682f4bb5fd8baf48fa596ade06d2297b8ec4dadd452",
+    (4, 1, 2): "03a6f319bd7e78d974cf986dcc9223111ad57fd346746a70b218a4e51931fd7f",
+    (4, 2, 1): "4dd8f85ad813ec87d6d043fecd80da451e7e52a434990c3402f442ddfa150f08",
+}
+NEWTON_CERT_V3_SHA256 = {
+    9: "c07700f15a4da2ea73b6ec352bb078eb4c3e6fe4fc26df2a8667d84d643b0a77",
+    10: "ef29cdb09a311bc831a4720e8040165dc6a6d3aab0aa66f63910adb446daec91",
+    24: "7ed159ce677c6606775fb26e6398f24f97bdda277b813d5260f6ec8fe71089d9",
+}
+
+
+@pytest.mark.parametrize(
+    "args, pin",
+    [((k, g, cap, "window"), sha) for (k, g, cap), sha in WINDOW_CERT_V3_SHA256.items()]
+    + [((k, 2, None, "auto"), sha) for k, sha in NEWTON_CERT_V3_SHA256.items()],
+)
+def test_version_4_is_version_3_without_generator_cycles(args, pin):
+    k, g, cap, method = args
+    data = verify_relation(k, g, cap=cap, method=method).to_json_dict()
+    _as_version_3(data)
+    text = json.dumps(data, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
+
+
+# SHA-256 of the version-2 text of the WINDOW_CERT_SHA256 certificates: a
+# version-3 document with its version set to 2 and each nilpotent table
+# expanded onto points is that text.
 WINDOW_CERT_V2_SHA256 = {
     (2, 3, None): "eb17ac1b329255150d1d1fb31601ffdecd81299e67801e19c41657f91673fd2a",
     (3, 1, 4): "2b95ed0ef8350c4ca1cd0ce15992d13fc91a77196b91bc5b2190d31a516a75f2",
