@@ -36,7 +36,6 @@ from .kernels import (
 )
 from .relations import (
     AlphaMatrix,
-    GeneratorTerm,
     MembershipCertificate,
     NilpotentTerm,
     NotFoundWithinCaps,

@@ -190,7 +190,7 @@ def _cmd_verify_relation(args):
         cert.write_json(fh)
     witness = {
         "certificate_path": args.out,
-        "generator_terms": len(cert.generators),
+        "generator_terms": len(cert.js),
         "nilpotent_terms": len(cert.nilpotent_part),
         "pushforward_indices": cert.pushforward_indices(),
         "max_multiplier_height": cert.max_multiplier_height(),
@@ -203,12 +203,20 @@ def _cmd_alpha(args):
     matrix = alpha_coefficients(args.k)
     for l in range(args.k + 1):
         print(f"{l}\t" + "\t".join(format_rational(c) for c in matrix.row(l)))
+    # the rows are the t-coefficients of (1 + t)^k / (1 + x t):
+    # alpha[l][i] = (-1)^i C(k, l - i); the first entry that differs fails
+    closed = [[(-1) ** i * math.comb(args.k, l - i) for i in range(l + 1)] for l in range(args.k + 1)]
+    mismatch = next(({"l": l, "i": i, "value": format_rational(matrix.row(l)[i]),
+                      "expected": format_rational(Fraction(e))}
+                     for l, row in enumerate(closed) for i, e in enumerate(row) if matrix.row(l)[i] != e), None)
     witness = {
         "k": args.k,
         "rows": [[format_rational(c) for c in matrix.row(l)] for l in range(args.k + 1)],
         "zero_entries": [list(z) for z in matrix.zero_entries],
+        "closed_form_checked": sum(map(len, closed)),
+        "closed_form_mismatch": mismatch,
     }
-    return ("fail" if matrix.zero_entries else "pass"), witness
+    return ("fail" if matrix.zero_entries or mismatch else "pass"), witness
 
 
 def _cmd_recursion_check(args):

@@ -18,23 +18,28 @@ x_2..x_k, and the verifier proves every certificate, built in memory or
 loaded from a file, on orbit sums read straight from the tables: it
 checks sum_t sum_R |R| Y_t(R) sum_{p : r + p in Q} c_t(p) = u^{*k}(Q) on
 every orbit Q, R running over the orbits of Y_t, r one point of R and
-c_t the coefficients of the term's (m_j)_* h or u_1^{*(g+1)}.  A
-certificate stores no target, no (m_j)_* h, no factor list and no label:
-these follow from k, j and g and are derived where they are used.  The
-file (version 4) holds each multiplier as its table,
-``{"den": D, "orbits": [[a_1, s, n], ...]}``, each generator term's j and
-label, each nilpotent term's factor list and label, and the target as
-its ``Cycle.to_json_dict()``, written from its closed form; it lists no
-(m_j)_* h, which j fixes as {j x_1} + ... + {j x_k} - k{0}.  The target,
-labels and factor lists a file holds are checked on read.  ``json_text``
-writes JSON values only.
+c_t the coefficients of the term's (m_j)_* h or u_1^{*(g+1)}.  The
+generator multipliers obey the shift law
+Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), proved in
+``_newton_certificate``, so a certificate stores Y_1 and the list of j
+and no other generator table; the verifier derives each Y_j from Y_1
+with its own code.  A certificate stores no target, no (m_j)_* h, no
+factor list and no label: these follow from k, j and g and are derived
+where they are used.  The file (version 5) holds the list of j and Y_1
+as ``{"j": [...], "y_1": {"den": D, "orbits": [[a_1, s, n], ...]}}``,
+each nilpotent term's table, factor list and label, and the target as
+its ``Cycle.to_json_dict()``, written from its closed form.  The
+target, labels and factor lists a file holds are checked on read; the
+target stays in the file because the benchmark's known-answer check
+(``bench/workloads.py``) reads it there.  ``json_text`` writes JSON
+values only.
 
 Two certificates share the same format, and which one a call gets is
 decided from (k, g, j_max, cap) before anything is built:
 
-* the Newton certificate telescopes the elementary-symmetric / power-sum
-  recursion satisfied by the subset-sum cycles gamma_l, which yields
-  explicit cofactors with multiplier monomials of height k - 1 over the
+* the Newton certificate is the closed form of the free-ring identity
+  behind the elementary-symmetric / power-sum recursion satisfied by the
+  subset-sum cycles gamma_l: multipliers of height k - 1 over the
   pushforwards with j = 1..k, and no nilpotency term;
 * the nilpotent certificate (k > g) writes the target as u_1^{*(k-g-1)}
   times u_1^{*(g+1)}, one nilpotent term with a closed-form table.
@@ -48,7 +53,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .cycles import (
     _LIMIT,
@@ -272,18 +277,6 @@ class OrbitTable:
 
 
 @dataclass(frozen=True)
-class GeneratorTerm:
-    """One relation-ideal contribution: multiplier * (m_j)_* h."""
-
-    j: int
-    multiplier: OrbitTable
-
-    @property
-    def label(self) -> str:
-        return f"(m_{self.j})*h"
-
-
-@dataclass(frozen=True)
 class NilpotentTerm:
     """One nilpotency-span contribution: multiplier * u_1^{*(g+1)}, the
     product of g+1 augmentation generators u_1 = {x_1} - {0}.  Its factors
@@ -293,15 +286,15 @@ class NilpotentTerm:
 
 
 _CERT_FORMAT = "pontryagin-membership-certificate"
-_CERT_VERSION = 4
+_CERT_VERSION = 5
 
 
-def _signed_binomials(n: int) -> list[int]:
-    """C(n, i) (-1)^(n-i) for i = 0..n: u^{*n} = sum_i C(n, i) (-1)^(n-i) {i x}
-    for u = {x} - {0}.  Built by C(n, i+1) = C(n, i) (n-i) / (i+1)."""
-    row = [(-1) ** n]
+def _binomial_row(n: int) -> list[int]:
+    """C(n, i) for i = 0..n, by C(n, i+1) = C(n, i) (n-i) / (i+1): the
+    reader's and the verifier's own row, which no builder calls."""
+    row = [1]
     for i in range(n):
-        row.append(-row[-1] * (n - i) // (i + 1))
+        row.append(row[-1] * (n - i) // (i + 1))
     return row
 
 
@@ -312,16 +305,19 @@ def _target_json(k: int) -> dict:
     if k < 1:
         raise ValueError(f"a target needs k >= 1, got k = {k}")
     tail = [0] * (k - 1)
-    return {"rank": k, "terms": [{"point": [i, *tail], "coeff": f"{c}/1"}
-                                 for i, c in enumerate(_signed_binomials(k))]}
+    return {"rank": k, "terms": [{"point": [i, *tail], "coeff": f"{(-1) ** (k - i) * c}/1"}
+                                 for i, c in enumerate(_binomial_row(k))]}
 
 
 @dataclass(frozen=True)
 class MembershipCertificate:
     """An explicit rational combination exhibiting the target u^{*k}.
 
-    u^{*k} == sum multiplier * (m_j)_* h + sum multiplier * u_1^{*(g+1)},
-    as an exact identity of the free group ring; re-verifiable by
+    u^{*k} == sum_{j in js} Y_j * (m_j)_* h + sum multiplier * u_1^{*(g+1)},
+    as an exact identity of the free group ring, where every Y_j is the
+    signed shift of the one stored table y_1:
+    Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1).  A certificate with no
+    generator term has js = () and y_1 the zero table.  Re-verifiable by
     ``verify_certificate``, independently of the builders.
     """
 
@@ -329,21 +325,23 @@ class MembershipCertificate:
     g: int
     j_max: int
     cap: int
-    generators: tuple[GeneratorTerm, ...]
+    js: tuple[int, ...]
+    y_1: OrbitTable
     nilpotent_part: tuple[NilpotentTerm, ...]
 
     def max_multiplier_height(self) -> int:
-        return max((t.multiplier.max_height() for t in (*self.generators, *self.nilpotent_part)), default=0)
+        """The height of Y_1 and the nilpotent tables: no shift Y_j is higher than Y_1."""
+        return max(t.max_height() for t in (self.y_1, *(t.multiplier for t in self.nilpotent_part)))
 
     def pushforward_indices(self) -> list[int]:
-        return sorted({t.j for t in self.generators})
+        return sorted(set(self.js))
 
     def to_json_dict(self) -> dict:
         """The file's JSON value.  The target u^{*k} is written from its
         closed form (``_target_json``) with the bytes of its
-        ``Cycle.to_json_dict()``, each generator term as its label, j and
-        table, with no (m_j)_* h, and each nilpotent term's factors and label
-        from g, so no cycle is built; each multiplier is its
+        ``Cycle.to_json_dict()``, the generator terms as the list of j and
+        the table Y_1, and each nilpotent term's factors and label from g, so
+        no cycle is built; each multiplier is its
         ``OrbitTable.to_json_dict()``.  A k below 1 raises ``ValueError``."""
         return {
             "format": _CERT_FORMAT,
@@ -353,14 +351,7 @@ class MembershipCertificate:
             "j_max": self.j_max,
             "cap": self.cap,
             "target": _target_json(self.k),
-            "generators": [
-                {
-                    "label": t.label,
-                    "j": t.j,
-                    "multiplier": t.multiplier.to_json_dict(),
-                }
-                for t in self.generators
-            ],
+            "generators": {"j": list(self.js), "y_1": self.y_1.to_json_dict()},
             "nilpotent_part": [
                 {
                     "label": "*".join(["u_1"] * (self.g + 1)),
@@ -377,15 +368,16 @@ class MembershipCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":
         """Read ``to_json_dict`` output.  The certificate is built from the
-        JSON integers k, g, j_max, cap, j and table entries; the document
-        must then equal its ``to_json_dict``, key for key and JSON type for
-        JSON type.  So the format, the version (4), the target, every
+        JSON integers k, g, j_max, cap, the j list and the table entries; the
+        document must then equal its ``to_json_dict``, key for key and JSON
+        type for JSON type.  So the format, the version (5), the target, every
         factor list, every label and every table's canonical form and
         (a_1, s) order are checked, and anything else, a missing or an extra
-        key, a (m_j)_* h cycle or a version-1, -2 or -3 document included,
-        raises ``ValueError``.  A target of rank k with k + 1 terms, and
-        factor lists of length g + 1, are required before anything is
-        derived from k or g, which the file bounds."""
+        key, a j list that is not strictly increasing, a table per j or a
+        document of versions 1 to 4 included, raises ``ValueError``.  A
+        target of rank k with k + 1 terms, and factor lists of length g + 1,
+        are required before anything is derived from k or g, which the file
+        bounds."""
 
         def table(d):
             entries = d["orbits"]
@@ -401,7 +393,7 @@ class MembershipCertificate:
             gens, nils = data["generators"], data["nilpotent_part"]
             cert = cls(
                 k, g, json_int(data["j_max"]), json_int(data["cap"]),
-                tuple(GeneratorTerm(json_int(t["j"]), table(t["multiplier"])) for t in gens),
+                tuple(map(json_int, gens["j"])), table(gens["y_1"]),
                 tuple(NilpotentTerm(table(t["multiplier"])) for t in nils),
             )
             target = data["target"]
@@ -412,9 +404,11 @@ class MembershipCertificate:
         except (KeyError, TypeError):
             raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION}: "
                              "a field is missing or of another JSON type") from None
+        if any(a >= b for a, b in zip(cert.js, cert.js[1:])):
+            raise ValueError(f"the j list {list(cert.js)} is not strictly increasing")
         if not _same_json(data, cert.to_json_dict()):
             raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target, "
-                             "labels and tables are those of k, j, the factors and the entries")
+                             "labels and tables are those of k, the factors and the entries")
         return cert
 
 
@@ -440,21 +434,23 @@ def _same_json(a, b) -> bool:
 def verify_certificate(cert: MembershipCertificate) -> bool:
     """Independent re-verification of the identity u^{*k} == sum of terms.
 
-    Every multiplier must be a table of the certificate's k with height at
-    most cap, and every j must lie in 1..j_max; the target, each (m_j)_* h
-    and u_1^{*(g+1)} are recomputed from k, j and g.  Malformed fields (k or
-    g below 1, a j whose (m_j)_* h leaves the digit range) give False, not
-    an exception.  Shares no state or code with the solvers.  The identity
-    is proved on orbit sums read from the tables, see ``_verify_on_orbits``,
-    for a certificate built in memory or loaded from a file alike.
+    Every table must be a table of the certificate's k with height at most
+    cap (each shift Y_j is no higher than Y_1), and every j must lie in
+    1..j_max; the target, each Y_j, each (m_j)_* h and u_1^{*(g+1)} are
+    derived from k, Y_1, j and g.  Malformed fields (k or g below 1, a j
+    whose (m_j)_* h leaves the digit range) give False, not an exception.
+    Shares no code with the builders: its binomial rows and its shift are
+    its own.  The identity is proved on orbit sums, see
+    ``_verify_on_orbits``, for a certificate built in memory or loaded from
+    a file alike.
     """
     k = cert.k
     if k < 1 or cert.g < 1:
         return False
-    for t in (*cert.generators, *cert.nilpotent_part):
-        if t.multiplier.k != k or t.multiplier.max_height() > cert.cap:
+    for table in (cert.y_1, *(t.multiplier for t in cert.nilpotent_part)):
+        if table.k != k or table.max_height() > cert.cap:
             return False
-    if any(not 1 <= t.j <= min(cert.j_max, _LIMIT - 1) for t in cert.generators):
+    if any(not 1 <= j <= min(cert.j_max, _LIMIT - 1) for j in cert.js):
         return False
     return _verify_on_orbits(cert)
 
@@ -465,38 +461,55 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool:
     Each table Y, each (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i}
     and u_1^{*(g+1)} = sum_i C(g+1, i) (-1)^(g+1-i) {i x_1} is invariant
     under permuting x_2..x_k, so the difference of the two sides is too,
-    and it is zero iff every orbit sum is.  The orbit sum over Q of a term
-    Y * c is sum_R |R| Y(R) sum_{p : r + p in Q} c(p), over the table's
-    orbits R = (a_1, s), |R| = C(k-1, s), r one point of R with s ones and
-    k-1-s zeros after a_1.  For c = (m_j)_* h, r + p lies in (a_1 + j, s)
-    for p = j x_1, in R for p = 0, in the orbit whose tail has one zero
-    raised to j for the k-1-s points p = j x_i at a zero, and in the orbit
-    whose tail has one 1 raised to 1 + j for the s points at a one.  For
+    and it is zero iff every orbit sum is.  The generator term of j has the
+    table Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), read here from Y_1's
+    entries with s + j - 1 in 0..k-1.  The orbit sum over Q of a term Y * c
+    is sum_R |R| Y(R) sum_{p : r + p in Q} c(p), over the table's orbits
+    R = (a_1, s), |R| = C(k-1, s), r one point of R with s ones and k-1-s
+    zeros after a_1.  For c = (m_j)_* h, r + p lies in (a_1 + j, s) for
+    p = j x_1, in R for p = 0, in the orbit whose tail has one zero raised
+    to j for the k-1-s points p = j x_i at a zero, and in the orbit whose
+    tail has one 1 raised to 1 + j for the s points at a one.  For
     c = u_1^{*(g+1)}, r + i x_1 lies in (a_1 + i, s).  Orbits are keyed
     (a_1, s, v): s ones, one coordinate v >= 2 if v is nonzero, zeros
     elsewhere; a zero raised to j = 1 is one more one.  The target's orbits
     are the points (i, 0, 0).  The sums are integers over the lcm of the
     table denominators."""
     k, g = cert.k, cert.g
-    den = lcm(*(t.multiplier.den for t in (*cert.generators, *cert.nilpotent_part)))
-    sums = {(i, 0, 0): -c * den for i, c in enumerate(_signed_binomials(k))}
+    den = lcm(cert.y_1.den, *(t.multiplier.den for t in cert.nilpotent_part))
+    sums = {(i, 0, 0): (-1) ** (k - i + 1) * c * den for i, c in enumerate(_binomial_row(k))}
 
-    def add(t, moves):
+    def add(q, c):
+        sums[q] = sums.get(q, 0) + c
+
+    # Y_1's entries by s, so that the shift of j reads the rows s >= j - 1
+    by_s: dict[int, list[tuple[int, int]]] = {}
+    for (a_1, s), n in cert.y_1.orbits.items():
+        by_s.setdefault(s, []).append((a_1, n))
+    scale = den // cert.y_1.den
+    for j in cert.js:
+        for s_1, entries in by_s.items():
+            s = s_1 - j + 1
+            if s < 0:
+                continue
+            weight = (-1) ** (j - 1) * comb(k - 1, s) * scale
+            for a_1, n in entries:
+                w = weight * n
+                add((a_1 + j, s, 0), w)
+                add((a_1, s, 0), -k * w)
+                if s < k - 1:
+                    add((a_1, s + 1, 0) if j == 1 else (a_1, s, j), (k - 1 - s) * w)
+                if s:
+                    add((a_1, s - 1, 1 + j), s * w)
+    # the row of u_1^{*(g+1)}, built once and only for a nilpotent term:
+    # with none, a file bounds no g
+    u_power = [(i, (-1) ** (g + 1 - i) * c) for i, c in enumerate(_binomial_row(g + 1))] if cert.nilpotent_part else ()
+    for t in cert.nilpotent_part:
         scale = den // t.multiplier.den
         for (a_1, s), n in t.multiplier.orbits.items():
             w = comb(k - 1, s) * n * scale
-            for q, c in moves(a_1, s):
-                if c:
-                    sums[q] = sums.get(q, 0) + w * c
-
-    for t in cert.generators:
-        add(t, lambda a_1, s, j=t.j: (((a_1 + j, s, 0), 1), ((a_1, s, 0), -k),
-                                      ((a_1, s + 1, 0) if j == 1 else (a_1, s, j), k - 1 - s), ((a_1, s - 1, 1 + j), s)))
-    # the row of u_1^{*(g+1)}, built once and only for a nilpotent term:
-    # with none, a file bounds no g
-    u_power = list(enumerate(_signed_binomials(g + 1))) if cert.nilpotent_part else ()
-    for t in cert.nilpotent_part:
-        add(t, lambda a_1, s: [((a_1 + i, s, 0), c) for i, c in u_power])
+            for i, c in u_power:
+                add((a_1 + i, s, 0), w * c)
     return not any(sums.values())
 
 
@@ -506,68 +519,89 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool:
 
 
 def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate:
-    """Telescoped cofactors from the elementary-symmetric recursion.
+    """The free-ring identity u^{*k} = sum_{j=1..k} Y_j * (m_j)_* h, with Y_1
+    from its closed form; g, j_max and cap are only recorded.
 
-    Write gamma_l for the free subset-sum cycles over {x_2, ..., x_k} and
-    delta_l for the defect between gamma_l and its hypothesis-substituted
-    counterpart.  Both sides satisfy the same Newton-style recursion, so
+    Proof.  Work in Q[X_1..X_k], X_i = {x_i}, where (m_j)_* h is
+    q_j = p_j(X) - k, p_j the j-th power sum; X_i -> {x_i} is a ring map
+    to the group ring, so an identity here is one of cycles.  Put
+    E_f(t) = prod_{i>=2} (1 + X_i t), whose t^l coefficient is the free
+    subset-sum cycle gamma_l of x_2..x_k, and E_s(t) = (1 + t)^k / (1 + X_1 t),
+    whose t^l coefficient is gamma_l with the hypothesis substituted (the
+    rows of ``alpha_coefficients``).  By Newton's identities
+    E'/E = sum_j (-1)^(j-1) P_j t^(j-1), P_j the j-th power sum of the
+    roots: p_j(X) - X_1^j for E_f and k - X_1^j for E_s.  So F = E_f / E_s
+    has F(0) = 1 and F'/F = Q'(t) = sum_j (-1)^(j-1) q_j t^(j-1), and
 
-      (l+1) delta_{l+1} = sum_i (-1)^i [ gamma_{l-i} * (m_{i+1})_* h
-                                         + t_{i+1} * delta_{l-i} ],
+      E_f - E_s = E_s (F - 1) = E_s(t) int_0^t F(tau) Q'(tau) dtau.
 
-    with t_j = k{0} - {j x_1}.  Since the free gamma_k is empty and the
-    substituted one is (-1)^k u^{*k}, the accumulated cofactors of delta_k
-    express u^{*k} over the (m_j)_* h, j = 1..k, at height k - 1; g, j_max
-    and cap are only recorded.
+    [t^k] E_f = 0, as E_f has k - 1 factors, and [t^k] E_s = (1 - X_1)^k =
+    (-1)^k u^k, so u^k is (-1)^(k+1) times [t^k] of the right side.  Expand
+    F = sum_s e_s(X_2..X_k) tau^s (1 + X_1 tau)(1 + tau)^(-k) with
+    (1 + X tau)(1 + tau)^(-k) = sum_r c_r(X) tau^r, c_r(X) = C(-k, r) +
+    X C(-k, r-1), C(-k, r) = (-1)^r C(k+r-1, r), and E_s(t) =
+    sum_q E_q(X_1) t^q, E_q(X) = sum_i C(k, q-i) (-X)^i.  The term
+    (-1)^(j-1) q_j e_s c_r tau^(s+r+j-1) integrates to a t^N / N, N =
+    s + r + j, and meets E_{k-N}.  With m = s + j - 1 this gives
+    u^k = sum_j q_j Y_j, Y_j = (-1)^(j-1) sum_s e_s(X_2..X_k) y_{s+j-1}(X_1),
 
-    Every cofactor is invariant under permuting x_2..x_k, and the recursion
-    runs on the orbit keys (a_1, s) of ``OrbitTable``: gamma_s is the orbit
-    (0, s), t_j * c is k c minus c with a_1 raised by j, and the cofactors
-    at step m are integer numerators over m!.  Each multiplier is returned
-    as its table.
+      y_m(X) = (-1)^(k+1) sum_{N=m+1..k} (1/N) c_{N-1-m}(X) E_{k-N}(X).
 
-    Tested for k = 2..20, not proved: every multiplier is a signed shift of
-    the first, Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), with the same
-    support.
+    e_s(X_2..X_k) X_1^a is the orbit (a, s) of ``OrbitTable``, so
+    Y_1(a, s) = [X^a] y_s(X), and Y_j depends on j and s only through
+    s + j: Y_j(a, s) = (-1)^(j-1) Y_1(a, s + j - 1), the shift law.  As
+    deg c_r <= 1 and deg E_q = q, every entry has a + s <= k - 1: height
+    k - 1, C(k+1, 2) entries in Y_1.
+
+    In integers over L = lcm(1..k): with T_m(a) = sum_N (L/N) C(-k, N-1-m)
+    [X^a] E_{k-N}(X), L Y_1(a, s) = (-1)^(k+1) (T_s(a) + T_{s+1}(a - 1)),
+    since [X^a] c_r E_q = C(-k, r) [X^a] E_q + C(-k, r-1) [X^(a-1)] E_q;
+    the table is then reduced to lowest terms.  The certificate stores Y_1
+    and j = 1..k, and ``verify_certificate`` derives each Y_j by the shift
+    with its own code, so a wrong formula or shift fails the proof.
     """
-    cof: list[dict[int, dict[tuple[int, int], int]]] = [{} for _ in range(k + 1)]
-    cof[1] = {1: {(0, 0): 1}}
-    for l in range(1, k):
-        new: dict[int, dict[tuple[int, int], int]] = {}
-        for i in range(0, l + 1):
-            # weight (-1)^i / (l+1): over (l+1)! a gamma term gets (-1)^i l!
-            # and a numerator over (l-i)! gets (-1)^i l! / (l-i)!
-            sign = (-1) ** i
-            acc = new.setdefault(i + 1, {})
-            acc[0, l - i] = acc.get((0, l - i), 0) + sign * factorial(l)
-            f = sign * factorial(l) // factorial(l - i)
-            for jj, c in cof[l - i].items():
-                acc = new.setdefault(jj, {})
-                for (a_1, s), n in c.items():
-                    acc[a_1, s] = acc.get((a_1, s), 0) + k * f * n
-                    acc[a_1 + i + 1, s] = acc.get((a_1 + i + 1, s), 0) - f * n
-        for j, c in new.items():
-            c = {orbit: n for orbit, n in c.items() if n}
-            if c:
-                cof[l + 1][j] = c
-
+    den = lcm(*range(1, k + 1))
+    binom = [comb(k, i) for i in range(k + 1)]
+    negative = [(-1) ** r * comb(k + r - 1, r) for r in range(k)]  # C(-k, r)
+    # T[m][a] = T_m(a) for a = 0..k-1-m; [X^a] E_q = (-1)^a C(k, q - a)
+    T = []
+    for m in range(k):
+        row = [0] * (k - m)
+        for N in range(m + 1, k + 1):
+            w, q = den // N * negative[N - 1 - m], k - N
+            for a in range(q + 1):
+                row[a] += w * binom[q - a]
+        T.append([(-1) ** a * x for a, x in enumerate(row)])
     sign = (-1) ** (k + 1)
-    gens = []
-    for j in sorted(cof[k]):
-        orbits = cof[k][j]
-        d = gcd(factorial(k), *orbits.values())
-        gens.append(GeneratorTerm(j, OrbitTable(k, factorial(k) // d, {o: sign * n // d for o, n in orbits.items()})))
-    return MembershipCertificate(k, g, j_max, cap, tuple(gens), ())
+    y_1 = {}
+    for s in range(k):
+        for a in range(k - s):
+            n = T[s][a] + (T[s + 1][a - 1] if a else 0)
+            if n:
+                y_1[a, s] = sign * n
+    d = gcd(den, *y_1.values())
+    table = OrbitTable(k, den // d, {o: n // d for o, n in y_1.items()})
+    return MembershipCertificate(k, g, j_max, cap, tuple(range(1, k + 1)), table, ())
+
+
+def _signed_binomials(n: int) -> list[int]:
+    """C(n, i) (-1)^(n-i) for i = 0..n: u^{*n} = sum_i C(n, i) (-1)^(n-i) {i x}
+    for u = {x} - {0}.  Built by C(n, i+1) = C(n, i) (n-i) / (i+1)."""
+    row = [(-1) ** n]
+    for i in range(n):
+        row.append(-row[-1] * (n - i) // (i + 1))
+    return row
 
 
 def _nilpotent_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate:
     """For k > g: u^{*k} is u_1^{*m}, m = k - g - 1, times the nilpotent
-    product u_1^{*(g+1)}, one term with a multiplier of height m.  The
-    multiplier is the closed form u_1^{*m} = sum_i C(m, i) (-1)^(m-i) {i x_1},
-    the table {(i, 0): C(m, i) (-1)^(m-i)} over den 1."""
+    product u_1^{*(g+1)}, one term with a multiplier of height m and no
+    generator term.  The multiplier is the closed form
+    u_1^{*m} = sum_i C(m, i) (-1)^(m-i) {i x_1}, the table
+    {(i, 0): C(m, i) (-1)^(m-i)} over den 1."""
     m = k - g - 1
     u_power = OrbitTable(k, 1, {(i, 0): c for i, c in enumerate(_signed_binomials(m))})
-    return MembershipCertificate(k, g, j_max, cap, (), (NilpotentTerm(u_power),))
+    return MembershipCertificate(k, g, j_max, cap, (), OrbitTable(k, 1, {}), (NilpotentTerm(u_power),))
 
 
 def _certificate(k: int, g: int, j_max: int, cap: int, method: str) -> MembershipCertificate | None:

@@ -171,7 +171,7 @@ def test_criterion_6_relation_certificates():
         if k == 2:
             assert cert.nilpotent_part == ()
         assert cert.max_multiplier_height() <= cert.cap
-        assert all(t.j <= cert.j_max for t in cert.generators)
+        assert all(j <= cert.j_max for j in cert.js)
     _passed(6, "certificates for k=2 (g<=6, no nilpotent part) and k=3,4 (g<=4), re-verified")
 
 

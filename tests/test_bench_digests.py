@@ -16,8 +16,8 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 DIGESTS = {
-    "window": "c0bb75354b2101ccbf585d9136cffca7dab2f0153cb710b02fcfb0828b09447b",
-    "convolution": "8d405f6a37a952bb30658e631e09e5f2f38ffb42dc732f0a45601e4c0018e0ad",
+    "window": "75e393bb0bc74514d4abc22d6e5f0d272c50375c978f6c9892d637ac6fad801c",
+    "convolution": "b8fb166750c2ae69287a536bb1d19dfecf4c0c19b9b3273c4874ba72737c772b",
     "tangent": "6a7e48cbf8c1295fdf42dbf4dd647a7eb9222632c94cc06f2598a62527a383ba",
 }
 

@@ -150,7 +150,36 @@ def test_alpha(capsys):
     assert code == 0
     report = last_json(out)
     assert report["witness"]["zero_entries"] == []
+    assert report["witness"]["closed_form_checked"] == 10
+    assert report["witness"]["closed_form_mismatch"] is None
     assert out.splitlines()[0] == "0\t1/1"
+
+
+def test_alpha_fail_verdicts(capsys, monkeypatch):
+    # a wrong nonzero entry passed the zero-entry check; the rows are now
+    # compared with the closed form alpha[l][i] = (-1)^i C(k, l - i)
+    matrix = cli.alpha_coefficients
+
+    def wrong(k):
+        m = matrix(k)
+        rows = list(m.rows)
+        rows[2] = (rows[2][0], rows[2][1] + 1, *rows[2][2:])
+        return replace(m, rows=tuple(rows))
+
+    monkeypatch.setattr(cli, "alpha_coefficients", wrong)
+    code, out = run(capsys, "alpha", "--k", "4")
+    assert code == 3
+    report = last_json(out)
+    assert report["verdict"] == "fail"
+    assert report["witness"]["zero_entries"] == []
+    assert report["witness"]["closed_form_mismatch"] == {"l": 2, "i": 1, "value": "-3/1", "expected": "-4/1"}
+    # a zero entry still fails on its own, at the first entry that differs
+    monkeypatch.setattr(cli, "alpha_coefficients", lambda k: relations.AlphaMatrix(
+        k, tuple(tuple(0 if (l, i) == (3, 3) else c for i, c in enumerate(matrix(k).row(l))) for l in range(k + 1)),
+        ((3, 3),)))
+    code, out = run(capsys, "alpha", "--k", "4")
+    assert code == 3
+    assert last_json(out)["witness"]["closed_form_mismatch"] == {"l": 3, "i": 3, "value": "0/1", "expected": "-1/1"}
 
 
 def test_recursion_check(capsys):

@@ -24,7 +24,6 @@ from pontcalc.cycles import (
 )
 from pontcalc.linalg import solve_columns
 from pontcalc.relations import (
-    GeneratorTerm,
     MembershipCertificate,
     NilpotentTerm,
     NotFoundWithinCaps,
@@ -50,6 +49,51 @@ def expand(table):
     terms = [((a_1, *(int(i in ones) for i in rest)), n)
              for (a_1, s), n in table.orbits.items() for ones in itertools.combinations(rest, s)]
     return Cycle(table.k, terms).scale(Fraction(1, table.den))
+
+
+def shifted(y_1, j):
+    """Y_j(a, s) = (-1)^(j-1) Y_1(a, s + j - 1) in canonical form: the
+    test's own reading of the shift law."""
+    return canonical(y_1.k, {(a, s - j + 1): Fraction((-1) ** (j - 1) * n, y_1.den)
+                             for (a, s), n in y_1.orbits.items() if s >= j - 1})
+
+
+def generator_terms(cert):
+    """[(j, Y_j)] for the certificate's list of j, repeats included."""
+    return [(j, shifted(cert.y_1, j)) for j in cert.js]
+
+
+def recursion_newton_tables(k):
+    """{j: Y_j} from the telescoped elementary-symmetric recursion, the
+    builder that the closed form replaced, kept as its oracle.
+
+    With gamma_l the free subset-sum cycles over x_2..x_k and delta_l their
+    defect against the hypothesis-substituted ones, (l+1) delta_{l+1} =
+    sum_i (-1)^i [gamma_{l-i} * (m_{i+1})_* h + t_{i+1} * delta_{l-i}], with
+    t_j = k{0} - {j x_1}, and u^{*k} = (-1)^(k+1) delta_k.  It runs on the
+    orbit keys (a_1, s): gamma_s is the orbit (0, s), t_j * c is k c minus c
+    with a_1 raised by j, and the cofactors at step m are integer numerators
+    over m!."""
+    cof = [{} for _ in range(k + 1)]
+    cof[1] = {1: {(0, 0): 1}}
+    for l in range(1, k):
+        new = {}
+        for i in range(0, l + 1):
+            sign = (-1) ** i
+            acc = new.setdefault(i + 1, {})
+            acc[0, l - i] = acc.get((0, l - i), 0) + sign * factorial(l)
+            f = sign * factorial(l) // factorial(l - i)
+            for jj, c in cof[l - i].items():
+                acc = new.setdefault(jj, {})
+                for (a_1, s), n in c.items():
+                    acc[a_1, s] = acc.get((a_1, s), 0) + k * f * n
+                    acc[a_1 + i + 1, s] = acc.get((a_1 + i + 1, s), 0) - f * n
+        for j, c in new.items():
+            c = {orbit: n for orbit, n in c.items() if n}
+            if c:
+                cof[l + 1][j] = c
+    sign = Fraction((-1) ** (k + 1), factorial(k))
+    return {j: canonical(k, {o: sign * n for o, n in cof[k][j].items()}) for j in sorted(cof[k])}
 
 
 def augmentation_generator(k, index):
@@ -196,7 +240,7 @@ def test_k2_certificate_matches_hand_expansion():
     cert = verify_relation(2, 3)
     assert verify_certificate(cert)
     assert cert.nilpotent_part == ()
-    mults = {t.j: t.multiplier for t in cert.generators}
+    mults = dict(generator_terms(cert))
     assert expand(mults[1]) == mult1
     assert expand(mults[2]) == Cycle.unit(2).scale(Fraction(1, 2))
     # on orbits (a_1, s): x_1 is (1, 0), x_2 is (0, 1) and 0 is (0, 0)
@@ -220,7 +264,7 @@ def test_newton_certificates_small_range():
         assert first.max_multiplier_height() == k - 1, k
         for g, j_max, cap in [(2, 2 * k, 1), (k, k + 1, 2 * k), (k + 2, 3 * k, k)]:
             cert = _newton_certificate(k, g, j_max, cap)
-            assert cert.generators == first.generators, (k, g)
+            assert (cert.js, cert.y_1) == (first.js, first.y_1), (k, g)
 
 
 def test_window_method_agrees():
@@ -253,20 +297,22 @@ def test_not_found_within_caps():
 # k > g pins are nilpotent certificates; (2, 3) is the Newton certificate
 # the window rule returns for j_max >= k.
 WINDOW_CERT_SHA256 = {
-    (2, 3, None): "abea508d6831d1d208d5ebc8046c39d5a250c35abeac2c6f1ce6aa21de38edbd",
-    (3, 1, 4): "d2d7ce204fbe4ecfc970b038862860d6217d50feddc4ebf605543b1cc0b09d39",
-    (4, 1, 2): "3ac33e7da1961dbfe093a17f5ce6ac2e699d84876e9f4e6c58829e9ffb9582ed",
-    (4, 2, 1): "bf72783fdf20012d8814ccfdc90b9603d1a793594ec69fe37df2e75451a61e38",
+    (2, 3, None): "9c57c0483b7240fc8b918bd60c97f74fbf40ebdca95f3331b7452688252b46ad",
+    (3, 1, 4): "0f14b9b7208cc9b5d6985f94c16add82c84672bc29690f2c221de3c4ad02da28",
+    (4, 1, 2): "1d087764df329e4df0f279eddc336ececc283f19a3043f95377902a4dd9324f7",
+    (4, 2, 1): "5559bfcd3a7f088d1a16cc370d5531921f1c9045014fb28b4b453595683375d6",
 }
 
 
 # SHA-256 of the Newton certificate text of `verify-relation --k K --g 2`
-# (method auto), pinned the same way as WINDOW_CERT_SHA256.  The file at
-# k = 24 holds C(26, 3) = 2600 table entries in 212,257 bytes.
+# (method auto), pinned the same way as WINDOW_CERT_SHA256.  The file lists
+# Y_1 alone: C(k+1, 2) table entries, 300 in 30,663 bytes at k = 24 and 820
+# in 86,255 bytes at k = 40.
 NEWTON_CERT_SHA256 = {
-    9: "9ebc769646f1ba49f7b1cb4adc2be25b2da421453a23d02faaa20409b8b95758",
-    10: "4fc7db6c4ce41b1401a1287d0c2e9c2958c4ef870acf8b66cd5884f5335f4539",
-    24: "127ff3d84c9ba3abbf7c54d23409e5d34e1ac08450e0188d27f660647a1a03f4",
+    9: "159939c8de0c40abb31ca848e2393fb48447a099f3b16eef40f01e58665b2c27",
+    10: "82ec37e4c67bec1794697645174f7dd04d67c6ad7945431b99e956e876f40002",
+    24: "1d41fab9f2d8749b3581bf55158405e68dc36e0ef8625dd65e1ee4fad060db1d",
+    40: "2ce06f821b72b4e7f2e5120fc6509747c179c95573588186d5cab706706e13ef",
 }
 
 
@@ -329,18 +375,18 @@ def test_write_json_matches_stdlib(k, g, j_max, cap, method):
 def test_write_json_edge_cases():
     # g = -1 gives empty factor lists and labels, and a zero table no entries
     cert = MembershipCertificate(
-        k=2, g=-1, j_max=0, cap=0, generators=(),
+        k=2, g=-1, j_max=0, cap=0, js=(), y_1=OrbitTable(2, 1, {}),
         nilpotent_part=(NilpotentTerm(OrbitTable(2, 1, {(1, 0): 1})), NilpotentTerm(OrbitTable(2, 1, {}))),
     )
     assert written(cert) == stdlib_text(cert)
-    assert '"factors": [],' in written(cert) and '"generators": [],' in written(cert)
+    assert '"factors": [],' in written(cert) and '"j": [],' in written(cert)
     assert '"label": "",' in written(cert) and '"orbits": []' in written(cert)
     negative_j = replace(
         verify_relation(2, 1, method="newton"), nilpotent_part=(),
-        generators=(GeneratorTerm(j=-1, multiplier=OrbitTable(2, 1, {(1, 0): -1})),),
+        js=(-1,), y_1=OrbitTable(2, 1, {(1, 0): -1}),
     )
     assert written(negative_j) == stdlib_text(negative_j)
-    assert '"label": "(m_-1)*h",' in written(negative_j)
+    assert json.loads(written(negative_j))["generators"] == {"j": [-1], "y_1": {"den": 1, "orbits": [[1, 0, -1]]}}
     assert '"nilpotent_part": [],' in written(negative_j)
 
 
@@ -489,14 +535,14 @@ def test_window_certificate_structure():
                     # the target u_1^{*k} already lies in J^{g+1}
                     ctx = RingContext(rank=k, geom_dim=g, support_cap=k)
                     u = augmentation_generator(k, 1)
-                    assert cert.generators == () and len(cert.nilpotent_part) == 1
+                    assert cert.js == () and len(cert.nilpotent_part) == 1
                     assert expand(cert.nilpotent_part[0].multiplier) == star_power(u, k - g - 1, ctx)
                 else:
                     # j_max >= k: the window certificate is the Newton one
                     assert cert.nilpotent_part == ()
                     assert max(cert.pushforward_indices()) <= min(cert.j_max, g)
                     newton = _newton_certificate(k, g, cert.j_max, cert.cap)
-                    assert cert.generators == newton.generators
+                    assert (cert.js, cert.y_1) == (newton.js, newton.y_1)
 
 
 def test_window_reaches_larger_windows():
@@ -539,7 +585,7 @@ def window_dispatch_oracle(k, g, j_max, cap):
         ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
         u_power = star_power(augmentation_generator(k, 1), k - g - 1, ctx)
         nil_part = (NilpotentTerm(table_of(u_power)),)
-        cert = MembershipCertificate(k, g, j_max, cap, (), nil_part)
+        cert = MembershipCertificate(k, g, j_max, cap, (), OrbitTable(k, 1, {}), nil_part)
     elif j_max >= k:
         cert = _newton_certificate(k, g, j_max, cap)
     else:
@@ -558,7 +604,7 @@ def dispatch_oracle(k, g, j_max, cap, method):
     cap = k * (g + 1) if cap is None else cap
     if method in ("auto", "newton"):
         cert = _newton_certificate(k, g, j_max, cap)
-        if cert.max_multiplier_height() <= cap and all(t.j <= j_max for t in cert.generators):
+        if cert.max_multiplier_height() <= cap and all(j <= j_max for j in cert.js):
             return cert
         if method == "newton":
             raise NotFoundWithinCaps(k, g, j_max, [cap])
@@ -605,36 +651,34 @@ def test_certificate_json_round_trip_and_tampering():
     assert again == cert
 
     tampered = json.loads(json.dumps(cert.to_json_dict()))
-    assert tampered["generators"][0]["multiplier"]["orbits"][0] == [0, 0, 3]
-    tampered["generators"][0]["multiplier"]["orbits"][0][2] = 5
+    assert tampered["generators"]["y_1"]["orbits"][0] == [0, 0, 3]
+    tampered["generators"]["y_1"]["orbits"][0][2] = 5
     assert not verify_certificate(MembershipCertificate.from_json_dict(tampered))
 
-    # j = 5 with its own label reads, and the identity fails
+    # j = 5 in place of j = 3 reads, and the identity fails
     wrong_gen = json.loads(json.dumps(cert.to_json_dict()))
-    wrong_gen["generators"][0].update(j=5, label="(m_5)*h")
+    assert wrong_gen["generators"]["j"] == [1, 2, 3]
+    wrong_gen["generators"]["j"][2] = 5
     assert not verify_certificate(MembershipCertificate.from_json_dict(wrong_gen))
 
     # a consistent identity for a target other than u^{*k} proves nothing:
     # no terms at all, or every multiplier doubled
-    empty = MembershipCertificate(k=2, g=1, j_max=1, cap=1, generators=(), nilpotent_part=())
+    empty = MembershipCertificate(k=2, g=1, j_max=1, cap=1, js=(), y_1=OrbitTable(2, 1, {}), nilpotent_part=())
     assert not verify_certificate(empty)
-    doubled = replace(
-        cert, generators=tuple(replace(t, multiplier=scaled(t.multiplier, 2)) for t in cert.generators)
-    )
-    assert not verify_certificate(doubled)
+    assert not verify_certificate(replace(cert, y_1=scaled(cert.y_1, 2)))
 
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_closed_form_writer_matches_the_cycles(k):
     # the target is written from its closed form; it must be the cycle's own
-    # JSON.  A generator term is its label, j and table, for every j a
+    # JSON.  The generator terms are the list of j and Y_1, for every j a
     # document can name: no (m_j)_* h is written, so none is built
     ctx = RingContext(rank=k, geom_dim=1, support_cap=k)
-    js = list(range(-3, 2 * k + 1)) + [2**46 - 1, 1 - 2**46, 2**46, -(2**46), 2**80]
-    cert = MembershipCertificate(k, 1, 2**46, 1, tuple(GeneratorTerm(j, OrbitTable(k, 1, {})) for j in js), ())
+    js = sorted([*range(-3, 2 * k + 1), 2**46 - 1, 1 - 2**46, 2**46, -(2**46), 2**80])
+    cert = MembershipCertificate(k, 1, 2**46, 1, tuple(js), OrbitTable(k, 1, {}), ())
     data = cert.to_json_dict()
     assert data["target"] == star_power(augmentation_generator(k, 1), k, ctx).to_json_dict()
-    assert data["generators"] == [{"label": f"(m_{j})*h", "j": j, "multiplier": {"den": 1, "orbits": []}} for j in js]
+    assert data["generators"] == {"j": js, "y_1": {"den": 1, "orbits": []}}
     assert MembershipCertificate.from_json_dict(json.loads(written(cert))) == cert
 
 
@@ -645,11 +689,11 @@ def test_j_past_the_digit_range_reads_and_fails_to_verify():
     cert = verify_relation(3, 2)
     data = json.loads(written(cert))
     data["j_max"] = 2**81
-    data["generators"][0].update(j=2**80, label=f"(m_{2**80})*h")
+    data["generators"]["j"][2] = 2**80
     with pytest.raises(ValueError):
         pushed_hypothesis(3, 2**80)
     big_j = MembershipCertificate.from_json_dict(data)
-    assert big_j.generators[0].j == 2**80
+    assert big_j.js == (1, 2, 2**80)
     assert verify_certificate(big_j) is False
 
 
@@ -661,7 +705,7 @@ def test_closed_form_writer_builds_no_cycle(monkeypatch):
     assert [written(cert) for cert in certs] == texts
     for k in (0, -1):
         with pytest.raises(ValueError):
-            MembershipCertificate(k, 1, 1, 1, (), ()).to_json_dict()
+            MembershipCertificate(k, 1, 1, 1, (), OrbitTable(1, 1, {}), ()).to_json_dict()
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -684,11 +728,11 @@ def test_certificate_reader_takes_only_json_integers():
     data = verify_relation(3, 2).to_json_dict()
     assert verify_certificate(MembershipCertificate.from_json_dict(data))
     half_point = json.loads(json.dumps(data))
-    half_point["generators"][0]["multiplier"]["orbits"][0][0] = 0.5
+    half_point["generators"]["y_1"]["orbits"][0][0] = 0.5
     fractional_k = dict(data, k=3.9)
     bool_cap = dict(data, cap=True)
     float_j = json.loads(json.dumps(data))
-    float_j["generators"][0]["j"] = 1.0
+    float_j["generators"]["j"][0] = 1.0
     for bad in (half_point, fractional_k, bool_cap, float_j):
         with pytest.raises(ValueError, match="is not an integer"):
             MembershipCertificate.from_json_dict(bad)
@@ -718,8 +762,8 @@ def _term(data):
 
 
 def _table(data):
-    """The first generator table of a certificate document."""
-    return data["generators"][0]["multiplier"]
+    """The table Y_1 of a certificate document."""
+    return data["generators"]["y_1"]
 
 
 def _nil(data):
@@ -736,9 +780,19 @@ def _as_cycle(k, table):
     return expand(OrbitTable(k, table["den"], {(a_1, s): n for a_1, s, n in table["orbits"]})).to_json_dict()
 
 
+def _as_version_4(data):
+    """The document as version 4 wrote it: a term per j, with its label and
+    its table Y_j, the shift of Y_1 in lowest terms."""
+    data["version"] = 4
+    y_1 = OrbitTable(data["k"], _table(data)["den"], {(a_1, s): n for a_1, s, n in _table(data)["orbits"]})
+    data["generators"] = [{"label": f"(m_{j})*h", "j": j, "multiplier": shifted(y_1, j).to_json_dict()}
+                          for j in data["generators"]["j"]]
+
+
 def _as_version_3(data):
     """The document as version 3 wrote it: every generator term with its
     (m_j)_* h under ``"generator"``."""
+    _as_version_4(data)
     data["version"] = 3
     for t in data["generators"]:
         t["generator"] = pushed_hypothesis(data["k"], t["j"]).to_json_dict()
@@ -771,7 +825,7 @@ TAMPERED_DOCUMENTS = {
     "version-float": lambda data: data.update(version=7.5),
     "version-float-one": lambda data: data.update(version=1.0),
     "version-bool": lambda data: data.update(version=True),
-    "version-other": lambda data: data.update(version=5),
+    "version-other": lambda data: data.update(version=6),
     "version-missing": lambda data: data.pop("version"),
     "format-and-version-missing": lambda data: (data.pop("format"), data.pop("version")),
     # version 1 listed every point of a multiplier, and is not read
@@ -782,15 +836,18 @@ TAMPERED_DOCUMENTS = {
     "version-2-document": _as_version_2,
     # version 3 listed every (m_j)_* h, and is not read
     "version-3-document": _as_version_3,
-    # nor is a version-4 document with an (m_j)_* h added back, of its own j or another
-    "generator-cycle-extra": lambda data: data["generators"][0].update(generator=pushed_hypothesis(3, 1).to_json_dict()),
-    "generator-of-other-j": lambda data: data["generators"][0].update(generator=pushed_hypothesis(3, 2).to_json_dict()),
-    # json.loads reads a bare NaN as a float
-    "label-nan": lambda data: data["generators"][0].update(label=float("nan")),
-    "label-int": lambda data: data["generators"][0].update(label=1),
-    "label-null": lambda data: data["generators"][0].update(label=None),
-    # labels and the target follow from k, j and the factors
-    "label-other-j": lambda data: data["generators"][0].update(label="(m_2)*h"),
+    # version 4 listed a table per j, and is not read
+    "version-4-document": _as_version_4,
+    # nor is a document with an (m_j)_* h added back, of its own j or another
+    "generator-cycle-extra": lambda data: data["generators"].update(generator=pushed_hypothesis(3, 1).to_json_dict()),
+    "generator-of-other-j": lambda data: data["generators"].update(generator=pushed_hypothesis(3, 2).to_json_dict()),
+    # the generator terms have no label: one of any kind is an extra key
+    # (json.loads reads a bare NaN as a float)
+    "label-nan": lambda data: data["generators"].update(label=float("nan")),
+    "label-int": lambda data: data["generators"].update(label=1),
+    "label-null": lambda data: data["generators"].update(label=None),
+    "label-other-j": lambda data: data["generators"].update(label="(m_2)*h"),
+    # labels and the target follow from k and the factors
     "nilpotent-label-other": lambda data: data["nilpotent_part"][0].update(label="anything"),
     "nilpotent-label-missing": lambda data: data["nilpotent_part"][0].pop("label"),
     # the factors are u_1 taken g + 1 times, with the label to match
@@ -802,23 +859,25 @@ TAMPERED_DOCUMENTS = {
     "target-rank-other": lambda data: data["target"].update(rank=4),
     # a consistent identity for 2 u^{*k}
     "target-and-multipliers-doubled": lambda data: (
-        _double(data["target"]), _double_table(_nil(data)), [_double_table(t["multiplier"]) for t in data["generators"]]
+        _double(data["target"]), _double_table(_nil(data)), _double_table(_table(data))
     ),
-    "j-other": lambda data: data["generators"][0].update(j=2),
+    # the j list is strictly increasing: no j twice, none out of order
+    "j-other": lambda data: data["generators"]["j"].__setitem__(0, 2),
+    "j-unsorted": lambda data: data["generators"]["j"].reverse(),
     # missing and extra keys
     "generators-missing": lambda data: data.pop("generators"),
     "nilpotent-part-missing": lambda data: data.pop("nilpotent_part"),
     "target-missing": lambda data: data.pop("target"),
     "k-missing": lambda data: data.pop("k"),
-    "j-missing": lambda data: data["generators"][0].pop("j"),
-    "multiplier-missing": lambda data: data["generators"][0].pop("multiplier"),
+    "j-missing": lambda data: data["generators"].pop("j"),
+    "multiplier-missing": lambda data: data["generators"].pop("y_1"),
     "factors-missing": lambda data: data["nilpotent_part"][0].pop("factors"),
     "coeff-missing": lambda data: _term(data).pop("coeff"),
     "rank-missing": lambda data: data["target"].pop("rank"),
     "den-missing": lambda data: _table(data).pop("den"),
     "orbits-missing": lambda data: _table(data).pop("orbits"),
     "key-extra": lambda data: data.update(note="extra"),
-    "term-key-extra": lambda data: data["generators"][0].update(note="extra"),
+    "term-key-extra": lambda data: data["generators"].update(note="extra"),
     "nilpotent-key-extra": lambda data: data["nilpotent_part"][0].update(note="extra"),
     "cycle-key-extra": lambda data: data["target"].update(note="extra"),
     "cycle-term-key-extra": lambda data: _term(data).update(note=0),
@@ -827,7 +886,7 @@ TAMPERED_DOCUMENTS = {
     # a bool or a float in place of an int
     "k-bool": lambda data: data.update(k=True),
     "g-float": lambda data: data.update(g=2.0),
-    "j-bool": lambda data: data["generators"][0].update(j=True),
+    "j-bool": lambda data: data["generators"]["j"].__setitem__(0, True),
     "factors-bool": lambda data: data["nilpotent_part"][0].update(factors=[True, 1, 1]),
     "target-point-bool": lambda data: _term(data)["point"].__setitem__(0, False),
     "target-rank-float": lambda data: data["target"].update(rank=3.0),
@@ -844,13 +903,15 @@ TAMPERED_DOCUMENTS = {
     # shapes that are not the certificate's
     "generators-int": lambda data: data.update(generators=5),
     "nilpotent-part-int": lambda data: data.update(nilpotent_part=5),
-    "generator-term-str": lambda data: data["generators"].__setitem__(0, "(m_1)*h"),
+    "generator-term-str": lambda data: data["generators"]["j"].__setitem__(0, "(m_1)*h"),
+    "generators-list": lambda data: data.update(generators=[data["generators"]]),
+    "j-int": lambda data: data["generators"].update(j=3),
     "factors-int": lambda data: data["nilpotent_part"][0].update(factors=3),
     "terms-int": lambda data: data["target"].update(terms=5),
     "terms-int-entry": lambda data: data["target"].update(terms=[5]),
     "point-int": lambda data: _term(data).update(point=5),
     "nilpotent-multiplier-cycle": lambda data: data["nilpotent_part"][0].update(multiplier=_as_cycle(3, _nil(data))),
-    "multiplier-list": lambda data: data["generators"][0].update(multiplier=[]),
+    "multiplier-list": lambda data: data["generators"].update(y_1=[]),
     "orbits-int": lambda data: _table(data).update(orbits=5),
     "orbits-int-entry": lambda data: _table(data).update(orbits=[5]),
     "orbits-dict": lambda data: _table(data).update(orbits={"0": [0, 3]}),
@@ -896,11 +957,7 @@ def canonical(k, values):
 def tamper_base():
     cert = verify_relation(3, 2)
     half = Fraction(1, 2)
-    return replace(
-        cert,
-        generators=tuple(replace(t, multiplier=scaled(t.multiplier, half)) for t in cert.generators),
-        nilpotent_part=(NilpotentTerm(OrbitTable(3, 2, {(0, 0): 1})),),
-    )
+    return replace(cert, y_1=scaled(cert.y_1, half), nilpotent_part=(NilpotentTerm(OrbitTable(3, 2, {(0, 0): 1})),))
 
 
 @pytest.mark.parametrize("tamper", list(TAMPERED_DOCUMENTS.values()), ids=list(TAMPERED_DOCUMENTS))
@@ -917,11 +974,12 @@ def test_certificate_reader_checks_format_version_and_labels(tamper):
         MembershipCertificate.from_json_dict(data)
 
 
+NO_GENERATORS = {"j": [], "y_1": {"den": 1, "orbits": []}}
 BIG_K_EDITS = {
     "with-generators": lambda data: None,
-    "no-generators": lambda data: data.update(generators=[]),
+    "no-generators": lambda data: data.update(generators=NO_GENERATORS),
     # a target of rank k but without its k + 1 terms
-    "empty-target-of-rank-k": lambda data: data.update(generators=[], target={"rank": 2000, "terms": []}),
+    "empty-target-of-rank-k": lambda data: data.update(generators=NO_GENERATORS, target={"rank": 2000, "terms": []}),
 }
 
 
@@ -953,7 +1011,8 @@ def test_trivial_nilpotent_certificate_k2_g1():
         g=1,
         j_max=2,
         cap=2,
-        generators=(),
+        js=(),
+        y_1=OrbitTable(2, 1, {}),
         nilpotent_part=(NilpotentTerm(OrbitTable(2, 1, {(0, 0): 1})),),
     )
     assert verify_certificate(cert)
@@ -964,21 +1023,20 @@ def test_trivial_nilpotent_certificate_k2_g1():
 def test_wrong_rank_multipliers_are_rejected():
     # the reader rejects a file's table with an orbit of another rank than k
     data = verify_relation(3, 2, method="newton").to_json_dict()
-    data["generators"][0]["multiplier"]["orbits"].append([0, 3, 1])
+    data["generators"]["y_1"]["orbits"].append([0, 3, 1])
     with pytest.raises(ValueError, match="k = 3"):
         MembershipCertificate.from_json_dict(data)
 
     nil = verify_relation(3, 1, j_max=1, cap=2, method="window")
     data = nil.to_json_dict()
-    assert data["nilpotent_part"] and not data["generators"]
+    assert data["nilpotent_part"] and data["generators"] == NO_GENERATORS
     data["nilpotent_part"][0]["multiplier"]["orbits"].append([0, 3, 1])
     with pytest.raises(ValueError, match="k = 3"):
         MembershipCertificate.from_json_dict(data)
 
     # and the verifier a certificate built in memory with one
     cert = verify_relation(3, 2, method="newton")
-    t = cert.generators[0]
-    short = replace(cert, generators=(replace(t, multiplier=OrbitTable(2, 1, {(0, 0): 1})),) + cert.generators[1:])
+    short = replace(cert, y_1=OrbitTable(2, 1, {(0, 0): 1}))
     assert verify_certificate(short) is False
     other_k = replace(nil, nilpotent_part=(NilpotentTerm(OrbitTable(4, 1, {(1, 0): 1, (0, 0): -1})),))
     assert verify_certificate(other_k) is False
@@ -1046,8 +1104,8 @@ def expansion_oracle(cert):
     points and each nilpotent product u_1^{*(g+1)} built from its factors."""
     ctx = RingContext(rank=cert.k, geom_dim=1, support_cap=4 * cert.k)
     total = Cycle.zero(cert.k)
-    for t in cert.generators:
-        total = total + pontryagin(expand(t.multiplier), pushed_hypothesis(cert.k, t.j), ctx)
+    for j, table in generator_terms(cert):
+        total = total + pontryagin(expand(table), pushed_hypothesis(cert.k, j), ctx)
     for t in cert.nilpotent_part:
         product = Cycle.unit(cert.k)
         for _ in range(cert.g + 1):
@@ -1060,9 +1118,10 @@ def expansion_oracle(cert):
 def test_orbit_builder_matches_point_keyed_builder(k):
     cert = _newton_certificate(k, 1, k, k - 1)
     oracle = point_keyed_newton_multipliers(k)
-    assert {t.j: expand(t.multiplier) for t in cert.generators} == oracle
-    # C(k+2, 3) orbit entries in all
-    assert sum(len(t.multiplier.orbits) for t in cert.generators) == comb(k + 2, 3)
+    assert {j: expand(table) for j, table in generator_terms(cert)} == oracle
+    # C(k+2, 3) orbit entries in all, C(k+1, 2) of them in Y_1
+    assert sum(len(table.orbits) for _, table in generator_terms(cert)) == comb(k + 2, 3)
+    assert len(cert.y_1.orbits) == comb(k + 1, 2)
 
 
 def with_entry_raised(table):
@@ -1085,8 +1144,7 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
     for cert in certs:
         assert expansion_oracle(cert)
     # one entry of one table changed: both proofs reject it
-    t = newton[0].generators[-1]
-    bad = [replace(newton[0], generators=newton[0].generators[:-1] + (replace(t, multiplier=with_entry_raised(t.multiplier)),))]
+    bad = [replace(newton[0], y_1=with_entry_raised(newton[0].y_1))]
     bad += [replace(cert, nilpotent_part=(NilpotentTerm(with_entry_raised(cert.nilpotent_part[0].multiplier)),))
             for cert in nilpotent]
     for cert in bad:
@@ -1106,12 +1164,12 @@ def test_orbit_forms_match_the_oracle(k):
     # each table is the orbit form of the point-keyed multiplier: (a_1, s)
     # stands for the orbit (a_1, 0^(k-1-s), 1^s), of C(k-1, s) points
     oracle = point_keyed_newton_multipliers(k)
-    for t in _newton_certificate(k, 1, k, k - 1).generators:
-        form = orbit_form(oracle[t.j])
-        keys = {(a_1, s): (a_1,) + (0,) * (k - 1 - s) + (1,) * s for a_1, s in t.multiplier.orbits}
-        assert {keys[o]: Fraction(n, t.multiplier.den) for o, n in t.multiplier.orbits.items()} == form
+    for j, table in generator_terms(_newton_certificate(k, 1, k, k - 1)):
+        form = orbit_form(oracle[j])
+        keys = {(a_1, s): (a_1,) + (0,) * (k - 1 - s) + (1,) * s for a_1, s in table.orbits}
+        assert {keys[o]: Fraction(n, table.den) for o, n in table.orbits.items()} == form
         assert {keys[o]: comb(k - 1, o[1]) for o in keys} == orbit_sizes(form)
-        assert t.multiplier.max_height() == oracle[t.j].max_height()
+        assert table.max_height() == oracle[j].max_height()
 
 
 def test_orbit_table_edge_cases():
@@ -1164,15 +1222,12 @@ def test_orbit_proof_shares_no_code_with_the_builder():
 def test_orbit_path_rejects_tampering(k):
     cert = verify_relation(k, k, method="newton")
     assert verify_certificate(cert)
-    index = 0
-    t = cert.generators[index]
-    # an orbit with more than one point
-    big = next((a_1, s) for a_1, s in t.multiplier.orbits if 0 < s < k - 1)
-    values = {o: Fraction(n, t.multiplier.den) for o, n in t.multiplier.orbits.items()}
+    # an orbit of Y_1 with more than one point
+    big = next((a_1, s) for a_1, s in cert.y_1.orbits if 0 < s < k - 1)
+    values = {o: Fraction(n, cert.y_1.den) for o, n in cert.y_1.orbits.items()}
 
     def rebuilt(values):
-        term = replace(t, multiplier=canonical(k, values))
-        return replace(cert, generators=cert.generators[:index] + (term,) + cert.generators[index + 1:])
+        return replace(cert, y_1=canonical(k, values))
 
     # the orbit sums no longer add up to the target
     dropped = rebuilt({o: c for o, c in values.items() if o != big})
@@ -1195,11 +1250,8 @@ def test_other_factor_lists_are_rejected_by_the_reader(k):
     half = Fraction(1, 2)
     newton = verify_relation(k, 1, method="newton")
     nilpotent = verify_relation(k, 1, method="window").nilpotent_part[0]
-    mixed = replace(
-        newton,
-        generators=tuple(replace(t, multiplier=scaled(t.multiplier, half)) for t in newton.generators),
-        nilpotent_part=(NilpotentTerm(scaled(nilpotent.multiplier, half)),),
-    )
+    mixed = replace(newton, y_1=scaled(newton.y_1, half),
+                    nilpotent_part=(NilpotentTerm(scaled(nilpotent.multiplier, half)),))
     assert expansion_oracle(mixed) and verify_certificate(mixed) is True
     assert not expansion_oracle(replace(mixed, nilpotent_part=()))
     assert verify_certificate(replace(mixed, nilpotent_part=())) is False
@@ -1214,7 +1266,7 @@ def test_other_factor_lists_are_rejected_by_the_reader(k):
 
 def test_term_checks_reject_malformed_terms():
     nil = verify_relation(3, 1, j_max=1, cap=2, method="window")
-    assert nil.nilpotent_part and not nil.generators
+    assert nil.nilpotent_part and not nil.js
     term = nil.nilpotent_part[0]
     assert term.multiplier == OrbitTable(3, 1, {(0, 0): -1, (1, 0): 1})
     # the factors follow from g: u_1^{*2} at g = 0 (no nilpotency order),
@@ -1227,21 +1279,19 @@ def test_term_checks_reject_malformed_terms():
 
 def test_malformed_fields_are_rejected_not_raised():
     cert = verify_relation(3, 2)
-    t, rest = cert.generators[0], cert.generators[1:]
     assert verify_certificate(cert)
     # k = 0 has no x_1 to build the target from; g = 0 has no nilpotency order
     assert verify_certificate(replace(cert, k=0)) is False
     assert verify_certificate(replace(cert, g=0)) is False
     # j within j_max, but (m_j)_* h leaves the digit range |c| < 2**46
-    big_j = replace(cert, j_max=2**47, generators=(replace(t, j=2**46),) + rest)
+    big_j = replace(cert, j_max=2**47, js=(1, 2, 2**46))
     assert verify_certificate(big_j) is False
     # an orbit within the cap whose product with (m_j)_* h has the
     # coordinate 2**46 - 1 + j, outside the digit range: the orbit proof
     # rejects it, with a nilpotent term of multiplier zero added too,
     # without raising
-    far = canonical(3, {**{o: Fraction(n, t.multiplier.den) for o, n in t.multiplier.orbits.items()},
-                        (2**46 - 1, 0): 1})
-    far_product = replace(cert, cap=2**47, generators=(replace(t, multiplier=far),) + rest)
+    far = canonical(3, {**{o: Fraction(n, cert.y_1.den) for o, n in cert.y_1.orbits.items()}, (2**46 - 1, 0): 1})
+    far_product = replace(cert, cap=2**47, y_1=far)
     assert relations._verify_on_orbits(far_product) is False
     assert verify_certificate(far_product) is False
     mixed = replace(far_product, nilpotent_part=(NilpotentTerm(OrbitTable(3, 1, {})),))
@@ -1268,7 +1318,8 @@ def test_nilpotent_binomial_rows_are_built_once(monkeypatch):
     counts = []
     for g in (50, 500):
         calls.clear()
-        cert = MembershipCertificate(3, g, 3, 3, (), (NilpotentTerm(OrbitTable(3, 1, {(0, 0): 1})),))
+        cert = MembershipCertificate(3, g, 3, 3, (), OrbitTable(3, 1, {}),
+                                     (NilpotentTerm(OrbitTable(3, 1, {(0, 0): 1})),))
         assert verify_certificate(cert) is False
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 1
@@ -1282,7 +1333,7 @@ def test_mixed_certificates_cost_their_tables_not_their_points(monkeypatch):
     # certificate, and a k = 30 table whose one entry (0, 14) stands for
     # C(29, 14) = 77558760 points
     cert = replace(verify_relation(14, 14), nilpotent_part=(NilpotentTerm(OrbitTable(14, 1, {})),))
-    far = MembershipCertificate(30, 1, 30, 30, (GeneratorTerm(1, OrbitTable(30, 1, {(0, 14): 1})),),
+    far = MembershipCertificate(30, 1, 30, 30, (1,), OrbitTable(30, 1, {(0, 14): 1}),
                                 (NilpotentTerm(OrbitTable(30, 1, {})),))
     monkeypatch.setattr(relations, "Cycle", None)
     monkeypatch.setattr(relations, "pontryagin", None)
@@ -1292,19 +1343,52 @@ def test_mixed_certificates_cost_their_tables_not_their_points(monkeypatch):
 
 @pytest.mark.parametrize("k", range(2, 21))
 def test_newton_multipliers_are_signed_shifts_of_the_first(k):
-    # Y_j(a, s) = (-1)^(j-1) Y_1(a, s + j - 1), with the same support
-    tables = {t.j: t.multiplier for t in _newton_certificate(k, 1, k, k - 1).generators}
-    assert sorted(tables) == list(range(1, k + 1))
-    values = {j: {o: Fraction(n, t.den) for o, n in t.orbits.items()} for j, t in tables.items()}
-    for j in tables:
-        shifted = {(a, s - j + 1): (-1) ** (j - 1) * c for (a, s), c in values[1].items() if s >= j - 1}
-        assert values[j] == shifted, (k, j)
+    # every table of the recursion is the signed shift of the closed-form
+    # Y_1, Y_j(a, s) = (-1)^(j-1) Y_1(a, s + j - 1), exactly
+    oracle = recursion_newton_tables(k)
+    cert = _newton_certificate(k, 1, k, k - 1)
+    assert cert.js == tuple(oracle) == tuple(range(1, k + 1))
+    assert cert.y_1 == oracle[1]
+    assert dict(generator_terms(cert)) == oracle
 
 
-# SHA-256 of the version-3 text of the WINDOW_CERT_SHA256 and
-# NEWTON_CERT_SHA256 certificates: a version-4 document with each
-# (m_j)_* h added back under "generator" and its version set to 3 is that
-# text.
+# SHA-256 of the version-4 text of the WINDOW_CERT_SHA256 and
+# NEWTON_CERT_SHA256 certificates: a version-5 document with a term per j,
+# its label "(m_j)*h" and its table Y_j, the shift of Y_1 in lowest terms,
+# in place of the list of j and Y_1, and its version set to 4, is that
+# text.  These are the pins that version 4 wrote.
+WINDOW_CERT_V4_SHA256 = {
+    (2, 3, None): "abea508d6831d1d208d5ebc8046c39d5a250c35abeac2c6f1ce6aa21de38edbd",
+    (3, 1, 4): "d2d7ce204fbe4ecfc970b038862860d6217d50feddc4ebf605543b1cc0b09d39",
+    (4, 1, 2): "3ac33e7da1961dbfe093a17f5ce6ac2e699d84876e9f4e6c58829e9ffb9582ed",
+    (4, 2, 1): "bf72783fdf20012d8814ccfdc90b9603d1a793594ec69fe37df2e75451a61e38",
+}
+NEWTON_CERT_V4_SHA256 = {
+    9: "9ebc769646f1ba49f7b1cb4adc2be25b2da421453a23d02faaa20409b8b95758",
+    10: "4fc7db6c4ce41b1401a1287d0c2e9c2958c4ef870acf8b66cd5884f5335f4539",
+    24: "127ff3d84c9ba3abbf7c54d23409e5d34e1ac08450e0188d27f660647a1a03f4",
+}
+
+
+@pytest.mark.parametrize(
+    "args, pin",
+    [((k, g, cap, "window"), sha) for (k, g, cap), sha in WINDOW_CERT_V4_SHA256.items()]
+    + [((k, 2, None, "auto"), sha) for k, sha in NEWTON_CERT_V4_SHA256.items()],
+)
+def test_version_5_is_version_4_with_tables_2_to_k_dropped(args, pin):
+    k, g, cap, method = args
+    data = verify_relation(k, g, cap=cap, method=method).to_json_dict()
+    _as_version_4(data)
+    text = json.dumps(data, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
+    # and the version-4 document is not read
+    with pytest.raises(ValueError):
+        MembershipCertificate.from_json_dict(data)
+
+
+# SHA-256 of the version-3 text of the same certificates: a version-4
+# document with each (m_j)_* h added back under "generator" and its version
+# set to 3 is that text.
 WINDOW_CERT_V3_SHA256 = {
     (2, 3, None): "276c94a76987df0a5f9a14f64b8201de97b85bfd800ce1dcbdda08d7b2bff1ea",
     (3, 1, 4): "f353e247030a635d6cadd682f4bb5fd8baf48fa596ade06d2297b8ec4dadd452",
@@ -1348,3 +1432,65 @@ def test_version_3_is_version_2_with_nilpotent_tables(k, g, cap):
     _as_version_2(data)
     text = json.dumps(data, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == WINDOW_CERT_V2_SHA256[k, g, cap]
+
+
+@pytest.mark.parametrize("k", [3, 9, 24])
+def test_a_changed_y_1_numerator_fails_to_verify(k):
+    # every Y_j is read from Y_1, so one numerator of the file's one table
+    # changed breaks the proof, whichever entry it is
+    text = written(verify_relation(k, 2))
+    entries = json.loads(text)["generators"]["y_1"]["orbits"]
+    indices = range(len(entries)) if k < 24 else range(0, len(entries), 23)
+    for index in indices:
+        data = json.loads(text)
+        data["generators"]["y_1"]["orbits"][index][2] += 1
+        try:
+            cert = MembershipCertificate.from_json_dict(data)
+        except ValueError:
+            # the table left lowest terms; the file is refused on read
+            continue
+        assert verify_certificate(cert) is False, (k, index)
+
+
+J_LIST_EDITS = {
+    "missing-first": lambda js: js[1:],
+    "missing-middle": lambda js: js[:2] + js[3:],
+    "missing-last": lambda js: js[:-1],
+    "repeated": lambda js: js[:3] + js[2:],
+    "zero-added": lambda js: [0, *js],
+    "past-j-max": lambda js: [*js, 13],
+}
+
+
+@pytest.mark.parametrize("edit", list(J_LIST_EDITS.values()), ids=list(J_LIST_EDITS))
+def test_j_list_edits_are_refused(edit):
+    # the k = 6, g = 1 Newton file has j_max = 12: a j list missing an
+    # entry, repeating one, with 0 or past j_max either is refused on read or
+    # reads and fails to verify
+    data = json.loads(written(verify_relation(6, 1)))
+    assert data["generators"]["j"] == [1, 2, 3, 4, 5, 6] and data["j_max"] == 12
+    data["generators"]["j"] = edit(data["generators"]["j"])
+    try:
+        cert = MembershipCertificate.from_json_dict(data)
+    except ValueError:
+        assert len(set(data["generators"]["j"])) < len(data["generators"]["j"])
+        return
+    assert verify_certificate(cert) is False
+    # the same list built in memory, repeats included, fails to verify too
+    in_memory = replace(verify_relation(6, 1), js=tuple(edit(list(range(1, 7)))))
+    assert verify_certificate(in_memory) is False
+
+
+@pytest.mark.parametrize("k, g", [(3, 1), (4, 2), (5, 1), (7, 3)])
+def test_mirrored_binomial_signs_fail_the_nilpotent_proof(k, g, monkeypatch):
+    # the builder's rows with their sign convention mirrored, (-1)^i C(n, i):
+    # u_1^{*m} comes out as (-1)^m times itself, and the verifier, whose
+    # target and u_1^{*(g+1)} rows are its own, rejects it
+    monkeypatch.setattr(relations, "_signed_binomials", lambda n: [(-1) ** i * comb(n, i) for i in range(n + 1)])
+    cert = relations._nilpotent_certificate(k, g, k * (g + 1), k * (g + 1))
+    assert (k - g - 1) % 2 == 1
+    assert verify_certificate(cert) is False
+    with pytest.raises(AssertionError, match="re-verification"):
+        verify_relation(k, g, method="window")
+    monkeypatch.undo()
+    assert verify_certificate(relations._nilpotent_certificate(k, g, k * (g + 1), k * (g + 1)))
