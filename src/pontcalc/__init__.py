@@ -37,7 +37,6 @@ from .kernels import (
 from .relations import (
     AlphaMatrix,
     MembershipCertificate,
-    NilpotentTerm,
     NotFoundWithinCaps,
     OrbitTable,
     alpha_coefficients,

@@ -154,6 +154,19 @@ def _threshold_row(k: int) -> dict:
     return row
 
 
+def _closed_form_verdict(witness: dict, row: dict, *extra):
+    """Check ``row`` against G_l = induction_closed_form(k, l): induction_G for
+    l = 0..k, and g_gonality, g_orbit_all, g_orbit_countable as G_{k-2}, G_k,
+    G_0, then each extra (key, value, expected).  The first mismatch fails."""
+    k, seq = row["k"], row["induction_G"]
+    closed = [bounds_mod.induction_closed_form(k, l) for l in range(k + 1)]
+    checks = [(f"induction_G[{l}]", seq[l] if l < len(seq) else None, c) for l, c in enumerate(closed)]
+    checks += [(key, row[key], closed[l]) for key, l in (("g_gonality", k - 2), ("g_orbit_all", k), ("g_orbit_countable", 0))]
+    mismatch = next(({"k": k, "key": key, "value": v, "expected": e} for key, v, e in [*checks, *extra] if v != e), None)
+    witness.update(closed_form_checked=len(checks) + len(extra), closed_form_mismatch=mismatch)
+    return ("fail" if mismatch else "pass"), witness
+
+
 def _cmd_thresholds(args):
     if args.k is not None:
         row = _threshold_row(args.k)
@@ -162,7 +175,7 @@ def _cmd_thresholds(args):
         print("\t".join(str(row[key]) for key in keys))
         print("induction_G\t" + "\t".join(str(x) for x in row["induction_G"]))
         print(f"conjectured_gonality_threshold (conjecture, unproven)\t{row['conjectured_gonality_threshold']['value']}")
-        return "pass", row
+        return _closed_form_verdict(row, row)
     k = bounds_mod.max_proven_gonality(args.g)
     witness = {
         "g": args.g,
@@ -173,7 +186,9 @@ def _cmd_thresholds(args):
         witness["threshold_row"] = _threshold_row(k)
     print("g\tmax_proven_k\tstatement")
     print(f"{args.g}\t{k}\tgonality >= {k + 1}")
-    return "pass", witness
+    # k is the largest proven degree: the row at k + 1 is above g
+    above = _threshold_row(k + 1)
+    return _closed_form_verdict(witness, above, ("g_gonality > g", above["g_gonality"] > args.g, True))
 
 
 def _cmd_verify_relation(args):
@@ -190,8 +205,8 @@ def _cmd_verify_relation(args):
         cert.write_json(fh)
     witness = {
         "certificate_path": args.out,
-        "generator_terms": len(cert.js),
-        "nilpotent_terms": len(cert.nilpotent_part),
+        "generator_terms": len(cert.pushforward_indices()),
+        "nilpotent_terms": int(bool(cert.nilpotent.orbits)),
         "pushforward_indices": cert.pushforward_indices(),
         "max_multiplier_height": cert.max_multiplier_height(),
         "re_verified_on_orbits": True,

@@ -12,25 +12,25 @@ product u_1^{*(g+1)} of g+1 augmentation generators u_1 = {x_1} - {0}
 (the nilpotency span).  Any certificate it returns is re-verified through
 an independent code path, so a returned certificate is a proof; failure
 to find one within the caps is reported as inconclusive, never as a
-refutation.  Every multiplier, of a generator term and of a nilpotent
-term alike, is an ``OrbitTable`` of S_{k-1}, the permutations of
-x_2..x_k, and the verifier proves every certificate, built in memory or
-loaded from a file, on orbit sums read straight from the tables: it
+refutation.  A certificate is two multipliers, the generator table Y_1
+and the nilpotent table, each an ``OrbitTable`` of S_{k-1}, the
+permutations of x_2..x_k; an empty table means "no such term".  A
+non-empty Y_1 stands for the generator terms Y_j * (m_j)_* h, j = 1..k,
+with Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), the shift law proved
+in ``_newton_certificate``; the nilpotent table multiplies
+u_1^{*(g+1)}.  The verifier proves every certificate, built in memory or
+loaded from a file, on orbit sums read straight from the two tables: it
 checks sum_t sum_R |R| Y_t(R) sum_{p : r + p in Q} c_t(p) = u^{*k}(Q) on
 every orbit Q, R running over the orbits of Y_t, r one point of R and
-c_t the coefficients of the term's (m_j)_* h or u_1^{*(g+1)}.  The
-generator multipliers obey the shift law
-Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), proved in
-``_newton_certificate``, so a certificate stores Y_1 and the list of j
-and no other generator table; the verifier derives each Y_j from Y_1
-with its own code.  A certificate stores no target, no (m_j)_* h, no
-factor list and no label: these follow from k, j and g and are derived
-where they are used.  The file (version 5) holds the list of j and Y_1
-as ``{"j": [...], "y_1": {"den": D, "orbits": [[a_1, s, n], ...]}}``,
-each nilpotent term's table, factor list and label, and the target as
-its ``Cycle.to_json_dict()``, written from its closed form.  The
-target, labels and factor lists a file holds are checked on read; the
-target stays in the file because the benchmark's known-answer check
+c_t the coefficients of the term's (m_j)_* h or u_1^{*(g+1)}, and it
+derives each Y_j from Y_1 with its own code.  A certificate stores no
+target, no (m_j)_* h, no list of j and no factor list: these follow from
+k and g and are derived where they are used.  The file (version 6)
+holds k, g, j_max, cap, the two tables as
+``{"den": D, "orbits": [[a_1, s, n], ...]}`` under ``"y_1"`` and
+``"nilpotent"``, and the target as its ``Cycle.to_json_dict()``, written
+from its closed form.  The target a file holds is checked on read; it
+stays in the file because the benchmark's known-answer check
 (``bench/workloads.py``) reads it there.  ``json_text`` writes JSON
 values only.
 
@@ -40,9 +40,9 @@ decided from (k, g, j_max, cap) before anything is built:
 * the Newton certificate is the closed form of the free-ring identity
   behind the elementary-symmetric / power-sum recursion satisfied by the
   subset-sum cycles gamma_l: multipliers of height k - 1 over the
-  pushforwards with j = 1..k, and no nilpotency term;
+  pushforwards with j = 1..k, and an empty nilpotent table;
 * the nilpotent certificate (k > g) writes the target as u_1^{*(k-g-1)}
-  times u_1^{*(g+1)}, one nilpotent term with a closed-form table.
+  times u_1^{*(g+1)}: a closed-form nilpotent table and an empty Y_1.
 
 ``verify_relation`` tabulates which one each ``method`` (``auto``, the
 default, ``newton`` or ``window``) returns.
@@ -251,7 +251,8 @@ class OrbitTable:
     whose other k - 1 coordinates are s ones and k - 1 - s zeros, and every
     other point has 0.  Every multiplier has this form: each orbit of a
     Newton multiplier, and u_1^{*m} of the nilpotent certificate, whose
-    entries are (i, 0).
+    entries are (i, 0).  The empty table is the zero multiplier: a
+    certificate's way of saying it has no such term.
     The table is canonical (den > 0, gcd(den, *n) = 1), so equality
     compares the fields; s outside 0..k-1, |a_1| >= 2**46 (the ``Cycle``
     coordinate limit) or a table that is not canonical raises ``ValueError``.
@@ -276,17 +277,8 @@ class OrbitTable:
         return {"den": self.den, "orbits": [[a_1, s, n] for (a_1, s), n in sorted(self.orbits.items())]}
 
 
-@dataclass(frozen=True)
-class NilpotentTerm:
-    """One nilpotency-span contribution: multiplier * u_1^{*(g+1)}, the
-    product of g+1 augmentation generators u_1 = {x_1} - {0}.  Its factors
-    follow from the certificate's g."""
-
-    multiplier: OrbitTable
-
-
 _CERT_FORMAT = "pontryagin-membership-certificate"
-_CERT_VERSION = 5
+_CERT_VERSION = 6
 
 
 def _binomial_row(n: int) -> list[int]:
@@ -313,35 +305,32 @@ def _target_json(k: int) -> dict:
 class MembershipCertificate:
     """An explicit rational combination exhibiting the target u^{*k}.
 
-    u^{*k} == sum_{j in js} Y_j * (m_j)_* h + sum multiplier * u_1^{*(g+1)},
-    as an exact identity of the free group ring, where every Y_j is the
-    signed shift of the one stored table y_1:
-    Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1).  A certificate with no
-    generator term has js = () and y_1 the zero table.  Re-verifiable by
-    ``verify_certificate``, independently of the builders.
+    u^{*k} == sum_{j=1..k} Y_j * (m_j)_* h + nilpotent * u_1^{*(g+1)}, as an
+    exact identity of the free group ring, where every Y_j is the signed
+    shift of the table y_1: Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1).
+    An empty y_1 means no generator term, an empty nilpotent table no
+    nilpotent term.  Re-verifiable by ``verify_certificate``, independently
+    of the builders.
     """
 
     k: int
     g: int
     j_max: int
     cap: int
-    js: tuple[int, ...]
     y_1: OrbitTable
-    nilpotent_part: tuple[NilpotentTerm, ...]
+    nilpotent: OrbitTable
 
     def max_multiplier_height(self) -> int:
-        """The height of Y_1 and the nilpotent tables: no shift Y_j is higher than Y_1."""
-        return max(t.max_height() for t in (self.y_1, *(t.multiplier for t in self.nilpotent_part)))
+        """The height of Y_1 and the nilpotent table: no shift Y_j is higher than Y_1."""
+        return max(self.y_1.max_height(), self.nilpotent.max_height())
 
     def pushforward_indices(self) -> list[int]:
-        return sorted(set(self.js))
+        return list(range(1, self.k + 1)) if self.y_1.orbits else []
 
     def to_json_dict(self) -> dict:
         """The file's JSON value.  The target u^{*k} is written from its
         closed form (``_target_json``) with the bytes of its
-        ``Cycle.to_json_dict()``, the generator terms as the list of j and
-        the table Y_1, and each nilpotent term's factors and label from g, so
-        no cycle is built; each multiplier is its
+        ``Cycle.to_json_dict()``, so no cycle is built; each table is its
         ``OrbitTable.to_json_dict()``.  A k below 1 raises ``ValueError``."""
         return {
             "format": _CERT_FORMAT,
@@ -351,15 +340,8 @@ class MembershipCertificate:
             "j_max": self.j_max,
             "cap": self.cap,
             "target": _target_json(self.k),
-            "generators": {"j": list(self.js), "y_1": self.y_1.to_json_dict()},
-            "nilpotent_part": [
-                {
-                    "label": "*".join(["u_1"] * (self.g + 1)),
-                    "factors": [1] * (self.g + 1),
-                    "multiplier": t.multiplier.to_json_dict(),
-                }
-                for t in self.nilpotent_part
-            ],
+            "y_1": self.y_1.to_json_dict(),
+            "nilpotent": self.nilpotent.to_json_dict(),
         }
 
     def write_json(self, fh) -> None:
@@ -368,16 +350,14 @@ class MembershipCertificate:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MembershipCertificate":
         """Read ``to_json_dict`` output.  The certificate is built from the
-        JSON integers k, g, j_max, cap, the j list and the table entries; the
-        document must then equal its ``to_json_dict``, key for key and JSON
-        type for JSON type.  So the format, the version (5), the target, every
-        factor list, every label and every table's canonical form and
-        (a_1, s) order are checked, and anything else, a missing or an extra
-        key, a j list that is not strictly increasing, a table per j or a
-        document of versions 1 to 4 included, raises ``ValueError``.  A
-        target of rank k with k + 1 terms, and factor lists of length g + 1,
-        are required before anything is derived from k or g, which the file
-        bounds."""
+        JSON integers k, g, j_max, cap and the table entries; the document
+        must then equal its ``to_json_dict``, key for key and JSON type for
+        JSON type.  So the format, the version (6), the target and every
+        table's canonical form and (a_1, s) order are checked, and anything
+        else, a missing or an extra key or a document of versions 1 to 5
+        included, raises ``ValueError``.  A target of rank k with k + 1
+        terms is required before anything is derived from k, so the file
+        bounds k."""
 
         def table(d):
             entries = d["orbits"]
@@ -389,26 +369,18 @@ class MembershipCertificate:
             return OrbitTable(k, json_int(d["den"]), {(a_1, s): n for a_1, s, n in entries})
 
         try:
-            k, g = json_int(data["k"]), json_int(data["g"])
-            gens, nils = data["generators"], data["nilpotent_part"]
-            cert = cls(
-                k, g, json_int(data["j_max"]), json_int(data["cap"]),
-                tuple(map(json_int, gens["j"])), table(gens["y_1"]),
-                tuple(NilpotentTerm(table(t["multiplier"])) for t in nils),
-            )
+            k = json_int(data["k"])
+            cert = cls(k, json_int(data["g"]), json_int(data["j_max"]), json_int(data["cap"]),
+                       table(data["y_1"]), table(data["nilpotent"]))
             target = data["target"]
-            if target["rank"] != k or len(target["terms"]) != k + 1 or any(
-                    len(t["factors"]) != g + 1 for t in nils):
-                raise ValueError(f"the target is not of rank k = {k} with k + 1 terms, "
-                                 f"or a factor list is not g + 1 = {g + 1} long")
+            if target["rank"] != k or len(target["terms"]) != k + 1:
+                raise ValueError(f"the target is not of rank k = {k} with k + 1 terms")
         except (KeyError, TypeError):
             raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION}: "
                              "a field is missing or of another JSON type") from None
-        if any(a >= b for a, b in zip(cert.js, cert.js[1:])):
-            raise ValueError(f"the j list {list(cert.js)} is not strictly increasing")
         if not _same_json(data, cert.to_json_dict()):
-            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target, "
-                             "labels and tables are those of k, the factors and the entries")
+            raise ValueError(f"not a {_CERT_FORMAT} of version {_CERT_VERSION} whose target "
+                             "and tables are those of k and the entries")
         return cert
 
 
@@ -434,23 +406,29 @@ def _same_json(a, b) -> bool:
 def verify_certificate(cert: MembershipCertificate) -> bool:
     """Independent re-verification of the identity u^{*k} == sum of terms.
 
-    Every table must be a table of the certificate's k with height at most
-    cap (each shift Y_j is no higher than Y_1), and every j must lie in
-    1..j_max; the target, each Y_j, each (m_j)_* h and u_1^{*(g+1)} are
-    derived from k, Y_1, j and g.  Malformed fields (k or g below 1, a j
-    whose (m_j)_* h leaves the digit range) give False, not an exception.
-    Shares no code with the builders: its binomial rows and its shift are
-    its own.  The identity is proved on orbit sums, see
-    ``_verify_on_orbits``, for a certificate built in memory or loaded from
-    a file alike.
+    Both tables must be tables of the certificate's k with height at most
+    cap (each shift Y_j is no higher than Y_1).  A non-empty Y_1 uses
+    j = 1..k, so it needs k <= min(j_max, 2**46 - 1), the digit range of
+    (m_k)_* h.  A non-empty nilpotent table needs g < k: for k <= g the
+    window rule (``_certificate``) puts u^{*k} in I + J^{g+1} only if it is
+    in I, where the Newton certificate proves it, so no builder makes such
+    a term; checked first, this also bounds the row of u_1^{*(g+1)} by the
+    k a file bounds.  The target, each Y_j, each (m_j)_* h and
+    u_1^{*(g+1)} are derived from k, Y_1 and g.  Malformed fields (k or g
+    below 1) give False, not an exception.  Shares no code with the
+    builders: its binomial rows and its shift are its own.  The identity is
+    proved on orbit sums, see ``_verify_on_orbits``, for a certificate
+    built in memory or loaded from a file alike.
     """
     k = cert.k
     if k < 1 or cert.g < 1:
         return False
-    for table in (cert.y_1, *(t.multiplier for t in cert.nilpotent_part)):
+    for table in (cert.y_1, cert.nilpotent):
         if table.k != k or table.max_height() > cert.cap:
             return False
-    if any(not 1 <= j <= min(cert.j_max, _LIMIT - 1) for j in cert.js):
+    if cert.y_1.orbits and k > min(cert.j_max, _LIMIT - 1):
+        return False
+    if cert.nilpotent.orbits and cert.g >= k:
         return False
     return _verify_on_orbits(cert)
 
@@ -461,22 +439,22 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool:
     Each table Y, each (m_j)_* h = {j x_1} - k{0} + sum_{i >= 2} {j x_i}
     and u_1^{*(g+1)} = sum_i C(g+1, i) (-1)^(g+1-i) {i x_1} is invariant
     under permuting x_2..x_k, so the difference of the two sides is too,
-    and it is zero iff every orbit sum is.  The generator term of j has the
-    table Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), read here from Y_1's
-    entries with s + j - 1 in 0..k-1.  The orbit sum over Q of a term Y * c
-    is sum_R |R| Y(R) sum_{p : r + p in Q} c(p), over the table's orbits
-    R = (a_1, s), |R| = C(k-1, s), r one point of R with s ones and k-1-s
-    zeros after a_1.  For c = (m_j)_* h, r + p lies in (a_1 + j, s) for
-    p = j x_1, in R for p = 0, in the orbit whose tail has one zero raised
-    to j for the k-1-s points p = j x_i at a zero, and in the orbit whose
-    tail has one 1 raised to 1 + j for the s points at a one.  For
-    c = u_1^{*(g+1)}, r + i x_1 lies in (a_1 + i, s).  Orbits are keyed
-    (a_1, s, v): s ones, one coordinate v >= 2 if v is nonzero, zeros
+    and it is zero iff every orbit sum is.  The generator term of j = 1..k
+    has the table Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1), read here
+    from Y_1's entries with s + j - 1 in 0..k-1.  The orbit sum over Q of a
+    term Y * c is sum_R |R| Y(R) sum_{p : r + p in Q} c(p), over the
+    table's orbits R = (a_1, s), |R| = C(k-1, s), r one point of R with s
+    ones and k-1-s zeros after a_1.  For c = (m_j)_* h, r + p lies in
+    (a_1 + j, s) for p = j x_1, in R for p = 0, in the orbit whose tail has
+    one zero raised to j for the k-1-s points p = j x_i at a zero, and in
+    the orbit whose tail has one 1 raised to 1 + j for the s points at a
+    one.  For c = u_1^{*(g+1)}, r + i x_1 lies in (a_1 + i, s).  Orbits are
+    keyed (a_1, s, v): s ones, one coordinate v >= 2 if v is nonzero, zeros
     elsewhere; a zero raised to j = 1 is one more one.  The target's orbits
     are the points (i, 0, 0).  The sums are integers over the lcm of the
     table denominators."""
     k, g = cert.k, cert.g
-    den = lcm(cert.y_1.den, *(t.multiplier.den for t in cert.nilpotent_part))
+    den = lcm(cert.y_1.den, cert.nilpotent.den)
     sums = {(i, 0, 0): (-1) ** (k - i + 1) * c * den for i, c in enumerate(_binomial_row(k))}
 
     def add(q, c):
@@ -487,7 +465,7 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool:
     for (a_1, s), n in cert.y_1.orbits.items():
         by_s.setdefault(s, []).append((a_1, n))
     scale = den // cert.y_1.den
-    for j in cert.js:
+    for j in range(1, k + 1):
         for s_1, entries in by_s.items():
             s = s_1 - j + 1
             if s < 0:
@@ -501,12 +479,11 @@ def _verify_on_orbits(cert: MembershipCertificate) -> bool:
                     add((a_1, s + 1, 0) if j == 1 else (a_1, s, j), (k - 1 - s) * w)
                 if s:
                     add((a_1, s - 1, 1 + j), s * w)
-    # the row of u_1^{*(g+1)}, built once and only for a nilpotent term:
-    # with none, a file bounds no g
-    u_power = [(i, (-1) ** (g + 1 - i) * c) for i, c in enumerate(_binomial_row(g + 1))] if cert.nilpotent_part else ()
-    for t in cert.nilpotent_part:
-        scale = den // t.multiplier.den
-        for (a_1, s), n in t.multiplier.orbits.items():
+    # the row of u_1^{*(g+1)}, built once and only for a nilpotent term
+    if cert.nilpotent.orbits:
+        u_power = [(i, (-1) ** (g + 1 - i) * c) for i, c in enumerate(_binomial_row(g + 1))]
+        scale = den // cert.nilpotent.den
+        for (a_1, s), n in cert.nilpotent.orbits.items():
             w = comb(k - 1, s) * n * scale
             for i, c in u_power:
                 add((a_1 + i, s, 0), w * c)
@@ -557,8 +534,8 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
     [X^a] E_{k-N}(X), L Y_1(a, s) = (-1)^(k+1) (T_s(a) + T_{s+1}(a - 1)),
     since [X^a] c_r E_q = C(-k, r) [X^a] E_q + C(-k, r-1) [X^(a-1)] E_q;
     the table is then reduced to lowest terms.  The certificate stores Y_1
-    and j = 1..k, and ``verify_certificate`` derives each Y_j by the shift
-    with its own code, so a wrong formula or shift fails the proof.
+    alone, and ``verify_certificate`` derives each Y_j, j = 1..k, by the
+    shift with its own code, so a wrong formula or shift fails the proof.
     """
     den = lcm(*range(1, k + 1))
     binom = [comb(k, i) for i in range(k + 1)]
@@ -581,7 +558,7 @@ def _newton_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCerti
                 y_1[a, s] = sign * n
     d = gcd(den, *y_1.values())
     table = OrbitTable(k, den // d, {o: n // d for o, n in y_1.items()})
-    return MembershipCertificate(k, g, j_max, cap, tuple(range(1, k + 1)), table, ())
+    return MembershipCertificate(k, g, j_max, cap, table, OrbitTable(k, 1, {}))
 
 
 def _signed_binomials(n: int) -> list[int]:
@@ -595,13 +572,12 @@ def _signed_binomials(n: int) -> list[int]:
 
 def _nilpotent_certificate(k: int, g: int, j_max: int, cap: int) -> MembershipCertificate:
     """For k > g: u^{*k} is u_1^{*m}, m = k - g - 1, times the nilpotent
-    product u_1^{*(g+1)}, one term with a multiplier of height m and no
-    generator term.  The multiplier is the closed form
-    u_1^{*m} = sum_i C(m, i) (-1)^(m-i) {i x_1}, the table
+    product u_1^{*(g+1)}: an empty Y_1 and the nilpotent table of height m
+    from the closed form u_1^{*m} = sum_i C(m, i) (-1)^(m-i) {i x_1},
     {(i, 0): C(m, i) (-1)^(m-i)} over den 1."""
     m = k - g - 1
     u_power = OrbitTable(k, 1, {(i, 0): c for i, c in enumerate(_signed_binomials(m))})
-    return MembershipCertificate(k, g, j_max, cap, (), OrbitTable(k, 1, {}), (NilpotentTerm(u_power),))
+    return MembershipCertificate(k, g, j_max, cap, OrbitTable(k, 1, {}), u_power)
 
 
 def _certificate(k: int, g: int, j_max: int, cap: int, method: str) -> MembershipCertificate | None:

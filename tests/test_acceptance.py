@@ -169,9 +169,9 @@ def test_criterion_6_relation_certificates():
         assert elapsed < 300, f"k={k} g={g} took {elapsed:.1f}s"
         assert verify_certificate(cert), (k, g)
         if k == 2:
-            assert cert.nilpotent_part == ()
+            assert not cert.nilpotent.orbits
         assert cert.max_multiplier_height() <= cert.cap
-        assert all(j <= cert.j_max for j in cert.js)
+        assert all(j <= cert.j_max for j in cert.pushforward_indices())
     _passed(6, "certificates for k=2 (g<=6, no nilpotent part) and k=3,4 (g<=4), re-verified")
 
 

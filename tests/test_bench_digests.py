@@ -16,8 +16,8 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 DIGESTS = {
-    "window": "75e393bb0bc74514d4abc22d6e5f0d272c50375c978f6c9892d637ac6fad801c",
-    "convolution": "b8fb166750c2ae69287a536bb1d19dfecf4c0c19b9b3273c4874ba72737c772b",
+    "window": "69b1d7bad1e68aba61a0a41366f99edbaf74ac3fb20befc59fa00f3ef2afe7b6",
+    "convolution": "307efa4b7bffba51221525ac5f1683048b4d506cf6ee9d8068d749bdeaf86988",
     "tangent": "6a7e48cbf8c1295fdf42dbf4dd647a7eb9222632c94cc06f2598a62527a383ba",
 }
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from pontcalc import cli, relations
+from pontcalc import bounds, cli, relations
 from pontcalc.cli import main
 from pontcalc.cycles import SupportCapExceeded
 from pontcalc.tangent import SearchResult
@@ -180,6 +180,35 @@ def test_alpha_fail_verdicts(capsys, monkeypatch):
     code, out = run(capsys, "alpha", "--k", "4")
     assert code == 3
     assert last_json(out)["witness"]["closed_form_mismatch"] == {"l": 3, "i": 3, "value": "0/1", "expected": "-1/1"}
+
+
+def test_thresholds_check_the_closed_form(capsys):
+    # G_0..G_k entry by entry, then g_gonality, g_orbit_all, g_orbit_countable
+    code, out = run(capsys, "thresholds", "--k", "4")
+    witness = last_json(out)["witness"]
+    assert (code, witness["closed_form_checked"], witness["closed_form_mismatch"]) == (0, 8, None)
+    # with --g, the row at max_proven_k + 1 = 4, and its g_gonality > g
+    code, out = run(capsys, "thresholds", "--g", "11")
+    witness = last_json(out)["witness"]
+    assert (code, witness["closed_form_checked"], witness["closed_form_mismatch"]) == (0, 9, None)
+
+
+def test_thresholds_fail_verdicts(capsys, monkeypatch):
+    # the recurrence with one wrong entry: G_2 at k = 4 is 34, not 35
+    sequence = bounds.induction_sequence
+    monkeypatch.setattr(bounds, "induction_sequence", lambda k: [x + (l == 2) for l, x in enumerate(sequence(k))])
+    for argv in (["--k", "4"], ["--g", "11"]):
+        code, out = run(capsys, "thresholds", *argv)
+        report = last_json(out)
+        assert (code, report["verdict"]) == (3, "fail")
+        assert report["witness"]["closed_form_mismatch"] == {"k": 4, "key": "induction_G[2]", "value": 35, "expected": 34}
+    # a maximum proven degree one too small: the row above it is not above g
+    monkeypatch.undo()
+    monkeypatch.setattr(bounds, "max_proven_gonality", lambda g: 2)
+    code, out = run(capsys, "thresholds", "--g", "11")
+    assert code == 3
+    assert last_json(out)["witness"]["closed_form_mismatch"] == {"k": 3, "key": "g_gonality > g",
+                                                                 "value": False, "expected": True}
 
 
 def test_recursion_check(capsys):

@@ -538,13 +538,13 @@ def test_certificate_keys_hash_apart():
     from pontcalc.relations import verify_relation
 
     cert = verify_relation(8, 1)
-    assert not cert.nilpotent_part
+    assert not cert.nilpotent.orbits
     # each table Y_j on points: n at every point of each orbit
     # (a_1, 0^(7-s), 1^s), with Y_j(a_1, s) = (-1)^(j-1) Y_1(a_1, s + j - 1)
     multipliers = [Cycle(8, [((a_1, *(int(i in ones) for i in range(7))), (-1) ** (j - 1) * n)
                              for (a_1, s_1), n in cert.y_1.orbits.items() if s_1 >= j - 1
                              for ones in itertools.combinations(range(7), s_1 - j + 1)]).num
-                   for j in cert.js]
+                   for j in cert.pushforward_indices()]
     for keys in multipliers:
         assert len({hash(key) for key in keys}) == len(keys)
     assert sum(map(len, multipliers)) > 1000

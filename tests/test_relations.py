@@ -4,7 +4,9 @@ import hashlib
 import io
 import itertools
 import json
+import pathlib
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
@@ -25,7 +27,6 @@ from pontcalc.cycles import (
 from pontcalc.linalg import solve_columns
 from pontcalc.relations import (
     MembershipCertificate,
-    NilpotentTerm,
     NotFoundWithinCaps,
     OrbitTable,
     _newton_certificate,
@@ -59,8 +60,8 @@ def shifted(y_1, j):
 
 
 def generator_terms(cert):
-    """[(j, Y_j)] for the certificate's list of j, repeats included."""
-    return [(j, shifted(cert.y_1, j)) for j in cert.js]
+    """[(j, Y_j)] for j = 1..k, or [] for an empty Y_1."""
+    return [(j, shifted(cert.y_1, j)) for j in cert.pushforward_indices()]
 
 
 def recursion_newton_tables(k):
@@ -239,7 +240,7 @@ def test_k2_certificate_matches_hand_expansion():
 
     cert = verify_relation(2, 3)
     assert verify_certificate(cert)
-    assert cert.nilpotent_part == ()
+    assert not cert.nilpotent.orbits
     mults = dict(generator_terms(cert))
     assert expand(mults[1]) == mult1
     assert expand(mults[2]) == Cycle.unit(2).scale(Fraction(1, 2))
@@ -252,7 +253,7 @@ def test_newton_certificates_small_range():
         for g in (1, 2, 4):
             cert = verify_relation(k, g)
             assert verify_certificate(cert), (k, g)
-            assert cert.nilpotent_part == ()
+            assert not cert.nilpotent.orbits
             assert cert.max_multiplier_height() <= k - 1
             assert max(cert.pushforward_indices()) <= k
     # the certificate rule decides from these facts without building: the
@@ -264,7 +265,7 @@ def test_newton_certificates_small_range():
         assert first.max_multiplier_height() == k - 1, k
         for g, j_max, cap in [(2, 2 * k, 1), (k, k + 1, 2 * k), (k + 2, 3 * k, k)]:
             cert = _newton_certificate(k, g, j_max, cap)
-            assert (cert.js, cert.y_1) == (first.js, first.y_1), (k, g)
+            assert (cert.y_1, cert.nilpotent) == (first.y_1, first.nilpotent), (k, g)
 
 
 def test_window_method_agrees():
@@ -277,9 +278,9 @@ def test_window_uses_nilpotent_span_when_ideal_insufficient():
     # g = 1 the cube is a nilpotency-span element
     cert = verify_relation(3, 1, j_max=1, cap=2, method="window")
     assert verify_certificate(cert)
-    assert cert.nilpotent_part
-    for term in cert.to_json_dict()["nilpotent_part"]:
-        assert term["factors"] == [1, 1] and term["label"] == "u_1*u_1"
+    # one table, u_1 = {x_1} - {0}, times u_1^{*2}; the file lists no factor
+    data = cert.to_json_dict()
+    assert (data["y_1"], data["nilpotent"]) == ({"den": 1, "orbits": []}, {"den": 1, "orbits": [[0, 0, -1], [1, 0, 1]]})
 
 
 def test_not_found_within_caps():
@@ -297,22 +298,22 @@ def test_not_found_within_caps():
 # k > g pins are nilpotent certificates; (2, 3) is the Newton certificate
 # the window rule returns for j_max >= k.
 WINDOW_CERT_SHA256 = {
-    (2, 3, None): "9c57c0483b7240fc8b918bd60c97f74fbf40ebdca95f3331b7452688252b46ad",
-    (3, 1, 4): "0f14b9b7208cc9b5d6985f94c16add82c84672bc29690f2c221de3c4ad02da28",
-    (4, 1, 2): "1d087764df329e4df0f279eddc336ececc283f19a3043f95377902a4dd9324f7",
-    (4, 2, 1): "5559bfcd3a7f088d1a16cc370d5531921f1c9045014fb28b4b453595683375d6",
+    (2, 3, None): "f0916431e307a1ddc2ffece55a92ea5447c62dd127e45dcf1e1473827b72d43c",
+    (3, 1, 4): "67514c8b01b97693dd0b9a46d06e5d9c2c1701706d688e8c50c88f19986e54ee",
+    (4, 1, 2): "b1b89134600c9e723775e974253dadd03453c8385c200d6070319e5a15c82427",
+    (4, 2, 1): "e9ebe6514898f8895660f985200eee923b3778716c089d4476fa6a61fe6fb62f",
 }
 
 
 # SHA-256 of the Newton certificate text of `verify-relation --k K --g 2`
 # (method auto), pinned the same way as WINDOW_CERT_SHA256.  The file lists
-# Y_1 alone: C(k+1, 2) table entries, 300 in 30,663 bytes at k = 24 and 820
-# in 86,255 bytes at k = 40.
+# Y_1 and an empty nilpotent table: C(k+1, 2) table entries, 300 in 27,412
+# bytes at k = 24 and 820 in 77,644 bytes at k = 40.
 NEWTON_CERT_SHA256 = {
-    9: "159939c8de0c40abb31ca848e2393fb48447a099f3b16eef40f01e58665b2c27",
-    10: "82ec37e4c67bec1794697645174f7dd04d67c6ad7945431b99e956e876f40002",
-    24: "1d41fab9f2d8749b3581bf55158405e68dc36e0ef8625dd65e1ee4fad060db1d",
-    40: "2ce06f821b72b4e7f2e5120fc6509747c179c95573588186d5cab706706e13ef",
+    9: "dd29a01701d97aa4da5722670997132beb6f74b3f4e3744dee9f47f46645da0c",
+    10: "86afb97537a51606f4ea04764c46c34b871bf1e3b2f2e55f1b583db54b0efb5f",
+    24: "f1fc509c7d333a00f78efb07fa928bf5d024ad07cba237173616fc59d3295621",
+    40: "1b075affa13c5286115b06f0ad86872fcdfdec715cf887b5e2ba43670faa9b6c",
 }
 
 
@@ -373,21 +374,17 @@ def test_write_json_matches_stdlib(k, g, j_max, cap, method):
 
 
 def test_write_json_edge_cases():
-    # g = -1 gives empty factor lists and labels, and a zero table no entries
-    cert = MembershipCertificate(
-        k=2, g=-1, j_max=0, cap=0, js=(), y_1=OrbitTable(2, 1, {}),
-        nilpotent_part=(NilpotentTerm(OrbitTable(2, 1, {(1, 0): 1})), NilpotentTerm(OrbitTable(2, 1, {}))),
-    )
+    # g = -1 and j_max = cap = 0 are written as given, and an empty table
+    # as no entries
+    cert = MembershipCertificate(k=2, g=-1, j_max=0, cap=0, y_1=OrbitTable(2, 1, {}),
+                                 nilpotent=OrbitTable(2, 1, {(1, 0): 1}))
     assert written(cert) == stdlib_text(cert)
-    assert '"factors": [],' in written(cert) and '"j": [],' in written(cert)
-    assert '"label": "",' in written(cert) and '"orbits": []' in written(cert)
-    negative_j = replace(
-        verify_relation(2, 1, method="newton"), nilpotent_part=(),
-        js=(-1,), y_1=OrbitTable(2, 1, {(1, 0): -1}),
-    )
-    assert written(negative_j) == stdlib_text(negative_j)
-    assert json.loads(written(negative_j))["generators"] == {"j": [-1], "y_1": {"den": 1, "orbits": [[1, 0, -1]]}}
-    assert '"nilpotent_part": [],' in written(negative_j)
+    assert '"orbits": []' in written(cert) and '"g": -1,' in written(cert)
+    negative = replace(verify_relation(2, 1, method="newton"), y_1=OrbitTable(2, 1, {(-1, 0): -1}),
+                       nilpotent=OrbitTable(2, 3, {(-5, 1): 2}))
+    assert written(negative) == stdlib_text(negative)
+    data = json.loads(written(negative))
+    assert (data["y_1"], data["nilpotent"]) == ({"den": 1, "orbits": [[-1, 0, -1]]}, {"den": 3, "orbits": [[-5, 1, 2]]})
 
 
 @pytest.mark.parametrize(
@@ -535,21 +532,21 @@ def test_window_certificate_structure():
                     # the target u_1^{*k} already lies in J^{g+1}
                     ctx = RingContext(rank=k, geom_dim=g, support_cap=k)
                     u = augmentation_generator(k, 1)
-                    assert cert.js == () and len(cert.nilpotent_part) == 1
-                    assert expand(cert.nilpotent_part[0].multiplier) == star_power(u, k - g - 1, ctx)
+                    assert not cert.y_1.orbits and cert.pushforward_indices() == []
+                    assert expand(cert.nilpotent) == star_power(u, k - g - 1, ctx)
                 else:
                     # j_max >= k: the window certificate is the Newton one
-                    assert cert.nilpotent_part == ()
+                    assert not cert.nilpotent.orbits
                     assert max(cert.pushforward_indices()) <= min(cert.j_max, g)
                     newton = _newton_certificate(k, g, cert.j_max, cert.cap)
-                    assert (cert.js, cert.y_1) == (newton.js, newton.y_1)
+                    assert (cert.y_1, cert.nilpotent) == (newton.y_1, newton.nilpotent)
 
 
 def test_window_reaches_larger_windows():
     for k in (4, 5, 6, 7, 8):
         cert = verify_relation(k, k, method="window")
         assert verify_certificate(cert)
-        assert cert.nilpotent_part == ()
+        assert not cert.nilpotent.orbits
     with pytest.raises(NotFoundWithinCaps) as info:
         verify_relation(4, 4, j_max=3, method="window")
     assert info.value.caps_tried == [20, 40]
@@ -584,8 +581,7 @@ def window_dispatch_oracle(k, g, j_max, cap):
     if k > g:
         ctx = RingContext(rank=k, geom_dim=g, support_cap=k + g)
         u_power = star_power(augmentation_generator(k, 1), k - g - 1, ctx)
-        nil_part = (NilpotentTerm(table_of(u_power)),)
-        cert = MembershipCertificate(k, g, j_max, cap, (), OrbitTable(k, 1, {}), nil_part)
+        cert = MembershipCertificate(k, g, j_max, cap, OrbitTable(k, 1, {}), table_of(u_power))
     elif j_max >= k:
         cert = _newton_certificate(k, g, j_max, cap)
     else:
@@ -604,7 +600,7 @@ def dispatch_oracle(k, g, j_max, cap, method):
     cap = k * (g + 1) if cap is None else cap
     if method in ("auto", "newton"):
         cert = _newton_certificate(k, g, j_max, cap)
-        if cert.max_multiplier_height() <= cap and all(j <= j_max for j in cert.js):
+        if cert.max_multiplier_height() <= cap and all(j <= j_max for j in cert.pushforward_indices()):
             return cert
         if method == "newton":
             raise NotFoundWithinCaps(k, g, j_max, [cap])
@@ -651,50 +647,39 @@ def test_certificate_json_round_trip_and_tampering():
     assert again == cert
 
     tampered = json.loads(json.dumps(cert.to_json_dict()))
-    assert tampered["generators"]["y_1"]["orbits"][0] == [0, 0, 3]
-    tampered["generators"]["y_1"]["orbits"][0][2] = 5
+    assert tampered["y_1"]["orbits"][0] == [0, 0, 3]
+    tampered["y_1"]["orbits"][0][2] = 5
     assert not verify_certificate(MembershipCertificate.from_json_dict(tampered))
 
-    # j = 5 in place of j = 3 reads, and the identity fails
-    wrong_gen = json.loads(json.dumps(cert.to_json_dict()))
-    assert wrong_gen["generators"]["j"] == [1, 2, 3]
-    wrong_gen["generators"]["j"][2] = 5
-    assert not verify_certificate(MembershipCertificate.from_json_dict(wrong_gen))
+    # the Newton table moved to the nilpotent term reads, and the identity fails
+    moved = json.loads(json.dumps(cert.to_json_dict()))
+    moved["y_1"], moved["nilpotent"] = moved["nilpotent"], moved["y_1"]
+    assert not verify_certificate(MembershipCertificate.from_json_dict(moved))
 
     # a consistent identity for a target other than u^{*k} proves nothing:
     # no terms at all, or every multiplier doubled
-    empty = MembershipCertificate(k=2, g=1, j_max=1, cap=1, js=(), y_1=OrbitTable(2, 1, {}), nilpotent_part=())
+    empty = MembershipCertificate(k=2, g=1, j_max=1, cap=1, y_1=OrbitTable(2, 1, {}), nilpotent=OrbitTable(2, 1, {}))
     assert not verify_certificate(empty)
     assert not verify_certificate(replace(cert, y_1=scaled(cert.y_1, 2)))
+
+
+def test_readme_y_1_excerpt_is_what_verify_relation_writes():
+    # the README's k = 3 excerpt is parsed, so it cannot drift from the file
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    excerpt = re.search(r"Y_1 of the k = 3 Newton\s+certificate is\s+```json\n(.*?)\n```", readme, re.S)
+    assert json.loads(excerpt.group(1)) == json.loads(written(verify_relation(3, 2)))["y_1"]
 
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_closed_form_writer_matches_the_cycles(k):
     # the target is written from its closed form; it must be the cycle's own
-    # JSON.  The generator terms are the list of j and Y_1, for every j a
-    # document can name: no (m_j)_* h is written, so none is built
+    # JSON.  No (m_j)_* h and no u_1^{*(g+1)} is written, so none is built
     ctx = RingContext(rank=k, geom_dim=1, support_cap=k)
-    js = sorted([*range(-3, 2 * k + 1), 2**46 - 1, 1 - 2**46, 2**46, -(2**46), 2**80])
-    cert = MembershipCertificate(k, 1, 2**46, 1, tuple(js), OrbitTable(k, 1, {}), ())
+    cert = MembershipCertificate(k, 1, 2**46, 1, OrbitTable(k, 1, {}), OrbitTable(k, 1, {}))
     data = cert.to_json_dict()
     assert data["target"] == star_power(augmentation_generator(k, 1), k, ctx).to_json_dict()
-    assert data["generators"] == {"j": js, "y_1": {"den": 1, "orbits": []}}
+    assert data["y_1"] == data["nilpotent"] == {"den": 1, "orbits": []}
     assert MembershipCertificate.from_json_dict(json.loads(written(cert))) == cert
-
-
-def test_j_past_the_digit_range_reads_and_fails_to_verify():
-    # (m_j)_* h at j = 2**80 leaves the digit range; the file does not list
-    # it, so the document reads, and the verifier, which bounds j by
-    # min(j_max, 2**46 - 1), rejects it
-    cert = verify_relation(3, 2)
-    data = json.loads(written(cert))
-    data["j_max"] = 2**81
-    data["generators"]["j"][2] = 2**80
-    with pytest.raises(ValueError):
-        pushed_hypothesis(3, 2**80)
-    big_j = MembershipCertificate.from_json_dict(data)
-    assert big_j.js == (1, 2, 2**80)
-    assert verify_certificate(big_j) is False
 
 
 def test_closed_form_writer_builds_no_cycle(monkeypatch):
@@ -705,7 +690,7 @@ def test_closed_form_writer_builds_no_cycle(monkeypatch):
     assert [written(cert) for cert in certs] == texts
     for k in (0, -1):
         with pytest.raises(ValueError):
-            MembershipCertificate(k, 1, 1, 1, (), OrbitTable(1, 1, {}), ()).to_json_dict()
+            MembershipCertificate(k, 1, 1, 1, OrbitTable(1, 1, {}), OrbitTable(1, 1, {})).to_json_dict()
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -718,7 +703,7 @@ def test_written_certificates_read_back_equal(k):
             continue
         certs[written(cert)] = cert
     # g = 1 gives a nilpotent certificate, g = 3 >= k - 1 a Newton one
-    assert {bool(cert.nilpotent_part) for cert in certs.values()} == {True, False}
+    assert {bool(cert.nilpotent.orbits) for cert in certs.values()} == {True, False}
     for text, cert in certs.items():
         again = MembershipCertificate.from_json_dict(json.loads(text))
         assert again == cert and verify_certificate(again)
@@ -728,12 +713,11 @@ def test_certificate_reader_takes_only_json_integers():
     data = verify_relation(3, 2).to_json_dict()
     assert verify_certificate(MembershipCertificate.from_json_dict(data))
     half_point = json.loads(json.dumps(data))
-    half_point["generators"]["y_1"]["orbits"][0][0] = 0.5
+    half_point["y_1"]["orbits"][0][0] = 0.5
     fractional_k = dict(data, k=3.9)
     bool_cap = dict(data, cap=True)
-    float_j = json.loads(json.dumps(data))
-    float_j["generators"]["j"][0] = 1.0
-    for bad in (half_point, fractional_k, bool_cap, float_j):
+    float_j_max = dict(data, j_max=6.0)
+    for bad in (half_point, fractional_k, bool_cap, float_j_max):
         with pytest.raises(ValueError, match="is not an integer"):
             MembershipCertificate.from_json_dict(bad)
 
@@ -763,12 +747,12 @@ def _term(data):
 
 def _table(data):
     """The table Y_1 of a certificate document."""
-    return data["generators"]["y_1"]
+    return data["y_1"]
 
 
 def _nil(data):
-    """The first nilpotent table of a certificate document."""
-    return data["nilpotent_part"][0]["multiplier"]
+    """The nilpotent table of a certificate document."""
+    return data["nilpotent"]
 
 
 def _entry(data, index, position, value):
@@ -780,11 +764,24 @@ def _as_cycle(k, table):
     return expand(OrbitTable(k, table["den"], {(a_1, s): n for a_1, s, n in table["orbits"]})).to_json_dict()
 
 
+def _as_version_5(data):
+    """The document as version 5 wrote it: Y_1 beside its list of j, 1..k or
+    empty, under ``"generators"``, and a list of nilpotent terms, empty or
+    one term with its label and its factors, u_1 taken g + 1 times."""
+    data["version"] = 5
+    k, g, y_1, nilpotent = data["k"], data["g"], data.pop("y_1"), data.pop("nilpotent")
+    data["generators"] = {"j": list(range(1, k + 1)) if y_1["orbits"] else [], "y_1": y_1}
+    data["nilpotent_part"] = [{"label": "*".join(["u_1"] * (g + 1)), "factors": [1] * (g + 1),
+                               "multiplier": nilpotent}] if nilpotent["orbits"] else []
+
+
 def _as_version_4(data):
     """The document as version 4 wrote it: a term per j, with its label and
     its table Y_j, the shift of Y_1 in lowest terms."""
+    _as_version_5(data)
     data["version"] = 4
-    y_1 = OrbitTable(data["k"], _table(data)["den"], {(a_1, s): n for a_1, s, n in _table(data)["orbits"]})
+    table = data["generators"]["y_1"]
+    y_1 = OrbitTable(data["k"], table["den"], {(a_1, s): n for a_1, s, n in table["orbits"]})
     data["generators"] = [{"label": f"(m_{j})*h", "j": j, "multiplier": shifted(y_1, j).to_json_dict()}
                           for j in data["generators"]["j"]]
 
@@ -816,16 +813,17 @@ def _as_version_1(data):
 
 # Each edit of a written certificate's document makes the reader raise
 # ValueError.  The document is the Newton certificate for k = 3, g = 2 at
-# half weight plus half of u_1^{*3} as the nilpotent term u_1*u_1*u_1, so
-# that it has both kinds of term and still verifies.  Every multiplier is a
-# table; the cycle cases edit the target.
+# half weight plus half of u_1^{*3} as the nilpotent table, so that it has
+# both kinds of term and still verifies.  Every multiplier is a table; the
+# cycle cases edit the target.  Version 6 lists no j, no label and no
+# factor list: the cases named after them add one back, and each is refused.
 TAMPERED_DOCUMENTS = {
     "format-other": lambda data: data.update(format="not-a-certificate"),
     "format-missing": lambda data: data.pop("format"),
     "version-float": lambda data: data.update(version=7.5),
     "version-float-one": lambda data: data.update(version=1.0),
     "version-bool": lambda data: data.update(version=True),
-    "version-other": lambda data: data.update(version=6),
+    "version-other": lambda data: data.update(version=7),
     "version-missing": lambda data: data.pop("version"),
     "format-and-version-missing": lambda data: (data.pop("format"), data.pop("version")),
     # version 1 listed every point of a multiplier, and is not read
@@ -838,22 +836,26 @@ TAMPERED_DOCUMENTS = {
     "version-3-document": _as_version_3,
     # version 4 listed a table per j, and is not read
     "version-4-document": _as_version_4,
+    # version 5 listed the j, the labels and the factor lists, and is not read
+    "version-5-document": _as_version_5,
     # nor is a document with an (m_j)_* h added back, of its own j or another
-    "generator-cycle-extra": lambda data: data["generators"].update(generator=pushed_hypothesis(3, 1).to_json_dict()),
-    "generator-of-other-j": lambda data: data["generators"].update(generator=pushed_hypothesis(3, 2).to_json_dict()),
-    # the generator terms have no label: one of any kind is an extra key
-    # (json.loads reads a bare NaN as a float)
-    "label-nan": lambda data: data["generators"].update(label=float("nan")),
-    "label-int": lambda data: data["generators"].update(label=1),
-    "label-null": lambda data: data["generators"].update(label=None),
-    "label-other-j": lambda data: data["generators"].update(label="(m_2)*h"),
-    # labels and the target follow from k and the factors
-    "nilpotent-label-other": lambda data: data["nilpotent_part"][0].update(label="anything"),
-    "nilpotent-label-missing": lambda data: data["nilpotent_part"][0].pop("label"),
-    # the factors are u_1 taken g + 1 times, with the label to match
-    "factors-other": lambda data: data["nilpotent_part"][0].update(factors=[1, 2, 1], label="u_1*u_2*u_1"),
-    "factors-short": lambda data: data["nilpotent_part"][0].update(factors=[1, 1], label="u_1*u_1"),
-    "factors-long": lambda data: data["nilpotent_part"][0].update(factors=[1] * 4, label="u_1*u_1*u_1*u_1"),
+    "generator-cycle-extra": lambda data: _table(data).update(generator=pushed_hypothesis(3, 1).to_json_dict()),
+    "generator-of-other-j": lambda data: _table(data).update(generator=pushed_hypothesis(3, 2).to_json_dict()),
+    # a table has no label: one of any kind is an extra key (json.loads reads
+    # a bare NaN as a float)
+    "label-nan": lambda data: _table(data).update(label=float("nan")),
+    "label-int": lambda data: _table(data).update(label=1),
+    "label-null": lambda data: _table(data).update(label=None),
+    "label-other-j": lambda data: _table(data).update(label="(m_2)*h"),
+    "nilpotent-label-other": lambda data: _nil(data).update(label="anything"),
+    # a version-5 nilpotent term, here without its label, in place of the table
+    "nilpotent-label-missing": lambda data: data.update(nilpotent=[{"factors": [1, 1, 1], "multiplier": _nil(data)}]),
+    # the factors are u_1 taken g + 1 times and are not listed: a factor list
+    # of any length or type is an extra key
+    "factors-other": lambda data: _nil(data).update(factors=[1, 2, 1]),
+    "factors-short": lambda data: _nil(data).update(factors=[1, 1]),
+    "factors-long": lambda data: _nil(data).update(factors=[1] * 4),
+    "factors-missing": lambda data: data.update(nilpotent={"label": "u_1*u_1*u_1", "multiplier": _nil(data)}),
     "target-coeff": lambda data: _set_coeff(data["target"], 0, "2/1"),
     "target-zero": lambda data: data.update(target={"rank": 3, "terms": []}),
     "target-rank-other": lambda data: data["target"].update(rank=4),
@@ -861,24 +863,24 @@ TAMPERED_DOCUMENTS = {
     "target-and-multipliers-doubled": lambda data: (
         _double(data["target"]), _double_table(_nil(data)), _double_table(_table(data))
     ),
-    # the j list is strictly increasing: no j twice, none out of order
-    "j-other": lambda data: data["generators"]["j"].__setitem__(0, 2),
-    "j-unsorted": lambda data: data["generators"]["j"].reverse(),
+    # the j are 1..k and are not listed: a j list, right or wrong, is an
+    # extra key, and so is version 5's generators object
+    "j-other": lambda data: _table(data).update(j=[1, 2, 3]),
+    "j-unsorted": lambda data: data.update(j=[3, 2, 1]),
+    "j-missing": lambda data: data.update(generators={"y_1": data.pop("y_1")}),
     # missing and extra keys
-    "generators-missing": lambda data: data.pop("generators"),
-    "nilpotent-part-missing": lambda data: data.pop("nilpotent_part"),
+    "generators-missing": lambda data: data.pop("y_1"),
+    "nilpotent-part-missing": lambda data: data.pop("nilpotent"),
     "target-missing": lambda data: data.pop("target"),
     "k-missing": lambda data: data.pop("k"),
-    "j-missing": lambda data: data["generators"].pop("j"),
-    "multiplier-missing": lambda data: data["generators"].pop("y_1"),
-    "factors-missing": lambda data: data["nilpotent_part"][0].pop("factors"),
+    "multiplier-missing": lambda data: data.update(generators={"j": [1, 2, 3], "y_1": data.pop("y_1")}),
     "coeff-missing": lambda data: _term(data).pop("coeff"),
     "rank-missing": lambda data: data["target"].pop("rank"),
     "den-missing": lambda data: _table(data).pop("den"),
     "orbits-missing": lambda data: _table(data).pop("orbits"),
     "key-extra": lambda data: data.update(note="extra"),
-    "term-key-extra": lambda data: data["generators"].update(note="extra"),
-    "nilpotent-key-extra": lambda data: data["nilpotent_part"][0].update(note="extra"),
+    "term-key-extra": lambda data: data["target"]["terms"][-1].update(note="extra"),
+    "nilpotent-key-extra": lambda data: _nil(data).update(multiplier=dict(_nil(data))),
     "cycle-key-extra": lambda data: data["target"].update(note="extra"),
     "cycle-term-key-extra": lambda data: _term(data).update(note=0),
     "table-key-extra": lambda data: _table(data).update(note="extra"),
@@ -886,8 +888,8 @@ TAMPERED_DOCUMENTS = {
     # a bool or a float in place of an int
     "k-bool": lambda data: data.update(k=True),
     "g-float": lambda data: data.update(g=2.0),
-    "j-bool": lambda data: data["generators"]["j"].__setitem__(0, True),
-    "factors-bool": lambda data: data["nilpotent_part"][0].update(factors=[True, 1, 1]),
+    "j-bool": lambda data: data.update(j=[True, 2, 3]),
+    "factors-bool": lambda data: _nil(data).update(factors=[True, 1, 1]),
     "target-point-bool": lambda data: _term(data)["point"].__setitem__(0, False),
     "target-rank-float": lambda data: data["target"].update(rank=3.0),
     "multiplier-point-bool": lambda data: _nil(data)["orbits"][0].__setitem__(0, False),
@@ -901,17 +903,17 @@ TAMPERED_DOCUMENTS = {
     "den-bool": lambda data: _table(data).update(den=True),
     "nilpotent-den-float": lambda data: _nil(data).update(den=2.0),
     # shapes that are not the certificate's
-    "generators-int": lambda data: data.update(generators=5),
-    "nilpotent-part-int": lambda data: data.update(nilpotent_part=5),
-    "generator-term-str": lambda data: data["generators"]["j"].__setitem__(0, "(m_1)*h"),
-    "generators-list": lambda data: data.update(generators=[data["generators"]]),
-    "j-int": lambda data: data["generators"].update(j=3),
-    "factors-int": lambda data: data["nilpotent_part"][0].update(factors=3),
+    "generators-int": lambda data: data.update(y_1=5),
+    "nilpotent-part-int": lambda data: data.update(nilpotent=5),
+    "generator-term-str": lambda data: _entry(data, 0, 0, "(m_1)*h"),
+    "generators-list": lambda data: data.update(y_1=[_table(data)]),
+    "j-int": lambda data: data.update(j=3),
+    "factors-int": lambda data: _nil(data).update(factors=3),
     "terms-int": lambda data: data["target"].update(terms=5),
     "terms-int-entry": lambda data: data["target"].update(terms=[5]),
     "point-int": lambda data: _term(data).update(point=5),
-    "nilpotent-multiplier-cycle": lambda data: data["nilpotent_part"][0].update(multiplier=_as_cycle(3, _nil(data))),
-    "multiplier-list": lambda data: data["generators"].update(y_1=[]),
+    "nilpotent-multiplier-cycle": lambda data: data.update(nilpotent=_as_cycle(3, _nil(data))),
+    "multiplier-list": lambda data: data.update(nilpotent=[]),
     "orbits-int": lambda data: _table(data).update(orbits=5),
     "orbits-int-entry": lambda data: _table(data).update(orbits=[5]),
     "orbits-dict": lambda data: _table(data).update(orbits={"0": [0, 3]}),
@@ -957,7 +959,7 @@ def canonical(k, values):
 def tamper_base():
     cert = verify_relation(3, 2)
     half = Fraction(1, 2)
-    return replace(cert, y_1=scaled(cert.y_1, half), nilpotent_part=(NilpotentTerm(OrbitTable(3, 2, {(0, 0): 1})),))
+    return replace(cert, y_1=scaled(cert.y_1, half), nilpotent=OrbitTable(3, 2, {(0, 0): 1}))
 
 
 @pytest.mark.parametrize("tamper", list(TAMPERED_DOCUMENTS.values()), ids=list(TAMPERED_DOCUMENTS))
@@ -965,8 +967,7 @@ def test_certificate_reader_checks_format_version_and_labels(tamper):
     cert = tamper_base()
     data = json.loads(written(cert))
     assert _table(data) == {"den": 12, "orbits": [[0, 0, 3], [0, 1, 3], [0, 2, 2], [1, 0, -6], [1, 1, -1], [2, 0, 3]]}
-    assert data["nilpotent_part"] == [{"factors": [1, 1, 1], "label": "u_1*u_1*u_1",
-                                       "multiplier": {"den": 2, "orbits": [[0, 0, 1]]}}]
+    assert _nil(data) == {"den": 2, "orbits": [[0, 0, 1]]}
     assert MembershipCertificate.from_json_dict(data) == cert
     assert verify_certificate(cert)
     tamper(data)
@@ -974,12 +975,12 @@ def test_certificate_reader_checks_format_version_and_labels(tamper):
         MembershipCertificate.from_json_dict(data)
 
 
-NO_GENERATORS = {"j": [], "y_1": {"den": 1, "orbits": []}}
+EMPTY_TABLE = {"den": 1, "orbits": []}
 BIG_K_EDITS = {
     "with-generators": lambda data: None,
-    "no-generators": lambda data: data.update(generators=NO_GENERATORS),
+    "no-generators": lambda data: data.update(y_1=EMPTY_TABLE),
     # a target of rank k but without its k + 1 terms
-    "empty-target-of-rank-k": lambda data: data.update(generators=NO_GENERATORS, target={"rank": 2000, "terms": []}),
+    "empty-target-of-rank-k": lambda data: data.update(y_1=EMPTY_TABLE, target={"rank": 2000, "terms": []}),
 }
 
 
@@ -1011,26 +1012,26 @@ def test_trivial_nilpotent_certificate_k2_g1():
         g=1,
         j_max=2,
         cap=2,
-        js=(),
         y_1=OrbitTable(2, 1, {}),
-        nilpotent_part=(NilpotentTerm(OrbitTable(2, 1, {(0, 0): 1})),),
+        nilpotent=OrbitTable(2, 1, {(0, 0): 1}),
     )
     assert verify_certificate(cert)
-    # at g = 2 the same multiplier times u_1^{*3} is not u^{*2}
+    # at g = 2 the same multiplier times u_1^{*3} is not u^{*2}, and g >= k
+    # is refused before it is tried
     assert not verify_certificate(replace(cert, g=2))
 
 
 def test_wrong_rank_multipliers_are_rejected():
     # the reader rejects a file's table with an orbit of another rank than k
     data = verify_relation(3, 2, method="newton").to_json_dict()
-    data["generators"]["y_1"]["orbits"].append([0, 3, 1])
+    data["y_1"]["orbits"].append([0, 3, 1])
     with pytest.raises(ValueError, match="k = 3"):
         MembershipCertificate.from_json_dict(data)
 
     nil = verify_relation(3, 1, j_max=1, cap=2, method="window")
     data = nil.to_json_dict()
-    assert data["nilpotent_part"] and data["generators"] == NO_GENERATORS
-    data["nilpotent_part"][0]["multiplier"]["orbits"].append([0, 3, 1])
+    assert data["nilpotent"]["orbits"] and data["y_1"] == EMPTY_TABLE
+    data["nilpotent"]["orbits"].append([0, 3, 1])
     with pytest.raises(ValueError, match="k = 3"):
         MembershipCertificate.from_json_dict(data)
 
@@ -1038,7 +1039,7 @@ def test_wrong_rank_multipliers_are_rejected():
     cert = verify_relation(3, 2, method="newton")
     short = replace(cert, y_1=OrbitTable(2, 1, {(0, 0): 1}))
     assert verify_certificate(short) is False
-    other_k = replace(nil, nilpotent_part=(NilpotentTerm(OrbitTable(4, 1, {(1, 0): 1, (0, 0): -1})),))
+    other_k = replace(nil, nilpotent=OrbitTable(4, 1, {(1, 0): 1, (0, 0): -1}))
     assert verify_certificate(other_k) is False
 
 
@@ -1101,16 +1102,15 @@ def table_of(cycle):
 def expansion_oracle(cert):
     """Every term convolved out on points and summed: the full expansion,
     kept here as an oracle for the orbit proof.  Each table is expanded onto
-    points and each nilpotent product u_1^{*(g+1)} built from its factors."""
+    points and the nilpotent product u_1^{*(g+1)} built factor by factor."""
     ctx = RingContext(rank=cert.k, geom_dim=1, support_cap=4 * cert.k)
     total = Cycle.zero(cert.k)
     for j, table in generator_terms(cert):
         total = total + pontryagin(expand(table), pushed_hypothesis(cert.k, j), ctx)
-    for t in cert.nilpotent_part:
-        product = Cycle.unit(cert.k)
-        for _ in range(cert.g + 1):
-            product = pontryagin(product, augmentation_generator(cert.k, 1), ctx)
-        total = total + pontryagin(expand(t.multiplier), product, ctx)
+    product = Cycle.unit(cert.k)
+    for _ in range(cert.g + 1):
+        product = pontryagin(product, augmentation_generator(cert.k, 1), ctx)
+    total = total + pontryagin(expand(cert.nilpotent), product, ctx)
     return total == star_power(augmentation_generator(cert.k, 1), cert.k, ctx)
 
 
@@ -1134,8 +1134,8 @@ def with_entry_raised(table):
 def test_orbit_and_full_verification_agree(k, monkeypatch):
     certs = [verify_relation(k, g, method=method)
              for g, method in itertools.product(range(1, 4), ("auto", "newton", "window"))]
-    newton = [cert for cert in certs if not cert.nilpotent_part]
-    nilpotent = [cert for cert in certs if cert.nilpotent_part]
+    newton = [cert for cert in certs if not cert.nilpotent.orbits]
+    nilpotent = [cert for cert in certs if cert.nilpotent.orbits]
     assert newton and nilpotent
     reloaded = [MembershipCertificate.from_json_dict(cert.to_json_dict()) for cert in certs]
     for cert, again in zip(certs, reloaded):
@@ -1145,8 +1145,7 @@ def test_orbit_and_full_verification_agree(k, monkeypatch):
         assert expansion_oracle(cert)
     # one entry of one table changed: both proofs reject it
     bad = [replace(newton[0], y_1=with_entry_raised(newton[0].y_1))]
-    bad += [replace(cert, nilpotent_part=(NilpotentTerm(with_entry_raised(cert.nilpotent_part[0].multiplier)),))
-            for cert in nilpotent]
+    bad += [replace(cert, nilpotent=with_entry_raised(cert.nilpotent)) for cert in nilpotent]
     for cert in bad:
         assert relations._verify_on_orbits(cert) is False
         assert not expansion_oracle(cert)
@@ -1246,82 +1245,108 @@ def test_other_factor_lists_are_rejected_by_the_reader(k):
     # half the Newton certificate plus half the nilpotent one, u_1^{*(k-2)}
     # times u_1 * u_1 at g = 1, is proved on orbits; the same document with
     # Z * u_1 * u_2 - Z * u_2 * u_1 added, which is zero for any Z, is not a
-    # certificate: a nilpotent term's factors are u_1 taken g + 1 times
+    # certificate: its one nilpotent term is u_1 taken g + 1 times, and a
+    # version-5 list of terms with other factors is an extra key
     half = Fraction(1, 2)
     newton = verify_relation(k, 1, method="newton")
-    nilpotent = verify_relation(k, 1, method="window").nilpotent_part[0]
-    mixed = replace(newton, y_1=scaled(newton.y_1, half),
-                    nilpotent_part=(NilpotentTerm(scaled(nilpotent.multiplier, half)),))
+    nilpotent = verify_relation(k, 1, method="window").nilpotent
+    mixed = replace(newton, y_1=scaled(newton.y_1, half), nilpotent=scaled(nilpotent, half))
     assert expansion_oracle(mixed) and verify_certificate(mixed) is True
-    assert not expansion_oracle(replace(mixed, nilpotent_part=()))
-    assert verify_certificate(replace(mixed, nilpotent_part=())) is False
+    assert not expansion_oracle(replace(mixed, nilpotent=OrbitTable(k, 1, {})))
+    assert verify_certificate(replace(mixed, nilpotent=OrbitTable(k, 1, {}))) is False
     data = json.loads(written(mixed))
     assert MembershipCertificate.from_json_dict(data) == mixed
     z = {"den": 1, "orbits": [[0, 1, 1]]}
-    data["nilpotent_part"] += [{"factors": [1, 2], "label": "u_1*u_2", "multiplier": z},
-                               {"factors": [2, 1], "label": "u_2*u_1", "multiplier": dict(z, orbits=[[0, 1, -1]])}]
+    data["nilpotent_part"] = [{"factors": [1, 2], "label": "u_1*u_2", "multiplier": z},
+                              {"factors": [2, 1], "label": "u_2*u_1", "multiplier": dict(z, orbits=[[0, 1, -1]])}]
     with pytest.raises(ValueError):
         MembershipCertificate.from_json_dict(data)
 
 
 def test_term_checks_reject_malformed_terms():
     nil = verify_relation(3, 1, j_max=1, cap=2, method="window")
-    assert nil.nilpotent_part and not nil.js
-    term = nil.nilpotent_part[0]
-    assert term.multiplier == OrbitTable(3, 1, {(0, 0): -1, (1, 0): 1})
+    assert nil.pushforward_indices() == [] and not nil.y_1.orbits
+    assert nil.nilpotent == OrbitTable(3, 1, {(0, 0): -1, (1, 0): 1})
     # the factors follow from g: u_1^{*2} at g = 0 (no nilpotency order),
-    # u_1^{*4} at g = 3
+    # u_1^{*4} at g = 3 = k
     for g in (0, 3):
         assert verify_certificate(replace(nil, g=g)) is False
     # the multiplier of height 1 above a cap of 0
     assert verify_certificate(replace(nil, cap=0)) is False
 
 
-def test_malformed_fields_are_rejected_not_raised():
+def test_malformed_fields_are_rejected_not_raised(monkeypatch):
     cert = verify_relation(3, 2)
     assert verify_certificate(cert)
     # k = 0 has no x_1 to build the target from; g = 0 has no nilpotency order
     assert verify_certificate(replace(cert, k=0)) is False
     assert verify_certificate(replace(cert, g=0)) is False
-    # j within j_max, but (m_j)_* h leaves the digit range |c| < 2**46
-    big_j = replace(cert, j_max=2**47, js=(1, 2, 2**46))
-    assert verify_certificate(big_j) is False
+    # j = k within j_max, but (m_k)_* h would leave the digit range
+    # |c| < 2**46: refused before the target or any row is built
+    big_k = OrbitTable(2**46, 1, {(0, 0): 1})
+    rows = counted_rows(monkeypatch)
+    assert verify_certificate(MembershipCertificate(2**46, 1, 2**47, 1, big_k, OrbitTable(2**46, 1, {}))) is False
+    assert rows == []
+    monkeypatch.undo()
     # an orbit within the cap whose product with (m_j)_* h has the
     # coordinate 2**46 - 1 + j, outside the digit range: the orbit proof
-    # rejects it, with a nilpotent term of multiplier zero added too,
-    # without raising
+    # rejects it, with a nilpotent term added too, without raising
     far = canonical(3, {**{o: Fraction(n, cert.y_1.den) for o, n in cert.y_1.orbits.items()}, (2**46 - 1, 0): 1})
     far_product = replace(cert, cap=2**47, y_1=far)
     assert relations._verify_on_orbits(far_product) is False
     assert verify_certificate(far_product) is False
-    mixed = replace(far_product, nilpotent_part=(NilpotentTerm(OrbitTable(3, 1, {})),))
+    mixed = replace(far_product, nilpotent=OrbitTable(3, 1, {(0, 0): 1}))
     assert verify_certificate(mixed) is False
 
 
-def test_certificate_reader_bounds_g_by_the_factor_lists():
-    # a nilpotent document whose g is far above its factor lists is rejected
-    # before a factor list or a label is derived from g
+def counted_rows(monkeypatch):
+    """The arguments of every ``_binomial_row`` call from now on.  A row
+    longer than any test needs fails at once instead of being built."""
+    calls = []
+    row = relations._binomial_row
+
+    def counted(n):
+        calls.append(n)
+        assert n < 10**4, f"a binomial row of length {n + 1} was asked for"
+        return row(n)
+
+    monkeypatch.setattr(relations, "_binomial_row", counted)
+    return calls
+
+
+def test_nilpotent_tables_need_g_below_k(monkeypatch):
+    # a nilpotent table with g >= k gives False before the row of
+    # u_1^{*(g+1)}, or any row, is built, so the k a file bounds bounds g
+    # too: a nilpotent document at g = 2**40 reads, and fails at once
     data = dict(json.loads(written(verify_relation(3, 1, j_max=1, cap=2, method="window"))), g=2**40)
-    with pytest.raises(ValueError, match="g \\+ 1 = "):
-        MembershipCertificate.from_json_dict(data)
+    cert = MembershipCertificate.from_json_dict(data)
+    calls = counted_rows(monkeypatch)
+    assert verify_certificate(cert) is False
+    # and so does a certificate built in memory with g = 500 at k = 3
+    assert verify_certificate(replace(cert, g=500)) is False
+    assert calls == []
     # with no nilpotent term nothing is derived from g: the Newton
     # certificate holds for every g, and reads and verifies at this one
     newton = dict(json.loads(written(verify_relation(3, 2))), g=2**40)
     assert verify_certificate(MembershipCertificate.from_json_dict(newton)) is True
+    assert calls[-1:] == [3]
 
 
 def test_nilpotent_binomial_rows_are_built_once(monkeypatch):
     # the signed rows of u_1^{*(g+1)} and u^{*k} come from a recurrence, so
-    # g leaves the number of binomials computed unchanged
+    # g leaves the number of binomials computed unchanged, and each row is
+    # built once
     calls = []
     monkeypatch.setattr(relations, "comb", lambda n, i: calls.append((n, i)) or comb(n, i))
+    rows = counted_rows(monkeypatch)
     counts = []
-    for g in (50, 500):
+    for g in (5, 50):
         calls.clear()
-        cert = MembershipCertificate(3, g, 3, 3, (), OrbitTable(3, 1, {}),
-                                     (NilpotentTerm(OrbitTable(3, 1, {(0, 0): 1})),))
+        rows.clear()
+        cert = MembershipCertificate(60, g, 60, 60, OrbitTable(60, 1, {}), OrbitTable(60, 1, {(0, 0): 1}))
         assert verify_certificate(cert) is False
         counts.append(len(calls))
+        assert rows == [60, g + 1]
     assert counts[0] == counts[1] <= 1
     # one multiplier u_1^{*m} with m = k - g - 1 still proves u^{*k}
     assert verify_certificate(verify_relation(12, 3, cap=8, method="window"))
@@ -1329,12 +1354,13 @@ def test_nilpotent_binomial_rows_are_built_once(monkeypatch):
 
 def test_mixed_certificates_cost_their_tables_not_their_points(monkeypatch):
     # a certificate with both kinds of term is proved on orbits too, and
-    # builds no point: one zero nilpotent table next to the k = 14 Newton
-    # certificate, and a k = 30 table whose one entry (0, 14) stands for
-    # C(29, 14) = 77558760 points
-    cert = replace(verify_relation(14, 14), nilpotent_part=(NilpotentTerm(OrbitTable(14, 1, {})),))
-    far = MembershipCertificate(30, 1, 30, 30, (1,), OrbitTable(30, 1, {(0, 14): 1}),
-                                (NilpotentTerm(OrbitTable(30, 1, {})),))
+    # builds no point: half the k = 14 Newton certificate plus half the
+    # nilpotent one at g = 13, and a k = 30 table whose one entry (0, 14)
+    # stands for C(29, 14) = 77558760 points
+    newton, nilpotent = verify_relation(14, 13, method="newton"), verify_relation(14, 13, method="window")
+    half = Fraction(1, 2)
+    cert = replace(newton, y_1=scaled(newton.y_1, half), nilpotent=scaled(nilpotent.nilpotent, half))
+    far = MembershipCertificate(30, 1, 30, 30, OrbitTable(30, 1, {(0, 14): 1}), OrbitTable(30, 1, {(0, 0): 1}))
     monkeypatch.setattr(relations, "Cycle", None)
     monkeypatch.setattr(relations, "pontryagin", None)
     assert verify_certificate(cert) is True
@@ -1347,16 +1373,51 @@ def test_newton_multipliers_are_signed_shifts_of_the_first(k):
     # Y_1, Y_j(a, s) = (-1)^(j-1) Y_1(a, s + j - 1), exactly
     oracle = recursion_newton_tables(k)
     cert = _newton_certificate(k, 1, k, k - 1)
-    assert cert.js == tuple(oracle) == tuple(range(1, k + 1))
+    assert cert.pushforward_indices() == list(oracle) == list(range(1, k + 1))
     assert cert.y_1 == oracle[1]
     assert dict(generator_terms(cert)) == oracle
 
 
-# SHA-256 of the version-4 text of the WINDOW_CERT_SHA256 and
-# NEWTON_CERT_SHA256 certificates: a version-5 document with a term per j,
-# its label "(m_j)*h" and its table Y_j, the shift of Y_1 in lowest terms,
-# in place of the list of j and Y_1, and its version set to 4, is that
-# text.  These are the pins that version 4 wrote.
+# SHA-256 of the version-5 text of the WINDOW_CERT_SHA256 and
+# NEWTON_CERT_SHA256 certificates: a version-6 document with Y_1 under
+# "generators" beside its list of j, 1..k or none, a list of nilpotent
+# terms, each with its label "u_1*...*u_1" and its factors, u_1 taken
+# g + 1 times, in place of the nilpotent table, and its version set to 5,
+# is that text.  These are the pins that version 5 wrote.
+WINDOW_CERT_V5_SHA256 = {
+    (2, 3, None): "9c57c0483b7240fc8b918bd60c97f74fbf40ebdca95f3331b7452688252b46ad",
+    (3, 1, 4): "0f14b9b7208cc9b5d6985f94c16add82c84672bc29690f2c221de3c4ad02da28",
+    (4, 1, 2): "1d087764df329e4df0f279eddc336ececc283f19a3043f95377902a4dd9324f7",
+    (4, 2, 1): "5559bfcd3a7f088d1a16cc370d5531921f1c9045014fb28b4b453595683375d6",
+}
+NEWTON_CERT_V5_SHA256 = {
+    9: "159939c8de0c40abb31ca848e2393fb48447a099f3b16eef40f01e58665b2c27",
+    10: "82ec37e4c67bec1794697645174f7dd04d67c6ad7945431b99e956e876f40002",
+    24: "1d41fab9f2d8749b3581bf55158405e68dc36e0ef8625dd65e1ee4fad060db1d",
+    40: "2ce06f821b72b4e7f2e5120fc6509747c179c95573588186d5cab706706e13ef",
+}
+
+
+@pytest.mark.parametrize(
+    "args, pin",
+    [((k, g, cap, "window"), sha) for (k, g, cap), sha in WINDOW_CERT_V5_SHA256.items()]
+    + [((k, 2, None, "auto"), sha) for k, sha in NEWTON_CERT_V5_SHA256.items()],
+)
+def test_version_6_is_version_5_with_lists_dropped(args, pin):
+    k, g, cap, method = args
+    data = verify_relation(k, g, cap=cap, method=method).to_json_dict()
+    _as_version_5(data)
+    text = json.dumps(data, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pin
+    # and the version-5 document is not read
+    with pytest.raises(ValueError):
+        MembershipCertificate.from_json_dict(data)
+
+
+# SHA-256 of the version-4 text of the same certificates: a version-5
+# document with a term per j, its label "(m_j)*h" and its table Y_j, the
+# shift of Y_1 in lowest terms, in place of the list of j and Y_1, and its
+# version set to 4, is that text.  These are the pins that version 4 wrote.
 WINDOW_CERT_V4_SHA256 = {
     (2, 3, None): "abea508d6831d1d208d5ebc8046c39d5a250c35abeac2c6f1ce6aa21de38edbd",
     (3, 1, 4): "d2d7ce204fbe4ecfc970b038862860d6217d50feddc4ebf605543b1cc0b09d39",
@@ -1439,11 +1500,11 @@ def test_a_changed_y_1_numerator_fails_to_verify(k):
     # every Y_j is read from Y_1, so one numerator of the file's one table
     # changed breaks the proof, whichever entry it is
     text = written(verify_relation(k, 2))
-    entries = json.loads(text)["generators"]["y_1"]["orbits"]
+    entries = json.loads(text)["y_1"]["orbits"]
     indices = range(len(entries)) if k < 24 else range(0, len(entries), 23)
     for index in indices:
         data = json.loads(text)
-        data["generators"]["y_1"]["orbits"][index][2] += 1
+        data["y_1"]["orbits"][index][2] += 1
         try:
             cert = MembershipCertificate.from_json_dict(data)
         except ValueError:
@@ -1464,21 +1525,24 @@ J_LIST_EDITS = {
 
 @pytest.mark.parametrize("edit", list(J_LIST_EDITS.values()), ids=list(J_LIST_EDITS))
 def test_j_list_edits_are_refused(edit):
-    # the k = 6, g = 1 Newton file has j_max = 12: a j list missing an
-    # entry, repeating one, with 0 or past j_max either is refused on read or
-    # reads and fails to verify
+    # version 6 lists no j, so the k = 6, g = 1 Newton file with version 5's
+    # list of j added back, edited or not, is refused on read
     data = json.loads(written(verify_relation(6, 1)))
-    assert data["generators"]["j"] == [1, 2, 3, 4, 5, 6] and data["j_max"] == 12
-    data["generators"]["j"] = edit(data["generators"]["j"])
-    try:
-        cert = MembershipCertificate.from_json_dict(data)
-    except ValueError:
-        assert len(set(data["generators"]["j"])) < len(data["generators"]["j"])
-        return
-    assert verify_certificate(cert) is False
-    # the same list built in memory, repeats included, fails to verify too
-    in_memory = replace(verify_relation(6, 1), js=tuple(edit(list(range(1, 7)))))
-    assert verify_certificate(in_memory) is False
+    assert MembershipCertificate.from_json_dict(data) == verify_relation(6, 1)
+    data["j"] = edit(list(range(1, 7)))
+    with pytest.raises(ValueError):
+        MembershipCertificate.from_json_dict(data)
+
+
+def test_j_max_below_k_fails_to_verify():
+    # a non-empty Y_1 uses j = 1..k: j_max = k - 1 fails to verify, built or
+    # loaded, and a nilpotent certificate, which uses no j, verifies at any
+    # j_max
+    for cert in (verify_relation(6, 1), verify_relation(6, 1, method="window")):
+        low = replace(cert, j_max=5)
+        loaded = MembershipCertificate.from_json_dict(json.loads(written(low)))
+        assert loaded == low and verify_certificate(cert)
+        assert verify_certificate(low) is verify_certificate(loaded) is (not cert.y_1.orbits)
 
 
 @pytest.mark.parametrize("k, g", [(3, 1), (4, 2), (5, 1), (7, 3)])

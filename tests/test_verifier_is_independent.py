@@ -13,7 +13,7 @@ import textwrap
 
 from pontcalc import relations
 
-DATACLASSES = {relations.MembershipCertificate, relations.NilpotentTerm, relations.OrbitTable}
+DATACLASSES = {relations.MembershipCertificate, relations.OrbitTable}
 
 
 def pontcalc_calls(function, seen=None):
